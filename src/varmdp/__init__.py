@@ -3,7 +3,8 @@
 Short horizons are handled exactly (rational arithmetic): reward
 simplification, expected-value induction, exact total-reward
 distributions, threshold percentiles via cumulative-reward state
-augmentation, and the exact CDF Pareto front by policy enumeration.
+augmentation, and the exact CDF Pareto front by one backward pass that
+carries every threshold of the grid at once.
 Long horizons are estimated: the pair-state transformation preserves
 transition-reward distributions, and per-policy CDFs come from a
 normal-plus-correction expansion validated against a seeded Monte Carlo
@@ -12,7 +13,7 @@ oracle.
 
 from .augmented import (AugmentedMdp, VarSolution, augmented_policy_distribution,
                         build_augmented, markov_policy_to_augmented_rules,
-                        solve_threshold_var)
+                        solve_threshold_var, solve_thresholds)
 from .edgeworth import (ChainSpectralData, EdgeworthCdf, KappaResult,
                         asymptotic_variance, check_ergodic_structure,
                         enumerate_stationary_policies, estimate_cdf, estimate_cdf_arrays,
@@ -50,7 +51,7 @@ __all__ = [
     "paper_short", "paper_short_printed", "pareto_front_exact", "pareto_front_long",
     "parse_rational", "policy_chain", "query_eta", "query_rho",
     "restrict_to_reachable", "simplify_reward", "simulate", "solve_poisson",
-    "solve_threshold_var", "spectral_data", "stationary_distribution",
+    "solve_threshold_var", "solve_thresholds", "spectral_data", "stationary_distribution",
     "sup_distance_to_empirical", "third_moment_constant", "transform",
     "transformed_salvage",
 ]

@@ -14,12 +14,13 @@ and the induction only ever touches the reachable per-epoch slices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import BudgetExceededError
-from .mdp import Action, DeterministicPolicy, FiniteMdp, StepCdf, ZERO, ONE, check_policy
+from .mdp import Action, DeterministicPolicy, FiniteMdp, StepCdf, ZERO, check_policy
 
 AugState = tuple[int, Fraction]  # (state index, accumulated reward)
 
@@ -28,7 +29,8 @@ AugState = tuple[int, Fraction]  # (state index, accumulated reward)
 class AugmentedMdp:
     """Augmented model: base MDP, threshold, and per-epoch reachable slices.
 
-    ``layers[t]`` lists the reachable (state, accumulated reward) pairs
+    The slices do not depend on ``tau``; ``solve_thresholds`` takes the
+    thresholds to solve for explicitly.  ``layers[t]`` lists the reachable (state, accumulated reward) pairs
     at epoch ``t``; ``layers[0]`` pairs every mu0-positive state with 0.
     The kernel is inherited from the base MDP: from ``(x, c)`` under
     ``a``, the successor ``(y, c + r(x, a, y))`` has probability
@@ -51,18 +53,6 @@ class AugmentedMdp:
     def cumulative_values(self) -> frozenset[Fraction]:
         """All reachable accumulated-reward values across epochs."""
         return frozenset(c for layer in self.layers for _, c in layer)
-
-    def actions(self, pair: AugState) -> tuple[Action, ...]:
-        return self.base.actions[pair[0]]
-
-    def step(self, pair: AugState, a: Action) -> list[tuple[AugState, Fraction]]:
-        x, c = pair
-        return [((y, c + self.base.reward(x, a, y)), p)
-                for y, p in self.base.transitions(x, a)]
-
-    def terminal_indicator(self, pair: AugState) -> Fraction:
-        x, c = pair
-        return ONE if c + self.base.salvage[x] >= self.tau else ZERO
 
     def initial_mass(self, pair: AugState) -> Fraction:
         x, c = pair
@@ -114,40 +104,66 @@ def build_augmented(mdp: FiniteMdp, tau, max_states: int = 200_000) -> Augmented
     return AugmentedMdp(base=mdp, tau=tau, layers=tuple(layers))
 
 
-def solve_threshold_var(mdp: FiniteMdp, tau, max_states: int = 200_000) -> VarSolution:
-    """Best achievable P(total reward >= tau), by induction on the augmented model.
+def solve_thresholds(aug: AugmentedMdp,
+                     taus: tuple[Fraction, ...]) -> tuple[VarSolution, ...]:
+    """Best achievable P(total reward >= tau) for every threshold, in one backward pass.
 
-    The terminal value of ``(x, c)`` is ``1[c + v(x) >= tau]``; interior
+    Each augmented pair carries one exceedance value per threshold: the
+    terminal value of ``(x, c)`` is ``1[c + v(x) >= tau]``, and interior
     values maximize the expected successor value (all interior rewards
-    are zero).  Ties are broken toward the earliest action in the
-    state's action list; the full argmax set is reported alongside.
+    are zero).  Per threshold, ties are broken toward the earliest action
+    in the state's action list; the full argmax set is reported alongside.
+
+    Values are kept as integers over the common denominator ``D**(H - t)``,
+    where ``D`` is the least common denominator of the kernel's
+    probabilities; scaling every value in a slice by one positive constant
+    leaves all comparisons and ties exact.
     """
-    aug = build_augmented(mdp, tau, max_states=max_states)
-    u: dict[AugState, Fraction] = {pair: aug.terminal_indicator(pair)
-                                   for pair in aug.layers[-1]}
-    policy: list[dict[AugState, Action]] = []
-    argmax: list[dict[AugState, tuple[Action, ...]]] = []
+    mdp = aug.base
+    scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p in rows))
+    weighted = {key: tuple((y, int(p * scale), mdp.reward(*key, y)) for y, p in rows)
+                for key, rows in mdp.kernel.items()}
+    u: dict[AugState, tuple[int, ...]] = {
+        (x, c): tuple(int(c + mdp.salvage[x] >= tau) for tau in taus)
+        for x, c in aug.layers[-1]}
+    policy: list[list[dict[AugState, Action]]] = [[] for _ in taus]
+    argmax: list[list[dict[AugState, tuple[Action, ...]]]] = [[] for _ in taus]
     for t in reversed(range(aug.horizon)):
-        nu: dict[AugState, Fraction] = {}
-        rule: dict[AugState, Action] = {}
-        sets: dict[AugState, tuple[Action, ...]] = {}
+        nu: dict[AugState, tuple[int, ...]] = {}
+        rules: list[dict[AugState, Action]] = [{} for _ in taus]
+        sets: list[dict[AugState, tuple[Action, ...]]] = [{} for _ in taus]
         for pair in aug.layers[t]:
-            best = None
-            ties: list[Action] = []
-            for a in aug.actions(pair):
-                q = sum((p * u[nxt] for nxt, p in aug.step(pair, a)), ZERO)
-                if best is None or q > best:
-                    best, ties = q, [a]
-                elif q == best:
-                    ties.append(a)
+            x, c = pair
+            acts = mdp.actions[x]
+            qs = []
+            for a in acts:
+                q = [0] * len(taus)
+                for y, w, r in weighted[(x, a)]:
+                    q = [qk + w * vk for qk, vk in zip(q, u[(y, c + r)])]
+                qs.append(q)
+            best = tuple(map(max, zip(*qs)))
             nu[pair] = best
-            rule[pair] = ties[0]
-            sets[pair] = tuple(ties)
+            for k, b in enumerate(best):
+                ties = tuple(a for a, q in zip(acts, qs) if q[k] == b)
+                rules[k][pair] = ties[0]
+                sets[k][pair] = ties
         u = nu
-        policy.insert(0, rule)
-        argmax.insert(0, sets)
-    eta = sum((aug.initial_mass(pair) * u[pair] for pair in aug.layers[0]), ZERO)
-    return VarSolution(tau=aug.tau, eta=eta, policy=tuple(policy), argmax_sets=tuple(argmax))
+        for k in range(len(taus)):
+            policy[k].insert(0, rules[k])
+            argmax[k].insert(0, sets[k])
+    denominator = scale ** aug.horizon
+    return tuple(
+        VarSolution(tau=tau,
+                    eta=sum((aug.initial_mass(pair) * Fraction(u[pair][k], denominator)
+                             for pair in aug.layers[0]), ZERO),
+                    policy=tuple(policy[k]), argmax_sets=tuple(argmax[k]))
+        for k, tau in enumerate(taus))
+
+
+def solve_threshold_var(mdp: FiniteMdp, tau, max_states: int = 200_000) -> VarSolution:
+    """Best achievable P(total reward >= tau), by induction on the augmented model."""
+    aug = build_augmented(mdp, tau, max_states=max_states)
+    return solve_thresholds(aug, (aug.tau,))[0]
 
 
 def augmented_policy_distribution(mdp: FiniteMdp,

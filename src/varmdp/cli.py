@@ -26,7 +26,8 @@ import numpy as np
 from . import inventory
 from .augmented import solve_threshold_var
 from .documents import (dump_document, load_document, mdp_from_document,
-                        mdp_to_document, mrp_from_document, mrp_to_document)
+                        mdp_to_document, mrp_from_document, mrp_to_document,
+                        state_index)
 from .edgeworth import estimate_cdf, pareto_front_long
 from .errors import (BudgetExceededError, ConvergenceError, DegenerateVarianceError,
                      ErgodicityError, PreconditionError, ValidationError)
@@ -113,10 +114,11 @@ def _load_policy(path: str, mdp) -> DeterministicPolicy:
     if not isinstance(raw, list) or not raw:
         raise ValidationError("policy: missing 'rules' list")
     rules = []
-    for rule in raw:
+    for i, rule in enumerate(raw):
         if not isinstance(rule, dict):
             raise ValidationError("policy: each rule must map state name to action")
-        rules.append({mdp.states.index(str(k)): v for k, v in rule.items()})
+        rules.append({state_index(mdp.states, k, f"policy.rules[{i}]"): v
+                      for k, v in rule.items()})
     return DeterministicPolicy(rules=tuple(rules),
                                stationary=bool(doc.get("stationary", len(raw) == 1)))
 
@@ -170,7 +172,7 @@ def cmd_var_threshold(args) -> int:
 
 def cmd_pareto_short(args) -> int:
     mdp = _load_mdp(args.document)
-    front = pareto_front_exact(mdp, max_policies=args.max_policies)
+    front = pareto_front_exact(mdp, max_states=args.max_aug_states)
     rows = [[format_rational(t), _dec(t), format_rational(v), _dec(v), w]
             for t, v, w in zip(front.grid, front.value, front.witness)]
     _write_text(args.output, _csv_text(
@@ -314,9 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_var_threshold)
 
-    p = sub.add_parser("pareto-short", help="exact CDF Pareto front (policy enumeration)")
+    p = sub.add_parser("pareto-short",
+                       help="exact CDF Pareto front (threshold backward induction)")
     p.add_argument("document", nargs="?", default="-")
-    p.add_argument("--max-policies", type=int, default=200_000)
+    p.add_argument("--max-aug-states", type=int, default=200_000)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--policies-out", default=None)
     p.set_defaults(func=cmd_pareto_short)

@@ -34,11 +34,29 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
-def _state_index(names: tuple[str, ...], name, field: str) -> int:
+def state_index(names: tuple[str, ...], name, field: str) -> int:
+    """Index of the named state; an unknown name is a ValidationError on ``field``."""
     try:
         return names.index(str(name))
     except ValueError:
         raise ValidationError(f"{field}: unknown state {name!r}") from None
+
+
+def _state_names(doc: dict) -> tuple[str, ...]:
+    raw = _require(doc, "states")
+    if not isinstance(raw, list):
+        raise ValidationError("states: expected a list of state names")
+    return tuple(str(s) for s in raw)
+
+
+def _horizon(doc: dict) -> int:
+    raw = _require(doc, "horizon")
+    try:
+        if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValidationError(f"horizon: expected an integer, got {raw!r}")
 
 
 def _aligned_rationals(doc: dict, field: str, n: int) -> tuple[Fraction, ...]:
@@ -51,7 +69,7 @@ def _aligned_rationals(doc: dict, field: str, n: int) -> tuple[Fraction, ...]:
 def mdp_from_document(doc: dict) -> FiniteMdp:
     if not isinstance(doc, dict):
         raise ValidationError("document: expected a JSON object")
-    states = tuple(str(s) for s in _require(doc, "states"))
+    states = _state_names(doc)
     n = len(states)
     raw_actions = _require(doc, "actions")
     if not isinstance(raw_actions, list) or len(raw_actions) != n:
@@ -67,8 +85,8 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValidationError(f"transitions[{i}]: expected an object")
-        x = _state_index(states, _require(row, "x"), f"transitions[{i}].x")
-        y = _state_index(states, _require(row, "y"), f"transitions[{i}].y")
+        x = state_index(states, _require(row, "x"), f"transitions[{i}].x")
+        y = state_index(states, _require(row, "y"), f"transitions[{i}].y")
         a = _require(row, "a")
         if a not in actions[x]:
             raise ValidationError(
@@ -87,7 +105,7 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
             sa[(x, a)] = r
     kernel = {key: tuple(sorted(rows_)) for key, rows_ in kernel_acc.items()}
     return FiniteMdp(
-        horizon=int(_require(doc, "horizon")),
+        horizon=_horizon(doc),
         states=states,
         actions=actions,
         kernel=kernel,
@@ -124,7 +142,7 @@ def mdp_to_document(mdp: FiniteMdp) -> dict:
 def mrp_from_document(doc: dict) -> MarkovRewardProcess:
     if not isinstance(doc, dict):
         raise ValidationError("document: expected a JSON object")
-    states = tuple(str(s) for s in _require(doc, "states"))
+    states = _state_names(doc)
     n = len(states)
     reward_on = _require(doc, "reward_on")
     rows = _require(doc, "transitions")
@@ -133,8 +151,8 @@ def mrp_from_document(doc: dict) -> MarkovRewardProcess:
     kernel = [[ZERO] * n for _ in range(n)]
     trans_reward: dict = {}
     for i, row in enumerate(rows):
-        x = _state_index(states, _require(row, "x"), f"transitions[{i}].x")
-        y = _state_index(states, _require(row, "y"), f"transitions[{i}].y")
+        x = state_index(states, _require(row, "x"), f"transitions[{i}].x")
+        y = state_index(states, _require(row, "y"), f"transitions[{i}].y")
         if kernel[x][y] != 0:
             raise ValidationError(f"transitions[{i}]: duplicate (x, y) entry")
         kernel[x][y] = parse_rational(_require(row, "p"), f"transitions[{i}].p")
@@ -148,7 +166,7 @@ def mrp_from_document(doc: dict) -> MarkovRewardProcess:
     if doc.get("salvage") is not None:
         salvage = _aligned_rationals(doc, "salvage", n)
     return MarkovRewardProcess(
-        horizon=int(_require(doc, "horizon")),
+        horizon=_horizon(doc),
         states=states,
         kernel=tuple(tuple(row) for row in kernel),
         reward_on=reward_on,

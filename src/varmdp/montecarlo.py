@@ -67,8 +67,10 @@ def simulate(mrp: MarkovRewardProcess, samples: int, seed: int,
     """
     if samples < 1:
         raise PreconditionError("simulate: samples must be >= 1")
-    cum, mu0, state, trans, salvage = _float_arrays(mrp)
     steps = mrp.horizon if n_steps is None else int(n_steps)
+    if steps < 1:
+        raise PreconditionError("simulate: n_steps must be >= 1")
+    cum, mu0, state, trans, salvage = _float_arrays(mrp)
     totals = simulate_totals(
         cum, mu0, steps, samples, seed,
         state_reward=state, trans_reward=trans,

@@ -4,7 +4,10 @@ The front is the pointwise infimum of the CDFs of all deterministic
 policies; both risk queries read off it.  For exact fronts the policies
 range over decision rules on the reachable (state, accumulated reward)
 pairs — decisions may depend on the running total, and a plain
-state-feedback policy class would be strictly too small.
+state-feedback policy class would be strictly too small.  That class is
+never enumerated: the infimum at each threshold is the complement of
+the threshold optimum ``eta(tau)``, and one backward pass over the
+augmented slices yields ``eta`` at every grid point at once.
 
 Atom convention of exact fronts: the stored value at a grid point
 ``tau`` is ``inf_pi P(total < tau)`` (the left limit), so that
@@ -22,14 +25,13 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Mapping
 
 import numpy as np
 
-from .augmented import build_augmented
-from .errors import BudgetExceededError, PreconditionError, ValidationError
-from .mdp import FiniteMdp, ZERO, ONE
+from .augmented import build_augmented, solve_thresholds
+from .errors import PreconditionError, ValidationError
+from .mdp import FiniteMdp, ZERO
 from .rationals import parse_rational
 
 
@@ -56,72 +58,25 @@ class ParetoFront:
             raise ValidationError("front: values must be nondecreasing")
 
 
-def pareto_front_exact(mdp: FiniteMdp, max_policies: int = 200_000) -> ParetoFront:
-    """Exact front by enumerating deterministic policies on the augmented slices.
+def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront:
+    """Exact front by one threshold-vector backward pass over the augmented slices.
 
-    Every assignment of an action to each reachable (state, accumulated
-    reward) pair at each decision epoch is one policy.  Each policy's
-    exact total-reward distribution is computed by forward mass
-    propagation; the grid is the union of all support points and the
-    stored values are pointwise minima of the left limits ``P(total < tau)``.
+    The grid is the set of reachable totals ``c + v(x)`` over the final
+    slice.  At each grid point the stored value is ``1 - eta(tau)``, the
+    complement of the best exceedance probability; the witness there is
+    the tie-broken optimal threshold policy, whose left limit
+    ``P(total < tau)`` attains the value.  Witnesses are deduplicated and
+    numbered in order of first appearance along the grid.
     """
-    aug = build_augmented(mdp, 0)
-    slots = [(t, pair) for t in range(mdp.horizon) for pair in aug.layers[t]]
-    choice_sets = [mdp.actions[pair[0]] for _, pair in slots]
-    count = 1
-    for cs in choice_sets:
-        count *= len(cs)
-        if count > max_policies:
-            raise BudgetExceededError(
-                f"exact front refused: at least {count} deterministic policies on the "
-                f"augmented slices exceed budget {max_policies}")
-    slot_index = {key: i for i, key in enumerate(slots)}
-
-    per_policy: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
-    chosen: list[tuple] = []
-    for choices in product(*choice_sets):
-        dist: dict = {}
-        for x, p in enumerate(mdp.mu0):
-            if p > 0:
-                dist[(x, ZERO)] = p
-        for t in range(mdp.horizon):
-            nxt: dict = {}
-            for (x, c), mass in dist.items():
-                a = choices[slot_index[(t, (x, c))]]
-                for y, p in mdp.transitions(x, a):
-                    key = (y, c + mdp.reward(x, a, y))
-                    nxt[key] = nxt.get(key, ZERO) + mass * p
-            dist = nxt
-        masses: dict[Fraction, Fraction] = {}
-        for (x, c), mass in dist.items():
-            total = c + mdp.salvage[x]
-            masses[total] = masses.get(total, ZERO) + mass
-        support = tuple(sorted(masses))
-        per_policy.append((support, tuple(masses[s] for s in support)))
-        chosen.append(choices)
-
-    grid = sorted({s for support, _ in per_policy for s in support})
-    best = [ONE] * len(grid)
-    witness = [-1] * len(grid)
-    for pid, (support, prob) in enumerate(per_policy):
-        j = 0
-        below = ZERO
-        for i, tau in enumerate(grid):
-            while j < len(support) and support[j] < tau:
-                below += prob[j]
-                j += 1
-            if below < best[i]:
-                best[i] = below
-                witness[i] = pid
-
-    listings = {}
-    for pid in sorted(set(witness)):
-        lines = [f"t={t} ({mdp.states[pair[0]]}, {pair[1]}) -> "
-                 f"{chosen[pid][slot_index[(t, pair)]]}"
-                 for (t, pair) in slots]
-        listings[pid] = "\n".join(lines)
-    return ParetoFront(kind="exact", grid=tuple(grid), value=tuple(best),
-                       witness=tuple(witness), policies=listings)
+    aug = build_augmented(mdp, 0, max_states=max_states)
+    grid = tuple(sorted({c + mdp.salvage[x] for x, c in aug.layers[-1]}))
+    solutions = solve_thresholds(aug, grid)
+    ids: dict[str, int] = {}
+    witness = tuple(ids.setdefault(sol.listing(mdp.states), len(ids))
+                    for sol in solutions)
+    return ParetoFront(kind="exact", grid=grid,
+                       value=tuple(1 - sol.eta for sol in solutions), witness=witness,
+                       policies={pid: text for text, pid in ids.items()})
 
 
 def _eta_exact(front: ParetoFront, tau: Fraction) -> Fraction:

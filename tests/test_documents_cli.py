@@ -217,3 +217,40 @@ class TestCli:
         missing.write_text('{"horizon": 1}')
         assert run_cli("solve-expected", str(missing)) == 2
         assert "states" in capsys.readouterr().err
+
+
+STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
+             "transitions": [{"x": "a", "y": "a", "p": "1"}],
+             "state_rewards": ["1"], "mu0": ["1"]}
+
+
+@pytest.mark.parametrize("command, kind, patch, field", [
+    ("solve-expected", "mdp", {"horizon": "two"}, "horizon"),
+    ("solve-expected", "mdp", {"horizon": 2.5}, "horizon"),
+    ("solve-expected", "mdp", {"states": 5}, "states"),
+    ("transform", "mrp", {"horizon": "two"}, "horizon"),
+    ("transform", "mrp", {"states": 5}, "states"),
+    ("dist-exact", "policy", {"rules": [{"nowhere": 0}]}, "policy.rules[0]"),
+])
+def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
+                                              command, kind, patch, field):
+    doc = mdp_to_document(short_sas) if kind != "mrp" else dict(STATE_MRP)
+    argv = [command]
+    if kind == "policy":
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(patch))
+        argv += ["--policy", str(policy)]
+    else:
+        doc.update(patch)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(*argv, str(path)) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_simulate_refuses_nonpositive_steps(tmp_path, capsys, n):
+    path = tmp_path / "mrp.json"
+    path.write_text(json.dumps(STATE_MRP))
+    assert run_cli("simulate", str(path), "--n", n, "--samples", "10", "--seed", "1") == 3
+    assert "n_steps" in capsys.readouterr().err

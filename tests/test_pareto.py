@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,6 +26,51 @@ def front_sas(short_sas):
 @pytest.fixture(scope="module")
 def front_sa(short_sa):
     return pareto_front_exact(short_sa)
+
+
+def listing_rules(mdp, listing):
+    """Rebuild a witness policy's decision rules from its listing."""
+    rules = [dict() for _ in range(mdp.horizon)]
+    for line in listing.splitlines():
+        head, action = line.split(" -> ")
+        t = int(head.split()[0].split("=")[1])
+        state, c = head.split("(")[1].rstrip(")").split(", ")
+        rules[t][(mdp.states.index(state), F(c))] = int(action)
+    return tuple(rules)
+
+
+def enumerated_front(mdp):
+    """Reference front: every deterministic policy on the augmented slices.
+
+    Returns the union of all supports and, at each of its points, the
+    least left limit ``P(total < tau)`` over all policies.
+    """
+    aug = build_augmented(mdp, 0)
+    slots = [(t, pair) for t in range(mdp.horizon) for pair in aug.layers[t]]
+    dists = []
+    for choices in product(*(mdp.actions[pair[0]] for _, pair in slots)):
+        rules = [dict() for _ in range(mdp.horizon)]
+        for (t, pair), a in zip(slots, choices):
+            rules[t][pair] = a
+        dists.append(augmented_policy_distribution(mdp, tuple(rules)))
+    grid = tuple(sorted({s for dist in dists for s in dist.support}))
+    return grid, tuple(min(1 - dist.prob_geq(tau) for dist in dists) for tau in grid)
+
+
+def small_random_mdps(count, max_policies=2 ** 12):
+    """The first ``count`` seeded instances (<= 3 states, horizon <= 3, <= 2 actions)
+    whose augmented policy class is small enough to enumerate."""
+    seed = 0
+    while count:
+        rng = random.Random(1000 + seed)
+        seed += 1
+        mdp = random_mdp(rng, n_states=rng.randint(1, 3), horizon=rng.randint(1, 3),
+                         reward_kind=rng.choice(["sas", "sa"]), max_actions=2)
+        aug = build_augmented(mdp, 0)
+        if math.prod(len(mdp.actions[x]) for t in range(mdp.horizon)
+                     for x, _ in aug.layers[t]) <= max_policies:
+            count -= 1
+            yield mdp
 
 
 def linear_front(lo=0.0, hi=1.0, steps=101):
@@ -59,16 +105,9 @@ class TestExactFront:
         aug = build_augmented(short_sa, 0)
         slots = [(t, pair) for t in range(short_sa.horizon) for pair in aug.layers[t]]
         rng = random.Random(5)
-        dists = {}
-        for pid in set(front_sa.witness):
-            # rebuild the witness policy's CDF from its listing
-            rules = [dict() for _ in range(short_sa.horizon)]
-            for line in front_sa.policies[pid].splitlines():
-                head, action = line.split(" -> ")
-                t = int(head.split()[0].split("=")[1])
-                state, c = head.split("(")[1].rstrip(")").split(", ")
-                rules[t][(short_sa.states.index(state), F(c))] = int(action)
-            dists[pid] = augmented_policy_distribution(short_sa, tuple(rules))
+        dists = {pid: augmented_policy_distribution(
+                     short_sa, listing_rules(short_sa, front_sa.policies[pid]))
+                 for pid in set(front_sa.witness)}
         # some random policies for the inequality side
         random_dists = []
         for _ in range(20):
@@ -98,8 +137,19 @@ class TestExactFront:
             assert value == dist.cdf(tau) - dict(zip(dist.support, dist.prob))[tau]
 
     def test_budget_refusal_names_count(self, short_sas):
-        with pytest.raises(BudgetExceededError, match=r"\d+ deterministic policies"):
-            pareto_front_exact(short_sas, max_policies=10)
+        # paper-short has 34 reachable pairs
+        with pytest.raises(BudgetExceededError,
+                           match=r"more than 10 reachable \(state, reward\) pairs"):
+            pareto_front_exact(short_sas, max_states=10)
+
+    def test_matches_policy_enumeration(self, printed_sas, printed_sa):
+        for mdp in [printed_sas, printed_sa, *small_random_mdps(30)]:
+            front = pareto_front_exact(mdp)
+            assert (front.grid, front.value) == enumerated_front(mdp)
+            for tau, value, pid in zip(front.grid, front.value, front.witness):
+                dist = augmented_policy_distribution(
+                    mdp, listing_rules(mdp, front.policies[pid]))
+                assert 1 - dist.prob_geq(tau) == value
 
 
 class TestQueries:
