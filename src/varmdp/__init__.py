@@ -15,13 +15,12 @@ from .augmented import (AugmentedMdp, VarSolution, augmented_policy_distribution
                         build_augmented, markov_policy_to_augmented_rules,
                         solve_threshold_var, solve_thresholds)
 from .edgeworth import (ChainSpectralData, EdgeworthCdf, KappaResult,
-                        asymptotic_variance, check_ergodic_structure,
-                        enumerate_stationary_policies, estimate_cdf, estimate_cdf_arrays,
-                        mixing_truncation, pareto_front_long, policy_chain,
-                        solve_poisson, spectral_data, stationary_distribution,
+                        check_ergodic_structure, enumerate_stationary_policies,
+                        estimate_cdf, estimate_cdf_arrays, pareto_front_long,
+                        policy_chain, spectral_data, stationary_distribution,
                         third_moment_constant)
-from .errors import (BudgetExceededError, ConvergenceError, DegenerateVarianceError,
-                     ErgodicityError, PreconditionError, ValidationError, VarMdpError)
+from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
+                     PreconditionError, ValidationError, VarMdpError)
 from .inventory import (InventoryParams, build_inventory, paper_long, paper_short,
                         paper_short_printed)
 from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, StepCdf,
@@ -36,21 +35,21 @@ from .transform import TransformedMrp, transform, transformed_salvage
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedMdp", "BudgetExceededError", "ChainSpectralData", "ConvergenceError",
+    "AugmentedMdp", "BudgetExceededError", "ChainSpectralData",
     "DegenerateVarianceError", "DeterministicPolicy", "EdgeworthCdf", "EmpiricalCdf",
     "ErgodicityError", "FiniteMdp", "InventoryParams", "KappaResult",
     "MarkovRewardProcess", "ParetoFront", "PreconditionError", "StepCdf",
     "TransformedMrp", "ValidationError", "VarMdpError", "VarSolution",
-    "asymptotic_variance", "augmented_policy_distribution", "build_augmented",
+    "augmented_policy_distribution", "build_augmented",
     "build_inventory", "check_ergodic_structure", "check_policy",
     "enumerate_stationary_policies", "estimate_cdf", "estimate_cdf_arrays",
     "evaluate_policy",
     "exact_total_reward_distribution", "expected_backward_induction",
     "format_rational", "induced_mrp", "ks_distance",
-    "markov_policy_to_augmented_rules", "mixing_truncation", "paper_long",
+    "markov_policy_to_augmented_rules", "paper_long",
     "paper_short", "paper_short_printed", "pareto_front_exact", "pareto_front_long",
     "parse_rational", "policy_chain", "query_eta", "query_rho",
-    "restrict_to_reachable", "simplify_reward", "simulate", "solve_poisson",
+    "restrict_to_reachable", "simplify_reward", "simulate",
     "solve_threshold_var", "solve_thresholds", "spectral_data", "stationary_distribution",
     "sup_distance_to_empirical", "third_moment_constant", "transform",
     "transformed_salvage",

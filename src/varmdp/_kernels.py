@@ -5,7 +5,9 @@ and the environment variable ``VARMDP_NO_NUMBA`` is unset/empty/"0";
 setting it picks the vectorized numpy path.  Both paths consume the same
 counter-based splitmix64 streams, keyed by ``(seed, sample, step)``, so
 they produce bit-identical trajectories regardless of backend or thread
-count.  ``benchmarks/bench_simulate.py`` compares the two.
+count.  The tier-1 test ``test_backends_bit_identical`` and the simulate
+golden hash of ``varbench/`` check the bit-identity; ``varbench`` reports
+throughput as ``kernels.msteps_per_s``.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ from .documents import (dump_document, load_document, mdp_from_document,
                         mdp_to_document, mrp_from_document, mrp_to_document,
                         state_index)
 from .edgeworth import estimate_cdf, pareto_front_long
-from .errors import (BudgetExceededError, ConvergenceError, DegenerateVarianceError,
-                     ErgodicityError, PreconditionError, ValidationError)
+from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
+                     PreconditionError, ValidationError)
 from .mdp import (DeterministicPolicy, exact_total_reward_distribution,
                   expected_backward_induction, simplify_reward)
 from .montecarlo import ks_distance, simulate
@@ -193,8 +193,7 @@ def cmd_transform(args) -> int:
 
 def cmd_estimate_cdf(args) -> int:
     mrp = _load_mrp(args.document)
-    cdf = estimate_cdf(mrp, args.n_steps, kappa_start=args.kappa_start,
-                       one_sided_kappa=args.one_sided_kappa)
+    cdf = estimate_cdf(mrp, args.n_steps)
     taus = _parse_grid(args.grid)
     values = cdf.evaluate(taus)
     rows = [[_dec(t), _dec(v)] for t, v in zip(taus, values)]
@@ -207,7 +206,6 @@ def cmd_estimate_cdf(args) -> int:
             "kappa": float(cdf.kappa),
             "rhat_start": float(cdf.rhat_start),
             "cond_h": float(cdf.cond_h),
-            "truncation": cdf.truncation,
         }
         _write_text(args.sidecar, json.dumps(side, indent=2) + "\n")
     return EXIT_OK
@@ -335,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document", nargs="?", default="-")
     p.add_argument("--n-steps", type=int, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:steps")
-    p.add_argument("--kappa-start", default="stationary",
-                   choices=["stationary", "initial"])
-    p.add_argument("--one-sided-kappa", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--sidecar", default=None, help="write diagnostics JSON here")
     p.set_defaults(func=cmd_estimate_cdf)
@@ -395,7 +390,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ErgodicityError, DegenerateVarianceError, ConvergenceError) as exc:
+    except (ErgodicityError, DegenerateVarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERGODICITY
 

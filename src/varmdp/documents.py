@@ -74,6 +74,9 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
     raw_actions = _require(doc, "actions")
     if not isinstance(raw_actions, list) or len(raw_actions) != n:
         raise ValidationError("actions: expected one action list per state")
+    for x, acts in enumerate(raw_actions):
+        if not isinstance(acts, list):
+            raise ValidationError(f"actions[{x}]: expected a list of actions")
     actions = tuple(tuple(acts) for acts in raw_actions)
     reward_kind = _require(doc, "reward_kind")
     rows = _require(doc, "transitions")
@@ -151,6 +154,8 @@ def mrp_from_document(doc: dict) -> MarkovRewardProcess:
     kernel = [[ZERO] * n for _ in range(n)]
     trans_reward: dict = {}
     for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValidationError(f"transitions[{i}]: expected an object")
         x = state_index(states, _require(row, "x"), f"transitions[{i}].x")
         y = state_index(states, _require(row, "y"), f"transitions[{i}].y")
         if kernel[x][y] != 0:

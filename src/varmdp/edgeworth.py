@@ -14,8 +14,9 @@ with ``g``/``gamma`` the standard normal CDF/density, ``kappa`` the
 asymptotic third cumulant of the total per step, and ``rhat`` the
 solution of the Poisson equation ``P rhat = rhat - r + zeta 1``
 (averaged over the start distribution).  All chain-level quantities come
-out of the fundamental kernel ``Z = (I - P - Xi)^{-1}`` where ``Xi``
-stacks ``xi`` row-wise.
+out of one fundamental kernel ``Z = (I - P - Xi)^{-1}``, where ``Xi``
+stacks ``xi`` row-wise; the lag sums in ``kappa`` close through
+``sum_{i>=1} P^i f = (Z - I)(f - xi.f)``.
 
 Geometric ergodicity is certified structurally: a finite chain that is
 one strongly connected aperiodic class qualifies; anything else is
@@ -34,8 +35,8 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 
-from .errors import (BudgetExceededError, ConvergenceError, DegenerateVarianceError,
-                     ErgodicityError, PreconditionError)
+from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
+                     PreconditionError)
 from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, induced_mrp,
                   restrict_to_reachable)
 from .pareto import ParetoFront
@@ -113,75 +114,39 @@ class ChainSpectralData:
     rhat: np.ndarray
     sigma2: float
     z_kernel: np.ndarray   # (I - P - Xi)^{-1}
-    h_kernel: np.ndarray   # I - P - Xi
     cond_h: float
 
 
-def solve_poisson(P: np.ndarray, r: np.ndarray):
-    """Return ``(zeta, rhat, Z)`` with ``P rhat = rhat - r + zeta 1`` and ``xi rhat = 0``.
+def spectral_data(P: np.ndarray, r: np.ndarray) -> ChainSpectralData:
+    """One spectral pass: ``xi``, ``zeta``, ``rhat``, ``sigma^2`` and ``Z`` of a chain.
 
-    ``Z`` is the fundamental kernel ``(I - P - Xi)^{-1}``; the residual
-    is checked against 1e-10 and the solution re-centered to the
-    ``xi . rhat = 0`` gauge.
+    ``Z = (I - P - Xi)^{-1}`` is the fundamental kernel; a numerically
+    singular ``I - P - Xi`` (cond above 1e14) is refused.  ``rhat`` solves
+    the Poisson equation ``P rhat = rhat - r + zeta 1`` in the
+    ``xi . rhat = 0`` gauge, with its residual checked against 1e-10, and
+    ``sigma^2 = sum_x [rhat(x)^2 - (P rhat)(x)^2] xi(x)``, clamped at zero.
     """
     P = np.asarray(P, dtype=float)
     r = np.asarray(r, dtype=float)
     xi = stationary_distribution(P)
     zeta = float(xi @ r)
-    n = P.shape[0]
-    H = np.eye(n) - P - np.tile(xi, (n, 1))
+    H = np.eye(P.shape[0]) - P - xi
     cond = float(np.linalg.cond(H))
     if not np.isfinite(cond) or cond > 1e14:
         raise ErgodicityError(f"fundamental kernel is numerically singular (cond ~ {cond:.3e})")
     Z = np.linalg.inv(H)
     rhat = Z @ (r - zeta)
     rhat = rhat - float(xi @ rhat)  # gauge: stationary mean zero
-    residual = np.abs(P @ rhat - rhat + r - zeta).max()
+    Pr = P @ rhat
+    residual = np.abs(Pr - rhat + r - zeta).max()
     if residual > _POISSON_TOL:
         raise ErgodicityError(
             f"Poisson residual {residual:.3e} exceeds {_POISSON_TOL} (cond ~ {cond:.3e})")
-    return zeta, rhat, Z
-
-
-def spectral_data(P: np.ndarray, r: np.ndarray) -> ChainSpectralData:
-    P = np.asarray(P, dtype=float)
-    r = np.asarray(r, dtype=float)
-    xi = stationary_distribution(P)
-    zeta, rhat, Z = solve_poisson(P, r)
-    n = P.shape[0]
-    H = np.eye(n) - P - np.tile(xi, (n, 1))
-    data = ChainSpectralData(P=P, r=r, xi=xi, zeta=zeta, rhat=rhat,
-                             sigma2=0.0, z_kernel=Z, h_kernel=H,
-                             cond_h=float(np.linalg.cond(H)))
-    sigma2 = asymptotic_variance(data)
-    return ChainSpectralData(P=P, r=r, xi=xi, zeta=zeta, rhat=rhat, sigma2=sigma2,
-                             z_kernel=Z, h_kernel=H, cond_h=data.cond_h)
-
-
-def asymptotic_variance(data: ChainSpectralData) -> float:
-    """``sigma^2 = sum_x [rhat(x)^2 - (P rhat)(x)^2] xi(x)``, clamped at zero."""
-    Pr = data.P @ data.rhat
-    sigma2 = float(((data.rhat ** 2 - Pr ** 2) * data.xi).sum())
+    sigma2 = float(((rhat ** 2 - Pr ** 2) * xi).sum())
     if sigma2 < _SIGMA2_FLOOR:
         raise ErgodicityError(f"asymptotic variance {sigma2:.3e} is negative")
-    return max(sigma2, 0.0)
-
-
-def mixing_truncation(P: np.ndarray, xi: np.ndarray, tol: float = 1e-12,
-                      t_cap: int = 200_000) -> int:
-    """Smallest power of two T with ``max |P^T - 1 xi|`` row-sum below ``tol``."""
-    limit = np.tile(xi, (P.shape[0], 1))
-    M = np.asarray(P, dtype=float)
-    T = 1
-    while np.abs(M - limit).sum(axis=1).max() > tol:
-        if T >= t_cap:
-            ev = np.sort(np.abs(np.linalg.eigvals(P)))[-2] if P.shape[0] > 1 else 0.0
-            raise ConvergenceError(
-                f"mixing truncation cap {t_cap} reached; second eigenvalue modulus "
-                f"~ {ev:.6f} implies mixing time beyond the cap")
-        M = M @ M
-        T *= 2
-    return T
+    return ChainSpectralData(P=P, r=r, xi=xi, zeta=zeta, rhat=rhat, sigma2=max(sigma2, 0.0),
+                             z_kernel=Z, cond_h=cond)
 
 
 @dataclass(frozen=True)
@@ -190,58 +155,32 @@ class KappaResult:
     k1: float
     k2: float
     k3: float
-    truncation: int
+    truncation: int = 0  # always 0 (no lag sum); varbench/tracing.py still reads it
 
 
-def third_moment_constant(P: np.ndarray, r: np.ndarray,
-                          start_distribution: np.ndarray | None = None,
-                          truncation: int | None = None, tol: float = 1e-12,
-                          t_cap: int = 200_000, one_sided: bool = False) -> KappaResult:
+def third_moment_constant(data: ChainSpectralData) -> KappaResult:
     """Asymptotic third-cumulant constant ``kappa = k1 + k2 + k3`` of the total per step.
 
-    With the centered reward ``rt = r - zeta`` and start weights ``mu``
-    (the stationary ``xi`` unless ``start_distribution`` is given):
+    With the centered reward ``rt = r - zeta`` and the stationary start:
 
-        k1 = E_mu[rt(X_0)^3]
-        k2 = 3 * sum_{i>=1} (E_mu[rt^2(X_0) rt(X_i)] + E_mu[rt(X_0) rt^2(X_i)])
-        k3 = 6 * sum_{i,j>=1} E_mu[rt(X_0) rt(X_i) rt(X_{i+j})]
+        k1 = E_xi[rt(X_0)^3]
+        k2 = 3 * sum_{i>=1} (E_xi[rt^2(X_0) rt(X_i)] + E_xi[rt(X_0) rt^2(X_i)])
+        k3 = 6 * sum_{i,j>=1} E_xi[rt(X_0) rt(X_i) rt(X_{i+j})]
 
-    Sums are truncated at the mixing time (geometric ergodicity makes the
-    tails negligible at the chosen tolerance).  ``one_sided=True`` keeps
-    only the first ordering inside k2, for the reading of the lag sum
-    that starts at lag one and ignores the mirrored ordering; the default
-    two-sided form is the one that matches the third cumulant.
+    Every lag sum is closed through the fundamental kernel,
+    ``sum_{i>=1} P^i f = (Z - I)(f - xi.f)``, so no sum is truncated.
+    ``rt`` is centered already, and the tails of ``rt^2`` and ``rt * s``
+    are paired with ``xi * rt``, which annihilates constants, so they are
+    taken uncentered.
     """
-    P = np.asarray(P, dtype=float)
-    r = np.asarray(r, dtype=float)
-    xi = stationary_distribution(P)
-    zeta = float(xi @ r)
-    rt = r - zeta
-    mu = xi if start_distribution is None else np.asarray(start_distribution, dtype=float)
-    if truncation is None:
-        truncation = mixing_truncation(P, xi, tol=tol, t_cap=t_cap)
-    T = int(truncation)
-
-    k1 = float((rt ** 3 * mu).sum())
-    w = rt.copy()
-    w2 = rt * rt
-    s = np.zeros_like(rt)
-    k2 = 0.0
-    for _ in range(T):
-        w = P @ w
-        w2 = P @ w2
-        k2 += float((mu * rt * rt) @ w)
-        if not one_sided:
-            k2 += float((mu * rt) @ w2)
-        s += w
-    k2 *= 3.0
-    v = rt * s
-    k3 = 0.0
-    for _ in range(T):
-        v = P @ v
-        k3 += float((mu * rt) @ v)
-    k3 *= 6.0
-    return KappaResult(kappa=k1 + k2 + k3, k1=k1, k2=k2, k3=k3, truncation=T)
+    xi, Z = data.xi, data.z_kernel
+    rt = data.r - data.zeta
+    w = xi * rt
+    s = Z @ rt - rt  # sum_{j>=1} P^j rt
+    k1 = float((rt ** 3 * xi).sum())
+    k2 = 3.0 * float((w * rt) @ s + w @ (Z @ (rt * rt) - rt * rt))
+    k3 = 6.0 * float(w @ (Z @ (rt * s) - rt * s))
+    return KappaResult(kappa=k1 + k2 + k3, k1=k1, k2=k2, k3=k3)
 
 
 @dataclass(frozen=True)
@@ -254,7 +193,6 @@ class EdgeworthCdf:
     kappa: float
     rhat_start: float
     cond_h: float = float("nan")
-    truncation: int = 0
 
     @property
     def sigma(self) -> float:
@@ -290,46 +228,32 @@ def float_chain(mrp: MarkovRewardProcess):
     return P, r, mu0
 
 
-def estimate_cdf(mrp: MarkovRewardProcess, n_steps: int,
-                 kappa_start: str = "stationary", truncation: int | None = None,
-                 one_sided_kappa: bool = False) -> EdgeworthCdf:
+def estimate_cdf(mrp: MarkovRewardProcess, n_steps: int) -> EdgeworthCdf:
     """Estimate the CDF of the ``n_steps``-term total reward of an ergodic chain.
 
     ``n_steps`` is the number of reward summands.  The start distribution
     enters through ``rhat_start = E_mu0[rhat]``; the third-moment
-    constant is computed under the stationary law unless
-    ``kappa_start="initial"``.  Degenerate variance is refused.
+    constant is the stationary one (the asymptotic constant does not
+    depend on the start).  Degenerate variance is refused.
     """
     P, r, mu0 = float_chain(mrp)
-    return estimate_cdf_arrays(P, r, mu0, n_steps, kappa_start=kappa_start,
-                               truncation=truncation, one_sided_kappa=one_sided_kappa)
+    return estimate_cdf_arrays(P, r, mu0, n_steps)
 
 
-def estimate_cdf_arrays(P, r, mu0, n_steps: int, kappa_start: str = "stationary",
-                        truncation: int | None = None,
-                        one_sided_kappa: bool = False) -> EdgeworthCdf:
+def estimate_cdf_arrays(P, r, mu0, n_steps: int) -> EdgeworthCdf:
     """Array-level variant of ``estimate_cdf`` for chains given as float matrices."""
     if n_steps < 1:
         raise PreconditionError("estimate_cdf: n_steps must be >= 1")
-    P = np.asarray(P, dtype=float)
-    r = np.asarray(r, dtype=float)
     mu0 = np.asarray(mu0, dtype=float)
     data = spectral_data(P, r)
     if data.sigma2 <= _DEGENERATE_SIGMA2:
         raise DegenerateVarianceError(
             f"asymptotic variance {data.sigma2:.3e} is (numerically) zero; "
             f"the normalized total reward is degenerate")
-    if kappa_start == "stationary":
-        start = None
-    elif kappa_start == "initial":
-        start = mu0
-    else:
-        raise PreconditionError(f"estimate_cdf: unknown kappa_start {kappa_start!r}")
-    kap = third_moment_constant(P, r, start_distribution=start, truncation=truncation,
-                                one_sided=one_sided_kappa)
+    kap = third_moment_constant(data)
     return EdgeworthCdf(
         n_steps=int(n_steps), zeta=data.zeta, sigma2=data.sigma2, kappa=kap.kappa,
-        rhat_start=float(mu0 @ data.rhat), cond_h=data.cond_h, truncation=kap.truncation)
+        rhat_start=float(mu0 @ data.rhat), cond_h=data.cond_h)
 
 
 def enumerate_stationary_policies(mdp: FiniteMdp) -> list[DeterministicPolicy]:

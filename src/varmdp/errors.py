@@ -23,7 +23,3 @@ class ErgodicityError(VarMdpError):
 
 class DegenerateVarianceError(VarMdpError):
     """The asymptotic variance is zero; no CDF estimate is possible."""
-
-
-class ConvergenceError(VarMdpError):
-    """An iterative truncation failed to converge within its cap."""

@@ -231,6 +231,8 @@ STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
     ("transform", "mrp", {"horizon": "two"}, "horizon"),
     ("transform", "mrp", {"states": 5}, "states"),
     ("dist-exact", "policy", {"rules": [{"nowhere": 0}]}, "policy.rules[0]"),
+    ("transform", "mrp", {"transitions": [1]}, "transitions[0]"),
+    ("solve-expected", "mdp", {"actions": [[0, 1, 2, 3], 5, [0, 1], [0]]}, "actions[1]"),
 ])
 def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
                                               command, kind, patch, field):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from varmdp import (ConvergenceError, DegenerateVarianceError, DeterministicPolicy,
-                    ErgodicityError, FiniteMdp, check_ergodic_structure,
-                    estimate_cdf, estimate_cdf_arrays, induced_mrp, mixing_truncation,
-                    pareto_front_long, policy_chain, query_eta, query_rho, simulate,
-                    solve_poisson, spectral_data, stationary_distribution,
+import varmdp.edgeworth as edgeworth
+from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityError,
+                    FiniteMdp, check_ergodic_structure, estimate_cdf, estimate_cdf_arrays,
+                    induced_mrp, paper_long, pareto_front_long, policy_chain, query_eta,
+                    query_rho, simulate, spectral_data, stationary_distribution,
                     third_moment_constant)
 
 from conftest import random_ergodic_chain
@@ -35,6 +35,34 @@ def printed_chain(printed_sas):
 def iid_chain(xi, r):
     xi = np.asarray(xi, dtype=float)
     return np.tile(xi, (len(xi), 1)), np.asarray(r, dtype=float)
+
+
+def lag_sum_kappa(P, r, T=None):
+    """Reference ``(k1, k2, k3)``: the lag sums at the stationary start, truncated at ``T``.
+
+    Without ``T`` the sums stop at the smallest power of two with
+    ``max_x sum_y |P^T - 1 xi|(x, y) <= 1e-12``.
+    """
+    xi = stationary_distribution(P)
+    rt = r - float(xi @ r)
+    if T is None:
+        M, T = P.copy(), 1
+        while np.abs(M - xi).sum(axis=1).max() > 1e-12:
+            M, T = M @ M, 2 * T
+    k1 = float((rt ** 3 * xi).sum())
+    w, w2, s = rt.copy(), rt * rt, np.zeros_like(rt)
+    k2 = 0.0
+    for _ in range(T):
+        w = P @ w
+        w2 = P @ w2
+        k2 += float((xi * rt * rt) @ w) + float((xi * rt) @ w2)
+        s += w
+    v = rt * s
+    k3 = 0.0
+    for _ in range(T):
+        v = P @ v
+        k3 += float((xi * rt) @ v)
+    return k1, 3.0 * k2, 6.0 * k3
 
 
 class TestStationaryDistribution:
@@ -81,35 +109,34 @@ class TestStationaryDistribution:
 class TestPoisson:
     def test_constant_reward_gives_zero_bias(self):
         P, _ = random_ergodic_chain(1, 4)
-        zeta, rhat, _ = solve_poisson(P, np.full(4, 3.25))
-        assert zeta == pytest.approx(3.25, abs=1e-13)
-        assert np.abs(rhat).max() < 1e-12
+        data = spectral_data(P, np.full(4, 3.25))
+        assert data.zeta == pytest.approx(3.25, abs=1e-13)
+        assert np.abs(data.rhat).max() < 1e-12
 
     def test_iid_chain_closed_form(self):
         P, r = iid_chain([0.3, 0.5, 0.2], [1.0, -2.0, 4.0])
         xi = stationary_distribution(P)
-        zeta, rhat, _ = solve_poisson(P, r)
-        assert np.abs(rhat - (r - zeta)).max() < 1e-12
-        assert zeta == pytest.approx(float(xi @ r), abs=1e-14)
+        data = spectral_data(P, r)
+        assert np.abs(data.rhat - (r - data.zeta)).max() < 1e-12
+        assert data.zeta == pytest.approx(float(xi @ r), abs=1e-14)
 
     def test_partial_sum_oracle(self):
         P, r = random_ergodic_chain(7, 5)
-        zeta, rhat, _ = solve_poisson(P, r)
+        data = spectral_data(P, r)
         # rhat = sum_{t>=0} (P^t r - zeta), truncated far past mixing
         acc = np.zeros(5)
         v = r.copy()
         for _ in range(4000):
-            acc += v - zeta
+            acc += v - data.zeta
             v = P @ v
-        assert np.abs(rhat - acc).max() < 1e-6
+        assert np.abs(data.rhat - acc).max() < 1e-6
 
     def test_residual_and_gauge_random_batch(self):
         for seed in range(20):
             P, r = random_ergodic_chain(100 + seed, 3 + seed % 4)
-            xi = stationary_distribution(P)
-            zeta, rhat, _ = solve_poisson(P, r)
-            assert np.abs(P @ rhat - rhat + r - zeta).max() <= 1e-10
-            assert abs(float(xi @ rhat)) < 1e-12
+            data = spectral_data(P, r)
+            assert np.abs(P @ data.rhat - data.rhat + r - data.zeta).max() <= 1e-10
+            assert abs(float(data.xi @ data.rhat)) < 1e-12
 
 
 class TestAsymptoticVariance:
@@ -140,7 +167,7 @@ class TestAsymptoticVariance:
 class TestThirdMomentConstant:
     def test_iid_symmetric_two_point_vanishes(self):
         P, r = iid_chain([0.5, 0.5], [1.0, -1.0])
-        res = third_moment_constant(P, r)
+        res = third_moment_constant(spectral_data(P, r))
         assert res.kappa == pytest.approx(0.0, abs=1e-12)
         assert res.k1 == pytest.approx(0.0, abs=1e-15)
         assert res.k2 == pytest.approx(0.0, abs=1e-12)
@@ -150,25 +177,28 @@ class TestThirdMomentConstant:
         P, r = iid_chain([0.3, 0.5, 0.2], [2.0, -1.0, 0.25])
         xi = stationary_distribution(P)
         zeta = float(xi @ r)
-        res = third_moment_constant(P, r)
+        res = third_moment_constant(spectral_data(P, r))
         assert res.kappa == pytest.approx(float(((r - zeta) ** 3) @ xi), abs=1e-12)
 
-    def test_truncation_self_consistency(self):
-        P, r = random_ergodic_chain(11, 4)
-        xi = stationary_distribution(P)
-        T = mixing_truncation(P, xi)
-        a = third_moment_constant(P, r, truncation=T)
-        b = third_moment_constant(P, r, truncation=2 * T)
-        assert abs(a.kappa - b.kappa) <= 1e-9
+    def test_closed_form_matches_lag_sum(self):
+        chains = [random_ergodic_chain(200 + n, n) for n in (3, 4, 7, 12, 25, 50)]
+        witness = policy_chain(paper_long(),
+                               DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0, 3: 0}))
+        chains.append(edgeworth.float_chain(witness)[:2])
+        for P, r in chains:
+            res = third_moment_constant(spectral_data(P, r))
+            for got, want in zip((res.k1, res.k2, res.k3), lag_sum_kappa(P, r)):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_matches_exact_cumulant_growth_rate(self, printed_chain):
-        # the constant is the asymptotic growth rate of the exact third
-        # cumulant of the total; rational forward DP gives that cumulant
+        # sigma^2 and kappa are the asymptotic growth rates of the exact second
+        # and third cumulants of the total; rational forward DP gives those
         # exactly, and the slope between two horizons cancels the O(1) term
         P, r, mu0, mrp = printed_chain
-        res = third_moment_constant(P, r)
+        data = spectral_data(P, r)
+        res = third_moment_constant(data)
 
-        def third_cumulant(n_steps):
+        def cumulants(n_steps):
             rq = [F(0), F(6), F(8)]
             pq = [[F(p).limit_denominator(64) for p in row] for row in P]
             dist = {(x, F(0)): F(p).limit_denominator(64)
@@ -182,26 +212,13 @@ class TestThirdMomentConstant:
                             nxt[key] = nxt.get(key, F(0)) + m * pq[x][y]
                 dist = nxt
             mean = sum(m * t for (_, t), m in dist.items())
-            return sum(m * (t - mean) ** 3 for (_, t), m in dist.items())
+            return tuple(sum(m * (t - mean) ** k for (_, t), m in dist.items())
+                         for k in (2, 3))
 
         n1, n2 = 16, 24
-        slope = float(third_cumulant(n2) - third_cumulant(n1)) / (n2 - n1)
-        assert slope == pytest.approx(res.kappa, rel=1e-6)
-
-    def test_slow_mixing_raises_with_gap_estimate(self):
-        eps = 1e-9
-        P = np.array([[1 - eps, eps], [eps, 1 - eps]])
-        with pytest.raises(ConvergenceError, match="eigenvalue"):
-            mixing_truncation(P, stationary_distribution(P), t_cap=1024)
-
-    def test_one_sided_flag_changes_correlated_chains_only(self, printed_chain):
-        P, r, _, _ = printed_chain
-        two = third_moment_constant(P, r)
-        one = third_moment_constant(P, r, one_sided=True)
-        assert two.kappa != pytest.approx(one.kappa, abs=1e-6)
-        Pi, ri = iid_chain([0.4, 0.6], [1.0, -0.5])
-        assert third_moment_constant(Pi, ri).kappa == pytest.approx(
-            third_moment_constant(Pi, ri, one_sided=True).kappa, abs=1e-12)
+        (var1, third1), (var2, third2) = cumulants(n1), cumulants(n2)
+        assert float(var2 - var1) / (n2 - n1) == pytest.approx(data.sigma2, rel=1e-6)
+        assert float(third2 - third1) / (n2 - n1) == pytest.approx(res.kappa, rel=1e-6)
 
 
 class TestEstimateCdf:
@@ -263,11 +280,30 @@ class TestEstimateCdf:
             scaled = estimate_cdf_arrays(P, s * r, mu0, n)
             assert np.abs(scaled.evaluate(s * taus) - base.evaluate(taus)).max() <= 1e-12
 
-    def test_kappa_start_option(self, printed_chain):
+    def test_slow_mixing_chain_is_estimated(self):
+        # second eigenvalue 0.9991: P^T reaches its limit too slowly for a
+        # truncated lag sum, the closed form needs no mixing time
+        a, b = 5e-4, 4e-4
+        P = np.array([[1 - a, a], [b, 1 - b]])
+        r = np.array([1.0, -1.0])
+        cdf = estimate_cdf_arrays(P, r, np.array([1.0, 0.0]), 10_000)
+        values = cdf.evaluate(np.linspace(-2_000.0, 2_000.0, 41))
+        assert np.isfinite(values).all() and np.isfinite(cdf.rhat_start)
+        # two-state closed form: sigma^2 = d^2 ab (2 - a - b) / (a + b)^3
+        assert cdf.sigma2 == pytest.approx(4 * a * b * (2 - a - b) / (a + b) ** 3, rel=1e-9)
+        assert cdf.kappa == pytest.approx(sum(lag_sum_kappa(P, r, T=2 ** 16)), rel=1e-9)
+
+    def test_one_stationary_solve_per_estimate(self, printed_chain, monkeypatch):
+        calls = []
+
+        def counting(P):
+            calls.append(P)
+            return stationary_distribution(P)
+
+        monkeypatch.setattr(edgeworth, "stationary_distribution", counting)
         P, r, mu0, _ = printed_chain
-        stationary = estimate_cdf_arrays(P, r, mu0, 500)
-        initial = estimate_cdf_arrays(P, r, mu0, 500, kappa_start="initial")
-        assert stationary.kappa != pytest.approx(initial.kappa, abs=1e-9)
+        estimate_cdf_arrays(P, r, mu0, 500)
+        assert len(calls) == 1
 
 
 def two_policy_mdp():
