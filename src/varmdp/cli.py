@@ -105,6 +105,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid: expected lo:hi:steps, got {spec!r}") from None
     if steps < 2 or not hi > lo:
         raise ValidationError("grid: need hi > lo and steps >= 2")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError(f"grid: bounds must be finite, got {spec!r}")
     return np.linspace(lo, hi, steps)
 
 
@@ -193,8 +195,8 @@ def cmd_transform(args) -> int:
 
 def cmd_estimate_cdf(args) -> int:
     mrp = _load_mrp(args.document)
-    cdf = estimate_cdf(mrp, args.n_steps)
     taus = _parse_grid(args.grid)
+    cdf = estimate_cdf(mrp, args.n_steps)
     values = cdf.evaluate(taus)
     rows = [[_dec(t), _dec(v)] for t, v in zip(taus, values)]
     _write_text(args.output, _csv_text(["tau", "cdf"], rows))

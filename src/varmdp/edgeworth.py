@@ -18,9 +18,16 @@ out of one fundamental kernel ``Z = (I - P - Xi)^{-1}``, where ``Xi``
 stacks ``xi`` row-wise; the lag sums in ``kappa`` close through
 ``sum_{i>=1} P^i f = (Z - I)(f - xi.f)``.
 
-Geometric ergodicity is certified structurally: a finite chain that is
-one strongly connected aperiodic class qualifies; anything else is
-rejected with an ergodicity error.
+Geometric ergodicity is certified structurally, with numpy frontier
+searches: a finite chain that is one strongly connected aperiodic class
+qualifies; anything else is rejected with an ergodicity error.
+
+The long-horizon front estimates one stationary policy at a time.  Each
+policy's chain is built as float arrays straight from per-MDP float
+tables (``FloatTables``); ``policy_chain`` and ``estimate_cdf`` keep the
+exact ``Fraction`` route, which the tests use as the reference.  scipy
+is imported only where a CDF is evaluated, so commands that evaluate
+none do not load it.
 """
 
 from __future__ import annotations
@@ -32,15 +39,13 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.special import ndtr
 
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError)
-from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, induced_mrp,
-                  restrict_to_reachable)
+from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, bfs_levels,
+                  induced_mrp, restrict_to_reachable)
 from .pareto import ParetoFront
-from .transform import transform
+from .transform import pair_chain, transform
 
 logger = logging.getLogger(__name__)
 
@@ -51,32 +56,35 @@ _DEGENERATE_SIGMA2 = 1e-12
 
 
 def check_ergodic_structure(P: np.ndarray) -> None:
-    """Require one strongly connected, aperiodic class; else raise with the classes."""
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    n_comp, labels = connected_components(P > 0, directed=True, connection="strong")
-    if n_comp != 1:
-        classes = [sorted(np.nonzero(labels == k)[0].tolist()) for k in range(n_comp)]
+    """Require one strongly connected, aperiodic class; else raise with the classes.
+
+    Strong connectivity: every state is reached from state 0 forward and
+    backward.  The period is ``gcd(d(u) + 1 - d(v))`` over the edges
+    ``(u, v)``, with ``d`` the breadth-first levels from state 0.
+    """
+    positive = np.asarray(P, dtype=float) > 0
+    origin = np.arange(len(positive)) == 0
+    level = bfs_levels(positive, origin)
+    if level.min() < 0 or bfs_levels(positive.T, origin).min() < 0:
+        classes = _communicating_classes(positive)
         raise ErgodicityError(
-            f"chain is reducible: {n_comp} communicating classes {classes}")
-    if n == 1:
-        return
-    # period = gcd over edges (u, v) of d(u) + 1 - d(v) for any BFS labeling d
-    dist = np.full(n, -1)
-    dist[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in np.nonzero(P[u] > 0)[0]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    g = 0
-    for u in range(n):
-        for v in np.nonzero(P[u] > 0)[0]:
-            g = math.gcd(g, int(dist[u]) + 1 - int(dist[v]))
-    if abs(g) != 1:
-        raise ErgodicityError(f"chain is periodic with period {abs(g)}")
+            f"chain is reducible: {len(classes)} communicating classes {classes}")
+    u, v = np.nonzero(positive)
+    period = int(np.gcd.reduce(level[u] + 1 - level[v]))
+    if period != 1:
+        raise ErgodicityError(f"chain is periodic with period {period}")
+
+
+def _communicating_classes(positive: np.ndarray) -> list[list[int]]:
+    """Communicating classes of a boolean adjacency matrix, by smallest member."""
+    reach = positive | np.eye(len(positive), dtype=bool)
+    while True:
+        closure = reach @ reach
+        if (closure == reach).all():
+            break
+        reach = closure
+    smallest = (reach & reach.T).argmax(axis=1)  # each state's smallest classmate
+    return [np.nonzero(smallest == x)[0].tolist() for x in np.unique(smallest)]
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -199,6 +207,7 @@ class EdgeworthCdf:
         return math.sqrt(self.sigma2)
 
     def evaluate(self, tau):
+        from scipy.special import ndtr  # imported here: no other command needs scipy
         tau = np.asarray(tau, dtype=float)
         scale = self.sigma * math.sqrt(self.n_steps)
         y = (tau - self.n_steps * self.zeta) / scale
@@ -210,6 +219,7 @@ class EdgeworthCdf:
 
     def normal_reference(self, tau):
         """The plain normal limit with the same mean and scale (no correction)."""
+        from scipy.special import ndtr
         tau = np.asarray(tau, dtype=float)
         scale = self.sigma * math.sqrt(self.n_steps)
         out = ndtr((tau - self.n_steps * self.zeta) / scale)
@@ -276,13 +286,69 @@ def policy_chain(mdp: FiniteMdp, policy: DeterministicPolicy) -> MarkovRewardPro
     return mrp
 
 
+@dataclass(frozen=True)
+class FloatTables:
+    """Float copies of an MDP's tables, indexed by action slot ``k`` of ``actions[x]``.
+
+    ``P[x, k, y]`` is the kernel, ``R[x, k, y]`` (SAS) or ``R[x, k]`` (SA)
+    the reward and ``start[x, k, y]`` the exact product
+    ``mu0(x) p(y | x, a)`` rounded once, so the arrays of a policy's chain
+    equal ``float_chain(policy_chain(mdp, policy))`` entry for entry.
+    """
+
+    P: np.ndarray
+    R: np.ndarray
+    start: np.ndarray
+    mu0: np.ndarray
+    slots: tuple[dict, ...]
+
+    def chain(self, policy: DeterministicPolicy):
+        """Float ``(P, r, mu0)`` of a stationary policy's chain, as ``policy_chain`` builds it.
+
+        The policy's rows are restricted to the states reachable from the
+        start; SAS rows then go through the pair-state construction.
+        """
+        rows = np.arange(len(self.slots))
+        choice = [slot[policy.action(0, x)] for x, slot in enumerate(self.slots)]
+        P, R = self.P[rows, choice], self.R[rows, choice]
+        if R.ndim == 2:  # SAS: one reward per transition
+            _, _, kernel, reward, mu0 = pair_chain(P, R, self.start[rows, choice])
+            return kernel, reward, mu0
+        keep = bfs_levels(P > 0, self.mu0 > 0) >= 0
+        return P[np.ix_(keep, keep)], R[keep], self.mu0[keep]
+
+
+def float_tables(mdp: FiniteMdp) -> FloatTables:
+    """Build an MDP's ``FloatTables`` once, for many policy chains."""
+    n, width = mdp.n_states, max(len(acts) for acts in mdp.actions)
+    P, start = np.zeros((n, width, n)), np.zeros((n, width, n))
+    R = np.zeros((n, width, n) if mdp.is_sas else (n, width))
+    for x, acts in enumerate(mdp.actions):
+        for k, a in enumerate(acts):
+            for y, p in mdp.transitions(x, a):
+                P[x, k, y] = float(p)
+                start[x, k, y] = float(mdp.mu0[x] * p)
+                if mdp.is_sas:
+                    R[x, k, y] = float(mdp.sas_reward[(x, a, y)])
+            if not mdp.is_sas:
+                R[x, k] = float(mdp.sa_reward[(x, a)])
+    return FloatTables(P=P, R=R, start=start, mu0=np.array([float(p) for p in mdp.mu0]),
+                       slots=tuple({a: k for k, a in enumerate(acts)}
+                                   for acts in mdp.actions))
+
+
 def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
                       max_policies: int = 10_000) -> ParetoFront:
     """Estimated front: pointwise minimum of per-policy CDF estimates.
 
     Enumerates stationary deterministic policies; non-ergodic or
-    degenerate-variance chains are skipped with a logged warning.  The
-    number of reward terms is ``n_steps`` for both reward conventions
+    degenerate-variance chains are skipped with a logged warning.  Each
+    policy's chain is built directly as float arrays from the MDP's
+    ``FloatTables`` (reachable rows, then pair states for SAS instances)
+    and estimated by ``estimate_cdf_arrays``.  Every witness is rebuilt
+    on the exact route, ``float_chain(policy_chain(mdp, policy))``, and
+    its arrays must equal the float ones.
+    The number of reward terms is ``n_steps`` for both reward conventions
     (an SAS chain over ``n_steps`` epochs pays ``n_steps`` transition
     rewards; its pair chain pays the same count of state rewards).
     """
@@ -296,14 +362,15 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
         raise BudgetExceededError(
             f"long-horizon front refused: {count} stationary policies exceed "
             f"budget {max_policies}")
-    policies = enumerate_stationary_policies(mdp)
+    tables = float_tables(mdp)
     best = np.full(len(taus), np.inf)
     witness = np.full(len(taus), -1, dtype=int)
     listings: dict[int, str] = {}
     used = 0
+    policies = enumerate_stationary_policies(mdp)
     for pid, policy in enumerate(policies):
         try:
-            cdf = estimate_cdf(policy_chain(mdp, policy), n_steps)
+            cdf = estimate_cdf_arrays(*tables.chain(policy), n_steps)
         except (ErgodicityError, DegenerateVarianceError) as exc:
             logger.warning("policy %d skipped: %s", pid, exc)
             continue
@@ -318,6 +385,10 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
         raise ErgodicityError("no stationary policy induces an ergodic chain")
     best = np.maximum.accumulate(best)  # guard against float non-monotonicity in far tails
     present = {int(w) for w in witness if w >= 0}
+    for pid in sorted(present):
+        exact = float_chain(policy_chain(mdp, policies[pid]))
+        if not all(map(np.array_equal, tables.chain(policies[pid]), exact)):
+            raise RuntimeError(f"policy {pid}: float chain differs from its exact chain")
     return ParetoFront(kind="estimated", grid=tuple(float(t) for t in taus),
                        value=tuple(float(v) for v in best),
                        witness=tuple(int(w) for w in witness),

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceededError, PreconditionError, ValidationError
 
 Action = Hashable
@@ -142,7 +144,7 @@ def check_policy(mdp: FiniteMdp, policy: DeterministicPolicy) -> None:
     if not policy.stationary and len(policy.rules) < mdp.horizon:
         raise PreconditionError(
             f"policy: {len(policy.rules)} rules for horizon {mdp.horizon}")
-    for t in range(mdp.horizon):
+    for t in range(1 if policy.stationary else mdp.horizon):
         for x in range(mdp.n_states):
             a = policy.action(t, x)
             if a not in mdp.actions[x]:
@@ -302,17 +304,27 @@ def induced_mrp(mdp: FiniteMdp, policy: DeterministicPolicy,
     )
 
 
+def bfs_levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Breadth-first levels over a boolean adjacency matrix; -1 where unreached.
+
+    ``sources`` is a boolean mask of the level-0 states; each pass moves
+    the whole frontier one edge forward.
+    """
+    level = np.where(sources, 0, -1)
+    frontier = np.asarray(sources, dtype=bool)
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = adjacency[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    return level
+
+
 def restrict_to_reachable(mrp: MarkovRewardProcess) -> MarkovRewardProcess:
     """Drop states unreachable from the support of mu0 (renormalization-free)."""
-    reach = {x for x, p in enumerate(mrp.mu0) if p > 0}
-    frontier = list(reach)
-    while frontier:
-        x = frontier.pop()
-        for y, _ in mrp.successors(x):
-            if y not in reach:
-                reach.add(y)
-                frontier.append(y)
-    keep = sorted(reach)
+    positive = np.array([[p > 0 for p in row] for row in mrp.kernel], dtype=bool)
+    levels = bfs_levels(positive, np.array([p > 0 for p in mrp.mu0], dtype=bool))
+    keep = np.nonzero(levels >= 0)[0].tolist()
     if len(keep) == mrp.n_states:
         return mrp
     index = {x: i for i, x in enumerate(keep)}

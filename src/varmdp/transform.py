@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PreconditionError
-from .mdp import MarkovRewardProcess, ZERO
+from .mdp import MarkovRewardProcess, ZERO, bfs_levels
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,25 @@ class TransformedMrp(MarkovRewardProcess):
 
     pairs: tuple[tuple[int, int], ...] = ()
     source_states: tuple[str, ...] = ()
+
+
+def pair_chain(P: np.ndarray, R: np.ndarray, start: np.ndarray):
+    """Pair-state arrays ``(xs, ys, kernel, reward, mu0)`` of a transition-rewarded chain.
+
+    ``P[x, y]`` is the kernel, ``R[x, y]`` the transition reward and
+    ``start[x, y] = mu0(x) p(y | x)`` the law of the first transition.
+    Pair ``i`` is ``(xs[i], ys[i])``: the positive transitions out of the
+    states reachable from the support of ``mu0``, by ``x`` then ``y``.
+    It moves to pair ``(ys[i], z)`` with probability ``p(z | ys[i])``,
+    pays ``R[xs[i], ys[i]]`` and starts with mass ``start[xs[i], ys[i]]``.
+    The same code serves float arrays and exact ``Fraction`` object arrays.
+    """
+    positive = P != 0
+    reach = bfs_levels(positive, (start != 0).any(axis=1)) >= 0
+    xs, ys = np.nonzero(positive & reach[:, None])
+    zero = P.flat[0] * 0  # of P's own type: Fraction or float
+    kernel = np.where(xs[None, :] == ys[:, None], P[np.ix_(ys, ys)], zero)
+    return xs, ys, kernel, R[xs, ys], start[xs, ys]
 
 
 def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
@@ -47,26 +68,14 @@ def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
     if mrp.horizon < 2:
         raise PreconditionError("transform: horizon must be at least 2")
 
-    reachable = {x for x, p in enumerate(mrp.mu0) if p > 0}
-    frontier = list(reachable)
-    while frontier:
-        x = frontier.pop()
-        for y, _ in mrp.successors(x):
-            if y not in reachable:
-                reachable.add(y)
-                frontier.append(y)
-    pairs = [(x, y) for x in sorted(reachable) for y, _ in mrp.successors(x)]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    m = len(pairs)
-
-    kernel = []
-    for (x, y) in pairs:
-        row = [ZERO] * m
-        for z, p in mrp.successors(y):
-            row[index[(y, z)]] = p
-        kernel.append(tuple(row))
-    state_reward = tuple(mrp.transition_reward[pair] for pair in pairs)
-    mu0 = tuple(mrp.mu0[x] * mrp.kernel[x][y] for (x, y) in pairs)
+    n = mrp.n_states
+    P = np.array(mrp.kernel, dtype=object)
+    R = np.full((n, n), ZERO, dtype=object)
+    for (x, y), r in mrp.transition_reward.items():
+        R[x, y] = r
+    start = np.array(mrp.mu0, dtype=object)[:, None] * P
+    xs, ys, kernel, state_reward, mu0 = pair_chain(P, R, start)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
     salvage = None
     if mrp.salvage is not None:
         salvage = tuple(mrp.salvage[y] for (_, y) in pairs)
@@ -74,11 +83,11 @@ def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
     return TransformedMrp(
         horizon=mrp.horizon - 1,
         states=tuple(f"{mrp.states[x]}->{mrp.states[y]}" for (x, y) in pairs),
-        kernel=tuple(kernel),
+        kernel=tuple(tuple(row) for row in kernel),
         reward_on="state",
-        state_reward=state_reward,
+        state_reward=tuple(state_reward),
         transition_reward=None,
-        mu0=mu0,
+        mu0=tuple(mu0),
         salvage=salvage,
         include_final_reward=True,
         pairs=tuple(pairs),

@@ -233,15 +233,22 @@ STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
     ("dist-exact", "policy", {"rules": [{"nowhere": 0}]}, "policy.rules[0]"),
     ("transform", "mrp", {"transitions": [1]}, "transitions[0]"),
     ("solve-expected", "mdp", {"actions": [[0, 1, 2, 3], 5, [0, 1], [0]]}, "actions[1]"),
+    ("estimate-cdf", "grid", ("--n-steps", "10", "--grid=0:inf:3"), "grid"),
+    ("estimate-cdf", "grid", ("--n-steps", "10", "--grid=-inf:0:3"), "grid"),
+    ("pareto-long", "grid", ("--horizon", "10", "--grid=0:inf:3"), "grid"),
+    ("pareto-long", "grid", ("--horizon", "10", "--grid=-inf:0:3"), "grid"),
 ])
 def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
                                               command, kind, patch, field):
-    doc = mdp_to_document(short_sas) if kind != "mrp" else dict(STATE_MRP)
+    on_mrp = kind == "mrp" or command == "estimate-cdf"
+    doc = dict(STATE_MRP) if on_mrp else mdp_to_document(short_sas)
     argv = [command]
     if kind == "policy":
         policy = tmp_path / "policy.json"
         policy.write_text(json.dumps(patch))
         argv += ["--policy", str(policy)]
+    elif kind == "grid":
+        argv += list(patch)
     else:
         doc.update(patch)
     path = tmp_path / "doc.json"
@@ -256,3 +263,19 @@ def test_simulate_refuses_nonpositive_steps(tmp_path, capsys, n):
     path.write_text(json.dumps(STATE_MRP))
     assert run_cli("simulate", str(path), "--n", n, "--samples", "10", "--seed", "1") == 3
     assert "n_steps" in capsys.readouterr().err
+
+
+def test_pareto_long_refuses_nonpositive_horizon(tmp_path, capsys, short_sas):
+    path = tmp_path / "mdp.json"
+    path.write_text(json.dumps(mdp_to_document(short_sas)))
+    assert run_cli("pareto-long", str(path), "--horizon", "0", "--grid=0:10:3") == 3
+    assert "n_steps" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only where an Edgeworth CDF is evaluated
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, varmdp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

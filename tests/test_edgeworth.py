@@ -1,21 +1,26 @@
 """Spectral quantities, third-moment constant, CDF estimates, long-horizon fronts."""
 
+import ast
 import logging
 import math
+import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 
 import varmdp.edgeworth as edgeworth
 from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityError,
-                    FiniteMdp, check_ergodic_structure, estimate_cdf, estimate_cdf_arrays,
+                    FiniteMdp, InventoryParams, build_inventory, check_ergodic_structure,
+                    enumerate_stationary_policies, estimate_cdf, estimate_cdf_arrays,
                     induced_mrp, paper_long, pareto_front_long, policy_chain, query_eta,
-                    query_rho, simulate, spectral_data, stationary_distribution,
-                    third_moment_constant)
+                    query_rho, simplify_reward, simulate, spectral_data,
+                    stationary_distribution, third_moment_constant)
 
-from conftest import random_ergodic_chain
+from conftest import random_ergodic_chain, random_mdp
 
 F = Fraction
 
@@ -104,6 +109,85 @@ class TestStationaryDistribution:
             xi = stationary_distribution(P)
             assert np.abs(xi @ P - xi).max() <= 1e-12
             assert xi.min() >= 0 and abs(xi.sum() - 1) < 1e-14
+
+
+def reference_ergodic_verdict(P):
+    """The former structural check: scipy classes, a queue BFS and a per-edge gcd loop.
+
+    Returns ``("reducible", classes)``, ``("periodic", period)`` or ``("ergodic", 1)``.
+    """
+    n = P.shape[0]
+    n_comp, labels = connected_components(P > 0, directed=True, connection="strong")
+    if n_comp != 1:
+        return "reducible", sorted(np.nonzero(labels == k)[0].tolist() for k in range(n_comp))
+    if n == 1:
+        return "ergodic", 1
+    dist = np.full(n, -1)
+    dist[0] = 0
+    queue = [0]
+    while queue:
+        u = queue.pop(0)
+        for v in np.nonzero(P[u] > 0)[0]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    g = 0
+    for u in range(n):
+        for v in np.nonzero(P[u] > 0)[0]:
+            g = math.gcd(g, int(dist[u]) + 1 - int(dist[v]))
+    return ("ergodic", 1) if abs(g) == 1 else ("periodic", abs(g))
+
+
+def random_sparse_kernel(gen, n):
+    """Row-stochastic kernel on ``n`` states: sparse, cyclic-by-blocks, or block-split."""
+    kind = gen.integers(3)
+    if kind == 0:                           # sparse, often reducible
+        A = gen.random((n, n)) < gen.uniform(0.1, 0.6)
+    elif kind == 1:                         # k cyclic blocks: period a multiple of k
+        block = gen.integers(gen.integers(1, n + 1), size=n)
+        k = int(block.max()) + 1
+        A = (block[None, :] == (block[:, None] + 1) % k) & (gen.random((n, n)) < 0.7)
+        A |= (gen.random((n, n)) < 0.03)    # an occasional shortcut breaks the period
+    else:                                   # two blocks, one-way link: reducible
+        cut = gen.integers(n + 1)
+        A = gen.random((n, n)) < 0.5
+        A[cut:, :cut] = False
+    empty = ~A.any(axis=1)
+    A[empty, gen.integers(n, size=int(empty.sum()))] = True
+    W = A * gen.uniform(0.1, 1.0, size=(n, n))
+    return W / W.sum(axis=1, keepdims=True)
+
+
+class TestErgodicStructure:
+    def test_matches_reference_on_random_sparse_kernels(self):
+        gen = np.random.default_rng(20)
+        seen = set()
+        for _ in range(3000):
+            P = random_sparse_kernel(gen, int(gen.integers(1, 9)))
+            kind, detail = reference_ergodic_verdict(P)
+            seen.add(kind if kind != "periodic" else detail)
+            try:
+                check_ergodic_structure(P)
+                got = ("ergodic", 1)
+            except ErgodicityError as exc:
+                text = str(exc)
+                if "reducible" in text:
+                    count, listed = re.search(r"(\d+) communicating classes (.*)$",
+                                              text).groups()
+                    classes = ast.literal_eval(listed)
+                    assert int(count) == len(classes)
+                    assert classes == sorted(classes)   # listed by smallest member
+                    got = ("reducible", classes)
+                else:
+                    got = ("periodic", int(re.search(r"period (\d+)$", text).group(1)))
+            assert got == (kind, detail), P
+        assert {"ergodic", "reducible", 2, 3}.issubset(seen)
+
+    def test_reducible_error_names_class_count(self):
+        P = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ErgodicityError,
+                           match=r"3 communicating classes \[\[0\], \[1\], \[2\]\]"):
+            check_ergodic_structure(P)
 
 
 class TestPoisson:
@@ -393,3 +477,72 @@ class TestParetoFrontLong:
         for alpha in (0.1, 0.5, 0.9):
             rho = query_rho(front, alpha)
             assert query_eta(front, rho) == pytest.approx(alpha, abs=1e-9)
+
+
+def reference_front(mdp, n, taus):
+    """Per-policy loop on the exact path: ``estimate_cdf(policy_chain(mdp, policy))``.
+
+    Returns the front values, the witnesses and the ``(pid, reason)`` of every
+    skipped policy.
+    """
+    best = np.full(len(taus), np.inf)
+    witness = np.full(len(taus), -1)
+    skipped = []
+    for pid, policy in enumerate(enumerate_stationary_policies(mdp)):
+        try:
+            cdf = estimate_cdf(policy_chain(mdp, policy), n)
+        except (ErgodicityError, DegenerateVarianceError) as exc:
+            skipped.append((pid, str(exc)))
+            continue
+        values = cdf.evaluate(taus)
+        witness = np.where(values < best, pid, witness)
+        best = np.minimum(values, best)
+    return np.maximum.accumulate(best), witness, skipped
+
+
+@pytest.mark.parametrize("name, mdp, grid", [
+    ("paper-long", paper_long(), (1700, 2600, 901)),
+    ("capacity-5", build_inventory(InventoryParams(horizon=500, capacity=5)),
+     (2000, 3000, 501)),
+    ("paper-long-sa", simplify_reward(paper_long()), (1700, 2600, 901)),
+])
+def test_float_front_matches_exact_path_reference(caplog, name, mdp, grid):
+    taus = np.linspace(*grid)
+    value, witness, skipped = reference_front(mdp, 500, taus)
+    with caplog.at_level(logging.WARNING, logger="varmdp.edgeworth"):
+        front = pareto_front_long(mdp, 500, taus)
+    assert np.abs(np.asarray(front.value) - value).max() <= 1e-12
+    assert front.witness == tuple(witness.tolist())
+    assert caplog.messages == [f"policy {pid} skipped: {reason}" for pid, reason in skipped]
+    assert len(front.policies) >= 1
+
+
+def test_witness_chain_mismatch_is_refused(monkeypatch):
+    mdp = two_policy_mdp()
+    exact = edgeworth.float_chain
+
+    def shifted(mrp):
+        P, r, mu0 = exact(mrp)
+        return P, r + 1e-9, mu0
+
+    monkeypatch.setattr(edgeworth, "float_chain", shifted)
+    with pytest.raises(RuntimeError, match="differs from its exact chain"):
+        pareto_front_long(mdp, 400, np.linspace(0, 800, 41))
+
+
+@pytest.mark.parametrize("reward_kind", ["sas", "sa"])
+def test_float_chain_arrays_equal_exact_path(reward_kind):
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        mdp = random_mdp(rng, n_states=rng.randint(1, 5), horizon=3,
+                         reward_kind=reward_kind, max_actions=3,
+                         max_support=rng.choice([None, 1, 2]))
+        tables = edgeworth.float_tables(mdp)
+        for policy in enumerate_stationary_policies(mdp):
+            got = tables.chain(policy)
+            want = edgeworth.float_chain(policy_chain(mdp, policy))
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            checked += 1
+    assert checked > 200
