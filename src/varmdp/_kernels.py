@@ -8,11 +8,29 @@ they produce bit-identical trajectories regardless of backend or thread
 count.  The tier-1 test ``test_backends_bit_identical`` and the simulate
 golden hash of ``varbench/`` check the bit-identity; ``varbench`` reports
 throughput as ``kernels.msteps_per_s``.
+
+Every step draws ``u = k * 2**-53`` with ``k = z >> 11`` the top 53 bits
+of a splitmix64 output ``z``, and moves from ``x`` to the number of
+prefix sums ``cum[x, :-1]`` that ``u`` reaches.  The numba kernels compare
+``u`` with each prefix in floats.  The numpy kernel makes the same pick in
+integers: ``u >= p`` holds exactly when ``k >= ceil(p * 2**53)``, so each
+row gets integer thresholds.  A guide table splits the draws of each row
+into ``2**B`` equal buckets by the top ``B`` bits of ``k``.  A bucket
+holds its pick when no threshold falls inside it; then one flat gather
+gives the next state and the step reward.  A bucket that a threshold
+splits holds -1, and its draws fall back to the full integer compare.
+Each row has at most ``S - 1`` thresholds, so at most ``(S - 1) / 2**B``
+of its draws fall back.  ``B`` is ``ceil(log2 S) + 7``, lowered until the
+table has at most ``_GUIDE_CELLS`` cells; any ``B``, down to 0, is exact.
+The start state is picked from ``mu0`` through the same table, as an
+extra row.  A state reward is the transition reward ``R[x, y] = r[x]``,
+so one numpy loop body serves both reward conventions.
 """
 
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +46,8 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
+_ELEVEN = np.uint64(11)
+_GUIDE_CELLS = 1 << 20  # bound on the cells of one guide table
 
 
 def numba_enabled() -> bool:
@@ -40,10 +60,63 @@ def _mix_np(z):
     return z ^ (z >> np.uint64(31))
 
 
+class _Guide(NamedTuple):
+    """Integer pick tables of the kernel rows plus one start row (index ``S``)."""
+
+    thresholds: np.ndarray   # (S + 1) x (S - 1) int64: ceil(prefix * 2**53)
+    bits: int                # B: one cell per top-B-bit bucket of a 53-bit draw
+    offset: np.ndarray       # flat (S + 1) * 2**B: next state y as the offset y * 2**B,
+                             # -1 where a threshold splits the bucket
+    reward: np.ndarray       # flat (S + 1) * 2**B: R[x, y] of each cell, 0 where -1
+    step_reward: np.ndarray  # (S + 1) x S: R[x, y], start row 0
+
+
+def _guide(cum, mu0_cum, step_reward) -> _Guide:
+    """Thresholds and guide table of the rows of ``cum`` and the start row ``mu0_cum``."""
+    # u < 1 never reaches a prefix that rounded above 1: clip it to 2**53
+    prefix = np.vstack([cum[:, :-1], mu0_cum[:-1]])
+    np.clip(prefix, 0.0, 1.0, out=prefix)
+    np.ldexp(prefix, 53, out=prefix)
+    thresholds = np.ceil(prefix, out=prefix).astype(np.int64)
+    n_rows, n = thresholds.shape[0], cum.shape[0]
+    bits = max(0, min((n - 1).bit_length() + 7,
+                      max(_GUIDE_CELLS // n_rows, 1).bit_length() - 1))
+    width = 53 - bits
+    first = np.arange(1 << bits, dtype=np.int64) << width
+    last = first + ((1 << width) - 1)
+    pick = np.empty((n_rows, 1 << bits), dtype=np.int64)
+    for x in range(n_rows):
+        row = np.sort(thresholds[x])
+        lo = np.searchsorted(row, first, side="right")
+        pick[x] = np.where(lo == np.searchsorted(row, last, side="right"), lo, -1)
+    step_reward = np.vstack([step_reward, np.zeros(n)])
+    split = pick < 0
+    reward = np.take_along_axis(step_reward, np.where(split, 0, pick), axis=1)
+    return _Guide(thresholds, bits, np.where(split, -1, pick << bits).ravel(),
+                  np.where(split, 0.0, reward).ravel(), step_reward)
+
+
+def _guide_pick(guide, offset, k):
+    """Next row offsets and step rewards from row offsets and 53-bit draws ``k``."""
+    cell = offset + (k >> np.uint64(53 - guide.bits)).view(np.int64)
+    nxt, w = guide.offset[cell], guide.reward[cell]
+    if nxt.min() < 0:
+        miss = np.flatnonzero(nxt < 0)
+        x = offset[miss] >> guide.bits
+        y = np.count_nonzero(k[miss, None].view(np.int64) >= guide.thresholds[x], axis=1)
+        nxt[miss] = y << guide.bits
+        w[miss] = guide.step_reward[x, y]
+    return nxt, w
+
+
 def _sim_numpy(cum, mu0_cum, n_steps, n_samples, seed, state_reward,
                trans_reward, include_final, salvage, block=1 << 17):
-    on_state = state_reward is not None
-    prefix = cum[:, :-1]
+    n = cum.shape[0]
+    if state_reward is not None:
+        step_reward = np.broadcast_to(state_reward[:, None], (n, n))
+    else:
+        step_reward = trans_reward
+    guide = _guide(cum, mu0_cum, step_reward)
     out = np.empty(n_samples)
     seed = np.uint64(seed)
     with np.errstate(over="ignore"):
@@ -51,18 +124,15 @@ def _sim_numpy(cum, mu0_cum, n_steps, n_samples, seed, state_reward,
             hi = min(lo + block, n_samples)
             idx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
             keys = _mix_np(seed + _GOLD * idx)
-            u = (_mix_np(keys + _GOLD) >> np.uint64(11)) * _INV53
-            x = (u[:, None] >= mu0_cum[None, :-1]).sum(axis=1)
+            start = np.full(hi - lo, n << guide.bits)
+            row, _ = _guide_pick(guide, start, _mix_np(keys + _GOLD) >> _ELEVEN)
             tot = np.zeros(hi - lo)
             for t in range(n_steps):
-                if on_state:
-                    tot += state_reward[x]
-                u = (_mix_np(keys + _GOLD * np.uint64(t + 2)) >> np.uint64(11)) * _INV53
-                nxt = (u[:, None] >= prefix[x]).sum(axis=1)
-                if not on_state:
-                    tot += trans_reward[x, nxt]
-                x = nxt
-            if on_state and include_final:
+                k = _mix_np(keys + _GOLD * np.uint64(t + 2)) >> _ELEVEN
+                row, w = _guide_pick(guide, row, k)
+                tot += w
+            x = row >> guide.bits
+            if state_reward is not None and include_final:
                 tot += state_reward[x]
             if salvage is not None:
                 tot += salvage[x]

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import inventory
+from ._kernels import HAS_NUMBA
 from .augmented import solve_threshold_var
 from .documents import (dump_document, load_document, mdp_from_document,
                         mdp_to_document, mrp_from_document, mrp_to_document,
@@ -280,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varmdp",
         description="Value-at-Risk solvers for finite-state MDPs.",
-        epilog=_SCHEMA_NOTE + " Environment: VARMDP_THREADS sets the simulation "
-               "thread count; VARMDP_NO_NUMBA=1 selects the pure-numpy kernels.")
+        epilog=_SCHEMA_NOTE + " Environment: VARMDP_THREADS (a positive integer) sets the "
+               "simulation thread count of the numba backend; the numpy kernels "
+               "run in one thread. VARMDP_NO_NUMBA=1 selects the numpy kernels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-inventory", help="write an inventory MDP document")
@@ -369,19 +371,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configure_threads() -> None:
     threads = os.environ.get("VARMDP_THREADS", "").strip()
-    if threads:
+    if not threads:
+        return
+    try:
+        count = int(threads)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValidationError(
+            f"VARMDP_THREADS: expected a positive integer, got {threads!r}")
+    if HAS_NUMBA:
+        import numba
         try:
-            import numba
-            numba.set_num_threads(int(threads))
-        except (ImportError, ValueError):
-            pass
+            numba.set_num_threads(count)
+        except ValueError as exc:
+            raise ValidationError(f"VARMDP_THREADS: {exc}") from None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _configure_threads()
     try:
+        _configure_threads()
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

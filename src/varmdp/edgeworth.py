@@ -25,9 +25,9 @@ qualifies; anything else is rejected with an ergodicity error.
 The long-horizon front estimates one stationary policy at a time.  Each
 policy's chain is built as float arrays straight from per-MDP float
 tables (``FloatTables``); ``policy_chain`` and ``estimate_cdf`` keep the
-exact ``Fraction`` route, which the tests use as the reference.  scipy
-is imported only where a CDF is evaluated, so commands that evaluate
-none do not load it.
+exact ``Fraction`` route, which the tests use as the reference.  The
+normal CDF is ``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command
+loads scipy.
 """
 
 from __future__ import annotations
@@ -191,6 +191,14 @@ def third_moment_constant(data: ChainSpectralData) -> KappaResult:
     return KappaResult(kappa=k1 + k2 + k3, k1=k1, k2=k2, k3=k3)
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def normal_cdf(y):
+    """Standard normal CDF, ``0.5 * erfc(-y / sqrt(2))``, elementwise."""
+    return 0.5 * _erfc(-np.asarray(y, dtype=float) / math.sqrt(2.0))
+
+
 @dataclass(frozen=True)
 class EdgeworthCdf:
     """Normal-plus-correction estimate of the total-reward CDF after ``n_steps``."""
@@ -207,22 +215,20 @@ class EdgeworthCdf:
         return math.sqrt(self.sigma2)
 
     def evaluate(self, tau):
-        from scipy.special import ndtr  # imported here: no other command needs scipy
         tau = np.asarray(tau, dtype=float)
         scale = self.sigma * math.sqrt(self.n_steps)
         y = (tau - self.n_steps * self.zeta) / scale
         density = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
         correction = density / scale * (
             self.kappa / (6.0 * self.sigma2) * (1.0 - y * y) - self.rhat_start)
-        out = np.clip(ndtr(y) + correction, 0.0, 1.0)
+        out = np.clip(normal_cdf(y) + correction, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
     def normal_reference(self, tau):
         """The plain normal limit with the same mean and scale (no correction)."""
-        from scipy.special import ndtr
         tau = np.asarray(tau, dtype=float)
         scale = self.sigma * math.sqrt(self.n_steps)
-        out = ndtr((tau - self.n_steps * self.zeta) / scale)
+        out = normal_cdf((tau - self.n_steps * self.zeta) / scale)
         return float(out) if out.ndim == 0 else out
 
 

@@ -237,8 +237,9 @@ STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
     ("estimate-cdf", "grid", ("--n-steps", "10", "--grid=-inf:0:3"), "grid"),
     ("pareto-long", "grid", ("--horizon", "10", "--grid=0:inf:3"), "grid"),
     ("pareto-long", "grid", ("--horizon", "10", "--grid=-inf:0:3"), "grid"),
+    ("solve-expected", "env", ("VARMDP_THREADS", "two"), "VARMDP_THREADS"),
 ])
-def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
+def test_malformed_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, short_sas,
                                               command, kind, patch, field):
     on_mrp = kind == "mrp" or command == "estimate-cdf"
     doc = dict(STATE_MRP) if on_mrp else mdp_to_document(short_sas)
@@ -249,6 +250,8 @@ def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
         argv += ["--policy", str(policy)]
     elif kind == "grid":
         argv += list(patch)
+    elif kind == "env":
+        monkeypatch.setenv(*patch)
     else:
         doc.update(patch)
     path = tmp_path / "doc.json"
@@ -279,3 +282,22 @@ def test_cli_import_loads_no_scipy():
          "import sys, varmdp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_estimate_cdf_loads_no_scipy(tmp_path):
+    # the normal CDF comes from math.erfc
+    doc = tmp_path / "chain.json"
+    doc.write_text(json.dumps({
+        "horizon": 20, "states": ["a", "b"], "reward_on": "state",
+        "transitions": [{"x": "a", "y": "a", "p": "1/3"}, {"x": "a", "y": "b", "p": "2/3"},
+                        {"x": "b", "y": "a", "p": "1/2"}, {"x": "b", "y": "b", "p": "1/2"}],
+        "state_rewards": ["1", "3"], "mu0": ["1", "0"]}))
+    out = tmp_path / "cdf.csv"
+    code = ("import sys; from varmdp.cli import main; "
+            f"code = main(['estimate-cdf', {str(doc)!r}, '--n-steps', '20', "
+            f"'--grid=20:60:9', '-o', {str(out)!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "0 []"
+    assert len(out.read_text().splitlines()) == 10

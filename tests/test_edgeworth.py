@@ -306,6 +306,12 @@ class TestThirdMomentConstant:
 
 
 class TestEstimateCdf:
+    def test_normal_cdf_matches_scipy_ndtr(self):
+        y = np.concatenate([np.linspace(-40.0, 40.0, 400_001), [-0.0, 1e-300, -1e-300]])
+        assert np.abs(edgeworth.normal_cdf(y) - ndtr(y)).max() <= 1e-15
+        assert edgeworth.normal_cdf(-40.0) == ndtr(-40.0)  # far tail keeps its precision
+        assert np.ndim(edgeworth.normal_cdf(0.3)) == 0
+
     def test_vanishing_correction_is_exactly_normal(self):
         P, r = iid_chain([0.5, 0.5], [1.0, -1.0])
         cdf = estimate_cdf_arrays(P, r, np.array([0.5, 0.5]), 400)

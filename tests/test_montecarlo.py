@@ -1,4 +1,5 @@
-"""Simulation oracle: reproducibility, backend equivalence, CDF distances."""
+"""Simulation oracle: reproducibility, backend equivalence, exact integer pick,
+CDF distances."""
 
 import math
 from fractions import Fraction
@@ -10,7 +11,8 @@ from scipy.special import ndtr
 from varmdp import (DeterministicPolicy, MarkovRewardProcess, PreconditionError,
                     exact_total_reward_distribution, induced_mrp, ks_distance,
                     simulate, transform)
-from varmdp._kernels import HAS_NUMBA
+from varmdp import _kernels
+from varmdp._kernels import _GOLD, _INV53, HAS_NUMBA, _mix_np, simulate_totals
 
 F = Fraction
 
@@ -88,6 +90,141 @@ class TestSimulate:
         assert d5 < d3
         assert d3 / d5 > 2          # consistent with 1/sqrt(n) over two decades
         assert d5 < 0.01
+
+
+def reference_totals(cum, mu0_cum, n_steps, n_samples, seed, state_reward=None,
+                     trans_reward=None, include_final=False, salvage=None, block=1 << 17):
+    """The float-compare numpy kernel: each draw ``u`` against every prefix sum."""
+    on_state = state_reward is not None
+    prefix = cum[:, :-1]
+    out = np.empty(n_samples)
+    seed = np.uint64(seed)
+    with np.errstate(over="ignore"):
+        for lo in range(0, n_samples, block):
+            hi = min(lo + block, n_samples)
+            idx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+            keys = _mix_np(seed + _GOLD * idx)
+            u = (_mix_np(keys + _GOLD) >> np.uint64(11)) * _INV53
+            x = (u[:, None] >= mu0_cum[None, :-1]).sum(axis=1)
+            tot = np.zeros(hi - lo)
+            for t in range(n_steps):
+                if on_state:
+                    tot += state_reward[x]
+                u = (_mix_np(keys + _GOLD * np.uint64(t + 2)) >> np.uint64(11)) * _INV53
+                nxt = (u[:, None] >= prefix[x]).sum(axis=1)
+                if not on_state:
+                    tot += trans_reward[x, nxt]
+                x = nxt
+            if on_state and include_final:
+                tot += state_reward[x]
+            if salvage is not None:
+                tot += salvage[x]
+            out[lo:hi] = tot
+    return out
+
+
+def float_rows(rng, n, max_support=None):
+    """Cumulative float rows as ``simulate`` builds them, from exact rational rows.
+
+    Weights 1-11 give non-dyadic probabilities (1/3, 1/7, ...); states off
+    the support give zero columns, so a row whose rounded sum exceeds 1
+    has interior prefixes above 1.0.
+    """
+    P = np.zeros((n, n))
+    for x in range(n):
+        k = int(rng.integers(1, (max_support or n) + 1))
+        support = rng.choice(n, size=k, replace=False)
+        weights = rng.integers(1, 12, size=k)
+        P[x, support] = [float(F(int(w), int(weights.sum()))) for w in weights]
+    cum = np.cumsum(P, axis=1)
+    cum[:, -1] = 1.0
+    return cum
+
+
+class TestIntegerPick:
+    """The numpy kernel's integer guide-table pick against the float compare."""
+
+    CASES = [  # (state rewards, include_final, salvage)
+        (True, True, True), (True, False, False), (False, False, True), (False, False, False)]
+
+    def assert_kernel_matches(self, cum, mu0, rng, n_steps, n_samples, seed, block=1 << 17):
+        n = cum.shape[0]
+        for on_state, final, with_salvage in self.CASES:
+            rewards = dict(
+                state_reward=rng.normal(size=n) if on_state else None,
+                trans_reward=None if on_state else rng.normal(size=(n, n)),
+                include_final=final,
+                salvage=rng.normal(size=n) if with_salvage else None)
+            got = _kernels._sim_numpy(cum, mu0, n_steps, n_samples, seed, block=block,
+                                      **rewards)
+            want = reference_totals(cum, mu0, n_steps, n_samples, seed, **rewards)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, simulate_totals(cum, mu0, n_steps, n_samples, seed,
+                                                       backend="numpy", **rewards))
+
+    def test_bit_identical_to_float_compare(self):
+        rng = np.random.default_rng(2024)
+        over_one = False
+        for n in (2, 3, 4, 5, 8, 13, 21, 40):
+            for _ in range(3):
+                cum = float_rows(rng, n)
+                over_one |= bool((cum[:, :-1] > 1.0).any())
+                mu0 = float_rows(rng, n)[0]
+                self.assert_kernel_matches(cum, mu0, rng, 25, 1500,
+                                           int(rng.integers(2**63)))
+        assert over_one  # the rounded-over prefixes were exercised
+
+    def test_subnormal_dyadic_and_block_boundary(self):
+        rng = np.random.default_rng(7)
+        cum = np.cumsum([[5e-324, 0.25, 0.0, 0.75 - 5e-324],
+                         [0.5, 0.0, 0.25, 0.25],
+                         [1 / 3, 0.0, 1 / 3, 1 / 3],
+                         [0.0, 0.0, 0.0, 1.0]], axis=1)
+        cum[:, -1] = 1.0
+        self.assert_kernel_matches(cum, cum[2], rng, 12, 2500, 11, block=1000)
+
+    def test_small_guide_tables_fall_back_exactly(self, monkeypatch):
+        rng = np.random.default_rng(99)
+        for cells in (1, 16, 256):
+            monkeypatch.setattr(_kernels, "_GUIDE_CELLS", cells)
+            for n in (2, 6, 30):
+                cum = float_rows(rng, n)
+                guide = _kernels._guide(cum, cum[0], np.zeros((n, n)))
+                if cells == 1:
+                    assert guide.bits == 0 and np.mean(guide.offset < 0) > 0.5
+                self.assert_kernel_matches(cum, cum[-1], rng, 10, 700, n + cells)
+
+    def test_exact_at_threshold_draws(self, monkeypatch):
+        # draws next to ceil/floor(p * 2**53) decide between >= and >, ceil and floor;
+        # 1 - 2**-53 puts a threshold on the last draw of a bucket
+        rng = np.random.default_rng(5)
+        for cells in (1, 64, 1 << 20):
+            monkeypatch.setattr(_kernels, "_GUIDE_CELLS", cells)
+            cum = float_rows(rng, 9)
+            cum[0] = [5e-324, 0.25, 0.5, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.0, 1.0, 1.0]
+            R = rng.normal(size=(9, 9))
+            guide = _kernels._guide(cum, cum[1], R)
+            for x in range(9):
+                scaled = np.ldexp(cum[x, :-1], 53)
+                k = np.concatenate([np.floor(scaled) + d for d in (-1, 0, 1)]
+                                   + [np.ceil(scaled) + d for d in (0, 1)])
+                k = np.clip(k, 0, 2.0**53 - 1).astype(np.uint64)
+                row, w = _kernels._guide_pick(guide, np.full(len(k), x << guide.bits), k)
+                want = np.count_nonzero(k[:, None] * _INV53 >= cum[x, None, :-1], axis=1)
+                assert np.array_equal(row >> guide.bits, want)
+                assert np.array_equal(w, R[x, want])
+
+    def test_large_sparse_chain_table_is_bounded(self):
+        rng = np.random.default_rng(3)
+        n = 3000
+        cum = float_rows(rng, n, max_support=3)
+        guide = _kernels._guide(cum, cum[0], np.zeros((n, n)))
+        assert len(guide.offset) <= _kernels._GUIDE_CELLS
+        assert len(guide.offset) == (n + 1) << guide.bits
+        reward = rng.normal(size=n)
+        got = simulate_totals(cum, cum[0], 40, 300, 17, state_reward=reward, backend="numpy")
+        want = reference_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
+        assert np.array_equal(got, want)
 
 
 class TestKsDistance:
