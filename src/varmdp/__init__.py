@@ -12,8 +12,7 @@ oracle.
 """
 
 from .augmented import (AugmentedMdp, VarSolution, augmented_policy_distribution,
-                        build_augmented, markov_policy_to_augmented_rules,
-                        solve_threshold_var, solve_thresholds)
+                        build_augmented, solve_threshold_var, solve_thresholds)
 from .edgeworth import (ChainSpectralData, EdgeworthCdf, KappaResult,
                         check_ergodic_structure, enumerate_stationary_policies,
                         estimate_cdf, estimate_cdf_arrays, pareto_front_long,
@@ -46,7 +45,7 @@ __all__ = [
     "evaluate_policy",
     "exact_total_reward_distribution", "expected_backward_induction",
     "format_rational", "induced_mrp", "ks_distance",
-    "markov_policy_to_augmented_rules", "paper_long",
+    "paper_long",
     "paper_short", "paper_short_printed", "pareto_front_exact", "pareto_front_long",
     "parse_rational", "policy_chain", "query_eta", "query_rho",
     "restrict_to_reachable", "simplify_reward", "simulate",

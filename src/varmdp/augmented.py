@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BudgetExceededError
-from .mdp import Action, DeterministicPolicy, FiniteMdp, StepCdf, ZERO, check_policy
+from .mdp import Action, FiniteMdp, StepCdf, ZERO, propagate_masses
 
 AugState = tuple[int, Fraction]  # (state index, accumulated reward)
 
@@ -172,33 +172,12 @@ def augmented_policy_distribution(mdp: FiniteMdp,
 
     ``rules[t]`` assigns an action to every reachable (state, accumulated
     reward) pair at epoch ``t``, so decisions may depend on the running
-    total.  Mass is propagated forward over the reachable slices; the
-    total collects salvage at the final state.
+    total.  Mass is propagated by ``propagate_masses``; the total collects
+    salvage at the final state.  The rules already list every reachable
+    pair, so no budget applies.
     """
-    dist: dict[AugState, Fraction] = {}
-    for x, p in enumerate(mdp.mu0):
-        if p > 0:
-            dist[(x, ZERO)] = p
-    for t in range(mdp.horizon):
-        nxt: dict[AugState, Fraction] = {}
-        for (x, c), mass in dist.items():
-            a = rules[t][(x, c)]
-            for y, p in mdp.transitions(x, a):
-                key = (y, c + mdp.reward(x, a, y))
-                nxt[key] = nxt.get(key, ZERO) + mass * p
-        dist = nxt
-    masses: dict[Fraction, Fraction] = {}
-    for (x, c), mass in dist.items():
-        total = c + mdp.salvage[x]
-        masses[total] = masses.get(total, ZERO) + mass
-    return StepCdf.from_masses(masses)
+    def step(t: int, x: int, c: Fraction):
+        a = rules[t][(x, c)]
+        return [(y, p, mdp.reward(x, a, y)) for y, p in mdp.transitions(x, a)]
 
-
-def markov_policy_to_augmented_rules(mdp: FiniteMdp, policy: DeterministicPolicy,
-                                     aug: AugmentedMdp | None = None):
-    """Lift a plain (reward-independent) policy onto the augmented slices."""
-    check_policy(mdp, policy)
-    if aug is None:
-        aug = build_augmented(mdp, 0)
-    return tuple({pair: policy.action(t, pair[0]) for pair in aug.layers[t]}
-                 for t in range(mdp.horizon))
+    return propagate_masses(mdp.mu0, mdp.horizon, step, mdp.salvage.__getitem__, math.inf)

@@ -31,7 +31,7 @@ from .documents import (dump_document, load_document, mdp_from_document,
                         state_index)
 from .edgeworth import estimate_cdf, pareto_front_long
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
-                     PreconditionError, ValidationError)
+                     PreconditionError, ValidationError, VarMdpError)
 from .mdp import (DeterministicPolicy, exact_total_reward_distribution,
                   expected_backward_induction, simplify_reward)
 from .montecarlo import ks_distance, simulate
@@ -44,6 +44,10 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_ERGODICITY = 5
+
+_EXIT_CODES = {ValidationError: EXIT_PARSE, PreconditionError: EXIT_PRECONDITION,
+               BudgetExceededError: EXIT_BUDGET, ErgodicityError: EXIT_ERGODICITY,
+               DegenerateVarianceError: EXIT_ERGODICITY}
 
 _SCHEMA_NOTE = "Document schemas: mdp-v1 and mrp-v1 (JSON; numerics as exact strings)."
 
@@ -122,8 +126,10 @@ def _load_policy(path: str, mdp) -> DeterministicPolicy:
             raise ValidationError("policy: each rule must map state name to action")
         rules.append({state_index(mdp.states, k, f"policy.rules[{i}]"): v
                       for k, v in rule.items()})
-    return DeterministicPolicy(rules=tuple(rules),
-                               stationary=bool(doc.get("stationary", len(raw) == 1)))
+    stationary = doc.get("stationary", len(raw) == 1)
+    if not isinstance(stationary, bool):
+        raise ValidationError(f"policy.stationary: expected true or false, got {stationary!r}")
+    return DeterministicPolicy(rules=tuple(rules), stationary=stationary)
 
 
 def cmd_gen_inventory(args) -> int:
@@ -155,7 +161,7 @@ def cmd_dist_exact(args) -> int:
         policy = _load_policy(args.policy, mdp)
     else:
         _, policy = expected_backward_induction(mdp)
-    dist = exact_total_reward_distribution(mdp, policy, path_budget=args.budget)
+    dist = exact_total_reward_distribution(mdp, policy, max_states=args.budget)
     rows = [[format_rational(s), _dec(s), format_rational(p), _dec(p)]
             for s, p in zip(dist.support, dist.prob)]
     _write_text(args.output, _csv_text(["value", "value_decimal", "prob", "prob_decimal"],
@@ -305,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the expected-optimal policy)")
     p.add_argument("document", nargs="?", default="-")
     p.add_argument("--policy", default=None, help="policy document (JSON)")
-    p.add_argument("--budget", type=int, default=24,
-                   help="horizon*states enumeration budget")
+    p.add_argument("--budget", type=int, default=200_000,
+                   help="refuse beyond this many reachable (state, reward) pairs, "
+                        "summed over epochs")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_dist_exact)
 
@@ -394,18 +401,9 @@ def main(argv=None) -> int:
     try:
         _configure_threads()
         return args.func(args)
-    except ValidationError as exc:
+    except VarMdpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ErgodicityError, DegenerateVarianceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERGODICITY
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -75,8 +75,8 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
     if not isinstance(raw_actions, list) or len(raw_actions) != n:
         raise ValidationError("actions: expected one action list per state")
     for x, acts in enumerate(raw_actions):
-        if not isinstance(acts, list):
-            raise ValidationError(f"actions[{x}]: expected a list of actions")
+        if not isinstance(acts, list) or any(isinstance(a, (list, dict)) for a in acts):
+            raise ValidationError(f"actions[{x}]: expected a list of scalar actions")
     actions = tuple(tuple(acts) for acts in raw_actions)
     reward_kind = _require(doc, "reward_kind")
     rows = _require(doc, "transitions")
@@ -167,6 +167,10 @@ def mrp_from_document(doc: dict) -> MarkovRewardProcess:
     state_reward = None
     if reward_on == "state":
         state_reward = _aligned_rationals(doc, "state_rewards", n)
+    include_final = doc.get("include_final_reward", False)
+    if not isinstance(include_final, bool):
+        raise ValidationError(
+            f"include_final_reward: expected true or false, got {include_final!r}")
     salvage = None
     if doc.get("salvage") is not None:
         salvage = _aligned_rationals(doc, "salvage", n)
@@ -179,7 +183,7 @@ def mrp_from_document(doc: dict) -> MarkovRewardProcess:
         transition_reward=trans_reward if reward_on == "transition" else None,
         mu0=_aligned_rationals(doc, "mu0", n),
         salvage=salvage,
-        include_final_reward=bool(doc.get("include_final_reward", False)),
+        include_final_reward=include_final,
     )
 
 

@@ -10,6 +10,8 @@ on the instance:
 
 Averaging preserves expectations but not distributions, which is the
 reason both conventions are first-class citizens throughout the package.
+Exact total-reward distributions come from one forward propagation of
+mass over (state, accumulated reward) pairs, ``propagate_masses``.
 """
 
 from __future__ import annotations
@@ -386,71 +388,75 @@ def evaluate_policy(mdp: FiniteMdp, policy: DeterministicPolicy) -> Fraction:
     return sum((p * u[x] for x, p in enumerate(mdp.mu0)), ZERO)
 
 
-def _check_path_budget(horizon: int, n_states: int, path_budget: int) -> None:
-    if horizon * n_states > path_budget:
-        raise BudgetExceededError(
-            f"exact enumeration refused: horizon*states = {horizon * n_states} exceeds "
-            f"budget {path_budget}; use the long-horizon CDF estimator instead")
+def propagate_masses(mu0: Sequence[Fraction], horizon: int, step, final,
+                     max_states: float) -> StepCdf:
+    """Exact total-reward distribution by forward propagation over (state, reward) pairs.
+
+    Mass starts on ``(x, 0)`` for every mu0-positive ``x``.  At epoch ``t``
+    the pair ``(x, c)`` sends mass ``p`` to ``(y, c + r)`` for every
+    ``(y, p, r)`` in ``step(t, x, c)``; equal pairs merge at every epoch.
+    The total of a final pair ``(x, c)`` is ``c + final(x)``.  Refuses
+    once more than ``max_states`` pairs are reachable, summed over epochs.
+    """
+    dist = {(x, ZERO): p for x, p in enumerate(mu0) if p > 0}
+    count = len(dist)
+    for t in range(horizon):
+        nxt: dict[tuple[int, Fraction], Fraction] = {}
+        for (x, c), mass in dist.items():
+            for y, p, r in step(t, x, c):
+                key = (y, c + r)
+                nxt[key] = nxt.get(key, ZERO) + mass * p
+        dist = nxt
+        count += len(dist)
+        if count > max_states:
+            raise BudgetExceededError(
+                f"exact distribution refused: more than {max_states} reachable "
+                f"(state, reward) pairs; use the long-horizon CDF estimator instead")
+    masses: dict[Fraction, Fraction] = {}
+    for (x, c), mass in dist.items():
+        total = c + final(x)
+        masses[total] = masses.get(total, ZERO) + mass
+    return StepCdf.from_masses(masses)
 
 
 def exact_total_reward_distribution(process, policy: DeterministicPolicy | None = None,
-                                    path_budget: int = 24) -> StepCdf:
-    """Exact distribution of the total reward by depth-first trajectory enumeration.
+                                    max_states: int = 200_000) -> StepCdf:
+    """Exact distribution of the total reward, by ``propagate_masses``.
 
-    Accepts either a ``FiniteMdp`` together with a policy, or a
-    ``MarkovRewardProcess`` (no policy).  Zero-probability branches are
-    pruned; equal totals are merged.  Refuses instances whose
-    ``horizon * n_states`` exceeds ``path_budget``.
+    Accepts either a ``FiniteMdp`` together with a Markov or stationary
+    policy, or a ``MarkovRewardProcess`` (no policy).  Refuses instances
+    with more than ``max_states`` reachable (state, accumulated reward)
+    pairs, summed over epochs.
     """
-    masses: dict[Fraction, Fraction] = {}
-
     if isinstance(process, FiniteMdp):
         if policy is None:
             raise PreconditionError("exact_total_reward_distribution: an MDP needs a policy")
         mdp = process
         check_policy(mdp, policy)
-        _check_path_budget(mdp.horizon, mdp.n_states, path_budget)
 
-        def walk(t: int, x: int, mass: Fraction, total: Fraction) -> None:
-            if t == mdp.horizon:
-                key = total + mdp.salvage[x]
-                masses[key] = masses.get(key, ZERO) + mass
-                return
+        def step(t: int, x: int, c: Fraction):
             a = policy.action(t, x)
-            for y, p in mdp.transitions(x, a):
-                walk(t + 1, y, mass * p, total + mdp.reward(x, a, y))
+            return [(y, p, mdp.reward(x, a, y)) for y, p in mdp.transitions(x, a)]
 
-        for x, p in enumerate(mdp.mu0):
-            if p > 0:
-                walk(0, x, p, ZERO)
-        return StepCdf.from_masses(masses)
+        return propagate_masses(mdp.mu0, mdp.horizon, step, mdp.salvage.__getitem__,
+                                max_states)
 
     if isinstance(process, MarkovRewardProcess):
         if policy is not None:
             raise PreconditionError(
                 "exact_total_reward_distribution: a Markov reward process takes no policy")
         mrp = process
-        _check_path_budget(mrp.horizon, mrp.n_states, path_budget)
         on_state = mrp.reward_on == "state"
 
-        def walk(t: int, x: int, mass: Fraction, total: Fraction) -> None:
-            if t == mrp.horizon:
-                if on_state and mrp.include_final_reward:
-                    total = total + mrp.state_reward[x]
-                if mrp.salvage is not None:
-                    total = total + mrp.salvage[x]
-                masses[total] = masses.get(total, ZERO) + mass
-                return
-            if on_state:
-                total = total + mrp.state_reward[x]
-            for y, p in mrp.successors(x):
-                step = total if on_state else total + mrp.transition_reward[(x, y)]
-                walk(t + 1, y, mass * p, step)
+        def step(t: int, x: int, c: Fraction):
+            return [(y, p, mrp.state_reward[x] if on_state else mrp.transition_reward[(x, y)])
+                    for y, p in mrp.successors(x)]
 
-        for x, p in enumerate(mrp.mu0):
-            if p > 0:
-                walk(0, x, p, ZERO)
-        return StepCdf.from_masses(masses)
+        def final(x: int) -> Fraction:
+            total = mrp.state_reward[x] if mrp.include_final_reward else ZERO
+            return total if mrp.salvage is None else total + mrp.salvage[x]
+
+        return propagate_masses(mrp.mu0, mrp.horizon, step, final, max_states)
 
     raise PreconditionError(
         f"exact_total_reward_distribution: unsupported input {type(process).__name__}")

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from varmdp import (DeterministicPolicy, ValidationError, induced_mrp, parse_rational,
-                    simplify_reward, transform)
+from varmdp import (DeterministicPolicy, InventoryParams, ValidationError,
+                    build_inventory, induced_mrp, parse_rational, simplify_reward, transform)
 from varmdp.cli import main
 from varmdp.documents import (load_document, mdp_from_document, mdp_to_document,
                               mrp_from_document, mrp_to_document)
@@ -238,6 +238,12 @@ STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
     ("pareto-long", "grid", ("--horizon", "10", "--grid=0:inf:3"), "grid"),
     ("pareto-long", "grid", ("--horizon", "10", "--grid=-inf:0:3"), "grid"),
     ("solve-expected", "env", ("VARMDP_THREADS", "two"), "VARMDP_THREADS"),
+    ("solve-expected", "mdp",
+     {"states": ["a"], "actions": [[[0]]], "mu0": ["1"], "salvage": ["0"],
+      "transitions": [{"x": "a", "a": [0], "y": "a", "p": "1", "r": "0"}]}, "actions[0]"),
+    ("transform", "mrp", {"include_final_reward": "false"}, "include_final_reward"),
+    ("dist-exact", "policy", {"rules": [{"0": 0}], "stationary": "false"},
+     "policy.stationary"),
 ])
 def test_malformed_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, short_sas,
                                               command, kind, patch, field):
@@ -258,6 +264,20 @@ def test_malformed_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, sho
     path.write_text(json.dumps(doc))
     assert run_cli(*argv, str(path)) == 2
     assert field in capsys.readouterr().err
+
+
+def test_dist_exact_beyond_trajectory_enumeration(tmp_path, capsys):
+    # up to 3**12 trajectories, but fewer than 500 reachable (state, reward) pairs
+    doc = tmp_path / "inventory.json"
+    doc.write_text(json.dumps(mdp_to_document(
+        build_inventory(InventoryParams(horizon=12, capacity=10)))))
+    assert run_cli("solve-expected", str(doc)) == 0
+    optimum = F(capsys.readouterr().out.split(" = ")[1])
+    out = tmp_path / "dist.csv"
+    assert run_cli("dist-exact", str(doc), "-o", str(out)) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert sum(F(r["prob"]) for r in rows) == 1
+    assert sum(F(r["value"]) * F(r["prob"]) for r in rows) == optimum
 
 
 @pytest.mark.parametrize("n", ["-3", "0"])

@@ -8,13 +8,61 @@ from itertools import product
 import pytest
 
 from varmdp import (BudgetExceededError, DeterministicPolicy, FiniteMdp,
-                    MarkovRewardProcess, PreconditionError,
+                    MarkovRewardProcess, PreconditionError, StepCdf,
+                    augmented_policy_distribution, build_augmented,
                     exact_total_reward_distribution, expected_backward_induction,
                     evaluate_policy, induced_mrp, simplify_reward)
 
-from conftest import random_mdp
+from conftest import random_mdp, random_transition_mrp
 
 F = Fraction
+
+
+def reference_distribution(process, policy=None):
+    """Depth-first enumeration of every trajectory, one walk per process kind."""
+    masses = {}
+
+    def record(total, mass):
+        masses[total] = masses.get(total, F(0)) + mass
+
+    if isinstance(process, FiniteMdp):
+        mdp = process
+
+        def walk(t, x, mass, total):
+            if t == mdp.horizon:
+                record(total + mdp.salvage[x], mass)
+                return
+            a = policy.action(t, x)
+            for y, p in mdp.transitions(x, a):
+                walk(t + 1, y, mass * p, total + mdp.reward(x, a, y))
+    else:
+        mrp = process
+        on_state = mrp.reward_on == "state"
+
+        def walk(t, x, mass, total):
+            if t == mrp.horizon:
+                if on_state and mrp.include_final_reward:
+                    total = total + mrp.state_reward[x]
+                if mrp.salvage is not None:
+                    total = total + mrp.salvage[x]
+                record(total, mass)
+                return
+            if on_state:
+                total = total + mrp.state_reward[x]
+            for y, p in mrp.successors(x):
+                step = total if on_state else total + mrp.transition_reward[(x, y)]
+                walk(t + 1, y, mass * p, step)
+
+    for x, p in enumerate(process.mu0):
+        if p > 0:
+            walk(0, x, p, F(0))
+    return StepCdf.from_masses(masses)
+
+
+def random_markov_policy(rng, mdp):
+    return DeterministicPolicy(rules=tuple(
+        {x: rng.choice(mdp.actions[x]) for x in range(mdp.n_states)}
+        for _ in range(mdp.horizon)))
 
 
 def enumerate_paths_oracle(mdp: FiniteMdp, policy: DeterministicPolicy):
@@ -226,10 +274,13 @@ class TestExactDistribution:
                     exact_total_reward_distribution(sa, policy)
 
     def test_budget_refusal_mentions_estimator(self, short_sas):
+        # at horizon 10 the optimal policy reaches between 150 and 200 pairs
         big = replace(short_sas, horizon=10)
         _, policy = expected_backward_induction(big)
-        with pytest.raises(BudgetExceededError, match="long-horizon"):
-            exact_total_reward_distribution(big, policy)
+        with pytest.raises(BudgetExceededError, match=r"more than 100 reachable "
+                           r"\(state, reward\) pairs; use the long-horizon"):
+            exact_total_reward_distribution(big, policy, max_states=100)
+        assert sum(exact_total_reward_distribution(big, policy, max_states=200).prob) == 1
 
     def test_mrp_variant_and_final_epoch_reward(self):
         mrp = MarkovRewardProcess(
@@ -242,3 +293,51 @@ class TestExactDistribution:
         final = replace(mrp, include_final_reward=True)
         dist2 = exact_total_reward_distribution(final)
         assert dist2.support == (F(12),)                   # plus the final state's 1
+
+
+class TestForwardPropagation:
+    """The forward mass propagation equals the trajectory enumeration exactly."""
+
+    def test_mdp_markov_policies_match_reference(self):
+        for seed in range(60):
+            rng = random.Random(1100 + seed)
+            mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 4),
+                             reward_kind="sas" if seed % 2 else "sa", max_actions=3)
+            policy = random_markov_policy(rng, mdp)
+            assert exact_total_reward_distribution(mdp, policy) == \
+                reference_distribution(mdp, policy)
+            stationary = DeterministicPolicy.from_stationary(policy.rules[0])
+            assert exact_total_reward_distribution(mdp, stationary) == \
+                reference_distribution(mdp, stationary)
+
+    def test_state_rewarded_mrps_match_reference(self):
+        for seed in range(40):
+            rng = random.Random(1300 + seed)
+            mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 4),
+                             reward_kind="sa", max_actions=2)
+            rule = {x: rng.choice(mdp.actions[x]) for x in range(mdp.n_states)}
+            mrp = induced_mrp(mdp, DeterministicPolicy.from_stationary(rule),
+                              keep_salvage=bool(seed % 2))
+            for final in (False, True):
+                variant = replace(mrp, include_final_reward=final)
+                assert exact_total_reward_distribution(variant) == \
+                    reference_distribution(variant)
+
+    def test_transition_rewarded_mrps_with_salvage_match_reference(self):
+        for seed in range(40):
+            rng = random.Random(1500 + seed)
+            mrp = random_transition_mrp(rng, rng.randint(1, 4), rng.randint(1, 4),
+                                        with_salvage=True)
+            assert exact_total_reward_distribution(mrp) == reference_distribution(mrp)
+
+    def test_lifted_markov_policy_matches_augmented_propagation(self):
+        for seed in range(30):
+            rng = random.Random(1700 + seed)
+            mdp = random_mdp(rng, n_states=3, horizon=rng.randint(1, 4),
+                             reward_kind="sas" if seed % 2 else "sa", max_actions=3)
+            policy = random_markov_policy(rng, mdp)
+            aug = build_augmented(mdp, 0)
+            rules = tuple({pair: policy.action(t, pair[0]) for pair in aug.layers[t]}
+                          for t in range(mdp.horizon))
+            assert augmented_policy_distribution(mdp, rules) == \
+                exact_total_reward_distribution(mdp, policy)

@@ -70,8 +70,7 @@ class TestSimulate:
         assert ks_distance(orig.evaluate, trans.evaluate, grid) <= 0.01
 
     def test_salvage_and_final_epoch_accounting(self, printed_chain_mrp):
-        exact = exact_total_reward_distribution(transform(printed_chain_mrp),
-                                                path_budget=100)
+        exact = exact_total_reward_distribution(transform(printed_chain_mrp))
         ecdf = simulate(transform(printed_chain_mrp), samples=300_000, seed=5)
         grid = [float(s) for s in exact.support]
         assert ks_distance(exact, ecdf, grid) <= 0.005

@@ -82,9 +82,8 @@ class TestDistributionPreservation:
         state_version = replace(
             mrp, reward_on="state", transition_reward=None,
             state_reward=tuple(F(x + 1, 2) for x in range(3)))
-        budget = 100
-        d_transformed = exact_total_reward_distribution(transform(mrp), path_budget=budget)
-        d_state = exact_total_reward_distribution(state_version, path_budget=budget)
+        d_transformed = exact_total_reward_distribution(transform(mrp))
+        d_state = exact_total_reward_distribution(state_version)
         assert d_transformed == d_state
 
     def test_random_chains_exact_equality(self):
@@ -93,8 +92,8 @@ class TestDistributionPreservation:
             n = rng.randint(2, 4)
             horizon = rng.randint(2, 6)
             mrp = random_transition_mrp(rng, n, horizon, with_salvage=bool(seed % 2))
-            original = exact_total_reward_distribution(mrp, path_budget=200)
-            transformed = exact_total_reward_distribution(transform(mrp), path_budget=200)
+            original = exact_total_reward_distribution(mrp)
+            transformed = exact_total_reward_distribution(transform(mrp))
             assert original == transformed
 
     def test_stationary_measure_maps_to_pair_measure(self):
@@ -133,8 +132,7 @@ class TestSalvage:
         for seed in range(10):
             rng = random.Random(6000 + seed)
             mrp = random_transition_mrp(rng, 3, 4, with_salvage=True)
-            original = exact_total_reward_distribution(mrp, path_budget=200)
+            original = exact_total_reward_distribution(mrp)
             transformed = exact_total_reward_distribution(
-                transformed_salvage(replace(mrp, salvage=None), mrp.salvage),
-                path_budget=200)
+                transformed_salvage(replace(mrp, salvage=None), mrp.salvage))
             assert original == transformed
