@@ -26,7 +26,7 @@ from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, StepCdf,
                   check_policy, evaluate_policy, exact_total_reward_distribution,
                   expected_backward_induction, induced_mrp, restrict_to_reachable,
                   simplify_reward)
-from .montecarlo import EmpiricalCdf, ks_distance, simulate, sup_distance_to_empirical
+from .montecarlo import EmpiricalCdf, ks_distance, simulate
 from .pareto import ParetoFront, pareto_front_exact, query_eta, query_rho
 from .rationals import format_rational, parse_rational
 from .transform import TransformedMrp, transform, transformed_salvage
@@ -50,6 +50,6 @@ __all__ = [
     "parse_rational", "policy_chain", "query_eta", "query_rho",
     "restrict_to_reachable", "simplify_reward", "simulate",
     "solve_threshold_var", "solve_thresholds", "spectral_data", "stationary_distribution",
-    "sup_distance_to_empirical", "third_moment_constant", "transform",
+    "third_moment_constant", "transform",
     "transformed_salvage",
 ]

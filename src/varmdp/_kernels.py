@@ -1,20 +1,17 @@
-"""Hot trajectory-simulation kernels: numba-jitted with a pure-numpy fallback.
+"""Trajectory-simulation kernel: one vectorized numpy path.
 
-Backend selection: the jitted path is the default whenever numba imports
-and the environment variable ``VARMDP_NO_NUMBA`` is unset/empty/"0";
-setting it picks the vectorized numpy path.  Both paths consume the same
-counter-based splitmix64 streams, keyed by ``(seed, sample, step)``, so
-they produce bit-identical trajectories regardless of backend or thread
-count.  The tier-1 test ``test_backends_bit_identical`` and the simulate
-golden hash of ``varbench/`` check the bit-identity; ``varbench`` reports
-throughput as ``kernels.msteps_per_s``.
+Every draw comes from a counter-based splitmix64 stream keyed by
+``(seed, sample, step)``, so a sample's total depends only on the seed
+and its index, not on how the samples are split into blocks.  The
+simulate golden hash of ``varbench/`` checks the output bit for bit;
+``varbench`` reports throughput as ``kernels.msteps_per_s``.
 
 Every step draws ``u = k * 2**-53`` with ``k = z >> 11`` the top 53 bits
 of a splitmix64 output ``z``, and moves from ``x`` to the number of
-prefix sums ``cum[x, :-1]`` that ``u`` reaches.  The numba kernels compare
-``u`` with each prefix in floats.  The numpy kernel makes the same pick in
-integers: ``u >= p`` holds exactly when ``k >= ceil(p * 2**53)``, so each
-row gets integer thresholds.  A guide table splits the draws of each row
+prefix sums ``cum[x, :-1]`` that ``u`` reaches.  The kernel makes this
+pick in integers: ``u >= p`` holds exactly when ``k >= ceil(p * 2**53)``,
+so each row gets integer thresholds.  The tests keep the float compare
+as the reference.  A guide table splits the draws of each row
 into ``2**B`` equal buckets by the top ``B`` bits of ``k``.  A bucket
 holds its pick when no threshold falls inside it; then one flat gather
 gives the next state and the step reward.  A bucket that a threshold
@@ -24,37 +21,34 @@ of its draws fall back.  ``B`` is ``ceil(log2 S) + 7``, lowered until the
 table has at most ``_GUIDE_CELLS`` cells; any ``B``, down to 0, is exact.
 The start state is picked from ``mu0`` through the same table, as an
 extra row.  A state reward is the transition reward ``R[x, y] = r[x]``,
-so one numpy loop body serves both reward conventions.
+so one loop body serves both reward conventions.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
 
-try:
-    from numba import njit, prange
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    HAS_NUMBA = False
-
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_INV53 = 1.0 / 9007199254740992.0  # 2**-53
 _ELEVEN = np.uint64(11)
 _GUIDE_CELLS = 1 << 20  # bound on the cells of one guide table
 
 
 def numba_enabled() -> bool:
-    return HAS_NUMBA and os.environ.get("VARMDP_NO_NUMBA", "").strip() in ("", "0")
+    """Always False: numpy is the only simulation backend.
+
+    Kept only because ``varbench/run.py:328`` and ``varbench/tracing.py:25``
+    import it to label their records.
+    """
+    return False
 
 
-def _mix_np(z):
+def _mix(z):
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
@@ -109,8 +103,21 @@ def _guide_pick(guide, offset, k):
     return nxt, w
 
 
-def _sim_numpy(cum, mu0_cum, n_steps, n_samples, seed, state_reward,
-               trans_reward, include_final, salvage, block=1 << 17):
+def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, state_reward=None,
+                    trans_reward=None, include_final=False, salvage=None,
+                    block=1 << 17) -> np.ndarray:
+    """Draw total rewards for ``n_samples`` trajectories of ``n_steps`` epochs.
+
+    Exactly one of ``state_reward`` (length-S vector, collected on the
+    visited state each epoch, optionally also at the final state) and
+    ``trans_reward`` (SxS matrix, collected per transition) must be set.
+    Samples are drawn ``block`` at a time; the totals do not depend on it.
+    """
+    if (state_reward is None) == (trans_reward is None):
+        raise PreconditionError("simulate_totals: exactly one reward table required")
+    if n_samples < 1:
+        raise PreconditionError("simulate_totals: samples must be >= 1")
+    seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     n = cum.shape[0]
     if state_reward is not None:
         step_reward = np.broadcast_to(state_reward[:, None], (n, n))
@@ -118,17 +125,16 @@ def _sim_numpy(cum, mu0_cum, n_steps, n_samples, seed, state_reward,
         step_reward = trans_reward
     guide = _guide(cum, mu0_cum, step_reward)
     out = np.empty(n_samples)
-    seed = np.uint64(seed)
     with np.errstate(over="ignore"):
         for lo in range(0, n_samples, block):
             hi = min(lo + block, n_samples)
             idx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-            keys = _mix_np(seed + _GOLD * idx)
+            keys = _mix(seed + _GOLD * idx)
             start = np.full(hi - lo, n << guide.bits)
-            row, _ = _guide_pick(guide, start, _mix_np(keys + _GOLD) >> _ELEVEN)
+            row, _ = _guide_pick(guide, start, _mix(keys + _GOLD) >> _ELEVEN)
             tot = np.zeros(hi - lo)
             for t in range(n_steps):
-                k = _mix_np(keys + _GOLD * np.uint64(t + 2)) >> _ELEVEN
+                k = _mix(keys + _GOLD * np.uint64(t + 2)) >> _ELEVEN
                 row, w = _guide_pick(guide, row, k)
                 tot += w
             x = row >> guide.bits
@@ -138,91 +144,3 @@ def _sim_numpy(cum, mu0_cum, n_steps, n_samples, seed, state_reward,
                 tot += salvage[x]
             out[lo:hi] = tot
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _mix(z):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True, inline="always")
-    def _pick(cumrow, u):
-        for j in range(cumrow.shape[0] - 1):
-            if u < cumrow[j]:
-                return j
-        return cumrow.shape[0] - 1
-
-    @njit(cache=True, parallel=True)
-    def _sim_state_nb(cum, mu0_cum, n_steps, n_samples, seed, reward,
-                      include_final, use_salvage, salvage):
-        out = np.empty(n_samples)
-        for i in prange(n_samples):
-            key = _mix(np.uint64(seed) + _GOLD * np.uint64(i + 1))
-            u = (_mix(key + _GOLD) >> np.uint64(11)) * _INV53
-            x = _pick(mu0_cum, u)
-            tot = 0.0
-            for t in range(n_steps):
-                tot += reward[x]
-                u = (_mix(key + _GOLD * np.uint64(t + 2)) >> np.uint64(11)) * _INV53
-                x = _pick(cum[x], u)
-            if include_final:
-                tot += reward[x]
-            if use_salvage:
-                tot += salvage[x]
-            out[i] = tot
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _sim_trans_nb(cum, mu0_cum, n_steps, n_samples, seed, reward,
-                      use_salvage, salvage):
-        out = np.empty(n_samples)
-        for i in prange(n_samples):
-            key = _mix(np.uint64(seed) + _GOLD * np.uint64(i + 1))
-            u = (_mix(key + _GOLD) >> np.uint64(11)) * _INV53
-            x = _pick(mu0_cum, u)
-            tot = 0.0
-            for t in range(n_steps):
-                u = (_mix(key + _GOLD * np.uint64(t + 2)) >> np.uint64(11)) * _INV53
-                y = _pick(cum[x], u)
-                tot += reward[x, y]
-                x = y
-            if use_salvage:
-                tot += salvage[x]
-            out[i] = tot
-        return out
-
-
-def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, state_reward=None,
-                    trans_reward=None, include_final=False, salvage=None,
-                    backend=None) -> np.ndarray:
-    """Draw total rewards for ``n_samples`` trajectories of ``n_steps`` epochs.
-
-    Exactly one of ``state_reward`` (length-S vector, collected on the
-    visited state each epoch, optionally also at the final state) and
-    ``trans_reward`` (SxS matrix, collected per transition) must be set.
-    """
-    if (state_reward is None) == (trans_reward is None):
-        raise PreconditionError("simulate_totals: exactly one reward table required")
-    if n_samples < 1:
-        raise PreconditionError("simulate_totals: samples must be >= 1")
-    if backend is None:
-        backend = "numba" if numba_enabled() else "numpy"
-    if backend == "numba" and not HAS_NUMBA:
-        raise PreconditionError("simulate_totals: numba backend requested but unavailable")
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-
-    if backend == "numpy":
-        return _sim_numpy(cum, mu0_cum, n_steps, n_samples, seed, state_reward,
-                          trans_reward, include_final, salvage)
-    if backend != "numba":
-        raise PreconditionError(f"simulate_totals: unknown backend {backend!r}")
-    use_salvage = salvage is not None
-    dummy = salvage if use_salvage else np.zeros(cum.shape[0])
-    if state_reward is not None:
-        return _sim_state_nb(cum, mu0_cum, n_steps, n_samples, seed, state_reward,
-                             include_final, use_salvage, dummy)
-    return _sim_trans_nb(cum, mu0_cum, n_steps, n_samples, seed, trans_reward,
-                         use_salvage, dummy)

@@ -27,18 +27,18 @@ AugState = tuple[int, Fraction]  # (state index, accumulated reward)
 
 @dataclass(frozen=True)
 class AugmentedMdp:
-    """Augmented model: base MDP, threshold, and per-epoch reachable slices.
+    """Augmented model: base MDP and per-epoch reachable slices.
 
-    The slices do not depend on ``tau``; ``solve_thresholds`` takes the
-    thresholds to solve for explicitly.  ``layers[t]`` lists the reachable (state, accumulated reward) pairs
-    at epoch ``t``; ``layers[0]`` pairs every mu0-positive state with 0.
+    The slices do not depend on any threshold; ``solve_thresholds`` takes
+    the thresholds to solve for.  ``layers[t]`` lists the reachable (state,
+    accumulated reward) pairs at epoch ``t``; ``layers[0]`` pairs every
+    mu0-positive state with 0.
     The kernel is inherited from the base MDP: from ``(x, c)`` under
     ``a``, the successor ``(y, c + r(x, a, y))`` has probability
     ``p(y | x, a)``.
     """
 
     base: FiniteMdp
-    tau: Fraction
     layers: tuple[tuple[AugState, ...], ...]
 
     @property
@@ -82,9 +82,8 @@ class VarSolution:
         return "\n".join(lines)
 
 
-def build_augmented(mdp: FiniteMdp, tau, max_states: int = 200_000) -> AugmentedMdp:
+def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
     """Enumerate reachable (state, accumulated reward) pairs epoch by epoch."""
-    tau = Fraction(tau)
     layer = sorted((x, ZERO) for x, p in enumerate(mdp.mu0) if p > 0)
     layers = [tuple(layer)]
     total = len(layer)
@@ -101,7 +100,7 @@ def build_augmented(mdp: FiniteMdp, tau, max_states: int = 200_000) -> Augmented
                 f"augmented model refused: more than {max_states} reachable "
                 f"(state, reward) pairs")
         layers.append(tuple(layer))
-    return AugmentedMdp(base=mdp, tau=tau, layers=tuple(layers))
+    return AugmentedMdp(base=mdp, layers=tuple(layers))
 
 
 def solve_thresholds(aug: AugmentedMdp,
@@ -162,8 +161,8 @@ def solve_thresholds(aug: AugmentedMdp,
 
 def solve_threshold_var(mdp: FiniteMdp, tau, max_states: int = 200_000) -> VarSolution:
     """Best achievable P(total reward >= tau), by induction on the augmented model."""
-    aug = build_augmented(mdp, tau, max_states=max_states)
-    return solve_thresholds(aug, (aug.tau,))[0]
+    aug = build_augmented(mdp, max_states=max_states)
+    return solve_thresholds(aug, (Fraction(tau),))[0]
 
 
 def augmented_policy_distribution(mdp: FiniteMdp,

@@ -24,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import inventory
-from ._kernels import HAS_NUMBA
 from .augmented import solve_threshold_var
 from .documents import (dump_document, load_document, mdp_from_document,
                         mdp_to_document, mrp_from_document, mrp_to_document,
@@ -117,6 +116,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _load_policy(path: str, mdp) -> DeterministicPolicy:
     doc = load_document(_read_text(path))
+    if not isinstance(doc, dict):
+        raise ValidationError("policy: expected a JSON object")
     raw = doc.get("rules")
     if not isinstance(raw, list) or not raw:
         raise ValidationError("policy: missing 'rules' list")
@@ -238,7 +239,7 @@ def cmd_pareto_long(args) -> int:
 def cmd_simulate(args) -> int:
     mrp = _load_mrp(args.document)
     ecdf = simulate(mrp, samples=args.samples, seed=args.seed,
-                    n_steps=args.n, backend=args.backend)
+                    n_steps=args.n)
     qs = np.linspace(0.0, 1.0, args.quantiles)
     values = np.quantile(ecdf.samples, qs, method="inverted_cdf")
     rows = [[_dec(q), _dec(v)] for q, v in zip(qs, values)]
@@ -287,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varmdp",
         description="Value-at-Risk solvers for finite-state MDPs.",
-        epilog=_SCHEMA_NOTE + " Environment: VARMDP_THREADS (a positive integer) sets the "
-               "simulation thread count of the numba backend; the numpy kernels "
-               "run in one thread. VARMDP_NO_NUMBA=1 selects the numpy kernels.")
+        epilog=_SCHEMA_NOTE)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-inventory", help="write an inventory MDP document")
@@ -363,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--quantiles", type=int, default=1001)
-    p.add_argument("--backend", default=None, choices=["numba", "numpy"])
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -376,30 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_threads() -> None:
-    threads = os.environ.get("VARMDP_THREADS", "").strip()
-    if not threads:
-        return
-    try:
-        count = int(threads)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValidationError(
-            f"VARMDP_THREADS: expected a positive integer, got {threads!r}")
-    if HAS_NUMBA:
-        import numba
-        try:
-            numba.set_num_threads(count)
-        except ValueError as exc:
-            raise ValidationError(f"VARMDP_THREADS: {exc}") from None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _configure_threads()
         return args.func(args)
     except VarMdpError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -371,7 +371,6 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     tables = float_tables(mdp)
     best = np.full(len(taus), np.inf)
     witness = np.full(len(taus), -1, dtype=int)
-    listings: dict[int, str] = {}
     used = 0
     policies = enumerate_stationary_policies(mdp)
     for pid, policy in enumerate(policies):
@@ -385,17 +384,18 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
         improved = values < best
         best = np.where(improved, values, best)
         witness = np.where(improved, pid, witness)
-        listings[pid] = "\n".join(
-            f"{mdp.states[x]} -> {policy.action(0, x)}" for x in range(mdp.n_states))
     if used == 0:
         raise ErgodicityError("no stationary policy induces an ergodic chain")
     best = np.maximum.accumulate(best)  # guard against float non-monotonicity in far tails
     present = {int(w) for w in witness if w >= 0}
+    listings: dict[int, str] = {}
     for pid in sorted(present):
         exact = float_chain(policy_chain(mdp, policies[pid]))
         if not all(map(np.array_equal, tables.chain(policies[pid]), exact)):
             raise RuntimeError(f"policy {pid}: float chain differs from its exact chain")
+        listings[pid] = "\n".join(
+            f"{mdp.states[x]} -> {policies[pid].action(0, x)}" for x in range(mdp.n_states))
     return ParetoFront(kind="estimated", grid=tuple(float(t) for t in taus),
                        value=tuple(float(v) for v in best),
                        witness=tuple(int(w) for w in witness),
-                       policies={pid: listings[pid] for pid in sorted(present)})
+                       policies=listings)

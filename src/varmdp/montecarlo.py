@@ -1,9 +1,9 @@
 """Simulation oracle: seeded trajectory sampling and CDF distances.
 
 Serves as the independent check on both the exact short-horizon
-distributions and the long-horizon estimates.  Sampling is reproducible
-bit-exactly from the seed (counter-based streams, see ``_kernels``), so
-results are stable in CI and across backends/thread counts.
+distributions and the long-horizon estimates.  Sampling runs the numpy
+kernel of ``_kernels`` and is reproducible bit-exactly from the seed
+(counter-based streams), so results are stable in CI.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class EmpiricalCdf:
     def evaluate_many(self, taus) -> np.ndarray:
         return np.searchsorted(self.samples, np.asarray(taus), side="right") / self.n
 
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.samples, q, method="inverted_cdf"))
-
 
 def _float_arrays(mrp: MarkovRewardProcess):
     kernel = np.array([[float(p) for p in row] for row in mrp.kernel])
@@ -57,7 +54,7 @@ def _float_arrays(mrp: MarkovRewardProcess):
 
 
 def simulate(mrp: MarkovRewardProcess, samples: int, seed: int,
-             n_steps: int | None = None, backend: str | None = None) -> EmpiricalCdf:
+             n_steps: int | None = None) -> EmpiricalCdf:
     """Sample iid trajectories and return the empirical total-reward CDF.
 
     Totals follow the process's own reward convention (state or
@@ -74,7 +71,7 @@ def simulate(mrp: MarkovRewardProcess, samples: int, seed: int,
     totals = simulate_totals(
         cum, mu0, steps, samples, seed,
         state_reward=state, trans_reward=trans,
-        include_final=mrp.include_final_reward, salvage=salvage, backend=backend)
+        include_final=mrp.include_final_reward, salvage=salvage)
     totals.sort()
     return EmpiricalCdf(samples=totals, seed=int(seed))
 
@@ -94,17 +91,3 @@ def ks_distance(a, b, grid) -> float:
         raise PreconditionError("ks_distance: empty grid")
     fa, fb = _as_callable(a), _as_callable(b)
     return max(abs(float(fa(t)) - float(fb(t))) for t in grid)
-
-
-def sup_distance_to_empirical(cdf, empirical: EmpiricalCdf) -> float:
-    """Exact sup-norm distance between a CDF and an empirical staircase.
-
-    Checks both the top and the bottom of every riser, which is where a
-    continuous (or coarser) CDF is farthest from the empirical one.
-    """
-    atoms, counts = np.unique(empirical.samples, return_counts=True)
-    top = np.cumsum(counts) / empirical.n
-    bottom = np.concatenate(([0.0], top[:-1]))
-    fa = _as_callable(cdf)
-    values = np.array([float(fa(t)) for t in atoms])
-    return float(np.maximum(np.abs(values - top), np.abs(values - bottom)).max())

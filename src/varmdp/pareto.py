@@ -68,7 +68,7 @@ def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront
     ``P(total < tau)`` attains the value.  Witnesses are deduplicated and
     numbered in order of first appearance along the grid.
     """
-    aug = build_augmented(mdp, 0, max_states=max_states)
+    aug = build_augmented(mdp, max_states=max_states)
     grid = tuple(sorted({c + mdp.salvage[x] for x, c in aug.layers[-1]}))
     solutions = solve_thresholds(aug, grid)
     ids: dict[str, int] = {}

@@ -40,7 +40,7 @@ def exceedance_oracle(mdp, rules, tau):
 
 class TestBuildAugmented:
     def test_published_first_slice_pairs(self, short_sas):
-        aug = build_augmented(short_sas, 9)
+        aug = build_augmented(short_sas)
         layer1 = set(aug.layers[1])
         for pair in [(0, F(2)), (0, F(8)), (1, F(0)), (1, F(6)), (2, F(-2))]:
             assert pair in layer1
@@ -49,7 +49,7 @@ class TestBuildAugmented:
                           (1, F(6)), (2, F(-8)), (2, F(-2)), (3, F(-10))}
 
     def test_initial_slice_and_mass(self, short_sas):
-        aug = build_augmented(short_sas, 9)
+        aug = build_augmented(short_sas)
         assert aug.layers[0] == ((0, F(0)),)
         assert aug.initial_mass((0, F(0))) == 1
 
@@ -59,7 +59,7 @@ class TestBuildAugmented:
         flat = {k: F(0) for k in mdp.sas_reward}
         from dataclasses import replace
         mdp = replace(mdp, sas_reward=flat)
-        aug = build_augmented(mdp, 1)
+        aug = build_augmented(mdp)
         assert aug.cumulative_values == {F(0)}
         for layer in aug.layers:
             assert all(c == 0 for _, c in layer)
@@ -68,14 +68,14 @@ class TestBuildAugmented:
         for seed in range(8):
             rng = random.Random(40 + seed)
             mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=2)
-            aug = build_augmented(mdp, 0)
+            aug = build_augmented(mdp)
             oracle = path_sums_oracle(mdp)
             for t, layer in enumerate(aug.layers):
                 assert set(layer) == oracle[t]
 
     def test_budget_guard(self, short_sas):
         with pytest.raises(BudgetExceededError, match="pairs"):
-            build_augmented(short_sas, 9, max_states=3)
+            build_augmented(short_sas, max_states=3)
 
 
 class TestSolveThreshold:
@@ -133,7 +133,7 @@ class TestPolicyValueConsistency:
             rng = random.Random(900 + seed)
             mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=2)
             tau = F(rng.randint(-6, 6))
-            aug = build_augmented(mdp, tau)
+            aug = build_augmented(mdp)
             rules = tuple({pair: rng.choice(mdp.actions[pair[0]]) for pair in aug.layers[t]}
                           for t in range(mdp.horizon))
             dist = augmented_policy_distribution(mdp, rules)

@@ -237,7 +237,7 @@ STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
     ("estimate-cdf", "grid", ("--n-steps", "10", "--grid=-inf:0:3"), "grid"),
     ("pareto-long", "grid", ("--horizon", "10", "--grid=0:inf:3"), "grid"),
     ("pareto-long", "grid", ("--horizon", "10", "--grid=-inf:0:3"), "grid"),
-    ("solve-expected", "env", ("VARMDP_THREADS", "two"), "VARMDP_THREADS"),
+    ("dist-exact", "policy", [1], "policy"),
     ("solve-expected", "mdp",
      {"states": ["a"], "actions": [[[0]]], "mu0": ["1"], "salvage": ["0"],
       "transitions": [{"x": "a", "a": [0], "y": "a", "p": "1", "r": "0"}]}, "actions[0]"),
@@ -245,7 +245,7 @@ STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
     ("dist-exact", "policy", {"rules": [{"0": 0}], "stationary": "false"},
      "policy.stationary"),
 ])
-def test_malformed_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, short_sas,
+def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
                                               command, kind, patch, field):
     on_mrp = kind == "mrp" or command == "estimate-cdf"
     doc = dict(STATE_MRP) if on_mrp else mdp_to_document(short_sas)
@@ -256,8 +256,6 @@ def test_malformed_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, sho
         argv += ["--policy", str(policy)]
     elif kind == "grid":
         argv += list(patch)
-    elif kind == "env":
-        monkeypatch.setenv(*patch)
     else:
         doc.update(patch)
     path = tmp_path / "doc.json"

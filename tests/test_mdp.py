@@ -336,7 +336,7 @@ class TestForwardPropagation:
             mdp = random_mdp(rng, n_states=3, horizon=rng.randint(1, 4),
                              reward_kind="sas" if seed % 2 else "sa", max_actions=3)
             policy = random_markov_policy(rng, mdp)
-            aug = build_augmented(mdp, 0)
+            aug = build_augmented(mdp)
             rules = tuple({pair: policy.action(t, pair[0]) for pair in aug.layers[t]}
                           for t in range(mdp.horizon))
             assert augmented_policy_distribution(mdp, rules) == \

@@ -1,5 +1,4 @@
-"""Simulation oracle: reproducibility, backend equivalence, exact integer pick,
-CDF distances."""
+"""Simulation oracle: reproducibility, exact integer pick, CDF distances."""
 
 import math
 from fractions import Fraction
@@ -12,9 +11,10 @@ from varmdp import (DeterministicPolicy, MarkovRewardProcess, PreconditionError,
                     exact_total_reward_distribution, induced_mrp, ks_distance,
                     simulate, transform)
 from varmdp import _kernels
-from varmdp._kernels import _GOLD, _INV53, HAS_NUMBA, _mix_np, simulate_totals
+from varmdp._kernels import _GOLD, _mix, simulate_totals
 
 F = Fraction
+_INV53 = 2.0 ** -53
 
 
 def deterministic_chain():
@@ -42,17 +42,6 @@ class TestSimulate:
         c = simulate(printed_chain_mrp, samples=5000, seed=100)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_backends_bit_identical(self, printed_chain_mrp):
-        jit = simulate(printed_chain_mrp, samples=20_000, seed=7, backend="numba")
-        plain = simulate(printed_chain_mrp, samples=20_000, seed=7, backend="numpy")
-        assert np.array_equal(jit.samples, plain.samples)
-        # transition- and state-reward kernels both dispatch
-        t = transform(printed_chain_mrp)
-        jit2 = simulate(t, samples=20_000, seed=8, backend="numba")
-        plain2 = simulate(t, samples=20_000, seed=8, backend="numpy")
-        assert np.array_equal(jit2.samples, plain2.samples)
 
     def test_empirical_matches_exact_short_horizon(self, printed_chain_mrp):
         # step-vs-step: both CDFs are constant between support points, so the
@@ -102,14 +91,14 @@ def reference_totals(cum, mu0_cum, n_steps, n_samples, seed, state_reward=None,
         for lo in range(0, n_samples, block):
             hi = min(lo + block, n_samples)
             idx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-            keys = _mix_np(seed + _GOLD * idx)
-            u = (_mix_np(keys + _GOLD) >> np.uint64(11)) * _INV53
+            keys = _mix(seed + _GOLD * idx)
+            u = (_mix(keys + _GOLD) >> np.uint64(11)) * _INV53
             x = (u[:, None] >= mu0_cum[None, :-1]).sum(axis=1)
             tot = np.zeros(hi - lo)
             for t in range(n_steps):
                 if on_state:
                     tot += state_reward[x]
-                u = (_mix_np(keys + _GOLD * np.uint64(t + 2)) >> np.uint64(11)) * _INV53
+                u = (_mix(keys + _GOLD * np.uint64(t + 2)) >> np.uint64(11)) * _INV53
                 nxt = (u[:, None] >= prefix[x]).sum(axis=1)
                 if not on_state:
                     tot += trans_reward[x, nxt]
@@ -154,12 +143,10 @@ class TestIntegerPick:
                 trans_reward=None if on_state else rng.normal(size=(n, n)),
                 include_final=final,
                 salvage=rng.normal(size=n) if with_salvage else None)
-            got = _kernels._sim_numpy(cum, mu0, n_steps, n_samples, seed, block=block,
-                                      **rewards)
+            got = simulate_totals(cum, mu0, n_steps, n_samples, seed, block=block,
+                                  **rewards)
             want = reference_totals(cum, mu0, n_steps, n_samples, seed, **rewards)
             assert np.array_equal(got, want)
-            assert np.array_equal(got, simulate_totals(cum, mu0, n_steps, n_samples, seed,
-                                                       backend="numpy", **rewards))
 
     def test_bit_identical_to_float_compare(self):
         rng = np.random.default_rng(2024)
@@ -221,7 +208,7 @@ class TestIntegerPick:
         assert len(guide.offset) <= _kernels._GUIDE_CELLS
         assert len(guide.offset) == (n + 1) << guide.bits
         reward = rng.normal(size=n)
-        got = simulate_totals(cum, cum[0], 40, 300, 17, state_reward=reward, backend="numpy")
+        got = simulate_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
         want = reference_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
         assert np.array_equal(got, want)
 

@@ -45,7 +45,7 @@ def enumerated_front(mdp):
     Returns the union of all supports and, at each of its points, the
     least left limit ``P(total < tau)`` over all policies.
     """
-    aug = build_augmented(mdp, 0)
+    aug = build_augmented(mdp)
     slots = [(t, pair) for t in range(mdp.horizon) for pair in aug.layers[t]]
     dists = []
     for choices in product(*(mdp.actions[pair[0]] for _, pair in slots)):
@@ -66,7 +66,7 @@ def small_random_mdps(count, max_policies=2 ** 12):
         seed += 1
         mdp = random_mdp(rng, n_states=rng.randint(1, 3), horizon=rng.randint(1, 3),
                          reward_kind=rng.choice(["sas", "sa"]), max_actions=2)
-        aug = build_augmented(mdp, 0)
+        aug = build_augmented(mdp)
         if math.prod(len(mdp.actions[x]) for t in range(mdp.horizon)
                      for x, _ in aug.layers[t]) <= max_policies:
             count -= 1
@@ -102,7 +102,7 @@ class TestExactFront:
                 assert 1 - query_eta(front, tau) == 1 - solve_threshold_var(mdp, tau).eta
 
     def test_dominance_and_witness_tightness(self, short_sa, front_sa):
-        aug = build_augmented(short_sa, 0)
+        aug = build_augmented(short_sa)
         slots = [(t, pair) for t in range(short_sa.horizon) for pair in aug.layers[t]]
         rng = random.Random(5)
         dists = {pid: augmented_policy_distribution(
