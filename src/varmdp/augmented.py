@@ -8,8 +8,10 @@ give every in-horizon transition reward zero and pay a terminal 0/1
 salvage ``1[c + v(x) >= tau]``; the optimal expected value of the
 augmented model is exactly the optimal exceedance probability.
 
-Cumulative values are enumerated exactly (rationals), epoch by epoch,
-and the induction only ever touches the reachable per-epoch slices.
+Only ``build_augmented`` adds rewards, as integers over their least
+common denominator; per epoch it records the next-slice index of every
+(pair, action, successor) move.  ``solve_thresholds`` is one numpy pass
+over those indices for all thresholds at once, in exact Python ints.
 """
 
 from __future__ import annotations
@@ -17,29 +19,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, groupby
 from typing import Mapping
 
+import numpy as np
+
 from .errors import BudgetExceededError
-from .mdp import Action, FiniteMdp, StepCdf, ZERO, propagate_masses
+from .mdp import Action, FiniteMdp, StepCdf, propagate_masses
 
 AugState = tuple[int, Fraction]  # (state index, accumulated reward)
 
 
 @dataclass(frozen=True)
 class AugmentedMdp:
-    """Augmented model: base MDP and per-epoch reachable slices.
+    """Augmented model: base MDP, reachable slices and their successor indices.
 
-    The slices do not depend on any threshold; ``solve_thresholds`` takes
-    the thresholds to solve for.  ``layers[t]`` lists the reachable (state,
-    accumulated reward) pairs at epoch ``t``; ``layers[0]`` pairs every
-    mu0-positive state with 0.
-    The kernel is inherited from the base MDP: from ``(x, c)`` under
-    ``a``, the successor ``(y, c + r(x, a, y))`` has probability
-    ``p(y | x, a)``.
+    ``layers[t]`` lists the reachable (state, accumulated reward) pairs at
+    epoch ``t``, sorted; ``layers[0]`` pairs every mu0-positive state with
+    0.  From ``(x, c)`` under ``a``, the successor ``(y, c + r(x, a, y))``
+    has probability ``p(y | x, a)``; ``successors[t]`` holds its index in
+    ``layers[t + 1]`` for every such move, pair by pair, in action and then
+    kernel-row order.  ``totals`` are the final ``c + v(x)`` times
+    ``scale``, the least common denominator of the rewards and salvage.
     """
 
     base: FiniteMdp
     layers: tuple[tuple[AugState, ...], ...]
+    scale: int
+    successors: tuple[np.ndarray, ...]
+    totals: tuple[int, ...]
 
     @property
     def horizon(self) -> int:
@@ -49,58 +58,66 @@ class AugmentedMdp:
     def n_augmented_states(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
-    @property
-    def cumulative_values(self) -> frozenset[Fraction]:
-        """All reachable accumulated-reward values across epochs."""
-        return frozenset(c for layer in self.layers for _, c in layer)
-
-    def initial_mass(self, pair: AugState) -> Fraction:
-        x, c = pair
-        return self.base.mu0[x] if c == 0 else ZERO
-
 
 @dataclass(frozen=True)
 class VarSolution:
     """Optimal exceedance probability at a threshold, with witnesses.
 
-    ``policy[t]`` maps each reachable (state, accumulated reward) pair to
-    the tie-broken optimal action; ``argmax_sets[t]`` keeps the full set
-    of optimal actions so reported ties can be inspected.
+    ``argmax[t][i]`` lists the optimal actions at ``layers[t][i]``, earliest
+    first.  Built on first use, ``policy[t]`` maps each reachable (state,
+    accumulated reward) pair to its tie-broken optimal action and
+    ``argmax_sets[t]`` to all of them, so reported ties can be inspected.
     """
 
     tau: Fraction
     eta: Fraction
-    policy: tuple[Mapping[AugState, Action], ...]
-    argmax_sets: tuple[Mapping[AugState, tuple[Action, ...]], ...]
+    layers: tuple[tuple[AugState, ...], ...]
+    argmax: tuple[tuple[tuple[Action, ...], ...], ...]
+
+    @cached_property
+    def policy(self) -> tuple[dict[AugState, Action], ...]:
+        return tuple({pair: ties[0] for pair, ties in rule.items()}
+                     for rule in self.argmax_sets)
+
+    @cached_property
+    def argmax_sets(self) -> tuple[dict[AugState, tuple[Action, ...]], ...]:
+        return tuple(dict(zip(layer, sets)) for layer, sets in zip(self.layers, self.argmax))
 
     def listing(self, states: tuple[str, ...]) -> str:
         """Stable text form: one "(state, cum_reward) -> action" line per pair."""
-        lines = []
-        for t, rule in enumerate(self.policy):
-            for (x, c) in sorted(rule):
-                lines.append(f"t={t} ({states[x]}, {c}) -> {rule[(x, c)]}")
-        return "\n".join(lines)
+        return "\n".join(f"t={t} ({states[x]}, {c}) -> {ties[0]}"
+                         for t, (layer, sets) in enumerate(zip(self.layers, self.argmax))
+                         for (x, c), ties in zip(layer, sets))
 
 
 def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
-    """Enumerate reachable (state, accumulated reward) pairs epoch by epoch."""
-    layer = sorted((x, ZERO) for x, p in enumerate(mdp.mu0) if p > 0)
-    layers = [tuple(layer)]
-    total = len(layer)
+    """Enumerate reachable (state, accumulated reward) pairs epoch by epoch.
+
+    Rewards add as integers over ``scale``, so ``(x, integer)`` order is ``(x, reward)`` order.
+    """
+    moves = [[(y, mdp.reward(x, a, y)) for a in acts for y, _ in mdp.transitions(x, a)]
+             for x, acts in enumerate(mdp.actions)]
+    scale = math.lcm(*(r.denominator for row in moves for _, r in row),
+                     *(v.denominator for v in mdp.salvage))
+    moves = [[(y, int(r * scale)) for y, r in row] for row in moves]
+    layer = [(x, 0) for x, p in enumerate(mdp.mu0) if p > 0]
+    layers, successors = [layer], []
     for _ in range(mdp.horizon):
-        nxt: set[AugState] = set()
-        for x, c in layer:
-            for a in mdp.actions[x]:
-                for y, p in mdp.transitions(x, a):
-                    nxt.add((y, c + mdp.reward(x, a, y)))
-        layer = sorted(nxt)
-        total += len(layer)
-        if total > max_states:
+        nxt = sorted({(y, n + r) for x, n in layer for y, r in moves[x]})
+        if sum(map(len, layers)) + len(nxt) > max_states:
             raise BudgetExceededError(
                 f"augmented model refused: more than {max_states} reachable "
                 f"(state, reward) pairs")
-        layers.append(tuple(layer))
-    return AugmentedMdp(base=mdp, layers=tuple(layers))
+        index = {pair: i for i, pair in enumerate(nxt)}
+        successors.append(np.fromiter(
+            (index[y, n + r] for x, n in layer for y, r in moves[x]), dtype=np.intp))
+        layer = nxt
+        layers.append(layer)
+    return AugmentedMdp(
+        base=mdp, layers=tuple(tuple((x, Fraction(n, scale)) for x, n in pairs)
+                               for pairs in layers),
+        scale=scale, successors=tuple(successors),
+        totals=tuple(n + int(mdp.salvage[x] * scale) for x, n in layer))
 
 
 def solve_thresholds(aug: AugmentedMdp,
@@ -109,54 +126,43 @@ def solve_thresholds(aug: AugmentedMdp,
 
     Each augmented pair carries one exceedance value per threshold: the
     terminal value of ``(x, c)`` is ``1[c + v(x) >= tau]``, and interior
-    values maximize the expected successor value (all interior rewards
-    are zero).  Per threshold, ties are broken toward the earliest action
-    in the state's action list; the full argmax set is reported alongside.
-
-    Values are kept as integers over the common denominator ``D**(H - t)``,
-    where ``D`` is the least common denominator of the kernel's
-    probabilities; scaling every value in a slice by one positive constant
-    leaves all comparisons and ties exact.
+    values maximize the expected successor value.  Per threshold, ties are
+    broken toward the earliest action in the state's action list; the full
+    argmax set is reported alongside.  Values are integers over
+    ``D**(H - t)``, ``D`` the kernel's least common denominator, so all
+    comparisons and ties are exact.  The pairs of one state form a block
+    of the sorted slice; each block is one numpy step over its
+    ``(pairs, moves, thresholds)`` successor values.
     """
-    mdp = aug.base
+    mdp, k = aug.base, len(taus)
     scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p in rows))
-    weighted = {key: tuple((y, int(p * scale), mdp.reward(*key, y)) for y, p in rows)
-                for key, rows in mdp.kernel.items()}
-    u: dict[AugState, tuple[int, ...]] = {
-        (x, c): tuple(int(c + mdp.salvage[x] >= tau) for tau in taus)
-        for x, c in aug.layers[-1]}
-    policy: list[list[dict[AugState, Action]]] = [[] for _ in taus]
-    argmax: list[list[dict[AugState, tuple[Action, ...]]]] = [[] for _ in taus]
+    weights, slots = [], []
+    for x, acts in enumerate(mdp.actions):
+        rows = [mdp.transitions(x, a) for a in acts]
+        weights.append(np.array([[int(p * scale)] for row in rows for _, p in row], dtype=object))
+        slots.append(np.cumsum([0] + [len(row) for row in rows[:-1]]))
+    cuts = np.array([math.ceil(tau * aug.scale) for tau in taus], dtype=object)
+    u = np.where(np.array(aug.totals, dtype=object)[:, None] >= cuts, 1, 0).astype(object)
+    found = []  # found[t][i]: the argmax sets over layers[t] at taus[i]
     for t in reversed(range(aug.horizon)):
-        nu: dict[AugState, tuple[int, ...]] = {}
-        rules: list[dict[AugState, Action]] = [{} for _ in taus]
-        sets: list[dict[AugState, tuple[Action, ...]]] = [{} for _ in taus]
-        for pair in aug.layers[t]:
-            x, c = pair
-            acts = mdp.actions[x]
-            qs = []
-            for a in acts:
-                q = [0] * len(taus)
-                for y, w, r in weighted[(x, a)]:
-                    q = [qk + w * vk for qk, vk in zip(q, u[(y, c + r)])]
-                qs.append(q)
-            best = tuple(map(max, zip(*qs)))
-            nu[pair] = best
-            for k, b in enumerate(best):
-                ties = tuple(a for a, q in zip(acts, qs) if q[k] == b)
-                rules[k][pair] = ties[0]
-                sets[k][pair] = ties
-        u = nu
-        for k in range(len(taus)):
-            policy[k].insert(0, rules[k])
-            argmax[k].insert(0, sets[k])
-    denominator = scale ** aug.horizon
+        blocks, move = [], 0
+        sets: list[list[tuple[Action, ...]]] = [[] for _ in taus]
+        for x, block in groupby(x for x, _ in aug.layers[t]):
+            n, m = sum(1 for _ in block), len(weights[x])
+            values = u[aug.successors[t][move:move + n * m]].reshape(n, m, k) * weights[x]
+            q = np.add.reduceat(values, slots[x], axis=1)
+            blocks.append(q.max(axis=1))
+            for ties, rows in zip(sets, (q == blocks[-1][:, None]).transpose(2, 0, 1).tolist()):
+                ties.extend(tuple(compress(mdp.actions[x], row)) for row in rows)
+            move += n * m
+        u = np.concatenate(blocks)
+        found.insert(0, sets)
+    mass_scale = math.lcm(*(p.denominator for p in mdp.mu0))
+    numerators = sum(int(mdp.mu0[x] * mass_scale) * row for (x, _), row in zip(aug.layers[0], u))
     return tuple(
-        VarSolution(tau=tau,
-                    eta=sum((aug.initial_mass(pair) * Fraction(u[pair][k], denominator)
-                             for pair in aug.layers[0]), ZERO),
-                    policy=tuple(policy[k]), argmax_sets=tuple(argmax[k]))
-        for k, tau in enumerate(taus))
+        VarSolution(tau=tau, eta=Fraction(numerators[i], mass_scale * scale ** aug.horizon),
+                    layers=aug.layers, argmax=tuple(tuple(sets[i]) for sets in found))
+        for i, tau in enumerate(taus))
 
 
 def solve_threshold_var(mdp: FiniteMdp, tau, max_states: int = 200_000) -> VarSolution:

@@ -350,26 +350,18 @@ def expected_backward_induction(mdp: FiniteMdp) -> tuple[Fraction, Deterministic
     """Optimal expected total reward and an argmax Markov policy.
 
     Ties are broken toward the earliest action in the state's action
-    list, so the returned policy is deterministic and reproducible.
+    list, so the returned policy is deterministic and reproducible.  One
+    formula serves both reward conventions: an SA instance returns
+    ``r'(x, a)`` for every successor, and each kernel row sums to 1.
     """
     u = list(mdp.salvage)
     rules: list[dict[int, Action]] = []
     for _ in range(mdp.horizon):
-        nu = [ZERO] * mdp.n_states
-        rule: dict[int, Action] = {}
-        for x in range(mdp.n_states):
-            best_q = None
-            best_a = None
-            for a in mdp.actions[x]:
-                q = sum((p * (mdp.reward(x, a, y) + u[y]) for y, p in mdp.transitions(x, a)),
-                        ZERO) if mdp.is_sas else \
-                    mdp.sa_reward[(x, a)] + sum((p * u[y] for y, p in mdp.transitions(x, a)),
-                                                ZERO)
-                if best_q is None or q > best_q:
-                    best_q, best_a = q, a
-            nu[x], rule[x] = best_q, best_a
-        u = nu
-        rules.insert(0, rule)
+        qs = [[sum((p * (mdp.reward(x, a, y) + u[y]) for y, p in mdp.transitions(x, a)), ZERO)
+               for a in acts] for x, acts in enumerate(mdp.actions)]
+        u = [max(q) for q in qs]
+        rules.insert(0, {x: acts[q.index(u[x])]
+                         for x, (acts, q) in enumerate(zip(mdp.actions, qs))})
     value = sum((p * u[x] for x, p in enumerate(mdp.mu0)), ZERO)
     return value, DeterministicPolicy(rules=tuple(rules), stationary=False)
 

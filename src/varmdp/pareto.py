@@ -7,7 +7,8 @@ pairs — decisions may depend on the running total, and a plain
 state-feedback policy class would be strictly too small.  That class is
 never enumerated: the infimum at each threshold is the complement of
 the threshold optimum ``eta(tau)``, and one backward pass over the
-augmented slices yields ``eta`` at every grid point at once.
+augmented slices yields ``eta`` at every grid point at once.  That pass
+reads the successor indices ``build_augmented`` recorded, never a reward.
 
 Atom convention of exact fronts: the stored value at a grid point
 ``tau`` is ``inf_pi P(total < tau)`` (the left limit), so that
@@ -69,7 +70,7 @@ def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront
     numbered in order of first appearance along the grid.
     """
     aug = build_augmented(mdp, max_states=max_states)
-    grid = tuple(sorted({c + mdp.salvage[x] for x, c in aug.layers[-1]}))
+    grid = tuple(Fraction(n, aug.scale) for n in sorted(set(aug.totals)))
     solutions = solve_thresholds(aug, grid)
     ids: dict[str, int] = {}
     witness = tuple(ids.setdefault(sol.listing(mdp.states), len(ids))

@@ -1,17 +1,70 @@
 """Augmented-state threshold solving: reachable slices, induction values, argmax sets."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from varmdp import (BudgetExceededError, build_augmented,
-                    augmented_policy_distribution, solve_threshold_var,
-                    simplify_reward)
+from varmdp import (BudgetExceededError, InventoryParams, build_augmented,
+                    augmented_policy_distribution, build_inventory, solve_threshold_var,
+                    solve_thresholds)
 
 from conftest import random_mdp
 
 F = Fraction
+
+
+def reference_thresholds(aug, taus):
+    """Dict induction over the slices: ``(eta, policy, argmax_sets)`` per threshold.
+
+    Successor values are looked up by the rebuilt key ``(y, c + r)`` and
+    each threshold's values are summed with list arithmetic, in integers
+    over ``D**(H - t)`` for the kernel's least common denominator ``D``.
+    """
+    mdp = aug.base
+    scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p in rows))
+    weighted = {key: tuple((y, int(p * scale), mdp.reward(*key, y)) for y, p in rows)
+                for key, rows in mdp.kernel.items()}
+    u = {(x, c): tuple(int(c + mdp.salvage[x] >= tau) for tau in taus)
+         for x, c in aug.layers[-1]}
+    policy = [[] for _ in taus]
+    argmax = [[] for _ in taus]
+    for t in reversed(range(aug.horizon)):
+        nu = {}
+        rules = [{} for _ in taus]
+        sets = [{} for _ in taus]
+        for pair in aug.layers[t]:
+            x, c = pair
+            acts = mdp.actions[x]
+            qs = []
+            for a in acts:
+                q = [0] * len(taus)
+                for y, w, r in weighted[(x, a)]:
+                    q = [qk + w * vk for qk, vk in zip(q, u[(y, c + r)])]
+                qs.append(q)
+            best = tuple(map(max, zip(*qs)))
+            nu[pair] = best
+            for k, b in enumerate(best):
+                ties = tuple(a for a, q in zip(acts, qs) if q[k] == b)
+                rules[k][pair] = ties[0]
+                sets[k][pair] = ties
+        u = nu
+        for k in range(len(taus)):
+            policy[k].insert(0, rules[k])
+            argmax[k].insert(0, sets[k])
+    denominator = scale ** aug.horizon
+    return [(sum((mdp.mu0[x] * F(u[(x, c)][k], denominator) for x, c in aug.layers[0]),
+                 F(0)), tuple(policy[k]), tuple(argmax[k]))
+            for k in range(len(taus))]
+
+
+def assert_matches_reference(aug, taus):
+    for sol, (eta, policy, argmax_sets) in zip(solve_thresholds(aug, taus),
+                                               reference_thresholds(aug, taus), strict=True):
+        assert sol.eta == eta
+        assert sol.policy == policy
+        assert sol.argmax_sets == argmax_sets
 
 
 def path_sums_oracle(mdp):
@@ -51,7 +104,7 @@ class TestBuildAugmented:
     def test_initial_slice_and_mass(self, short_sas):
         aug = build_augmented(short_sas)
         assert aug.layers[0] == ((0, F(0)),)
-        assert aug.initial_mass((0, F(0))) == 1
+        assert sum(short_sas.mu0[x] for x, _ in aug.layers[0]) == 1
 
     def test_zero_reward_collapses_to_base_states(self):
         rng = random.Random(3)
@@ -60,7 +113,7 @@ class TestBuildAugmented:
         from dataclasses import replace
         mdp = replace(mdp, sas_reward=flat)
         aug = build_augmented(mdp)
-        assert aug.cumulative_values == {F(0)}
+        assert {c for layer in aug.layers for _, c in layer} == {F(0)}
         for layer in aug.layers:
             assert all(c == 0 for _, c in layer)
 
@@ -143,3 +196,43 @@ class TestPolicyValueConsistency:
         # the two conventions disagree away from tau=9 as well
         assert solve_threshold_var(short_sas, F(15, 2)).eta == F(11, 16)
         assert solve_threshold_var(short_sa, F(15, 2)).eta == F(5, 16)
+
+
+class TestIndexInduction:
+    def test_matches_dict_induction_on_random_instances(self):
+        for seed in range(40):
+            rng = random.Random(3000 + seed)
+            mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 4),
+                             reward_kind="sas" if seed % 2 else "sa", max_actions=3)
+            aug = build_augmented(mdp)
+            on_grid = sorted({c + mdp.salvage[x] for x, c in aug.layers[-1]})
+            taus = tuple(rng.sample(on_grid, min(3, len(on_grid)))) + (
+                F(rng.randint(-40, 40), 8), F(rng.randint(-40, 40), 3),
+                on_grid[0] - 1, on_grid[-1] + F(1, 4))
+            assert_matches_reference(aug, taus)
+
+    def test_reward_denominators_enter_the_scale(self):
+        rng = random.Random(17)
+        mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=2)
+        assert any(r.denominator == 4 for r in mdp.sas_reward.values())
+        aug = build_augmented(mdp)
+        assert aug.scale % 4 == 0
+        assert aug.totals == tuple((c + mdp.salvage[x]) * aug.scale
+                                   for x, c in aug.layers[-1])
+        assert_matches_reference(aug, (F(1, 4), F(-3, 2), F(5, 3)))
+
+    def test_values_beyond_int64(self):
+        # kernel denominator 4 at horizon 32: values are integers over 4**32 = 2**64
+        mdp = build_inventory(InventoryParams(horizon=32, capacity=1))
+        aug = build_augmented(mdp)
+        assert 4 ** mdp.horizon > 2 ** 63
+        assert_matches_reference(aug, (F(60), F(100), F(241, 2)))
+
+    def test_successor_indices_name_the_reward_sums(self):
+        rng = random.Random(23)
+        mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=3)
+        aug = build_augmented(mdp)
+        for t in range(mdp.horizon):
+            expected = [(y, c + mdp.reward(x, a, y)) for x, c in aug.layers[t]
+                        for a in mdp.actions[x] for y, _ in mdp.transitions(x, a)]
+            assert [aug.layers[t + 1][i] for i in aug.successors[t]] == expected

@@ -286,6 +286,17 @@ def test_simulate_refuses_nonpositive_steps(tmp_path, capsys, n):
     assert "n_steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quantiles", ["-1", "0"])
+def test_simulate_refuses_fewer_than_one_quantile(tmp_path, capsys, quantiles):
+    path = tmp_path / "mrp.json"
+    path.write_text(json.dumps(STATE_MRP))
+    out = tmp_path / "q.csv"
+    assert run_cli("simulate", str(path), "--samples", "10", "--seed", "1",
+                   "--quantiles", quantiles, "-o", str(out)) == 2
+    assert "quantiles" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pareto_long_refuses_nonpositive_horizon(tmp_path, capsys, short_sas):
     path = tmp_path / "mdp.json"
     path.write_text(json.dumps(mdp_to_document(short_sas)))
