@@ -26,16 +26,16 @@ from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, StepCdf,
                   check_policy, evaluate_policy, exact_total_reward_distribution,
                   expected_backward_induction, induced_mrp, restrict_to_reachable,
                   simplify_reward)
-from .montecarlo import EmpiricalCdf, ks_distance, simulate
+from .montecarlo import simulate
 from .pareto import ParetoFront, pareto_front_exact, query_eta, query_rho
 from .rationals import format_rational, parse_rational
-from .transform import TransformedMrp, transform, transformed_salvage
+from .transform import TransformedMrp, transform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedMdp", "BudgetExceededError", "ChainSpectralData",
-    "DegenerateVarianceError", "DeterministicPolicy", "EdgeworthCdf", "EmpiricalCdf",
+    "DegenerateVarianceError", "DeterministicPolicy", "EdgeworthCdf",
     "ErgodicityError", "FiniteMdp", "InventoryParams", "KappaResult",
     "MarkovRewardProcess", "ParetoFront", "PreconditionError", "StepCdf",
     "TransformedMrp", "ValidationError", "VarMdpError", "VarSolution",
@@ -44,12 +44,10 @@ __all__ = [
     "enumerate_stationary_policies", "estimate_cdf", "estimate_cdf_arrays",
     "evaluate_policy",
     "exact_total_reward_distribution", "expected_backward_induction",
-    "format_rational", "induced_mrp", "ks_distance",
-    "paper_long",
+    "format_rational", "induced_mrp", "paper_long",
     "paper_short", "paper_short_printed", "pareto_front_exact", "pareto_front_long",
     "parse_rational", "policy_chain", "query_eta", "query_rho",
     "restrict_to_reachable", "simplify_reward", "simulate",
     "solve_threshold_var", "solve_thresholds", "spectral_data", "stationary_distribution",
     "third_moment_constant", "transform",
-    "transformed_salvage",
 ]

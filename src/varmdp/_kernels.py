@@ -37,6 +37,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _ELEVEN = np.uint64(11)
 _GUIDE_CELLS = 1 << 20  # bound on the cells of one guide table
+_BLOCK = 1 << 17  # samples per vectorized pass; the totals do not depend on it
 
 
 def numba_enabled() -> bool:
@@ -104,14 +105,12 @@ def _guide_pick(guide, offset, k):
 
 
 def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, state_reward=None,
-                    trans_reward=None, include_final=False, salvage=None,
-                    block=1 << 17) -> np.ndarray:
+                    trans_reward=None, include_final=False, salvage=None) -> np.ndarray:
     """Draw total rewards for ``n_samples`` trajectories of ``n_steps`` epochs.
 
     Exactly one of ``state_reward`` (length-S vector, collected on the
     visited state each epoch, optionally also at the final state) and
     ``trans_reward`` (SxS matrix, collected per transition) must be set.
-    Samples are drawn ``block`` at a time; the totals do not depend on it.
     """
     if (state_reward is None) == (trans_reward is None):
         raise PreconditionError("simulate_totals: exactly one reward table required")
@@ -126,8 +125,8 @@ def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, state_reward=None
     guide = _guide(cum, mu0_cum, step_reward)
     out = np.empty(n_samples)
     with np.errstate(over="ignore"):
-        for lo in range(0, n_samples, block):
-            hi = min(lo + block, n_samples)
+        for lo in range(0, n_samples, _BLOCK):
+            hi = min(lo + _BLOCK, n_samples)
             idx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
             keys = _mix(seed + _GOLD * idx)
             start = np.full(hi - lo, n << guide.bits)

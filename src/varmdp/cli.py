@@ -240,10 +240,9 @@ def cmd_simulate(args) -> int:
     if args.quantiles < 1:
         raise ValidationError(f"quantiles: must be >= 1, got {args.quantiles}")
     mrp = _load_mrp(args.document)
-    ecdf = simulate(mrp, samples=args.samples, seed=args.seed,
-                    n_steps=args.n)
+    totals = simulate(mrp, samples=args.samples, seed=args.seed, n_steps=args.n)
     qs = np.linspace(0.0, 1.0, args.quantiles)
-    values = np.quantile(ecdf.samples, qs, method="inverted_cdf")
+    values = np.quantile(totals, qs, method="inverted_cdf")
     rows = [[_dec(q), _dec(v)] for q, v in zip(qs, values)]
     _write_text(args.output, _csv_text(["quantile", "value"], rows))
     return EXIT_OK

@@ -224,13 +224,6 @@ class EdgeworthCdf:
         out = np.clip(normal_cdf(y) + correction, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def normal_reference(self, tau):
-        """The plain normal limit with the same mean and scale (no correction)."""
-        tau = np.asarray(tau, dtype=float)
-        scale = self.sigma * math.sqrt(self.n_steps)
-        out = normal_cdf((tau - self.n_steps * self.zeta) / scale)
-        return float(out) if out.ndim == 0 else out
-
 
 def float_chain(mrp: MarkovRewardProcess):
     """Float (P, r, mu0) arrays of a state-rewarded process."""

@@ -13,7 +13,8 @@ which depends on the destination ``y``, i.e. the instance is SAS-tagged.
 
 Two desk-size presets are provided.  They differ only in the action
 structure, a point on which the source problem statement is internally
-inconsistent (see README):
+inconsistent: the results it quotes hold for capacity 3, but the action
+sets it prints only allow orders up to ``x + a <= 2``, i.e. capacity 2.
 
 * ``paper-short``          — capacity 3, states {0,1,2,3}, orders up to
   capacity.  Reproduces the expected-value and threshold-percentile

@@ -84,8 +84,13 @@ class FiniteMdp:
                 if not rows:
                     raise ValidationError(
                         f"kernel: no transitions for state {self.states[x]}, action {a!r}")
-                _check_distribution([p for _, p in rows],
-                                    f"kernel row ({self.states[x]}, {a!r})")
+                where = f"kernel row ({self.states[x]}, {a!r})"
+                successors = [y for y, _ in rows]
+                if any(not 0 <= y < n for y in successors):
+                    raise ValidationError(f"{where}: successor index outside 0..{n - 1}")
+                if len(set(successors)) != len(rows):
+                    raise ValidationError(f"{where}: successor listed twice")
+                _check_distribution([p for _, p in rows], where)
                 for y, p in rows:
                     if p <= 0:
                         raise ValidationError(
@@ -189,6 +194,10 @@ class MarkovRewardProcess:
             raise ValidationError("reward table must match reward_on")
         if len(self.kernel) != n or any(len(row) != n for row in self.kernel):
             raise ValidationError("kernel: must be a square matrix over states")
+        for name in ("mu0", "state_reward", "salvage"):
+            values = getattr(self, name)
+            if values is not None and len(values) != n:
+                raise ValidationError(f"{name}: {len(values)} entries for {n} states")
         for x, row in enumerate(self.kernel):
             _check_distribution(row, f"kernel row {self.states[x]}")
         _check_distribution(self.mu0, "mu0")
@@ -204,13 +213,6 @@ class MarkovRewardProcess:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @property
-    def reward_term_count(self) -> int:
-        """Number of reward summands in the total reward."""
-        if self.reward_on == "state" and self.include_final_reward:
-            return self.horizon + 1
-        return self.horizon
 
     def successors(self, x: int) -> list[tuple[int, Fraction]]:
         return [(y, p) for y, p in enumerate(self.kernel[x]) if p > 0]
@@ -249,15 +251,6 @@ class StepCdf:
     def prob_geq(self, tau) -> Fraction:
         tau = Fraction(tau)
         return sum((p for s, p in zip(self.support, self.prob) if s >= tau), ZERO)
-
-    def mean(self) -> Fraction:
-        return sum((s * p for s, p in zip(self.support, self.prob)), ZERO)
-
-    def evaluate(self, tau) -> float:
-        """Float CDF value, for comparisons against estimated/empirical CDFs."""
-        if isinstance(tau, float):
-            tau = Fraction(repr(float(tau)))  # exact decimal, also for numpy scalars
-        return float(self.cdf(tau))
 
 
 def simplify_reward(mdp: FiniteMdp) -> FiniteMdp:
@@ -346,38 +339,37 @@ def restrict_to_reachable(mrp: MarkovRewardProcess) -> MarkovRewardProcess:
     )
 
 
-def expected_backward_induction(mdp: FiniteMdp) -> tuple[Fraction, DeterministicPolicy]:
-    """Optimal expected total reward and an argmax Markov policy.
+def _backward_induction(mdp: FiniteMdp, candidates) -> tuple[Fraction, tuple[dict, ...]]:
+    """Value under mu0 and per-epoch rules of the best of ``candidates(t, x)``, earliest on ties.
 
-    Ties are broken toward the earliest action in the state's action
-    list, so the returned policy is deterministic and reproducible.  One
-    formula serves both reward conventions: an SA instance returns
+    One formula serves both reward conventions: an SA instance returns
     ``r'(x, a)`` for every successor, and each kernel row sums to 1.
     """
     u = list(mdp.salvage)
     rules: list[dict[int, Action]] = []
-    for _ in range(mdp.horizon):
+    for t in reversed(range(mdp.horizon)):
+        acts = [candidates(t, x) for x in range(mdp.n_states)]
         qs = [[sum((p * (mdp.reward(x, a, y) + u[y]) for y, p in mdp.transitions(x, a)), ZERO)
-               for a in acts] for x, acts in enumerate(mdp.actions)]
+               for a in row] for x, row in enumerate(acts)]
         u = [max(q) for q in qs]
-        rules.insert(0, {x: acts[q.index(u[x])]
-                         for x, (acts, q) in enumerate(zip(mdp.actions, qs))})
-    value = sum((p * u[x] for x, p in enumerate(mdp.mu0)), ZERO)
-    return value, DeterministicPolicy(rules=tuple(rules), stationary=False)
+        rules.insert(0, {x: row[q.index(v)] for x, (row, q, v) in enumerate(zip(acts, qs, u))})
+    return sum((p * u[x] for x, p in enumerate(mdp.mu0)), ZERO), tuple(rules)
+
+
+def expected_backward_induction(mdp: FiniteMdp) -> tuple[Fraction, DeterministicPolicy]:
+    """Optimal expected total reward and an argmax Markov policy.
+
+    Ties are broken toward the earliest action in the state's action
+    list, so the returned policy is deterministic and reproducible.
+    """
+    value, rules = _backward_induction(mdp, lambda t, x: mdp.actions[x])
+    return value, DeterministicPolicy(rules=rules, stationary=False)
 
 
 def evaluate_policy(mdp: FiniteMdp, policy: DeterministicPolicy) -> Fraction:
     """Expected total reward of a fixed (Markov or stationary) policy."""
     check_policy(mdp, policy)
-    u = list(mdp.salvage)
-    for t in reversed(range(mdp.horizon)):
-        nu = []
-        for x in range(mdp.n_states):
-            a = policy.action(t, x)
-            nu.append(sum((p * (mdp.reward(x, a, y) + u[y])
-                           for y, p in mdp.transitions(x, a)), ZERO))
-        u = nu
-    return sum((p * u[x] for x, p in enumerate(mdp.mu0)), ZERO)
+    return _backward_induction(mdp, lambda t, x: (policy.action(t, x),))[0]
 
 
 def propagate_masses(mu0: Sequence[Fraction], horizon: int, step, final,

@@ -1,4 +1,4 @@
-"""Simulation oracle: seeded trajectory sampling and CDF distances.
+"""Simulation oracle: seeded trajectory sampling.
 
 Serves as the independent check on both the exact short-horizon
 distributions and the long-horizon estimates.  Sampling runs the numpy
@@ -8,31 +8,11 @@ kernel of ``_kernels`` and is reproducible bit-exactly from the seed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import simulate_totals
 from .errors import PreconditionError
 from .mdp import MarkovRewardProcess
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical distribution of simulated total rewards."""
-
-    samples: np.ndarray  # sorted, float64
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    def evaluate(self, tau) -> float:
-        return float(np.searchsorted(self.samples, tau, side="right")) / self.n
-
-    def evaluate_many(self, taus) -> np.ndarray:
-        return np.searchsorted(self.samples, np.asarray(taus), side="right") / self.n
 
 
 def _float_arrays(mrp: MarkovRewardProcess):
@@ -54,8 +34,8 @@ def _float_arrays(mrp: MarkovRewardProcess):
 
 
 def simulate(mrp: MarkovRewardProcess, samples: int, seed: int,
-             n_steps: int | None = None) -> EmpiricalCdf:
-    """Sample iid trajectories and return the empirical total-reward CDF.
+             n_steps: int | None = None) -> np.ndarray:
+    """Sample iid trajectories and return their total rewards, sorted.
 
     Totals follow the process's own reward convention (state or
     transition rewards, final-epoch collection, salvage).  ``n_steps``
@@ -73,21 +53,5 @@ def simulate(mrp: MarkovRewardProcess, samples: int, seed: int,
         state_reward=state, trans_reward=trans,
         include_final=mrp.include_final_reward, salvage=salvage)
     totals.sort()
-    return EmpiricalCdf(samples=totals, seed=int(seed))
+    return totals
 
-
-def _as_callable(cdf):
-    if callable(cdf):
-        return cdf
-    if hasattr(cdf, "evaluate"):
-        return cdf.evaluate
-    raise PreconditionError(f"ks_distance: {type(cdf).__name__} is not CDF-like")
-
-
-def ks_distance(a, b, grid) -> float:
-    """Max over the grid of |a(tau) - b(tau)|; symmetric in its arguments."""
-    grid = list(np.atleast_1d(np.asarray(grid, dtype=float)))
-    if not grid:
-        raise PreconditionError("ks_distance: empty grid")
-    fa, fb = _as_callable(a), _as_callable(b)
-    return max(abs(float(fa(t)) - float(fb(t))) for t in grid)

@@ -66,18 +66,21 @@ def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront
     slice.  At each grid point the stored value is ``1 - eta(tau)``, the
     complement of the best exceedance probability; the witness there is
     the tie-broken optimal threshold policy, whose left limit
-    ``P(total < tau)`` attains the value.  Witnesses are deduplicated and
-    numbered in order of first appearance along the grid.
+    ``P(total < tau)`` attains the value.  Witnesses are deduplicated by
+    their tie-broken actions and numbered in order of first appearance
+    along the grid; each distinct witness is listed once.
     """
     aug = build_augmented(mdp, max_states=max_states)
     grid = tuple(Fraction(n, aug.scale) for n in sorted(set(aug.totals)))
     solutions = solve_thresholds(aug, grid)
-    ids: dict[str, int] = {}
-    witness = tuple(ids.setdefault(sol.listing(mdp.states), len(ids))
+    ids: dict[tuple, int] = {}
+    witness = tuple(ids.setdefault(tuple(ties[0] for sets in sol.argmax for ties in sets),
+                                   len(ids))
                     for sol in solutions)
     return ParetoFront(kind="exact", grid=grid,
                        value=tuple(1 - sol.eta for sol in solutions), witness=witness,
-                       policies={pid: text for text, pid in ids.items()})
+                       policies={pid: sol.listing(mdp.states)
+                                 for pid, sol in dict(zip(witness, solutions)).items()})
 
 
 def _eta_exact(front: ParetoFront, tau: Fraction) -> Fraction:

@@ -13,13 +13,14 @@ Accounting: the original total over a horizon of ``N`` epochs has ``N``
 transition-reward terms.  The transformed chain has horizon ``N - 1``
 but collects its state reward at every epoch including the last
 (``include_final_reward``), which is again ``N`` terms and makes the
-two total-reward distributions identical, exactly.
+two total-reward distributions identical, exactly.  Salvage carries
+over as ``v((x, y)) = v(y)``: the pair chain ends in ``(X_{N-1}, X_N)``,
+so it pays exactly the original ``v(X_N)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,6 @@ class TransformedMrp(MarkovRewardProcess):
     """State-rewarded pair chain; ``pairs[i]`` is the (x, y) behind state i."""
 
     pairs: tuple[tuple[int, int], ...] = ()
-    source_states: tuple[str, ...] = ()
 
 
 def pair_chain(P: np.ndarray, R: np.ndarray, start: np.ndarray):
@@ -91,17 +91,5 @@ def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
         salvage=salvage,
         include_final_reward=True,
         pairs=tuple(pairs),
-        source_states=mrp.states,
     )
 
-
-def transformed_salvage(mrp: MarkovRewardProcess, salvage) -> TransformedMrp:
-    """Transform with an explicit terminal value ``v`` over the original states.
-
-    The pair chain ends in ``(X_{N-1}, X_N)``, so ``v((x, y)) = v(y)``
-    contributes exactly the original salvage ``v(X_N)``.
-    """
-    salvage = tuple(Fraction(v) for v in salvage)
-    if len(salvage) != mrp.n_states:
-        raise PreconditionError("transformed_salvage: salvage length must match states")
-    return transform(replace(mrp, salvage=salvage))

@@ -1,15 +1,31 @@
-"""Shared fixtures: paper presets and exact-rational random instance generators."""
+"""Shared fixtures: paper presets, exact-rational random instance generators,
+and test-only helpers: CDF distances and derived quantities of library objects."""
 
+import math
+import os
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from varmdp import (FiniteMdp, MarkovRewardProcess, paper_short,
-                    paper_short_printed, simplify_reward)
+from varmdp import (FiniteMdp, MarkovRewardProcess, PreconditionError, StepCdf,
+                    paper_short, paper_short_printed, simplify_reward, transform)
+from varmdp.edgeworth import normal_cdf
 
 ZERO = Fraction(0)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_child_path():
+    """Child interpreters of the CLI tests import varmdp from this checkout too."""
+    with pytest.MonkeyPatch.context() as mp:
+        paths = [SRC, os.environ.get("PYTHONPATH")]
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        yield
 
 
 @pytest.fixture(scope="session")
@@ -101,3 +117,59 @@ def random_ergodic_chain(seed: int, n: int):
     P /= P.sum(axis=1, keepdims=True)
     r = gen.uniform(-2.0, 2.0, size=n)
     return P, r
+
+
+def empirical_cdf(totals: np.ndarray):
+    """Right-continuous empirical CDF of sorted simulated totals, elementwise in tau."""
+    return lambda tau: np.searchsorted(totals, tau, side="right") / len(totals)
+
+
+def step_cdf(dist: StepCdf):
+    """Float CDF of an exact distribution; a float tau is read as its exact decimal."""
+    def cdf(tau) -> float:
+        if isinstance(tau, float):
+            tau = Fraction(repr(float(tau)))  # exact decimal, also for numpy scalars
+        return float(dist.cdf(tau))
+    return cdf
+
+
+def as_cdf(cdf):
+    """A CDF callable from a callable, a ``StepCdf`` or sorted simulated totals."""
+    if callable(cdf):
+        return cdf
+    if isinstance(cdf, StepCdf):
+        return step_cdf(cdf)
+    if isinstance(cdf, np.ndarray):
+        return empirical_cdf(cdf)
+    raise PreconditionError(f"ks_distance: {type(cdf).__name__} is not CDF-like")
+
+
+def ks_distance(a, b, grid) -> float:
+    """Max over the grid of |a(tau) - b(tau)|; symmetric in its arguments."""
+    grid = list(np.atleast_1d(np.asarray(grid, dtype=float)))
+    if not grid:
+        raise PreconditionError("ks_distance: empty grid")
+    fa, fb = as_cdf(a), as_cdf(b)
+    return max(abs(float(fa(t)) - float(fb(t))) for t in grid)
+
+
+def step_mean(dist: StepCdf) -> Fraction:
+    return sum((s * p for s, p in zip(dist.support, dist.prob)), ZERO)
+
+
+def reward_term_count(mrp: MarkovRewardProcess) -> int:
+    """Number of reward summands in the total reward."""
+    if mrp.reward_on == "state" and mrp.include_final_reward:
+        return mrp.horizon + 1
+    return mrp.horizon
+
+
+def normal_reference(cdf, tau):
+    """The plain normal limit with an ``EdgeworthCdf``'s mean and scale (no correction)."""
+    scale = cdf.sigma * math.sqrt(cdf.n_steps)
+    return normal_cdf((np.asarray(tau, dtype=float) - cdf.n_steps * cdf.zeta) / scale)
+
+
+def transformed_salvage(mrp: MarkovRewardProcess, salvage):
+    """Pair-state transform with an explicit terminal value over the original states."""
+    return transform(replace(mrp, salvage=tuple(Fraction(v) for v in salvage)))

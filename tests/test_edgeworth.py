@@ -20,7 +20,7 @@ from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityErro
                     query_rho, simplify_reward, simulate, spectral_data,
                     stationary_distribution, third_moment_constant)
 
-from conftest import random_ergodic_chain, random_mdp
+from conftest import empirical_cdf, normal_reference, random_ergodic_chain, random_mdp
 
 F = Fraction
 
@@ -243,8 +243,8 @@ class TestAsymptoticVariance:
         P, r, mu0, mrp = printed_chain
         data = spectral_data(P, r)
         n_steps, paths = 10_000, 100_000
-        ecdf = simulate(mrp, samples=paths, seed=424_242, n_steps=n_steps)
-        empirical = ecdf.samples.var() / n_steps
+        totals = simulate(mrp, samples=paths, seed=424_242, n_steps=n_steps)
+        empirical = totals.var() / n_steps
         assert empirical == pytest.approx(data.sigma2, rel=0.05)
 
 
@@ -343,7 +343,7 @@ class TestEstimateCdf:
             scale = cdf.sigma * math.sqrt(n)
             taus = n * cdf.zeta + np.linspace(-8.0, 8.0, 2001) * scale
             sups.append(float(np.abs(cdf.evaluate(taus)
-                                     - cdf.normal_reference(taus)).max()))
+                                     - normal_reference(cdf, taus)).max()))
         assert sups[0] > sups[1] > sups[2]
         root10 = math.sqrt(10.0)
         for a, b in zip(sups, sups[1:]):
@@ -440,8 +440,8 @@ class TestParetoFrontLong:
         front = pareto_front_long(mdp, n, taus)
         empirical = [simulate(ch, samples=120_000, seed=50 + i)
                      for i, ch in enumerate(chains)]
-        mc_min = np.minimum(empirical[0].evaluate_many(taus),
-                            empirical[1].evaluate_many(taus))
+        mc_min = np.minimum(empirical_cdf(empirical[0])(taus),
+                            empirical_cdf(empirical[1])(taus))
         assert np.abs(np.asarray(front.value) - mc_min).max() <= 0.02
 
     def test_non_ergodic_policy_skipped_with_warning(self, caplog):

@@ -8,12 +8,12 @@ from itertools import product
 import pytest
 
 from varmdp import (BudgetExceededError, DeterministicPolicy, FiniteMdp,
-                    MarkovRewardProcess, PreconditionError, StepCdf,
+                    MarkovRewardProcess, PreconditionError, StepCdf, ValidationError,
                     augmented_policy_distribution, build_augmented,
                     exact_total_reward_distribution, expected_backward_induction,
                     evaluate_policy, induced_mrp, simplify_reward)
 
-from conftest import random_mdp, random_transition_mrp
+from conftest import random_mdp, random_transition_mrp, step_mean
 
 F = Fraction
 
@@ -209,7 +209,7 @@ class TestExactDistribution:
     def test_mean_matches_optimal_value(self, short_sas):
         value, policy = expected_backward_induction(short_sas)
         dist = exact_total_reward_distribution(short_sas, policy)
-        assert dist.mean() == value == F(105, 16)
+        assert step_mean(dist) == value == F(105, 16)
 
     def test_frozen_supports_under_optimal_policy(self, short_sas, short_sa):
         _, policy = expected_backward_induction(short_sas)
@@ -220,7 +220,7 @@ class TestExactDistribution:
         assert sa.support == (F(4), F(5), F(6), F(7), F(8), F(9))
         assert sa.prob == (F(3, 16), F(1, 16), F(1, 8), F(5, 16), F(1, 4), F(1, 16))
         assert sas != sa          # averaging changes the distribution
-        assert sas.mean() == sa.mean()
+        assert step_mean(sas) == step_mean(sa)
 
     def test_against_independent_enumeration(self, short_sas, short_sa):
         _, policy = expected_backward_induction(short_sas)
@@ -257,7 +257,7 @@ class TestExactDistribution:
             rule = {x: rng.choice(mdp.actions[x]) for x in range(3)}
             policy = DeterministicPolicy.from_stationary(rule)
             dist = exact_total_reward_distribution(mdp, policy)
-            assert dist.mean() == evaluate_policy(mdp, policy)
+            assert step_mean(dist) == evaluate_policy(mdp, policy)
 
     def test_constant_destination_rewards_give_identical_cdfs(self):
         rng = random.Random(42)
@@ -341,3 +341,40 @@ class TestForwardPropagation:
                           for t in range(mdp.horizon))
             assert augmented_policy_distribution(mdp, rules) == \
                 exact_total_reward_distribution(mdp, policy)
+
+
+class TestValidation:
+    """Malformed models are refused at construction, naming the field."""
+
+    @staticmethod
+    def chain(**fields) -> MarkovRewardProcess:
+        third = F(1, 3)
+        base = dict(horizon=2, states=("a", "b", "c"), kernel=((third,) * 3,) * 3,
+                    reward_on="state", state_reward=(F(1), F(2), F(3)),
+                    transition_reward=None, mu0=(third,) * 3, salvage=(F(0),) * 3)
+        return MarkovRewardProcess(**{**base, **fields})
+
+    @pytest.mark.parametrize("name, values", [
+        ("mu0", (F(1),)), ("state_reward", (F(1), F(2))), ("salvage", (F(0), F(0)))])
+    def test_mrp_per_state_lengths(self, name, values):
+        self.chain()
+        with pytest.raises(ValidationError, match=f"^{name}: {len(values)} entries for 3"):
+            self.chain(**{name: values})
+
+    @staticmethod
+    def mdp(rows) -> FiniteMdp:
+        return FiniteMdp(
+            horizon=1, states=("a", "b"), actions=((0,), (0,)),
+            kernel={(0, 0): rows, (1, 0): ((1, F(1)),)}, reward_kind="sa",
+            sas_reward=None, sa_reward={(0, 0): F(1), (1, 0): F(0)},
+            mu0=(F(1), F(0)), salvage=(F(0), F(1)))
+
+    @pytest.mark.parametrize("y", [2, 5, -1])
+    def test_mdp_successor_outside_states(self, y):
+        self.mdp(((1, F(1)),))
+        with pytest.raises(ValidationError, match=r"kernel row \(a, 0\): successor index"):
+            self.mdp(((y, F(1)),))
+
+    def test_mdp_duplicate_successor(self):
+        with pytest.raises(ValidationError, match=r"kernel row \(a, 0\): successor listed twice"):
+            self.mdp(((0, F(1, 2)), (0, F(1, 2))))

@@ -8,10 +8,11 @@ import pytest
 from scipy.special import ndtr
 
 from varmdp import (DeterministicPolicy, MarkovRewardProcess, PreconditionError,
-                    exact_total_reward_distribution, induced_mrp, ks_distance,
-                    simulate, transform)
+                    exact_total_reward_distribution, induced_mrp, simulate, transform)
 from varmdp import _kernels
 from varmdp._kernels import _GOLD, _mix, simulate_totals
+
+from conftest import empirical_cdf, ks_distance
 
 F = Fraction
 _INV53 = 2.0 ** -53
@@ -32,37 +33,37 @@ def printed_chain_mrp(printed_sas):
 
 class TestSimulate:
     def test_deterministic_chain_single_value(self):
-        ecdf = simulate(deterministic_chain(), samples=500, seed=1)
+        totals = simulate(deterministic_chain(), samples=500, seed=1)
         # path: a,b,b,b,b -> rewards 2,-1,-1,-1 plus salvage 5
-        assert np.all(ecdf.samples == 2 - 1 - 1 - 1 + 5)
+        assert np.all(totals == 2 - 1 - 1 - 1 + 5)
 
     def test_reproducible_from_seed(self, printed_chain_mrp):
         a = simulate(printed_chain_mrp, samples=5000, seed=99)
         b = simulate(printed_chain_mrp, samples=5000, seed=99)
         c = simulate(printed_chain_mrp, samples=5000, seed=100)
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_empirical_matches_exact_short_horizon(self, printed_chain_mrp):
         # step-vs-step: both CDFs are constant between support points, so the
         # sup distance is attained on the exact support grid
         exact = exact_total_reward_distribution(printed_chain_mrp)
-        ecdf = simulate(printed_chain_mrp, samples=1_000_000, seed=2024)
+        totals = simulate(printed_chain_mrp, samples=1_000_000, seed=2024)
         grid = [float(s) for s in exact.support]
         # at 1e6 samples the two-sided DKW bound at 95% is about 0.0014
-        assert ks_distance(exact, ecdf, grid) <= 0.005
+        assert ks_distance(exact, totals, grid) <= 0.005
 
     def test_transformed_and_original_agree(self, printed_chain_mrp):
         orig = simulate(printed_chain_mrp, samples=200_000, seed=31)
         trans = simulate(transform(printed_chain_mrp), samples=200_000, seed=77)
-        grid = np.unique(orig.samples)
-        assert ks_distance(orig.evaluate, trans.evaluate, grid) <= 0.01
+        grid = np.unique(orig)
+        assert ks_distance(empirical_cdf(orig), empirical_cdf(trans), grid) <= 0.01
 
     def test_salvage_and_final_epoch_accounting(self, printed_chain_mrp):
         exact = exact_total_reward_distribution(transform(printed_chain_mrp))
-        ecdf = simulate(transform(printed_chain_mrp), samples=300_000, seed=5)
+        totals = simulate(transform(printed_chain_mrp), samples=300_000, seed=5)
         grid = [float(s) for s in exact.support]
-        assert ks_distance(exact, ecdf, grid) <= 0.005
+        assert ks_distance(exact, totals, grid) <= 0.005
 
     def test_invalid_sample_count(self, printed_chain_mrp):
         with pytest.raises(PreconditionError):
@@ -135,7 +136,7 @@ class TestIntegerPick:
     CASES = [  # (state rewards, include_final, salvage)
         (True, True, True), (True, False, False), (False, False, True), (False, False, False)]
 
-    def assert_kernel_matches(self, cum, mu0, rng, n_steps, n_samples, seed, block=1 << 17):
+    def assert_kernel_matches(self, cum, mu0, rng, n_steps, n_samples, seed):
         n = cum.shape[0]
         for on_state, final, with_salvage in self.CASES:
             rewards = dict(
@@ -143,8 +144,7 @@ class TestIntegerPick:
                 trans_reward=None if on_state else rng.normal(size=(n, n)),
                 include_final=final,
                 salvage=rng.normal(size=n) if with_salvage else None)
-            got = simulate_totals(cum, mu0, n_steps, n_samples, seed, block=block,
-                                  **rewards)
+            got = simulate_totals(cum, mu0, n_steps, n_samples, seed, **rewards)
             want = reference_totals(cum, mu0, n_steps, n_samples, seed, **rewards)
             assert np.array_equal(got, want)
 
@@ -160,14 +160,15 @@ class TestIntegerPick:
                                            int(rng.integers(2**63)))
         assert over_one  # the rounded-over prefixes were exercised
 
-    def test_subnormal_dyadic_and_block_boundary(self):
+    def test_subnormal_dyadic_and_block_boundary(self, monkeypatch):
         rng = np.random.default_rng(7)
         cum = np.cumsum([[5e-324, 0.25, 0.0, 0.75 - 5e-324],
                          [0.5, 0.0, 0.25, 0.25],
                          [1 / 3, 0.0, 1 / 3, 1 / 3],
                          [0.0, 0.0, 0.0, 1.0]], axis=1)
         cum[:, -1] = 1.0
-        self.assert_kernel_matches(cum, cum[2], rng, 12, 2500, 11, block=1000)
+        monkeypatch.setattr(_kernels, "_BLOCK", 1000)
+        self.assert_kernel_matches(cum, cum[2], rng, 12, 2500, 11)
 
     def test_small_guide_tables_fall_back_exactly(self, monkeypatch):
         rng = np.random.default_rng(99)
@@ -229,9 +230,9 @@ class TestKsDistance:
 
     def test_symmetry_and_objects(self, printed_chain_mrp):
         exact = exact_total_reward_distribution(printed_chain_mrp)
-        ecdf = simulate(printed_chain_mrp, samples=10_000, seed=3)
-        grid = np.unique(ecdf.samples)
-        assert ks_distance(exact, ecdf, grid) == ks_distance(ecdf, exact, grid)
+        totals = simulate(printed_chain_mrp, samples=10_000, seed=3)
+        grid = np.unique(totals)
+        assert ks_distance(exact, totals, grid) == ks_distance(totals, exact, grid)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(PreconditionError, match="grid"):

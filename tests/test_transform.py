@@ -9,9 +9,9 @@ import pytest
 
 from varmdp import (DeterministicPolicy, MarkovRewardProcess, PreconditionError,
                     exact_total_reward_distribution, induced_mrp,
-                    stationary_distribution, transform, transformed_salvage)
+                    stationary_distribution, transform)
 
-from conftest import random_transition_mrp
+from conftest import random_transition_mrp, reward_term_count, transformed_salvage
 
 F = Fraction
 
@@ -37,7 +37,7 @@ class TestStructure:
         t = transform(chain)
         assert t.horizon == chain.horizon - 1
         assert t.include_final_reward
-        assert t.reward_term_count == chain.horizon
+        assert reward_term_count(t) == chain.horizon
 
     def test_initial_mass_splits_over_first_transition(self, printed_sas):
         pol = DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0})
