@@ -24,8 +24,7 @@ from .inventory import (InventoryParams, build_inventory, paper_long, paper_shor
                         paper_short_printed)
 from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, StepCdf,
                   check_policy, evaluate_policy, exact_total_reward_distribution,
-                  expected_backward_induction, induced_mrp, restrict_to_reachable,
-                  simplify_reward)
+                  expected_backward_induction, induced_mrp, simplify_reward)
 from .montecarlo import simulate
 from .pareto import ParetoFront, pareto_front_exact, query_eta, query_rho
 from .rationals import format_rational, parse_rational
@@ -47,7 +46,7 @@ __all__ = [
     "format_rational", "induced_mrp", "paper_long",
     "paper_short", "paper_short_printed", "pareto_front_exact", "pareto_front_long",
     "parse_rational", "policy_chain", "query_eta", "query_rho",
-    "restrict_to_reachable", "simplify_reward", "simulate",
+    "simplify_reward", "simulate",
     "solve_threshold_var", "solve_thresholds", "spectral_data", "stationary_distribution",
     "third_moment_constant", "transform",
 ]

@@ -20,8 +20,7 @@ Each row has at most ``S - 1`` thresholds, so at most ``(S - 1) / 2**B``
 of its draws fall back.  ``B`` is ``ceil(log2 S) + 7``, lowered until the
 table has at most ``_GUIDE_CELLS`` cells; any ``B``, down to 0, is exact.
 The start state is picked from ``mu0`` through the same table, as an
-extra row.  A state reward is the transition reward ``R[x, y] = r[x]``,
-so one loop body serves both reward conventions.
+extra row.
 """
 
 from __future__ import annotations
@@ -104,24 +103,17 @@ def _guide_pick(guide, offset, k):
     return nxt, w
 
 
-def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, state_reward=None,
-                    trans_reward=None, include_final=False, salvage=None) -> np.ndarray:
+def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, step_reward,
+                    final=()) -> np.ndarray:
     """Draw total rewards for ``n_samples`` trajectories of ``n_steps`` epochs.
 
-    Exactly one of ``state_reward`` (length-S vector, collected on the
-    visited state each epoch, optionally also at the final state) and
-    ``trans_reward`` (SxS matrix, collected per transition) must be set.
+    A move from ``x`` to ``y`` pays ``step_reward[x, y]``; then each
+    per-state vector of ``final`` is added at the last state, in order.
     """
-    if (state_reward is None) == (trans_reward is None):
-        raise PreconditionError("simulate_totals: exactly one reward table required")
     if n_samples < 1:
         raise PreconditionError("simulate_totals: samples must be >= 1")
     seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     n = cum.shape[0]
-    if state_reward is not None:
-        step_reward = np.broadcast_to(state_reward[:, None], (n, n))
-    else:
-        step_reward = trans_reward
     guide = _guide(cum, mu0_cum, step_reward)
     out = np.empty(n_samples)
     with np.errstate(over="ignore"):
@@ -137,9 +129,7 @@ def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, state_reward=None
                 row, w = _guide_pick(guide, row, k)
                 tot += w
             x = row >> guide.bits
-            if state_reward is not None and include_final:
-                tot += state_reward[x]
-            if salvage is not None:
-                tot += salvage[x]
+            for terminal in final:
+                tot += terminal[x]
             out[lo:hi] = tot
     return out

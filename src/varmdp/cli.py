@@ -4,7 +4,8 @@ Subcommands cover the whole pipeline: instance generation, expected-value
 solving, exact distributions, threshold percentiles, exact and estimated
 Pareto fronts, the pair-state transformation, CDF estimation, seeded
 simulation, and CDF comparison.  Outputs are deterministic given inputs
-and seeds; files are written atomically.
+and seeds.  A regular output file is replaced atomically, keeping its
+mode; a FIFO or device is written in place.
 
 Exit codes: 0 success, 2 parse/validation error, 3 precondition
 violation, 4 budget refusal, 5 ergodicity/degeneracy error.
@@ -17,6 +18,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -65,12 +67,20 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".varmdp-")
+    target = os.path.realpath(path)  # a symlink is written through
+    if os.path.exists(target) and not os.path.isfile(target):  # a FIFO or a device
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = os.stat(target).st_mode if os.path.exists(target) else 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".varmdp-")
     try:
+        os.fchmod(fd, stat.S_IMODE(mode))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -124,7 +134,8 @@ def _load_policy(path: str, mdp) -> DeterministicPolicy:
     rules = []
     for i, rule in enumerate(raw):
         if not isinstance(rule, dict):
-            raise ValidationError("policy: each rule must map state name to action")
+            raise ValidationError(f"policy.rules[{i}]: expected an object mapping "
+                                  f"state names to actions")
         rules.append({state_index(mdp.states, k, f"policy.rules[{i}]"): v
                       for k, v in rule.items()})
     stationary = doc.get("stationary", len(raw) == 1)
@@ -261,12 +272,16 @@ def _read_cdf_csv(path: str):
                 if name in header:
                     vi = header.index(name)
                     break
+        elif "quantile" in header and "value" in header:  # simulate: F(value) = quantile
+            ti, vi = header.index("value"), header.index("quantile")
         taus = np.array([float(r[ti]) for r in rows[1:]])
         vals = np.array([float(r[vi]) for r in rows[1:]])
     except (ValueError, IndexError) as exc:
         raise ValidationError(f"{path}: cannot parse CDF columns ({exc})") from exc
-    order = np.argsort(taus)
-    return taus[order], vals[order]
+    points, inverse = np.unique(taus, return_inverse=True)  # a repeated tau keeps its top value
+    top = np.full(len(points), -np.inf)
+    np.maximum.at(top, inverse, vals)
+    return points, top
 
 
 def cmd_compare(args) -> int:

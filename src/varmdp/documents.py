@@ -28,9 +28,9 @@ MDP_SCHEMA = "mdp-v1"
 MRP_SCHEMA = "mrp-v1"
 
 
-def _require(doc: dict, field: str):
+def _require(doc: dict, field: str, where: str = "document"):
     if field not in doc:
-        raise ValidationError(f"document: missing field {field!r}")
+        raise ValidationError(f"{where}: missing field {field!r}")
     return doc[field]
 
 
@@ -86,24 +86,24 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
     sas: dict = {}
     sa: dict = {}
     for i, row in enumerate(rows):
+        where = f"transitions[{i}]"
         if not isinstance(row, dict):
-            raise ValidationError(f"transitions[{i}]: expected an object")
-        x = state_index(states, _require(row, "x"), f"transitions[{i}].x")
-        y = state_index(states, _require(row, "y"), f"transitions[{i}].y")
-        a = _require(row, "a")
+            raise ValidationError(f"{where}: expected an object")
+        x = state_index(states, _require(row, "x", where), f"{where}.x")
+        y = state_index(states, _require(row, "y", where), f"{where}.y")
+        a = _require(row, "a", where)
         if a not in actions[x]:
-            raise ValidationError(
-                f"transitions[{i}]: action {a!r} not declared at state {states[x]}")
-        p = parse_rational(_require(row, "p"), f"transitions[{i}].p")
-        r = parse_rational(_require(row, "r"), f"transitions[{i}].r")
+            raise ValidationError(f"{where}.a: action {a!r} not declared at state {states[x]}")
+        p = parse_rational(_require(row, "p", where), f"{where}.p")
+        r = parse_rational(_require(row, "r", where), f"{where}.r")
         if (x, a, y) in sas:
-            raise ValidationError(f"transitions[{i}]: duplicate (x, a, y) entry")
+            raise ValidationError(f"{where}: duplicate (x, a, y) entry")
         kernel_acc.setdefault((x, a), []).append((y, p))
         sas[(x, a, y)] = r
         if reward_kind == "sa":
             if (x, a) in sa and sa[(x, a)] != r:
                 raise ValidationError(
-                    f"transitions[{i}].r: state-action reward differs within group "
+                    f"{where}.r: state-action reward differs within group "
                     f"({states[x]}, {a!r})")
             sa[(x, a)] = r
     kernel = {key: tuple(sorted(rows_)) for key, rows_ in kernel_acc.items()}
@@ -153,17 +153,19 @@ def mrp_from_document(doc: dict) -> MarkovRewardProcess:
         raise ValidationError("transitions: expected a nonempty list")
     kernel = [[ZERO] * n for _ in range(n)]
     trans_reward: dict = {}
+    seen: set = set()
     for i, row in enumerate(rows):
+        where = f"transitions[{i}]"
         if not isinstance(row, dict):
-            raise ValidationError(f"transitions[{i}]: expected an object")
-        x = state_index(states, _require(row, "x"), f"transitions[{i}].x")
-        y = state_index(states, _require(row, "y"), f"transitions[{i}].y")
-        if kernel[x][y] != 0:
-            raise ValidationError(f"transitions[{i}]: duplicate (x, y) entry")
-        kernel[x][y] = parse_rational(_require(row, "p"), f"transitions[{i}].p")
+            raise ValidationError(f"{where}: expected an object")
+        x = state_index(states, _require(row, "x", where), f"{where}.x")
+        y = state_index(states, _require(row, "y", where), f"{where}.y")
+        if (x, y) in seen:
+            raise ValidationError(f"{where}: duplicate (x, y) entry")
+        seen.add((x, y))
+        kernel[x][y] = parse_rational(_require(row, "p", where), f"{where}.p")
         if reward_on == "transition":
-            trans_reward[(x, y)] = parse_rational(_require(row, "r"),
-                                                  f"transitions[{i}].r")
+            trans_reward[(x, y)] = parse_rational(_require(row, "r", where), f"{where}.r")
     state_reward = None
     if reward_on == "state":
         state_reward = _aligned_rationals(doc, "state_rewards", n)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
 
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError)
 from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, bfs_levels,
-                  induced_mrp, restrict_to_reachable)
+                  induced_mrp)
 from .pareto import ParetoFront
 from .transform import pair_chain, transform
 
@@ -275,14 +275,18 @@ def policy_chain(mdp: FiniteMdp, policy: DeterministicPolicy) -> MarkovRewardPro
     """Induced chain of a stationary policy, prepared for long-horizon estimation.
 
     Salvage is dropped (a bounded terminal term is negligible at long
-    horizons and the estimator does not model it), the chain is
-    restricted to states reachable from the start, and SAS instances are
-    routed through the pair-state transformation.
+    horizons and the estimator does not model it).  SAS instances are
+    routed through the pair-state transformation, which keeps only the
+    pairs reachable from the start; SA chains keep the reachable states.
     """
-    mrp = restrict_to_reachable(induced_mrp(mdp, policy, keep_salvage=False))
+    mrp = replace(induced_mrp(mdp, policy), salvage=None)
     if mrp.reward_on == "transition":
         return transform(mrp)
-    return mrp
+    keep = np.flatnonzero(bfs_levels(np.array(mrp.kernel) > 0, np.array(mrp.mu0) > 0) >= 0)
+    return replace(mrp, states=tuple(mrp.states[x] for x in keep),
+                   kernel=tuple(tuple(mrp.kernel[x][y] for y in keep) for x in keep),
+                   state_reward=tuple(mrp.state_reward[x] for x in keep),
+                   mu0=tuple(mrp.mu0[x] for x in keep))
 
 
 @dataclass(frozen=True)

@@ -263,12 +263,11 @@ def simplify_reward(mdp: FiniteMdp) -> FiniteMdp:
     return replace(mdp, reward_kind="sa", sas_reward=None, sa_reward=sa)
 
 
-def induced_mrp(mdp: FiniteMdp, policy: DeterministicPolicy,
-                keep_salvage: bool = True) -> MarkovRewardProcess:
+def induced_mrp(mdp: FiniteMdp, policy: DeterministicPolicy) -> MarkovRewardProcess:
     """Fix a stationary policy, yielding a Markov reward process.
 
     SAS instances induce a transition-rewarded chain, SA instances a
-    state-rewarded one; ``mu0`` and the horizon carry over.
+    state-rewarded one; ``mu0``, the horizon and the salvage carry over.
     """
     if not policy.stationary:
         raise PreconditionError("induced_mrp: policy must be stationary")
@@ -295,7 +294,7 @@ def induced_mrp(mdp: FiniteMdp, policy: DeterministicPolicy,
         state_reward=None if mdp.is_sas else tuple(state_reward),
         transition_reward=trans_reward if mdp.is_sas else None,
         mu0=mdp.mu0,
-        salvage=mdp.salvage if keep_salvage else None,
+        salvage=mdp.salvage,
     )
 
 
@@ -313,30 +312,6 @@ def bfs_levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
         frontier = adjacency[frontier].any(axis=0) & (level < 0)
         level[frontier] = depth
     return level
-
-
-def restrict_to_reachable(mrp: MarkovRewardProcess) -> MarkovRewardProcess:
-    """Drop states unreachable from the support of mu0 (renormalization-free)."""
-    positive = np.array([[p > 0 for p in row] for row in mrp.kernel], dtype=bool)
-    levels = bfs_levels(positive, np.array([p > 0 for p in mrp.mu0], dtype=bool))
-    keep = np.nonzero(levels >= 0)[0].tolist()
-    if len(keep) == mrp.n_states:
-        return mrp
-    index = {x: i for i, x in enumerate(keep)}
-    return MarkovRewardProcess(
-        horizon=mrp.horizon,
-        states=tuple(mrp.states[x] for x in keep),
-        kernel=tuple(tuple(mrp.kernel[x][y] for y in keep) for x in keep),
-        reward_on=mrp.reward_on,
-        state_reward=None if mrp.state_reward is None
-        else tuple(mrp.state_reward[x] for x in keep),
-        transition_reward=None if mrp.transition_reward is None
-        else {(index[x], index[y]): r for (x, y), r in mrp.transition_reward.items()
-              if x in index and y in index},
-        mu0=tuple(mrp.mu0[x] for x in keep),
-        salvage=None if mrp.salvage is None else tuple(mrp.salvage[x] for x in keep),
-        include_final_reward=mrp.include_final_reward,
-    )
 
 
 def _backward_induction(mdp: FiniteMdp, candidates) -> tuple[Fraction, tuple[dict, ...]]:

@@ -105,32 +105,24 @@ def query_eta(front: ParetoFront, tau):
 def query_rho(front: ParetoFront, alpha):
     """Best threshold at exceedance level alpha: ``sup {tau : P(tau) <= 1 - alpha}``.
 
-    Exact step fronts use the sup-of-level-set reading; strictly
-    increasing estimated fronts invert the interpolated front, which is
-    the unique preimage.  Out-of-range levels return signed infinity.
+    The level set runs to the last grid point with value ``<= 1 - alpha``:
+    exact step fronts return that point, estimated fronts interpolate on
+    the segment after it.  Out-of-range levels return signed infinity.
     """
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise PreconditionError("alpha: must be finite")
-    if front.kind == "exact":
-        a = parse_rational(alpha, "alpha")
-        if a < 0 or a > 1:
-            raise PreconditionError(f"alpha: {a} outside [0, 1]")
-        if a == 0:
-            return math.inf
-        target = 1 - a
-        idx = bisect_right(front.value, target) - 1
-        if idx < 0:
-            return -math.inf
-        return front.grid[idx]
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
+    exact = front.kind == "exact"
+    a = parse_rational(alpha, "alpha") if exact else float(alpha)
+    if not 0 <= a <= 1:
         raise PreconditionError(f"alpha: {a} outside [0, 1]")
-    values = np.asarray(front.value, dtype=float)
-    if np.any(np.diff(values) <= 0):
-        raise PreconditionError("query_rho: estimated front is not strictly increasing")
-    target = 1.0 - a
-    if target < values[0]:
-        return -math.inf
-    if target > values[-1]:
+    if exact and a == 0:
         return math.inf
-    return float(np.interp(target, values, np.asarray(front.grid, dtype=float)))
+    target = 1 - a
+    idx = bisect_right(front.value, target) - 1
+    if idx < 0:
+        return -math.inf
+    if exact:
+        return front.grid[idx]
+    if idx == len(front.grid) - 1:
+        return float(front.grid[-1]) if target == front.value[-1] else math.inf
+    return float(np.interp(target, front.value[idx:idx + 2], front.grid[idx:idx + 2]))

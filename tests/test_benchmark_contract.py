@@ -55,17 +55,49 @@ def test_benchmark_imports_resolve():
             assert hasattr(module, name), f"{where}: {module_name}.{name}"
 
 
-def test_exact_layer_goldens_replay_in_process(tmp_path):
-    # every input variant of the exact-short workload, at the self-test sizes
+def replay(name: str, tmp_path) -> int:
+    """Run every variant of a workload at the self-test sizes through ``cli.main``.
+
+    Each output passes ``checks.Checker``: it matches its golden and its
+    witnesses re-evaluate.  A workload's KS pair stays within the limit.
+    """
     workloads, checks = load_by_path("workloads"), load_by_path("checks")
-    goldens = json.loads((VARBENCH / "goldens.json").read_text(encoding="utf-8"))["tiny"]
+    checker = checks.Checker(str(VARBENCH / "goldens.json"), "tiny")
     calls = 0
     for variant in range(workloads.POOL):
-        workload = workloads.build("exact-short", variant, str(tmp_path / f"v{variant}"),
+        workload = workloads.build(name, variant, str(tmp_path / f"{name}-v{variant}"),
                                    workloads.TINY)
+        texts = {}
         for call in workload.calls:
             assert main([call.command, *call.argv]) == 0, call.golden
-            text = Path(call.output).read_text(encoding="utf-8")
-            assert checks.extract(call.command, text) == goldens[call.golden], call.golden
+            texts[call.metric] = Path(call.output).read_text(encoding="utf-8")
+            side = call.side_output and Path(call.side_output).read_text(encoding="utf-8")
+            assert checker.check(call, texts[call.metric], side) == [], call.golden
             calls += 1
-    assert calls == 5 * workloads.POOL
+        if workload.ks_pair:
+            estimate, simulated = (texts[metric] for metric in workload.ks_pair)
+            assert checks.ks_from_outputs(estimate, simulated) <= checker.ks_limit
+    return calls
+
+
+def test_exact_layer_goldens_replay_in_process(tmp_path):
+    assert replay("exact-short", tmp_path) == 5 * load_by_path("workloads").POOL
+
+
+def test_estimate_and_simulation_goldens_replay_in_process(tmp_path):
+    # the first in-process runs of pareto-long's success path and of the simulate goldens
+    pool = load_by_path("workloads").POOL
+    assert replay("estimate-long", tmp_path) == 3 * pool
+    assert replay("mc-oracle", tmp_path) == 2 * pool
+
+
+def test_compare_reads_simulate_output(tmp_path, capsys):
+    workloads, checks = load_by_path("workloads"), load_by_path("checks")
+    workload = workloads.build("mc-oracle", 0, str(tmp_path), workloads.TINY)
+    for call in workload.calls:
+        assert main([call.command, *call.argv]) == 0
+    estimate, simulated = (call.output for call in workload.calls)
+    capsys.readouterr()
+    assert main(["compare", estimate, simulated]) == 0
+    distance = float(capsys.readouterr().out.split("=")[1])
+    assert 0 < distance <= checks.KS_LIMIT["tiny"]

@@ -1,9 +1,14 @@
 """Document round-trips and the command-line surface (exit codes, CSV shapes)."""
 
+import copy
 import csv
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -145,7 +150,7 @@ class TestCli:
         # induce a chain to a document via the library, then drive the CLI
         from varmdp import paper_long
         pol = DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0, 3: 0})
-        mrp = induced_mrp(paper_long(), pol, keep_salvage=False)
+        mrp = replace(induced_mrp(paper_long(), pol), salvage=None)
         mrp_doc.write_text(json.dumps(mrp_to_document(mrp)))
         assert run_cli("transform", str(mrp_doc), "-o", str(tdoc)) == 0
         tparsed = json.loads(tdoc.read_text())
@@ -264,6 +269,126 @@ def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
     assert field in capsys.readouterr().err
 
 
+DELETE = object()
+WRONG_TYPES = (None, "junk", {})  # JSON types that no field of any document takes here
+TRANS_MRP = {"horizon": 3, "states": ["a", "b"], "reward_on": "transition",
+             "transitions": [{"x": "a", "y": "b", "p": "1", "r": "1"},
+                             {"x": "b", "y": "a", "p": "1/2", "r": "2"},
+                             {"x": "b", "y": "b", "p": "1/2", "r": "3"}],
+             "mu0": ["1", "0"], "salvage": ["0", "1"]}
+
+
+def malformed_variants(doc, rows, optional=()):
+    """``(field, document)``: each field deleted or set to a value of a wrong JSON type.
+
+    The first entry of the ``rows`` list (an object) gets wrong types too,
+    and so do the fields of the first transition row.  ``optional`` fields may
+    be absent (``salvage`` may also be null); ``schema`` is never read.
+    """
+    def mutated(container, key, values):
+        for value in values:
+            bad = copy.deepcopy(doc)
+            target = {"doc": bad, "entry": bad[rows], "row": bad[rows][0]}[container]
+            if value is DELETE:
+                del target[key]
+            else:
+                target[key] = value
+            yield bad
+
+    for key in doc:
+        values = [v for v in (DELETE, *WRONG_TYPES) if key not in optional
+                  or not (v is DELETE or (key == "salvage" and v is None))]
+        yield from ((key, bad) for bad in mutated("doc", key, values) if key != "schema")
+    yield from ((f"{rows}[0]", bad) for bad in mutated("entry", 0, (None, "junk", [])))
+    if rows == "transitions":
+        for key in doc[rows][0]:
+            yield from ((f"{rows}[0].{key}", bad)
+                        for bad in mutated("row", key, (DELETE, *WRONG_TYPES)))
+
+
+def assert_exit_2_naming(run, cases):
+    """Every case exits 2 naming its field (a missing row field: the row and the key)."""
+    failures = []
+    for field, bad in cases:
+        code, err = run(bad)
+        row, _, key = field.rpartition(".")
+        named = field in err or (row and f"{row}: missing field {key!r}" in err)
+        if code != 2 or not named:
+            failures.append(f"{field}: exit {code}, {err.strip()!r}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("kind", ["mdp", "state-mrp", "transition-mrp", "policy"])
+def test_malformed_documents_fuzzed_exit_2_naming_field(tmp_path, capsys, short_sas, kind):
+    mdp_path = tmp_path / "mdp.json"
+    mdp_path.write_text(json.dumps(mdp_to_document(short_sas)))
+    path = tmp_path / "doc.json"
+    rows, optional = "transitions", ()
+    if kind == "mdp":
+        doc, argv = mdp_to_document(short_sas), ["solve-expected", str(path)]
+    elif kind == "policy":
+        rule = {name: acts[0] for name, acts in zip(short_sas.states, short_sas.actions)}
+        doc, rows, optional = {"rules": [rule], "stationary": True}, "rules", ("stationary",)
+        argv = ["dist-exact", str(mdp_path), "--policy", str(path)]
+    else:
+        doc = dict(STATE_MRP, salvage=["2"], include_final_reward=True) \
+            if kind == "state-mrp" else TRANS_MRP
+        optional = ("salvage", "include_final_reward")
+        argv = ["simulate", str(path), "--samples", "3", "--seed", "1"]
+    path.write_text(json.dumps(doc))
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+
+    def run(bad):
+        path.write_text(json.dumps(bad))
+        code = run_cli(*argv)
+        return code, capsys.readouterr().err
+
+    assert_exit_2_naming(run, malformed_variants(doc, rows, optional))
+
+
+def _transitions(doc, rows):
+    return dict(doc, transitions=rows)
+
+
+@pytest.mark.parametrize("command, kind, doc, field", [
+    ("solve-expected", "mdp", [], "document"),
+    ("transform", "mrp", ["junk"], "document"),
+    ("dist-exact", "policy", {"rules": [5]}, "policy.rules[0]"),
+    ("dist-exact", "policy", {"rules": []}, "rules"),
+    ("solve-expected", "mdp", "duplicate-row", "transitions[1]"),
+    ("solve-expected", "mdp", "undeclared-action", "transitions[0].a"),
+    ("transform", "mrp", _transitions(TRANS_MRP, [TRANS_MRP["transitions"][0]] * 2),
+     "transitions[1]"),
+    ("transform", "mrp", _transitions(TRANS_MRP, [
+        {"x": "a", "y": "a", "p": "0", "r": "5"}, *TRANS_MRP["transitions"],
+        {"x": "a", "y": "a", "p": "0", "r": "7"}]), "transitions[4]"),
+    ("transform", "mrp", _transitions(TRANS_MRP, []), "transitions"),
+    ("solve-expected", "mdp", "boolean-horizon", "horizon"),
+], ids=["mdp-list", "mrp-list", "rule-number", "no-rules", "mdp-duplicate",
+        "undeclared-action", "mrp-duplicate", "mrp-duplicate-after-zero", "mrp-no-rows",
+        "boolean-horizon"])
+def test_malformed_document_structure_exits_2(tmp_path, capsys, short_sas,
+                                              command, kind, doc, field):
+    mdp_doc = mdp_to_document(short_sas)
+    if doc == "duplicate-row":
+        doc = dict(mdp_doc, transitions=[mdp_doc["transitions"][0]] * 2)
+    elif doc == "undeclared-action":
+        doc = copy.deepcopy(mdp_doc)
+        doc["transitions"][0]["a"] = 99
+    elif doc == "boolean-horizon":
+        doc = dict(mdp_doc, horizon=True)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if kind == "policy":
+        mdp_path = tmp_path / "mdp.json"
+        mdp_path.write_text(json.dumps(mdp_doc))
+        argv = [command, str(mdp_path), "--policy", str(path)]
+    assert run_cli(*argv) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_dist_exact_beyond_trajectory_enumeration(tmp_path, capsys):
     # up to 3**12 trajectories, but fewer than 500 reachable (state, reward) pairs
     doc = tmp_path / "inventory.json"
@@ -302,6 +427,52 @@ def test_pareto_long_refuses_nonpositive_horizon(tmp_path, capsys, short_sas):
     path.write_text(json.dumps(mdp_to_document(short_sas)))
     assert run_cli("pareto-long", str(path), "--horizon", "0", "--grid=0:10:3") == 3
     assert "n_steps" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_output_file_modes(tmp_path, short_doc, umask_022):
+    new = tmp_path / "new.txt"
+    assert run_cli("solve-expected", short_doc, "-o", str(new)) == 0
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    assert run_cli("solve-expected", short_doc, "-o", str(kept)) == 0
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert kept.read_text() == new.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "new.txt", "short.json"]
+
+
+def test_output_through_symlink(tmp_path, short_doc):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run_cli("solve-expected", short_doc, "-o", str(link)) == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith("optimal expected total reward")
+    dangling = tmp_path / "dangling.txt"
+    dangling.symlink_to(tmp_path / "created.txt")
+    assert run_cli("solve-expected", short_doc, "-o", str(dangling)) == 0
+    assert dangling.is_symlink() and (tmp_path / "created.txt").read_text() == target.read_text()
+
+
+def test_output_to_fifo_is_written_in_place(tmp_path, short_doc):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run_cli("solve-expected", short_doc, "-o", str(fifo)) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert received[0].startswith("optimal expected total reward")
 
 
 def test_cli_import_loads_no_scipy():

@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ def printed_chain(printed_sas):
     """Printed inventory chain under the order-2-then-nothing policy, SA rewards."""
     from varmdp import simplify_reward
     pol = DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0})
-    mrp = induced_mrp(simplify_reward(printed_sas), pol, keep_salvage=False)
+    mrp = replace(induced_mrp(simplify_reward(printed_sas), pol), salvage=None)
     P = np.array([[float(p) for p in row] for row in mrp.kernel])
     r = np.array([float(v) for v in mrp.state_reward])
     mu0 = np.array([float(p) for p in mrp.mu0])
@@ -448,7 +449,6 @@ class TestParetoFrontLong:
         mdp = two_policy_mdp()
         # make action 1 at state 0 absorbing: the restricted chain is a
         # constant-reward singleton, refused for degenerate variance
-        from dataclasses import replace
         kernel = dict(mdp.kernel)
         kernel[(0, 1)] = ((0, F(1)),)
         bad = replace(mdp, kernel=kernel,

@@ -316,8 +316,9 @@ class TestForwardPropagation:
             mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 4),
                              reward_kind="sa", max_actions=2)
             rule = {x: rng.choice(mdp.actions[x]) for x in range(mdp.n_states)}
-            mrp = induced_mrp(mdp, DeterministicPolicy.from_stationary(rule),
-                              keep_salvage=bool(seed % 2))
+            mrp = induced_mrp(mdp, DeterministicPolicy.from_stationary(rule))
+            if not seed % 2:
+                mrp = replace(mrp, salvage=None)
             for final in (False, True):
                 variant = replace(mrp, include_final_reward=final)
                 assert exact_total_reward_distribution(variant) == \

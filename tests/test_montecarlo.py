@@ -130,6 +130,20 @@ def float_rows(rng, n, max_support=None):
     return cum
 
 
+def kernel_totals(cum, mu0_cum, n_steps, n_samples, seed, state_reward=None,
+                  trans_reward=None, include_final=False, salvage=None):
+    """``simulate_totals`` called with the reward arguments of ``reference_totals``."""
+    if state_reward is not None:
+        step_reward = np.broadcast_to(state_reward[:, None], cum.shape)
+    else:
+        step_reward = trans_reward
+    final = [state_reward] if include_final else []
+    if salvage is not None:
+        final.append(salvage)
+    return simulate_totals(cum, mu0_cum, n_steps, n_samples, seed,
+                           step_reward=step_reward, final=tuple(final))
+
+
 class TestIntegerPick:
     """The numpy kernel's integer guide-table pick against the float compare."""
 
@@ -144,7 +158,7 @@ class TestIntegerPick:
                 trans_reward=None if on_state else rng.normal(size=(n, n)),
                 include_final=final,
                 salvage=rng.normal(size=n) if with_salvage else None)
-            got = simulate_totals(cum, mu0, n_steps, n_samples, seed, **rewards)
+            got = kernel_totals(cum, mu0, n_steps, n_samples, seed, **rewards)
             want = reference_totals(cum, mu0, n_steps, n_samples, seed, **rewards)
             assert np.array_equal(got, want)
 
@@ -209,7 +223,7 @@ class TestIntegerPick:
         assert len(guide.offset) <= _kernels._GUIDE_CELLS
         assert len(guide.offset) == (n + 1) << guide.bits
         reward = rng.normal(size=n)
-        got = simulate_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
+        got = kernel_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
         want = reference_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
         assert np.array_equal(got, want)
 

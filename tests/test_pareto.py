@@ -209,9 +209,19 @@ class TestQueries:
         # and alpha=0 is unbounded
         assert query_rho(front_sas, 0) == math.inf
 
-    def test_rho_non_increasing_front_rejected(self):
-        grid = (0.0, 1.0, 2.0)
-        front = ParetoFront(kind="estimated", grid=grid, value=(0.1, 0.1, 0.9),
+    def test_rho_flat_front_reads_level_set(self):
+        # P stays at 0.1 up to tau = 1 and rises to 0.9 at 2: {P <= 0.5} ends at 1.5
+        front = ParetoFront(kind="estimated", grid=(0.0, 1.0, 2.0), value=(0.1, 0.1, 0.9),
                             witness=(0, 0, 0))
-        with pytest.raises(PreconditionError, match="strictly increasing"):
-            query_rho(front, 0.5)
+        assert query_rho(front, 0.5) == 1.5
+        assert query_rho(front, 0.95) == -math.inf
+
+    def test_rho_clipped_front(self):
+        # clipped to 0.0 below tau = 2 and to 1.0 above 3, as long-horizon fronts are
+        front = ParetoFront(kind="estimated", grid=(0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0),
+                            value=(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0), witness=(0,) * 7)
+        assert query_rho(front, 1.0) == 2.0      # target 0.0: the lower clip's end
+        assert query_rho(front, 0.75) == 2.25
+        assert query_rho(front, 0.5) == 2.5
+        assert query_rho(front, 0.25) == 2.75
+        assert query_rho(front, 0.0) == 5.0      # target 1.0 is reached: the grid's end

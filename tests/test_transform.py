@@ -19,7 +19,7 @@ F = Fraction
 class TestStructure:
     def test_inventory_router_pairs(self, printed_sas):
         pol = DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0})
-        chain = induced_mrp(printed_sas, pol, keep_salvage=False)
+        chain = replace(induced_mrp(printed_sas, pol), salvage=None)
         t = transform(chain)
         assert t.n_states <= 9
         assert t.n_states == 8          # the (1, 2) transition has probability zero
@@ -33,7 +33,7 @@ class TestStructure:
 
     def test_horizon_and_final_epoch_convention(self, printed_sas):
         pol = DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0})
-        chain = induced_mrp(printed_sas, pol, keep_salvage=False)
+        chain = replace(induced_mrp(printed_sas, pol), salvage=None)
         t = transform(chain)
         assert t.horizon == chain.horizon - 1
         assert t.include_final_reward
@@ -41,7 +41,7 @@ class TestStructure:
 
     def test_initial_mass_splits_over_first_transition(self, printed_sas):
         pol = DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0})
-        chain = induced_mrp(printed_sas, pol, keep_salvage=False)
+        chain = replace(induced_mrp(printed_sas, pol), salvage=None)
         t = transform(chain)
         for i, (x, y) in enumerate(t.pairs):
             assert t.mu0[i] == chain.mu0[x] * chain.kernel[x][y]
@@ -123,7 +123,7 @@ class TestSalvage:
 
     def test_inventory_salvage_follows_destination(self, printed_sas):
         pol = DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0})
-        chain = induced_mrp(printed_sas, pol, keep_salvage=False)
+        chain = replace(induced_mrp(printed_sas, pol), salvage=None)
         t = transformed_salvage(chain, [F(x) for x in range(3)])
         for i, (_, y) in enumerate(t.pairs):
             assert t.salvage[i] == y
