@@ -11,7 +11,9 @@ augmented model is exactly the optimal exceedance probability.
 Only ``build_augmented`` adds rewards, as integers over their least
 common denominator; per epoch it records the next-slice index of every
 (pair, action, successor) move.  ``solve_thresholds`` is one numpy pass
-over those indices for all thresholds at once, in exact Python ints.
+over those indices for all thresholds at once, in exact Python ints, and
+keeps one witness per threshold: the earliest optimal action of every
+reachable pair.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress, groupby
+from itertools import groupby
 from typing import Mapping
 
 import numpy as np
@@ -61,33 +62,27 @@ class AugmentedMdp:
 
 @dataclass(frozen=True)
 class VarSolution:
-    """Optimal exceedance probability at a threshold, with witnesses.
+    """Optimal exceedance probability at a threshold, with one witness policy.
 
-    ``argmax[t][i]`` lists the optimal actions at ``layers[t][i]``, earliest
-    first.  Built on first use, ``policy[t]`` maps each reachable (state,
-    accumulated reward) pair to its tie-broken optimal action and
-    ``argmax_sets[t]`` to all of them, so reported ties can be inspected.
+    ``actions[t][i]`` is the earliest optimal action, in the state's action
+    list, at ``layers[t][i]``; ``policy[t]`` maps each reachable (state,
+    accumulated reward) pair to that action.
     """
 
     tau: Fraction
     eta: Fraction
     layers: tuple[tuple[AugState, ...], ...]
-    argmax: tuple[tuple[tuple[Action, ...], ...], ...]
+    actions: tuple[tuple[Action, ...], ...]
 
-    @cached_property
+    @property
     def policy(self) -> tuple[dict[AugState, Action], ...]:
-        return tuple({pair: ties[0] for pair, ties in rule.items()}
-                     for rule in self.argmax_sets)
-
-    @cached_property
-    def argmax_sets(self) -> tuple[dict[AugState, tuple[Action, ...]], ...]:
-        return tuple(dict(zip(layer, sets)) for layer, sets in zip(self.layers, self.argmax))
+        return tuple(dict(zip(layer, acts)) for layer, acts in zip(self.layers, self.actions))
 
     def listing(self, states: tuple[str, ...]) -> str:
         """Stable text form: one "(state, cum_reward) -> action" line per pair."""
-        return "\n".join(f"t={t} ({states[x]}, {c}) -> {ties[0]}"
-                         for t, (layer, sets) in enumerate(zip(self.layers, self.argmax))
-                         for (x, c), ties in zip(layer, sets))
+        return "\n".join(f"t={t} ({states[x]}, {c}) -> {a}"
+                         for t, (layer, acts) in enumerate(zip(self.layers, self.actions))
+                         for (x, c), a in zip(layer, acts))
 
 
 def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
@@ -127,8 +122,8 @@ def solve_thresholds(aug: AugmentedMdp,
     Each augmented pair carries one exceedance value per threshold: the
     terminal value of ``(x, c)`` is ``1[c + v(x) >= tau]``, and interior
     values maximize the expected successor value.  Per threshold, ties are
-    broken toward the earliest action in the state's action list; the full
-    argmax set is reported alongside.  Values are integers over
+    broken toward the earliest action in the state's action list, and that
+    action is the pair's witness.  Values are integers over
     ``D**(H - t)``, ``D`` the kernel's least common denominator, so all
     comparisons and ties are exact.  The pairs of one state form a block
     of the sorted slice; each block is one numpy step over its
@@ -136,32 +131,31 @@ def solve_thresholds(aug: AugmentedMdp,
     """
     mdp, k = aug.base, len(taus)
     scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p in rows))
-    weights, slots = [], []
+    weights, slots, choices = [], [], []
     for x, acts in enumerate(mdp.actions):
         rows = [mdp.transitions(x, a) for a in acts]
         weights.append(np.array([[int(p * scale)] for row in rows for _, p in row], dtype=object))
         slots.append(np.cumsum([0] + [len(row) for row in rows[:-1]]))
+        choices.append(np.fromiter(acts, dtype=object, count=len(acts)))  # tuples stay whole
     cuts = np.array([math.ceil(tau * aug.scale) for tau in taus], dtype=object)
     u = np.where(np.array(aug.totals, dtype=object)[:, None] >= cuts, 1, 0).astype(object)
-    found = []  # found[t][i]: the argmax sets over layers[t] at taus[i]
+    found = []  # found[t][i]: the witness actions over layers[t] at taus[i]
     for t in reversed(range(aug.horizon)):
-        blocks, move = [], 0
-        sets: list[list[tuple[Action, ...]]] = [[] for _ in taus]
+        blocks, picks, move = [], [], 0
         for x, block in groupby(x for x, _ in aug.layers[t]):
             n, m = sum(1 for _ in block), len(weights[x])
             values = u[aug.successors[t][move:move + n * m]].reshape(n, m, k) * weights[x]
             q = np.add.reduceat(values, slots[x], axis=1)
             blocks.append(q.max(axis=1))
-            for ties, rows in zip(sets, (q == blocks[-1][:, None]).transpose(2, 0, 1).tolist()):
-                ties.extend(tuple(compress(mdp.actions[x], row)) for row in rows)
+            picks.append(choices[x][(q == blocks[-1][:, None]).argmax(axis=1)])
             move += n * m
         u = np.concatenate(blocks)
-        found.insert(0, sets)
+        found.insert(0, np.concatenate(picks).T.tolist())
     mass_scale = math.lcm(*(p.denominator for p in mdp.mu0))
     numerators = sum(int(mdp.mu0[x] * mass_scale) * row for (x, _), row in zip(aug.layers[0], u))
     return tuple(
         VarSolution(tau=tau, eta=Fraction(numerators[i], mass_scale * scale ** aug.horizon),
-                    layers=aug.layers, argmax=tuple(tuple(sets[i]) for sets in found))
+                    layers=aug.layers, actions=tuple(tuple(acts[i]) for acts in found))
         for i, tau in enumerate(taus))
 
 

@@ -67,7 +67,13 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    target = os.path.realpath(path)  # a symlink is written through
+    try:
+        _replace_file(os.path.realpath(path), text)  # a symlink is written through
+    except OSError as exc:
+        raise ValidationError(f"output: cannot write {path}: {exc}") from exc
+
+
+def _replace_file(target: str, text: str) -> None:
     if os.path.exists(target) and not os.path.isfile(target):  # a FIFO or a device
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -278,6 +284,9 @@ def _read_cdf_csv(path: str):
         vals = np.array([float(r[vi]) for r in rows[1:]])
     except (ValueError, IndexError) as exc:
         raise ValidationError(f"{path}: cannot parse CDF columns ({exc})") from exc
+    bad = np.flatnonzero(~(np.isfinite(taus) & np.isfinite(vals)))
+    if bad.size:
+        raise ValidationError(f"{path}: line {bad[0] + 2}: tau and value must be finite")
     points, inverse = np.unique(taus, return_inverse=True)  # a repeated tau keeps its top value
     top = np.full(len(points), -np.inf)
     np.maximum.at(top, inverse, vals)

@@ -13,6 +13,9 @@ Schema ``mrp-v1``: ``horizon``, ``states``, ``reward_on`` ("state" or
 "transition"), ``transitions`` (``{x, y, p}`` plus ``r`` when
 transition-rewarded), ``state_rewards`` (when state-rewarded), ``mu0``,
 optional ``salvage`` and ``include_final_reward``.
+
+A ``schema`` field is optional; when present it must name the loader's
+schema, so an ``mrp-v1`` document is not read as an MDP or vice versa.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ def _require(doc: dict, field: str, where: str = "document"):
     if field not in doc:
         raise ValidationError(f"{where}: missing field {field!r}")
     return doc[field]
+
+
+def _check_schema(doc: dict, schema: str) -> None:
+    if "schema" in doc and doc["schema"] != schema:
+        raise ValidationError(f"schema: expected {schema!r}, got {doc['schema']!r}")
 
 
 def state_index(names: tuple[str, ...], name, field: str) -> int:
@@ -69,6 +77,7 @@ def _aligned_rationals(doc: dict, field: str, n: int) -> tuple[Fraction, ...]:
 def mdp_from_document(doc: dict) -> FiniteMdp:
     if not isinstance(doc, dict):
         raise ValidationError("document: expected a JSON object")
+    _check_schema(doc, MDP_SCHEMA)
     states = _state_names(doc)
     n = len(states)
     raw_actions = _require(doc, "actions")
@@ -145,6 +154,7 @@ def mdp_to_document(mdp: FiniteMdp) -> dict:
 def mrp_from_document(doc: dict) -> MarkovRewardProcess:
     if not isinstance(doc, dict):
         raise ValidationError("document: expected a JSON object")
+    _check_schema(doc, MRP_SCHEMA)
     states = _state_names(doc)
     n = len(states)
     reward_on = _require(doc, "reward_on")

@@ -350,7 +350,9 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     ``FloatTables`` (reachable rows, then pair states for SAS instances)
     and estimated by ``estimate_cdf_arrays``.  Every witness is rebuilt
     on the exact route, ``float_chain(policy_chain(mdp, policy))``, and
-    its arrays must equal the float ones.
+    its arrays must equal the float ones; that route runs at horizon 2,
+    the least the pair-state transformation accepts, whatever the
+    document's horizon.
     The number of reward terms is ``n_steps`` for both reward conventions
     (an SAS chain over ``n_steps`` epochs pays ``n_steps`` transition
     rewards; its pair chain pays the same count of state rewards).
@@ -386,8 +388,9 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     best = np.maximum.accumulate(best)  # guard against float non-monotonicity in far tails
     present = {int(w) for w in witness if w >= 0}
     listings: dict[int, str] = {}
+    routed = replace(mdp, horizon=2)  # chain arrays do not depend on the horizon
     for pid in sorted(present):
-        exact = float_chain(policy_chain(mdp, policies[pid]))
+        exact = float_chain(policy_chain(routed, policies[pid]))
         if not all(map(np.array_equal, tables.chain(policies[pid]), exact)):
             raise RuntimeError(f"policy {pid}: float chain differs from its exact chain")
         listings[pid] = "\n".join(

@@ -74,9 +74,7 @@ def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront
     grid = tuple(Fraction(n, aug.scale) for n in sorted(set(aug.totals)))
     solutions = solve_thresholds(aug, grid)
     ids: dict[tuple, int] = {}
-    witness = tuple(ids.setdefault(tuple(ties[0] for sets in sol.argmax for ties in sets),
-                                   len(ids))
-                    for sol in solutions)
+    witness = tuple(ids.setdefault(sol.actions, len(ids)) for sol in solutions)
     return ParetoFront(kind="exact", grid=grid,
                        value=tuple(1 - sol.eta for sol in solutions), witness=witness,
                        policies={pid: sol.listing(mdp.states)

@@ -1,4 +1,4 @@
-"""Augmented-state threshold solving: reachable slices, induction values, argmax sets."""
+"""Augmented-state threshold solving: reachable slices, induction values, witnesses."""
 
 import math
 import random
@@ -60,11 +60,20 @@ def reference_thresholds(aug, taus):
 
 
 def assert_matches_reference(aug, taus):
-    for sol, (eta, policy, argmax_sets) in zip(solve_thresholds(aug, taus),
-                                               reference_thresholds(aug, taus), strict=True):
+    for sol, (eta, policy, _) in zip(solve_thresholds(aug, taus),
+                                     reference_thresholds(aug, taus), strict=True):
         assert sol.eta == eta
         assert sol.policy == policy
-        assert sol.argmax_sets == argmax_sets
+
+
+def reference_sets(mdp, tau):
+    """The reference's argmax sets at one threshold, per epoch: pair -> optimal actions."""
+    return reference_thresholds(build_augmented(mdp), (F(tau),))[0][2]
+
+
+def assert_first_of_sets(rule, sets):
+    """The tie-broken rule picks the first action of every reference argmax set."""
+    assert rule == {pair: ties[0] for pair, ties in sets.items()}
 
 
 def path_sums_oracle(mdp):
@@ -137,7 +146,9 @@ class TestSolveThreshold:
         assert sol.eta == F(5, 16)
         assert float(sol.eta) == 0.3125
         assert sol.policy[0][(0, F(0))] == 2
-        assert set(sol.argmax_sets[0][(0, F(0))]) == {2, 3}
+        sets = reference_sets(short_sas, 9)
+        assert set(sets[0][(0, F(0))]) == {2, 3}
+        assert_first_of_sets(sol.policy[0], sets[0])
 
     def test_sa_value(self, short_sa):
         sol = solve_threshold_var(short_sa, 9)
@@ -145,16 +156,19 @@ class TestSolveThreshold:
         assert sol.policy[0][(0, F(0))] == 2
         # the published simplified-instance rule at the only winning slice pair
         assert sol.policy[1][(2, F(0))] == 0
-        assert sol.argmax_sets[1][(2, F(0))] == (0,)
+        sets = reference_sets(short_sa, 9)
+        assert sets[1][(2, F(0))] == (0,)
+        assert_first_of_sets(sol.policy[1], sets[1])
 
     def test_published_tie_sets_at_second_epoch(self, short_sas):
         sol = solve_threshold_var(short_sas, 9)
-        sets = sol.argmax_sets[1]
+        sets = reference_sets(short_sas, 9)[1]
         assert set(sets[(0, F(2))]) == {2, 3}      # listed representative: 2
         assert set(sets[(0, F(8))]) == {1, 2}      # published "1 or 2"
         assert set(sets[(1, F(0))]) == {1, 2}      # published "1 or 2"
         assert set(sets[(1, F(6))]) == {0, 1}      # published "0 or 1"
         assert set(sets[(2, F(-2))]) == {0, 1}     # published "0 or 1"
+        assert_first_of_sets(sol.policy[1], sets)
 
     def test_simplification_loses_threshold_value(self, short_sas, short_sa):
         assert solve_threshold_var(short_sas, 9).eta > solve_threshold_var(short_sa, 9).eta
@@ -227,6 +241,20 @@ class TestIndexInduction:
         aug = build_augmented(mdp)
         assert 4 ** mdp.horizon > 2 ** 63
         assert_matches_reference(aug, (F(60), F(100), F(241, 2)))
+
+    def test_tuple_actions_stay_whole(self):
+        from dataclasses import replace
+        rng = random.Random(31)
+        mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=3)
+        pair = {a: (a, "order") for acts in mdp.actions for a in acts}
+        mdp = replace(mdp, actions=tuple(tuple(pair[a] for a in acts) for acts in mdp.actions),
+                      kernel={(x, pair[a]): rows for (x, a), rows in mdp.kernel.items()},
+                      sas_reward={(x, pair[a], y): r for (x, a, y), r in mdp.sas_reward.items()})
+        aug = build_augmented(mdp)
+        taus = (F(-1), F(0), F(2))
+        assert_matches_reference(aug, taus)
+        for sol in solve_thresholds(aug, taus):
+            assert all(a in pair.values() for acts in sol.actions for a in acts)
 
     def test_successor_indices_name_the_reward_sums(self):
         rng = random.Random(23)

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from varmdp import (DeterministicPolicy, InventoryParams, ValidationError,
 from varmdp.cli import main
 from varmdp.documents import (load_document, mdp_from_document, mdp_to_document,
                               mrp_from_document, mrp_to_document)
+
+from conftest import random_mdp
 
 F = Fraction
 
@@ -283,7 +286,7 @@ def malformed_variants(doc, rows, optional=()):
 
     The first entry of the ``rows`` list (an object) gets wrong types too,
     and so do the fields of the first transition row.  ``optional`` fields may
-    be absent (``salvage`` may also be null); ``schema`` is never read.
+    be absent (``salvage`` may also be null).
     """
     def mutated(container, key, values):
         for value in values:
@@ -298,7 +301,7 @@ def malformed_variants(doc, rows, optional=()):
     for key in doc:
         values = [v for v in (DELETE, *WRONG_TYPES) if key not in optional
                   or not (v is DELETE or (key == "salvage" and v is None))]
-        yield from ((key, bad) for bad in mutated("doc", key, values) if key != "schema")
+        yield from ((key, bad) for bad in mutated("doc", key, values))
     yield from ((f"{rows}[0]", bad) for bad in mutated("entry", 0, (None, "junk", [])))
     if rows == "transitions":
         for key in doc[rows][0]:
@@ -323,7 +326,7 @@ def test_malformed_documents_fuzzed_exit_2_naming_field(tmp_path, capsys, short_
     mdp_path = tmp_path / "mdp.json"
     mdp_path.write_text(json.dumps(mdp_to_document(short_sas)))
     path = tmp_path / "doc.json"
-    rows, optional = "transitions", ()
+    rows, optional = "transitions", ("schema",)
     if kind == "mdp":
         doc, argv = mdp_to_document(short_sas), ["solve-expected", str(path)]
     elif kind == "policy":
@@ -333,7 +336,8 @@ def test_malformed_documents_fuzzed_exit_2_naming_field(tmp_path, capsys, short_
     else:
         doc = dict(STATE_MRP, salvage=["2"], include_final_reward=True) \
             if kind == "state-mrp" else TRANS_MRP
-        optional = ("salvage", "include_final_reward")
+        doc = dict(doc, schema="mrp-v1")
+        optional = ("schema", "salvage", "include_final_reward")
         argv = ["simulate", str(path), "--samples", "3", "--seed", "1"]
     path.write_text(json.dumps(doc))
     assert run_cli(*argv) == 0
@@ -387,6 +391,51 @@ def test_malformed_document_structure_exits_2(tmp_path, capsys, short_sas,
         argv = [command, str(mdp_path), "--policy", str(path)]
     assert run_cli(*argv) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, argv, schema", [
+    ("mdp", ["solve-expected"], "mrp-v1"),
+    ("mrp", ["simulate", "--samples", "3", "--seed", "1"], "mdp-v1")])
+def test_foreign_schema_exits_2(tmp_path, capsys, short_sas, kind, argv, schema):
+    doc = mdp_to_document(short_sas) if kind == "mdp" else dict(TRANS_MRP)
+    doc.pop("schema", None)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(*argv, str(path)) == 0  # a document without a schema still loads
+    path.write_text(json.dumps(dict(doc, schema=schema)))
+    capsys.readouterr()
+    assert run_cli(*argv, str(path)) == 2
+    assert "schema: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert run_cli("gen-inventory", "-o", str(out)) == 2
+    assert f"output: cannot write {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1,nan", "nan,0.5", "1,inf", "-inf,0.5"])
+def test_compare_refuses_non_finite_values(tmp_path, capsys, row):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("tau,cdf\n0,0.0\n1,0.5\n2,1.0\n")
+    bad.write_text(f"tau,cdf\n0,0.0\n{row}\n2,1.0\n")
+    assert run_cli("compare", str(good), str(bad)) == 2
+    assert f"{bad}: line 3: tau and value must be finite" in capsys.readouterr().err
+
+
+def test_pareto_long_front_ignores_document_horizon(tmp_path):
+    # the witness re-check builds chains, which do not depend on the horizon
+    mdp = random_mdp(random.Random(0), n_states=3, horizon=1, reward_kind="sas")
+    outputs = []
+    for horizon in (1, 2):
+        doc, front, listing = (tmp_path / f"{name}{horizon}" for name in ("d", "f", "p"))
+        doc.write_text(json.dumps(mdp_to_document(replace(mdp, horizon=horizon))))
+        assert run_cli("pareto-long", str(doc), "--horizon", "60", "--grid=-300:300:61",
+                       "-o", str(front), "--policies-out", str(listing)) == 0
+        outputs.append((front.read_bytes(), listing.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") == 3  # header and two witnesses
 
 
 def test_dist_exact_beyond_trajectory_enumeration(tmp_path, capsys):
