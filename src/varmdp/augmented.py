@@ -90,7 +90,7 @@ def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
 
     Rewards add as integers over ``scale``, so ``(x, integer)`` order is ``(x, reward)`` order.
     """
-    moves = [[(y, mdp.reward(x, a, y)) for a in acts for y, _ in mdp.transitions(x, a)]
+    moves = [[(y, r) for a in acts for y, _, r in mdp.kernel[x, a]]
              for x, acts in enumerate(mdp.actions)]
     scale = math.lcm(*(r.denominator for row in moves for _, r in row),
                      *(v.denominator for v in mdp.salvage))
@@ -130,11 +130,12 @@ def solve_thresholds(aug: AugmentedMdp,
     ``(pairs, moves, thresholds)`` successor values.
     """
     mdp, k = aug.base, len(taus)
-    scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p in rows))
+    scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p, _ in rows))
     weights, slots, choices = [], [], []
     for x, acts in enumerate(mdp.actions):
-        rows = [mdp.transitions(x, a) for a in acts]
-        weights.append(np.array([[int(p * scale)] for row in rows for _, p in row], dtype=object))
+        rows = [mdp.kernel[x, a] for a in acts]
+        weights.append(np.array([[int(p * scale)] for row in rows for _, p, _ in row],
+                                dtype=object))
         slots.append(np.cumsum([0] + [len(row) for row in rows[:-1]]))
         choices.append(np.fromiter(acts, dtype=object, count=len(acts)))  # tuples stay whole
     cuts = np.array([math.ceil(tau * aug.scale) for tau in taus], dtype=object)
@@ -176,7 +177,6 @@ def augmented_policy_distribution(mdp: FiniteMdp,
     pair, so no budget applies.
     """
     def step(t: int, x: int, c: Fraction):
-        a = rules[t][(x, c)]
-        return [(y, p, mdp.reward(x, a, y)) for y, p in mdp.transitions(x, a)]
+        return mdp.kernel[x, rules[t][(x, c)]]
 
     return propagate_masses(mdp.mu0, mdp.horizon, step, mdp.salvage.__getitem__, math.inf)

@@ -150,6 +150,11 @@ def _load_policy(path: str, mdp) -> DeterministicPolicy:
     return DeterministicPolicy(rules=tuple(rules), stationary=stationary)
 
 
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise ValidationError(f"{flag}: must be >= 1, got {value}")
+
+
 def cmd_gen_inventory(args) -> int:
     try:
         build = inventory.PRESETS[args.preset]
@@ -174,6 +179,7 @@ def cmd_solve_expected(args) -> int:
 
 
 def cmd_dist_exact(args) -> int:
+    _require_positive(args.budget, "budget")
     mdp = _load_mdp(args.document)
     if args.policy:
         policy = _load_policy(args.policy, mdp)
@@ -188,6 +194,7 @@ def cmd_dist_exact(args) -> int:
 
 
 def cmd_var_threshold(args) -> int:
+    _require_positive(args.max_aug_states, "max-aug-states")
     mdp = _load_mdp(args.document)
     tau = parse_rational(args.tau, "tau")
     solution = solve_threshold_var(mdp, tau, max_states=args.max_aug_states)
@@ -198,6 +205,7 @@ def cmd_var_threshold(args) -> int:
 
 
 def cmd_pareto_short(args) -> int:
+    _require_positive(args.max_aug_states, "max-aug-states")
     mdp = _load_mdp(args.document)
     front = pareto_front_exact(mdp, max_states=args.max_aug_states)
     rows = [[format_rational(t), _dec(t), format_rational(v), _dec(v), w]
@@ -239,6 +247,7 @@ def cmd_estimate_cdf(args) -> int:
 
 
 def cmd_pareto_long(args) -> int:
+    _require_positive(args.max_policies, "max-policies")
     mdp = _load_mdp(args.document)
     front = pareto_front_long(mdp, args.horizon, _parse_grid(args.grid),
                               max_policies=args.max_policies)
@@ -254,8 +263,7 @@ def cmd_pareto_long(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.quantiles < 1:
-        raise ValidationError(f"quantiles: must be >= 1, got {args.quantiles}")
+    _require_positive(args.quantiles, "quantiles")
     mrp = _load_mrp(args.document)
     totals = simulate(mrp, samples=args.samples, seed=args.seed, n_steps=args.n)
     qs = np.linspace(0.0, 1.0, args.quantiles)
@@ -287,6 +295,9 @@ def _read_cdf_csv(path: str):
     bad = np.flatnonzero(~(np.isfinite(taus) & np.isfinite(vals)))
     if bad.size:
         raise ValidationError(f"{path}: line {bad[0] + 2}: tau and value must be finite")
+    bad = np.flatnonzero((vals < 0) | (vals > 1))
+    if bad.size:
+        raise ValidationError(f"{path}: line {bad[0] + 2}: CDF value must lie in [0, 1]")
     points, inverse = np.unique(taus, return_inverse=True)  # a repeated tau keeps its top value
     top = np.full(len(points), -np.inf)
     np.maximum.at(top, inverse, vals)

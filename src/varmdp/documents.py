@@ -5,9 +5,10 @@ Schema ``mdp-v1``: fields ``horizon``, ``states`` (names), ``actions``
 ("sas" or "sa"), ``transitions`` (list of ``{x, a, y, p, r}`` with state
 names), ``mu0`` and ``salvage`` (aligned with ``states``).  All numerics
 are decimal strings ("0.25"), ratio strings ("1/4") or integers and are
-stored exactly.  For ``reward_kind = "sa"`` the ``r`` of every
-transition in one ``(x, a)`` group must agree (it is the state-action
-reward, repeated per row).
+stored exactly.  Each transition becomes one ``(y, p, r)`` row of
+``FiniteMdp.kernel[(x, a)]``.  For ``reward_kind = "sa"`` the ``r`` of
+every row in one ``(x, a)`` group must agree: the group pays one
+state-action reward.
 
 Schema ``mrp-v1``: ``horizon``, ``states``, ``reward_on`` ("state" or
 "transition"), ``transitions`` (``{x, y, p}`` plus ``r`` when
@@ -91,9 +92,7 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
     rows = _require(doc, "transitions")
     if not isinstance(rows, list) or not rows:
         raise ValidationError("transitions: expected a nonempty list")
-    kernel_acc: dict = {}
-    sas: dict = {}
-    sa: dict = {}
+    kernel: dict = {}
     for i, row in enumerate(rows):
         where = f"transitions[{i}]"
         if not isinstance(row, dict):
@@ -105,25 +104,20 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
             raise ValidationError(f"{where}.a: action {a!r} not declared at state {states[x]}")
         p = parse_rational(_require(row, "p", where), f"{where}.p")
         r = parse_rational(_require(row, "r", where), f"{where}.r")
-        if (x, a, y) in sas:
+        group = kernel.setdefault((x, a), [])
+        if any(z == y for z, _, _ in group):
             raise ValidationError(f"{where}: duplicate (x, a, y) entry")
-        kernel_acc.setdefault((x, a), []).append((y, p))
-        sas[(x, a, y)] = r
-        if reward_kind == "sa":
-            if (x, a) in sa and sa[(x, a)] != r:
-                raise ValidationError(
-                    f"{where}.r: state-action reward differs within group "
-                    f"({states[x]}, {a!r})")
-            sa[(x, a)] = r
-    kernel = {key: tuple(sorted(rows_)) for key, rows_ in kernel_acc.items()}
+        if reward_kind == "sa" and group and group[0][2] != r:
+            raise ValidationError(
+                f"{where}.r: state-action reward differs within group "
+                f"({states[x]}, {a!r})")
+        group.append((y, p, r))
     return FiniteMdp(
         horizon=_horizon(doc),
         states=states,
         actions=actions,
-        kernel=kernel,
+        kernel={key: tuple(sorted(group)) for key, group in kernel.items()},
         reward_kind=reward_kind,
-        sas_reward=sas if reward_kind == "sas" else None,
-        sa_reward=sa if reward_kind == "sa" else None,
         mu0=_aligned_rationals(doc, "mu0", n),
         salvage=_aligned_rationals(doc, "salvage", n),
     )
@@ -133,11 +127,10 @@ def mdp_to_document(mdp: FiniteMdp) -> dict:
     transitions = []
     for x in range(mdp.n_states):
         for a in mdp.actions[x]:
-            for y, p in mdp.transitions(x, a):
+            for y, p, r in mdp.kernel[x, a]:
                 transitions.append({
                     "x": mdp.states[x], "a": a, "y": mdp.states[y],
-                    "p": format_rational(p),
-                    "r": format_rational(mdp.reward(x, a, y)),
+                    "p": format_rational(p), "r": format_rational(r),
                 })
     return {
         "schema": MDP_SCHEMA,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
@@ -249,10 +250,18 @@ def estimate_cdf(mrp: MarkovRewardProcess, n_steps: int) -> EdgeworthCdf:
     return estimate_cdf_arrays(P, r, mu0, n_steps)
 
 
-def estimate_cdf_arrays(P, r, mu0, n_steps: int) -> EdgeworthCdf:
-    """Array-level variant of ``estimate_cdf`` for chains given as float matrices."""
+def _check_n_steps(n_steps: int) -> None:
+    """The estimate scales by ``sqrt(n_steps)``, so the count must fit in a float."""
     if n_steps < 1:
         raise PreconditionError("estimate_cdf: n_steps must be >= 1")
+    if n_steps > sys.float_info.max:
+        raise PreconditionError(
+            f"estimate_cdf: n_steps must be at most {sys.float_info.max:.6g}")
+
+
+def estimate_cdf_arrays(P, r, mu0, n_steps: int) -> EdgeworthCdf:
+    """Array-level variant of ``estimate_cdf`` for chains given as float matrices."""
+    _check_n_steps(n_steps)
     mu0 = np.asarray(mu0, dtype=float)
     data = spectral_data(P, r)
     if data.sigma2 <= _DEGENERATE_SIGMA2:
@@ -328,13 +337,10 @@ def float_tables(mdp: FiniteMdp) -> FloatTables:
     R = np.zeros((n, width, n) if mdp.is_sas else (n, width))
     for x, acts in enumerate(mdp.actions):
         for k, a in enumerate(acts):
-            for y, p in mdp.transitions(x, a):
+            for y, p, r in mdp.kernel[x, a]:
                 P[x, k, y] = float(p)
                 start[x, k, y] = float(mdp.mu0[x] * p)
-                if mdp.is_sas:
-                    R[x, k, y] = float(mdp.sas_reward[(x, a, y)])
-            if not mdp.is_sas:
-                R[x, k] = float(mdp.sa_reward[(x, a)])
+                R[(x, k, y) if mdp.is_sas else (x, k)] = float(r)
     return FloatTables(P=P, R=R, start=start, mu0=np.array([float(p) for p in mdp.mu0]),
                        slots=tuple({a: k for k, a in enumerate(acts)}
                                    for acts in mdp.actions))
@@ -367,6 +373,7 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
         raise BudgetExceededError(
             f"long-horizon front refused: {count} stationary policies exceed "
             f"budget {max_policies}")
+    _check_n_steps(n_steps)
     tables = float_tables(mdp)
     best = np.full(len(taus), np.inf)
     witness = np.full(len(taus), -1, dtype=int)

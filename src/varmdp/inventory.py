@@ -79,8 +79,7 @@ def build_inventory(params: InventoryParams = InventoryParams()) -> FiniteMdp:
     cap = params.capacity
     states = tuple(str(x) for x in range(cap + 1))
     actions = tuple(tuple(range(cap - x + 1)) for x in range(cap + 1))
-    kernel: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-    sas: dict[tuple[int, int, int], Fraction] = {}
+    kernel: dict[tuple[int, int], tuple[tuple[int, Fraction, Fraction], ...]] = {}
     for x in range(cap + 1):
         for a in actions[x]:
             stock = x + a
@@ -91,8 +90,7 @@ def build_inventory(params: InventoryParams = InventoryParams()) -> FiniteMdp:
                 else:
                     p = sum((q for d, q in params.demand.items() if d >= stock), ZERO)
                 if p > 0:
-                    rows.append((y, p))
-                    sas[(x, a, y)] = params.unit_price * (stock - y) - order_cost(params, a)
+                    rows.append((y, p, params.unit_price * (stock - y) - order_cost(params, a)))
             rows.sort()
             kernel[(x, a)] = tuple(rows)
     mu0 = tuple(Fraction(int(x == params.initial_level)) for x in range(cap + 1))
@@ -103,8 +101,6 @@ def build_inventory(params: InventoryParams = InventoryParams()) -> FiniteMdp:
         actions=actions,
         kernel=kernel,
         reward_kind="sas",
-        sas_reward=sas,
-        sa_reward=None,
         mu0=mu0,
         salvage=salvage,
     )

@@ -1,12 +1,14 @@
 """Core finite-horizon MDP model with exact rational arithmetic.
 
 Everything here is exact: probabilities, rewards and salvage values are
-``fractions.Fraction``.  Rewards come in two conventions that are tagged
-on the instance:
+``fractions.Fraction``.  Each kernel row ``(y, p, r)`` carries the reward
+of its transition, as a row of an ``mdp-v1`` document does.  Rewards come
+in two conventions that are tagged on the instance:
 
-* ``"sas"`` — the reward ``r(x, a, y)`` depends on the transition taken;
-* ``"sa"``  — the reward ``r'(x, a)`` is the kernel-average of an SAS
-  table and only depends on the current state and action.
+* ``"sas"`` — the reward ``r(x, a, y)`` may differ between the rows of
+  one ``(x, a)``;
+* ``"sa"``  — every row of an ``(x, a)`` pays the same ``r'(x, a)``, for
+  example the kernel-average of an SAS reward (``simplify_reward``).
 
 Averaging preserves expectations but not distributions, which is the
 reason both conventions are first-class citizens throughout the package.
@@ -40,11 +42,12 @@ def _check_distribution(values: Sequence[Fraction], what: str) -> None:
 
 @dataclass(frozen=True)
 class FiniteMdp:
-    """Finite-horizon MDP ``(horizon, states, actions, rewards, kernel, mu0, salvage)``.
+    """Finite-horizon MDP ``(horizon, states, actions, kernel, reward_kind, mu0, salvage)``.
 
-    ``kernel[(x, a)]`` lists the positive-probability successors of state
-    index ``x`` under action ``a`` as ``(y, p)`` pairs.  Exactly one of
-    ``sas_reward`` / ``sa_reward`` is set, matching ``reward_kind``.
+    ``kernel[(x, a)]`` lists the positive-probability transitions of state
+    index ``x`` under action ``a`` as ``(y, p, r)`` rows: successor index,
+    probability and the reward paid on that transition.  An ``"sa"``
+    instance pays one reward on every row of an ``(x, a)``.
     Action order inside ``actions[x]`` is significant: argmax ties are
     broken in favour of the earliest action listed.
     """
@@ -52,10 +55,8 @@ class FiniteMdp:
     horizon: int
     states: tuple[str, ...]
     actions: tuple[tuple[Action, ...], ...]
-    kernel: Mapping[tuple[int, Action], tuple[tuple[int, Fraction], ...]]
+    kernel: Mapping[tuple[int, Action], tuple[tuple[int, Fraction, Fraction], ...]]
     reward_kind: str
-    sas_reward: Mapping[tuple[int, Action, int], Fraction] | None
-    sa_reward: Mapping[tuple[int, Action], Fraction] | None
     mu0: tuple[Fraction, ...]
     salvage: tuple[Fraction, ...]
 
@@ -69,10 +70,6 @@ class FiniteMdp:
             raise ValidationError("actions/mu0/salvage: length must match states")
         if self.reward_kind not in ("sas", "sa"):
             raise ValidationError(f"reward_kind: {self.reward_kind!r} not in {{'sas','sa'}}")
-        if (self.reward_kind == "sas") != (self.sas_reward is not None):
-            raise ValidationError("reward tables must match reward_kind")
-        if (self.reward_kind == "sa") != (self.sa_reward is not None):
-            raise ValidationError("reward tables must match reward_kind")
         _check_distribution(self.mu0, "mu0")
         for x, acts in enumerate(self.actions):
             if not acts:
@@ -85,23 +82,20 @@ class FiniteMdp:
                     raise ValidationError(
                         f"kernel: no transitions for state {self.states[x]}, action {a!r}")
                 where = f"kernel row ({self.states[x]}, {a!r})"
-                successors = [y for y, _ in rows]
+                successors = [y for y, _, _ in rows]
                 if any(not 0 <= y < n for y in successors):
                     raise ValidationError(f"{where}: successor index outside 0..{n - 1}")
                 if len(set(successors)) != len(rows):
                     raise ValidationError(f"{where}: successor listed twice")
-                _check_distribution([p for _, p in rows], where)
-                for y, p in rows:
+                _check_distribution([p for _, p, _ in rows], where)
+                for y, p, _ in rows:
                     if p <= 0:
                         raise ValidationError(
                             f"kernel: nonpositive mass on ({self.states[x]}, {a!r}, "
                             f"{self.states[y]})")
-                    if self.reward_kind == "sas" and (x, a, y) not in self.sas_reward:
-                        raise ValidationError(
-                            f"reward: missing r({self.states[x]}, {a!r}, {self.states[y]})")
-                if self.reward_kind == "sa" and (x, a) not in self.sa_reward:
-                    raise ValidationError(
-                        f"reward: missing r'({self.states[x]}, {a!r})")
+                if self.reward_kind == "sa" and len({r for _, _, r in rows}) > 1:
+                    raise ValidationError(f"{where}: an 'sa' instance pays one reward "
+                                          f"per (state, action)")
 
     @property
     def n_states(self) -> int:
@@ -110,15 +104,6 @@ class FiniteMdp:
     @property
     def is_sas(self) -> bool:
         return self.reward_kind == "sas"
-
-    def transitions(self, x: int, a: Action) -> tuple[tuple[int, Fraction], ...]:
-        return self.kernel[(x, a)]
-
-    def reward(self, x: int, a: Action, y: int) -> Fraction:
-        """One-step reward of the tagged convention for the (x, a, y) transition."""
-        if self.is_sas:
-            return self.sas_reward[(x, a, y)]
-        return self.sa_reward[(x, a)]
 
 
 @dataclass(frozen=True)
@@ -254,13 +239,14 @@ class StepCdf:
 
 
 def simplify_reward(mdp: FiniteMdp) -> FiniteMdp:
-    """Average an SAS reward table over successors: r'(x,a) = sum_y r(x,a,y) p(y|x,a)."""
+    """Pay each (x, a) its rows' mean SAS reward on every row: r'(x,a) = sum_y r(x,a,y) p(y|x,a)."""
     if not mdp.is_sas:
         raise PreconditionError("simplify_reward: instance is already SA-tagged")
-    sa = {}
-    for (x, a), rows in mdp.kernel.items():
-        sa[(x, a)] = sum((p * mdp.sas_reward[(x, a, y)] for y, p in rows), ZERO)
-    return replace(mdp, reward_kind="sa", sas_reward=None, sa_reward=sa)
+    kernel = {}
+    for key, rows in mdp.kernel.items():
+        mean = sum((p * r for _, p, r in rows), ZERO)
+        kernel[key] = tuple((y, p, mean) for y, p, _ in rows)
+    return replace(mdp, reward_kind="sa", kernel=kernel)
 
 
 def induced_mrp(mdp: FiniteMdp, policy: DeterministicPolicy) -> MarkovRewardProcess:
@@ -277,15 +263,13 @@ def induced_mrp(mdp: FiniteMdp, policy: DeterministicPolicy) -> MarkovRewardProc
     trans_reward: dict[tuple[int, int], Fraction] = {}
     state_reward: list[Fraction] = []
     for x in range(n):
-        a = policy.action(0, x)
+        rows = mdp.kernel[x, policy.action(0, x)]
         row = [ZERO] * n
-        for y, p in mdp.transitions(x, a):
+        for y, p, r in rows:
             row[y] = p
-            if mdp.is_sas:
-                trans_reward[(x, y)] = mdp.sas_reward[(x, a, y)]
+            trans_reward[(x, y)] = r
         kernel.append(tuple(row))
-        if not mdp.is_sas:
-            state_reward.append(mdp.sa_reward[(x, a)])
+        state_reward.append(rows[0][2])  # an SA instance pays it on every row
     return MarkovRewardProcess(
         horizon=mdp.horizon,
         states=mdp.states,
@@ -317,15 +301,15 @@ def bfs_levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
 def _backward_induction(mdp: FiniteMdp, candidates) -> tuple[Fraction, tuple[dict, ...]]:
     """Value under mu0 and per-epoch rules of the best of ``candidates(t, x)``, earliest on ties.
 
-    One formula serves both reward conventions: an SA instance returns
-    ``r'(x, a)`` for every successor, and each kernel row sums to 1.
+    One formula serves both reward conventions: an SA instance pays
+    ``r'(x, a)`` on every row, and each kernel row sums to 1.
     """
     u = list(mdp.salvage)
     rules: list[dict[int, Action]] = []
     for t in reversed(range(mdp.horizon)):
         acts = [candidates(t, x) for x in range(mdp.n_states)]
-        qs = [[sum((p * (mdp.reward(x, a, y) + u[y]) for y, p in mdp.transitions(x, a)), ZERO)
-               for a in row] for x, row in enumerate(acts)]
+        qs = [[sum((p * (r + u[y]) for y, p, r in mdp.kernel[x, a]), ZERO) for a in row]
+              for x, row in enumerate(acts)]
         u = [max(q) for q in qs]
         rules.insert(0, {x: row[q.index(v)] for x, (row, q, v) in enumerate(zip(acts, qs, u))})
     return sum((p * u[x] for x, p in enumerate(mdp.mu0)), ZERO), tuple(rules)
@@ -394,8 +378,7 @@ def exact_total_reward_distribution(process, policy: DeterministicPolicy | None 
         check_policy(mdp, policy)
 
         def step(t: int, x: int, c: Fraction):
-            a = policy.action(t, x)
-            return [(y, p, mdp.reward(x, a, y)) for y, p in mdp.transitions(x, a)]
+            return mdp.kernel[x, policy.action(t, x)]
 
         return propagate_masses(mdp.mu0, mdp.horizon, step, mdp.salvage.__getitem__,
                                 max_states)

@@ -70,24 +70,18 @@ def random_mdp(rng: random.Random, n_states: int = 3, horizon: int = 2,
     states = tuple(f"s{i}" for i in range(n_states))
     actions = tuple(tuple(range(rng.randint(1, max_actions))) for _ in range(n_states))
     kernel = {}
-    sas = {}
-    sa = {}
     for x in range(n_states):
         for a in actions[x]:
             probs = random_distribution(rng, n_states, max_support)
-            rows = tuple((y, p) for y, p in enumerate(probs) if p > 0)
-            kernel[(x, a)] = rows
-            for y, _ in rows:
-                sas[(x, a, y)] = random_rational(rng)
-            sa[(x, a)] = random_rational(rng)
+            sas = [(y, p, random_rational(rng)) for y, p in enumerate(probs) if p > 0]
+            sa = random_rational(rng)  # drawn for both kinds: a seed gives one kernel either way
+            kernel[(x, a)] = tuple(sas if reward_kind == "sas" else
+                                   [(y, p, sa) for y, p, _ in sas])
     mu0 = tuple(random_distribution(rng, n_states))
     salvage = tuple(random_rational(rng) for _ in range(n_states))
     return FiniteMdp(
         horizon=horizon, states=states, actions=actions, kernel=kernel,
-        reward_kind=reward_kind,
-        sas_reward=sas if reward_kind == "sas" else None,
-        sa_reward=sa if reward_kind == "sa" else None,
-        mu0=mu0, salvage=salvage)
+        reward_kind=reward_kind, mu0=mu0, salvage=salvage)
 
 
 def random_transition_mrp(rng: random.Random, n_states: int, horizon: int,

@@ -23,8 +23,8 @@ def reference_thresholds(aug, taus):
     over ``D**(H - t)`` for the kernel's least common denominator ``D``.
     """
     mdp = aug.base
-    scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p in rows))
-    weighted = {key: tuple((y, int(p * scale), mdp.reward(*key, y)) for y, p in rows)
+    scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p, _ in rows))
+    weighted = {key: tuple((y, int(p * scale), r) for y, p, r in rows)
                 for key, rows in mdp.kernel.items()}
     u = {(x, c): tuple(int(c + mdp.salvage[x] >= tau) for tau in taus)
          for x, c in aug.layers[-1]}
@@ -83,8 +83,8 @@ def path_sums_oracle(mdp):
         nxt = set()
         for x, c in sums[t]:
             for a in mdp.actions[x]:
-                for y, p in mdp.transitions(x, a):
-                    nxt.add((y, c + mdp.reward(x, a, y)))
+                for y, _, r in mdp.kernel[x, a]:
+                    nxt.add((y, c + r))
         sums[t + 1] = nxt
     return sums
 
@@ -95,8 +95,7 @@ def exceedance_oracle(mdp, rules, tau):
         if t == mdp.horizon:
             return F(1) if c + mdp.salvage[x] >= tau else F(0)
         a = rules[t][(x, c)]
-        return sum((p * walk(t + 1, y, c + mdp.reward(x, a, y))
-                    for y, p in mdp.transitions(x, a)), F(0))
+        return sum((p * walk(t + 1, y, c + r) for y, p, r in mdp.kernel[x, a]), F(0))
     return sum((p * walk(0, x, F(0)) for x, p in enumerate(mdp.mu0) if p > 0), F(0))
 
 
@@ -118,9 +117,9 @@ class TestBuildAugmented:
     def test_zero_reward_collapses_to_base_states(self):
         rng = random.Random(3)
         mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas")
-        flat = {k: F(0) for k in mdp.sas_reward}
+        flat = {k: tuple((y, p, F(0)) for y, p, _ in rows) for k, rows in mdp.kernel.items()}
         from dataclasses import replace
-        mdp = replace(mdp, sas_reward=flat)
+        mdp = replace(mdp, kernel=flat)
         aug = build_augmented(mdp)
         assert {c for layer in aug.layers for _, c in layer} == {F(0)}
         for layer in aug.layers:
@@ -228,7 +227,7 @@ class TestIndexInduction:
     def test_reward_denominators_enter_the_scale(self):
         rng = random.Random(17)
         mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=2)
-        assert any(r.denominator == 4 for r in mdp.sas_reward.values())
+        assert any(r.denominator == 4 for rows in mdp.kernel.values() for _, _, r in rows)
         aug = build_augmented(mdp)
         assert aug.scale % 4 == 0
         assert aug.totals == tuple((c + mdp.salvage[x]) * aug.scale
@@ -248,8 +247,7 @@ class TestIndexInduction:
         mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=3)
         pair = {a: (a, "order") for acts in mdp.actions for a in acts}
         mdp = replace(mdp, actions=tuple(tuple(pair[a] for a in acts) for acts in mdp.actions),
-                      kernel={(x, pair[a]): rows for (x, a), rows in mdp.kernel.items()},
-                      sas_reward={(x, pair[a], y): r for (x, a, y), r in mdp.sas_reward.items()})
+                      kernel={(x, pair[a]): rows for (x, a), rows in mdp.kernel.items()})
         aug = build_augmented(mdp)
         taus = (F(-1), F(0), F(2))
         assert_matches_reference(aug, taus)
@@ -261,6 +259,6 @@ class TestIndexInduction:
         mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=3)
         aug = build_augmented(mdp)
         for t in range(mdp.horizon):
-            expected = [(y, c + mdp.reward(x, a, y)) for x, c in aug.layers[t]
-                        for a in mdp.actions[x] for y, _ in mdp.transitions(x, a)]
+            expected = [(y, c + r) for x, c in aug.layers[t]
+                        for a in mdp.actions[x] for y, _, r in mdp.kernel[x, a]]
             assert [aug.layers[t + 1][i] for i in aug.successors[t]] == expected

@@ -17,8 +17,8 @@ import pytest
 from varmdp import (DeterministicPolicy, InventoryParams, ValidationError,
                     build_inventory, induced_mrp, parse_rational, simplify_reward, transform)
 from varmdp.cli import main
-from varmdp.documents import (load_document, mdp_from_document, mdp_to_document,
-                              mrp_from_document, mrp_to_document)
+from varmdp.documents import (dump_document, load_document, mdp_from_document,
+                              mdp_to_document, mrp_from_document, mrp_to_document)
 
 from conftest import random_mdp
 
@@ -44,10 +44,16 @@ class TestRationals:
 
 class TestDocuments:
     def test_mdp_round_trip(self, short_sas, short_sa):
-        for mdp in (short_sas, short_sa):
+        rng = random.Random(14)
+        seeded = [random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 3),
+                             reward_kind=kind, max_actions=3)
+                  for kind in ("sas", "sa") for _ in range(12)]
+        for mdp in (short_sas, short_sa, *seeded):
             doc = mdp_to_document(mdp)
             again = mdp_from_document(json.loads(json.dumps(doc)))
             assert again == mdp
+            text = dump_document(doc)
+            assert dump_document(mdp_to_document(mdp_from_document(load_document(text)))) == text
 
     def test_mrp_round_trip_including_transformed(self, short_sas):
         pol = DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0, 3: 0})
@@ -252,6 +258,12 @@ STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
     ("transform", "mrp", {"include_final_reward": "false"}, "include_final_reward"),
     ("dist-exact", "policy", {"rules": [{"0": 0}], "stationary": "false"},
      "policy.stationary"),
+    ("dist-exact", "grid", ("--budget", "-5"), "budget"),
+    ("dist-exact", "grid", ("--budget", "0"), "budget"),
+    ("var-threshold", "grid", ("--tau", "9", "--max-aug-states", "0"), "max-aug-states"),
+    ("pareto-short", "grid", ("--max-aug-states", "-1"), "max-aug-states"),
+    ("pareto-long", "grid", ("--horizon", "10", "--grid=0:10:3", "--max-policies", "-1"),
+     "max-policies"),
 ])
 def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
                                               command, kind, patch, field):
@@ -415,13 +427,19 @@ def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, where):
     assert f"output: cannot write {out}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["1,nan", "nan,0.5", "1,inf", "-inf,0.5"])
-def test_compare_refuses_non_finite_values(tmp_path, capsys, row):
+NOT_FINITE, OUTSIDE = "tau and value must be finite", "CDF value must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,nan", NOT_FINITE), ("nan,0.5", NOT_FINITE), ("1,inf", NOT_FINITE),
+    ("-inf,0.5", NOT_FINITE), ("1,7", OUTSIDE), ("1,-0.5", OUTSIDE),
+], ids=["1,nan", "nan,0.5", "1,inf", "-inf,0.5", "1,7", "1,-0.5"])
+def test_compare_refuses_non_finite_values(tmp_path, capsys, row, message):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     good.write_text("tau,cdf\n0,0.0\n1,0.5\n2,1.0\n")
     bad.write_text(f"tau,cdf\n0,0.0\n{row}\n2,1.0\n")
     assert run_cli("compare", str(good), str(bad)) == 2
-    assert f"{bad}: line 3: tau and value must be finite" in capsys.readouterr().err
+    assert f"{bad}: line 3: {message}" in capsys.readouterr().err
 
 
 def test_pareto_long_front_ignores_document_horizon(tmp_path):
@@ -476,6 +494,23 @@ def test_pareto_long_refuses_nonpositive_horizon(tmp_path, capsys, short_sas):
     path.write_text(json.dumps(mdp_to_document(short_sas)))
     assert run_cli("pareto-long", str(path), "--horizon", "0", "--grid=0:10:3") == 3
     assert "n_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate-cdf", "pareto-long"])
+def test_step_count_beyond_float_range_exits_3(tmp_path, capsys, short_sas, command):
+    path = tmp_path / "doc.json"
+    steps = "1" + "0" * 400
+    if command == "estimate-cdf":
+        halves = [{"x": x, "y": y, "p": "1/2"} for x in "ab" for y in "ab"]
+        path.write_text(json.dumps({"horizon": 3, "states": ["a", "b"], "reward_on": "state",
+                                    "transitions": halves, "state_rewards": ["0", "1"],
+                                    "mu0": ["1", "0"]}))
+        argv = ["--n-steps", steps]
+    else:
+        path.write_text(json.dumps(mdp_to_document(short_sas)))
+        argv = ["--horizon", steps]
+    assert run_cli(command, str(path), *argv, "--grid=0:10:3") == 3
+    assert "n_steps must be at most" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -401,13 +401,12 @@ def two_policy_mdp():
     """2 states; state 0 chooses between a lazy and a jumpy kernel."""
     half, third = F(1, 2), F(1, 3)
     kernel = {
-        (0, 0): ((0, F(3, 4)), (1, F(1, 4))),
-        (0, 1): ((0, third), (1, 1 - third)),
-        (1, 0): ((0, half), (1, half)),
+        (0, 0): ((0, F(3, 4), F(1, 3)), (1, F(1, 4), F(1, 3))),
+        (0, 1): ((0, third, F(-5, 7)), (1, 1 - third, F(-5, 7))),
+        (1, 0): ((0, half, F(9, 5)), (1, half, F(9, 5))),
     }
-    sa = {(0, 0): F(1, 3), (0, 1): F(-5, 7), (1, 0): F(9, 5)}
     return FiniteMdp(horizon=400, states=("a", "b"), actions=((0, 1), (0,)),
-                     kernel=kernel, reward_kind="sa", sas_reward=None, sa_reward=sa,
+                     kernel=kernel, reward_kind="sa",
                      mu0=(F(1), F(0)), salvage=(F(0), F(0)))
 
 
@@ -416,10 +415,9 @@ class TestParetoFrontLong:
         P = np.array([[0.6, 0.4], [0.3, 0.7]])
         kernel = ((F(3, 5), F(2, 5)), (F(3, 10), F(7, 10)))
         mdp = FiniteMdp(horizon=300, states=("a", "b"), actions=((0,), (0,)),
-                        kernel={(0, 0): ((0, F(3, 5)), (1, F(2, 5))),
-                                (1, 0): ((0, F(3, 10)), (1, F(7, 10)))},
-                        reward_kind="sa", sas_reward=None,
-                        sa_reward={(0, 0): F(1), (1, 0): F(-2)},
+                        kernel={(0, 0): ((0, F(3, 5), F(1)), (1, F(2, 5), F(1))),
+                                (1, 0): ((0, F(3, 10), F(-2)), (1, F(7, 10), F(-2)))},
+                        reward_kind="sa",
                         mu0=(F(1), F(0)), salvage=(F(0), F(0)))
         only = policy_chain(mdp, DeterministicPolicy.from_stationary({0: 0, 1: 0}))
         cdf = estimate_cdf(only, 300)
@@ -450,9 +448,8 @@ class TestParetoFrontLong:
         # make action 1 at state 0 absorbing: the restricted chain is a
         # constant-reward singleton, refused for degenerate variance
         kernel = dict(mdp.kernel)
-        kernel[(0, 1)] = ((0, F(1)),)
-        bad = replace(mdp, kernel=kernel,
-                      sas_reward=None)
+        kernel[(0, 1)] = ((0, F(1), F(-5, 7)),)
+        bad = replace(mdp, kernel=kernel)
         taus = np.linspace(0, 800, 41)
         with caplog.at_level(logging.WARNING, logger="varmdp.edgeworth"):
             front = pareto_front_long(bad, 400, taus)
@@ -461,9 +458,8 @@ class TestParetoFrontLong:
 
     def test_all_policies_rejected(self):
         mdp = FiniteMdp(horizon=10, states=("a", "b"), actions=((0,), (0,)),
-                        kernel={(0, 0): ((0, F(1)),), (1, 0): ((1, F(1)),)},
-                        reward_kind="sa", sas_reward=None,
-                        sa_reward={(0, 0): F(1), (1, 0): F(2)},
+                        kernel={(0, 0): ((0, F(1), F(1)),), (1, 0): ((1, F(1), F(2)),)},
+                        reward_kind="sa",
                         mu0=(F(1, 2), F(1, 2)), salvage=(F(0), F(0)))
         with pytest.raises(ErgodicityError, match="no stationary policy"):
             pareto_front_long(mdp, 100, np.linspace(0, 20, 11))

@@ -29,31 +29,31 @@ class TestStructure:
         short = paper_short()
         assert long.horizon == 500
         assert long.actions == short.actions
-        assert long.sas_reward == short.sas_reward
-        assert long.kernel == short.kernel
+        assert long.kernel == short.kernel  # the rows carry the rewards too
 
 
 class TestRewardsAndKernel:
     def test_published_transition_label(self, short_sas):
         # order 2 from empty stock, one unit sold: reward 0 with probability 1/2
-        assert short_sas.sas_reward[(0, 2, 1)] == 0
-        assert dict(short_sas.transitions(0, 2))[1] == F(1, 2)
+        (p, r), = [(p, r) for y, p, r in short_sas.kernel[0, 2] if y == 1]
+        assert r == 0
+        assert p == F(1, 2)
 
     def test_full_table_against_formulas(self, short_sas):
         params = InventoryParams()
         demand = params.demand
-        for (x, a, y), r in short_sas.sas_reward.items():
-            stock = x + a
-            assert r == params.unit_price * (stock - y) - order_cost(params, a)
-            p = dict(short_sas.transitions(x, a))[y]
-            if y > 0:
-                assert p == demand.get(stock - y, F(0))
-            else:
-                assert p == sum((q for d, q in demand.items() if d >= stock), F(0))
+        for (x, a), rows in short_sas.kernel.items():
+            for y, p, r in rows:
+                stock = x + a
+                assert r == params.unit_price * (stock - y) - order_cost(params, a)
+                if y > 0:
+                    assert p == demand.get(stock - y, F(0))
+                else:
+                    assert p == sum((q for d, q in demand.items() if d >= stock), F(0))
 
     def test_lost_sales_boundary(self, short_sas):
         # empty stock, no order: demand never met, stay at zero with certainty
-        assert short_sas.transitions(0, 0) == ((0, F(1)),)
+        assert short_sas.kernel[0, 0] == ((0, F(1), F(0)),)
 
     def test_deterministic_demand(self):
         mdp = build_inventory(InventoryParams(demand={1: F(1)}, capacity=2))
@@ -65,7 +65,7 @@ class TestRewardsAndKernel:
 class TestPublishedValues:
     def test_simplified_reward_label(self, short_sas):
         sa = simplify_reward(short_sas)
-        assert sa.sa_reward[(0, 2)] == 0
+        assert {r for _, _, r in sa.kernel[0, 2]} == {0}
 
     def test_optimal_expectation(self, short_sas):
         value, _ = expected_backward_induction(short_sas)

@@ -32,9 +32,8 @@ def reference_distribution(process, policy=None):
             if t == mdp.horizon:
                 record(total + mdp.salvage[x], mass)
                 return
-            a = policy.action(t, x)
-            for y, p in mdp.transitions(x, a):
-                walk(t + 1, y, mass * p, total + mdp.reward(x, a, y))
+            for y, p, r in mdp.kernel[x, policy.action(t, x)]:
+                walk(t + 1, y, mass * p, total + r)
     else:
         mrp = process
         on_state = mrp.reward_on == "state"
@@ -72,9 +71,8 @@ def enumerate_paths_oracle(mdp: FiniteMdp, policy: DeterministicPolicy):
     for t in range(mdp.horizon):
         nxt = []
         for x, mass, total in frontier:
-            a = policy.action(t, x)
-            for y, p in mdp.transitions(x, a):
-                nxt.append((y, mass * p, total + mdp.reward(x, a, y)))
+            for y, p, r in mdp.kernel[x, policy.action(t, x)]:
+                nxt.append((y, mass * p, total + r))
         frontier = nxt
     for x, mass, total in frontier:
         key = total + mdp.salvage[x]
@@ -82,29 +80,35 @@ def enumerate_paths_oracle(mdp: FiniteMdp, policy: DeterministicPolicy):
     return masses
 
 
+def transition_law(mdp: FiniteMdp):
+    """The kernel without its rewards: (state, action) -> (successor, probability) rows."""
+    return {key: tuple((y, p) for y, p, _ in rows) for key, rows in mdp.kernel.items()}
+
+
 class TestSimplifyReward:
     def test_paper_value_r02(self, short_sas):
         sa = simplify_reward(short_sas)
-        assert sa.sa_reward[(0, 2)] == 0
+        assert {r for _, _, r in sa.kernel[0, 2]} == {0}
         # the underlying average: 1/4*(-8) + 1/2*0 + 1/4*8
         assert F(1, 4) * -8 + F(1, 2) * 0 + F(1, 4) * 8 == 0
 
     def test_constant_in_destination(self):
         rng = random.Random(11)
         mdp = random_mdp(rng, n_states=3, reward_kind="sas")
-        flat = {key: F(5, 2) for key in mdp.sas_reward}
-        mdp = replace(mdp, sas_reward=flat)
+        flat = {key: tuple((y, p, F(5, 2)) for y, p, _ in rows)
+                for key, rows in mdp.kernel.items()}
+        mdp = replace(mdp, kernel=flat)
         sa = simplify_reward(mdp)
-        assert all(v == F(5, 2) for v in sa.sa_reward.values())
+        assert all(r == F(5, 2) for rows in sa.kernel.values() for _, _, r in rows)
 
     def test_random_against_direct_sum(self):
         for seed in range(25):
             rng = random.Random(seed)
             mdp = random_mdp(rng, n_states=3, reward_kind="sas", max_actions=3)
             sa = simplify_reward(mdp)
-            for (x, a), rows in mdp.kernel.items():
-                expected = sum((p * mdp.sas_reward[(x, a, y)] for y, p in rows), F(0))
-                assert sa.sa_reward[(x, a)] == expected
+            for key, rows in mdp.kernel.items():
+                expected = sum((p * r for _, p, r in rows), F(0))
+                assert all(r == expected for _, _, r in sa.kernel[key])
 
     def test_rejects_sa_input(self, short_sa):
         with pytest.raises(PreconditionError):
@@ -113,7 +117,7 @@ class TestSimplifyReward:
     def test_other_fields_unchanged(self, short_sas):
         sa = simplify_reward(short_sas)
         assert sa.reward_kind == "sa"
-        assert sa.kernel == short_sas.kernel
+        assert transition_law(sa) == transition_law(short_sas)
         assert sa.mu0 == short_sas.mu0
         assert sa.salvage == short_sas.salvage
 
@@ -132,9 +136,8 @@ class TestInducedMrp:
         mdp = FiniteMdp(
             horizon=2, states=("a", "b", "c"),
             actions=((0,),) * n,
-            kernel={(x, 0): ((x, F(1)),) for x in range(n)},
-            reward_kind="sa", sas_reward=None,
-            sa_reward={(x, 0): F(x) for x in range(n)},
+            kernel={(x, 0): ((x, F(1), F(x)),) for x in range(n)},
+            reward_kind="sa",
             mu0=(F(1), F(0), F(0)), salvage=(F(0),) * n)
         mrp = induced_mrp(mdp, DeterministicPolicy.from_stationary({x: 0 for x in range(n)}))
         for x in range(n):
@@ -148,9 +151,9 @@ class TestInducedMrp:
             rule = {x: rng.choice(mdp.actions[x]) for x in range(4)}
             mrp = induced_mrp(mdp, DeterministicPolicy.from_stationary(rule))
             for x in range(4):
-                for y, p in mdp.transitions(x, rule[x]):
+                for y, p, r in mdp.kernel[x, rule[x]]:
                     assert mrp.kernel[x][y] == p
-                    assert mrp.transition_reward[(x, y)] == mdp.sas_reward[(x, rule[x], y)]
+                    assert mrp.transition_reward[(x, y)] == r
 
     def test_illegal_action_names_state(self, printed_sas):
         with pytest.raises(PreconditionError, match="state 1"):
@@ -185,11 +188,10 @@ class TestBackwardInduction:
 
     def test_zero_rewards_single_action(self):
         # value reduces to the propagated expected salvage
-        kernel = {(0, 0): ((0, F(1, 2)), (1, F(1, 2))), (1, 0): ((0, F(1),),)}
+        kernel = {(0, 0): ((0, F(1, 2), F(0)), (1, F(1, 2), F(0))), (1, 0): ((0, F(1), F(0)),)}
         mdp = FiniteMdp(
             horizon=2, states=("a", "b"), actions=((0,), (0,)),
-            kernel=kernel, reward_kind="sa", sas_reward=None,
-            sa_reward={(0, 0): F(0), (1, 0): F(0)},
+            kernel=kernel, reward_kind="sa",
             mu0=(F(1), F(0)), salvage=(F(3), F(7)))
         value, _ = expected_backward_induction(mdp)
         # mu propagation: (1,0) -> (1/2,1/2) -> (3/4,1/4); E[v] = 3*3/4 + 7*1/4
@@ -230,11 +232,10 @@ class TestExactDistribution:
             assert dict(zip(dist.support, dist.prob)) == oracle
 
     def test_deterministic_chain_single_point(self):
-        kernel = {(0, 0): ((1, F(1)),), (1, 0): ((1, F(1)),)}
+        kernel = {(0, 0): ((1, F(1), F(2)),), (1, 0): ((1, F(1), F(5)),)}
         mdp = FiniteMdp(
             horizon=3, states=("a", "b"), actions=((0,), (0,)), kernel=kernel,
-            reward_kind="sa", sas_reward=None,
-            sa_reward={(0, 0): F(2), (1, 0): F(5)},
+            reward_kind="sa",
             mu0=(F(1), F(0)), salvage=(F(0), F(1)))
         dist = exact_total_reward_distribution(
             mdp, DeterministicPolicy.from_stationary({0: 0, 1: 0}))
@@ -262,8 +263,9 @@ class TestExactDistribution:
     def test_constant_destination_rewards_give_identical_cdfs(self):
         rng = random.Random(42)
         mdp = random_mdp(rng, n_states=2, horizon=2, reward_kind="sas", max_actions=2)
-        flat = {(x, a, y): F(x - a, 2) for (x, a, y) in mdp.sas_reward}
-        mdp = replace(mdp, sas_reward=flat)
+        flat = {(x, a): tuple((y, p, F(x - a, 2)) for y, p, _ in rows)
+                for (x, a), rows in mdp.kernel.items()}
+        mdp = replace(mdp, kernel=flat)
         sa = simplify_reward(mdp)
         all_rules = [dict(enumerate(c))
                      for c in product(*(mdp.actions[x] for x in range(mdp.n_states)))]
@@ -366,16 +368,20 @@ class TestValidation:
     def mdp(rows) -> FiniteMdp:
         return FiniteMdp(
             horizon=1, states=("a", "b"), actions=((0,), (0,)),
-            kernel={(0, 0): rows, (1, 0): ((1, F(1)),)}, reward_kind="sa",
-            sas_reward=None, sa_reward={(0, 0): F(1), (1, 0): F(0)},
+            kernel={(0, 0): rows, (1, 0): ((1, F(1), F(0)),)}, reward_kind="sa",
             mu0=(F(1), F(0)), salvage=(F(0), F(1)))
 
     @pytest.mark.parametrize("y", [2, 5, -1])
     def test_mdp_successor_outside_states(self, y):
-        self.mdp(((1, F(1)),))
+        self.mdp(((1, F(1), F(1)),))
         with pytest.raises(ValidationError, match=r"kernel row \(a, 0\): successor index"):
-            self.mdp(((y, F(1)),))
+            self.mdp(((y, F(1), F(1)),))
 
     def test_mdp_duplicate_successor(self):
         with pytest.raises(ValidationError, match=r"kernel row \(a, 0\): successor listed twice"):
-            self.mdp(((0, F(1, 2)), (0, F(1, 2))))
+            self.mdp(((0, F(1, 2), F(1)), (0, F(1, 2), F(1))))
+
+    def test_sa_mdp_pays_one_reward_per_state_action(self):
+        self.mdp(((0, F(1, 2), F(1)), (1, F(1, 2), F(1))))
+        with pytest.raises(ValidationError, match=r"kernel row \(a, 0\): an 'sa' instance"):
+            self.mdp(((0, F(1, 2), F(1)), (1, F(1, 2), F(2))))
