@@ -22,12 +22,22 @@ Geometric ergodicity is certified structurally, with numpy frontier
 searches: a finite chain that is one strongly connected aperiodic class
 qualifies; anything else is rejected with an ergodicity error.
 
-The long-horizon front estimates one stationary policy at a time.  Each
-policy's chain is built as float arrays straight from per-MDP float
-tables (``FloatTables``); ``policy_chain`` and ``estimate_cdf`` keep the
-exact ``Fraction`` route, which the tests use as the reference.  The
-normal CDF is ``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command
-loads scipy.
+Every stage works on a stack of equal-size chains (``_Stack``): the
+structural check, the stationary solve, the spectral pass and ``kappa``
+are each one stacked numpy call sequence, and a chain that fails a check
+leaves the stack with the error a one-chain call raises.  The one-chain
+functions (``check_ergodic_structure``, ``stationary_distribution``,
+``spectral_data``, ``third_moment_constant``, ``estimate_cdf_arrays``)
+run the same stages on a stack of one.  The long-horizon front gathers
+every stationary policy's chain as float arrays from per-MDP float tables
+(``FloatTables``), up to ``_STACK`` policies at a time, groups the chains
+by size and estimates each group in one pass; the per-policy numpy call
+overhead on many small chains is what this saves.  Its CDFs are
+evaluated ``_EVAL_CELLS`` grid cells at a time, which keeps the
+temporaries of a large policy count times a fine grid from setting the
+process's peak memory.  ``policy_chain`` and ``estimate_cdf`` keep the
+exact ``Fraction`` route, which re-checks every witness.  The normal CDF
+is ``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command loads scipy.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import numpy as np
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError)
 from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, bfs_levels,
-                  induced_mrp)
+                  induced_mrp, support_groups)
 from .pareto import ParetoFront
 from .transform import pair_chain, transform
 
@@ -54,62 +64,132 @@ _XI_TOL = 1e-12
 _POISSON_TOL = 1e-10
 _SIGMA2_FLOOR = -1e-12
 _DEGENERATE_SIGMA2 = 1e-12
+# Policies whose chains are gathered and estimated together, and grid cells
+# (policies x thresholds) evaluated at once: both bound the front's memory.
+_STACK = 256
+_EVAL_CELLS = 1 << 13
 
 
-def check_ergodic_structure(P: np.ndarray) -> None:
-    """Require one strongly connected, aperiodic class; else raise with the classes.
+class _Stack:
+    """Equal-size chains estimated together, one stacked numpy pass per stage.
+
+    Every array attribute holds the chains still in the running along its
+    leading axis; ``ids`` are their indices in the stack as built.  A
+    chain that fails a check leaves every array at once and keeps, in
+    ``errors`` under its id, the error a one-chain call would raise.
+    """
+
+    def __init__(self, **arrays: np.ndarray):
+        self.errors: dict[int, Exception] = {}
+        self.ids = np.arange(len(next(iter(arrays.values()))))
+        self.__dict__.update(arrays)
+
+    def refuse(self, bad: np.ndarray, message, kind=ErgodicityError) -> np.ndarray:
+        """Drop each chain ``j`` with ``bad[j]`` as ``kind(message(j))``; return the kept mask."""
+        keep = ~bad
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                self.errors[int(self.ids[j])] = kind(message(j))
+            for name, value in list(vars(self).items()):
+                if isinstance(value, np.ndarray):
+                    setattr(self, name, value[keep])
+        return keep
+
+    def only(self) -> "_Stack":
+        """A stack of one, which raises its chain's error if it has one."""
+        if self.errors:
+            raise self.errors[0]
+        return self
+
+
+def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector product ``A @ v``."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked inner product ``u @ v``."""
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _check_structure(st: _Stack) -> _Stack:
+    """Refuse every chain that is not one strongly connected, aperiodic class.
 
     Strong connectivity: every state is reached from state 0 forward and
     backward.  The period is ``gcd(d(u) + 1 - d(v))`` over the edges
     ``(u, v)``, with ``d`` the breadth-first levels from state 0.
     """
-    positive = np.asarray(P, dtype=float) > 0
-    origin = np.arange(len(positive)) == 0
+    positive = st.P > 0
+    origin = np.arange(positive.shape[-1]) == 0
     level = bfs_levels(positive, origin)
-    if level.min() < 0 or bfs_levels(positive.T, origin).min() < 0:
-        classes = _communicating_classes(positive)
-        raise ErgodicityError(
-            f"chain is reducible: {len(classes)} communicating classes {classes}")
-    u, v = np.nonzero(positive)
-    period = int(np.gcd.reduce(level[u] + 1 - level[v]))
-    if period != 1:
-        raise ErgodicityError(f"chain is periodic with period {period}")
+    reducible = ((level.min(axis=-1) < 0)
+                 | (bfs_levels(positive.swapaxes(-1, -2), origin).min(axis=-1) < 0))
+    classes = dict(zip(np.flatnonzero(reducible).tolist(),
+                       _communicating_classes(positive[reducible])))
+    lag = np.where(positive, level[..., :, None] + 1 - level[..., None, :], 0)
+    period = np.gcd.reduce(lag.reshape(len(lag), -1), axis=-1)
+    st.refuse(reducible | (period != 1), lambda j: (
+        f"chain is reducible: {len(classes[j])} communicating classes {classes[j]}"
+        if j in classes else f"chain is periodic with period {period[j]}"))
+    return st
 
 
-def _communicating_classes(positive: np.ndarray) -> list[list[int]]:
-    """Communicating classes of a boolean adjacency matrix, by smallest member."""
-    reach = positive | np.eye(len(positive), dtype=bool)
+def _communicating_classes(positive: np.ndarray) -> list[list[list[int]]]:
+    """Communicating classes of each stacked boolean adjacency matrix, by smallest member."""
+    reach = positive | np.eye(positive.shape[-1], dtype=bool)
     while True:
         closure = reach @ reach
         if (closure == reach).all():
             break
         reach = closure
-    smallest = (reach & reach.T).argmax(axis=1)  # each state's smallest classmate
-    return [np.nonzero(smallest == x)[0].tolist() for x in np.unique(smallest)]
+    found = []
+    for smallest in (reach & reach.swapaxes(-1, -2)).argmax(axis=-1).tolist():
+        classes: dict[int, list[int]] = {}  # keyed by each state's smallest classmate
+        for x, first in enumerate(smallest):
+            classes.setdefault(first, []).append(x)
+        found.append(list(classes.values()))
+    return found
+
+
+def check_ergodic_structure(P: np.ndarray) -> None:
+    """Require one strongly connected, aperiodic class; else raise with the classes."""
+    _check_structure(_Stack(P=np.asarray(P, dtype=float)[None])).only()
+
+
+def _stationary(st: _Stack) -> _Stack:
+    """Solve ``xi P = xi``, ``sum xi = 1`` for every chain; refuse failed or inexact solves."""
+    n = st.P.shape[-1]
+    A = st.P.swapaxes(-1, -2) - np.eye(n)
+    A[..., -1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        st.xi = np.linalg.solve(A, np.broadcast_to(b[:, None], A.shape[:-1] + (1,)))[..., 0]
+    except np.linalg.LinAlgError:  # one singular chain fails the stacked call
+        st.xi, failed = np.zeros(A.shape[:-1]), {}
+        for j, a in enumerate(A):
+            try:
+                st.xi[j] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError as exc:
+                failed[j] = exc
+        st.refuse(np.array([j in failed for j in range(len(A))]),
+                  lambda j: f"stationary solve failed: {failed[j]}")
+    st.xi = np.where(np.abs(st.xi) < 1e-15, 0.0, st.xi)
+    low = st.xi.min(axis=-1)
+    st.refuse(low < -1e-12, lambda j: f"stationary solve produced negative mass {low[j]:.3e}")
+    st.xi = np.clip(st.xi, 0.0, None)
+    st.xi /= st.xi.sum(axis=-1, keepdims=True)
+    residual = np.abs((st.xi[..., None, :] @ st.P)[..., 0, :] - st.xi).max(axis=-1)
+    st.refuse(residual > _XI_TOL,
+              lambda j: f"stationary residual {residual[j]:.3e} exceeds {_XI_TOL}")
+    return st
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Solve ``xi P = xi``, ``sum xi = 1`` on a single aperiodic recurrent class."""
     P = np.asarray(P, dtype=float)
     check_ergodic_structure(P)
-    n = P.shape[0]
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        xi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise ErgodicityError(f"stationary solve failed: {exc}") from exc
-    xi = np.where(np.abs(xi) < 1e-15, 0.0, xi)
-    if xi.min() < -1e-12:
-        raise ErgodicityError(f"stationary solve produced negative mass {xi.min():.3e}")
-    xi = np.clip(xi, 0.0, None)
-    xi /= xi.sum()
-    residual = np.abs(xi @ P - xi).max()
-    if residual > _XI_TOL:
-        raise ErgodicityError(f"stationary residual {residual:.3e} exceeds {_XI_TOL}")
-    return xi
+    return _stationary(_Stack(P=P[None])).only().xi[0]
 
 
 @dataclass(frozen=True)
@@ -126,6 +206,27 @@ class ChainSpectralData:
     cond_h: float
 
 
+def _spectral(st: _Stack) -> _Stack:
+    """``zeta``, ``cond``, ``Z``, ``rhat`` and ``sigma2`` of every chain (see ``spectral_data``)."""
+    st.zeta = _dot(st.xi, st.r)
+    H = np.eye(st.P.shape[-1]) - st.P - st.xi[..., None, :]
+    st.cond = np.linalg.cond(H)
+    keep = st.refuse(~np.isfinite(st.cond) | (st.cond > 1e14), lambda j: (
+        f"fundamental kernel is numerically singular (cond ~ {st.cond[j]:.3e})"))
+    st.Z = np.linalg.inv(H[keep])
+    rhat = _mv(st.Z, st.r - st.zeta[..., None])
+    st.rhat = rhat - _dot(st.xi, rhat)[..., None]  # gauge: stationary mean zero
+    Pr = _mv(st.P, st.rhat)
+    residual = np.abs(Pr - st.rhat + st.r - st.zeta[..., None]).max(axis=-1)
+    keep = st.refuse(residual > _POISSON_TOL, lambda j: (
+        f"Poisson residual {residual[j]:.3e} exceeds {_POISSON_TOL} (cond ~ {st.cond[j]:.3e})"))
+    st.sigma2 = ((st.rhat ** 2 - Pr[keep] ** 2) * st.xi).sum(axis=-1)
+    st.refuse(st.sigma2 < _SIGMA2_FLOOR,
+              lambda j: f"asymptotic variance {st.sigma2[j]:.3e} is negative")
+    st.sigma2 = np.maximum(st.sigma2, 0.0)
+    return st
+
+
 def spectral_data(P: np.ndarray, r: np.ndarray) -> ChainSpectralData:
     """One spectral pass: ``xi``, ``zeta``, ``rhat``, ``sigma^2`` and ``Z`` of a chain.
 
@@ -138,24 +239,10 @@ def spectral_data(P: np.ndarray, r: np.ndarray) -> ChainSpectralData:
     P = np.asarray(P, dtype=float)
     r = np.asarray(r, dtype=float)
     xi = stationary_distribution(P)
-    zeta = float(xi @ r)
-    H = np.eye(P.shape[0]) - P - xi
-    cond = float(np.linalg.cond(H))
-    if not np.isfinite(cond) or cond > 1e14:
-        raise ErgodicityError(f"fundamental kernel is numerically singular (cond ~ {cond:.3e})")
-    Z = np.linalg.inv(H)
-    rhat = Z @ (r - zeta)
-    rhat = rhat - float(xi @ rhat)  # gauge: stationary mean zero
-    Pr = P @ rhat
-    residual = np.abs(Pr - rhat + r - zeta).max()
-    if residual > _POISSON_TOL:
-        raise ErgodicityError(
-            f"Poisson residual {residual:.3e} exceeds {_POISSON_TOL} (cond ~ {cond:.3e})")
-    sigma2 = float(((rhat ** 2 - Pr ** 2) * xi).sum())
-    if sigma2 < _SIGMA2_FLOOR:
-        raise ErgodicityError(f"asymptotic variance {sigma2:.3e} is negative")
-    return ChainSpectralData(P=P, r=r, xi=xi, zeta=zeta, rhat=rhat, sigma2=max(sigma2, 0.0),
-                             z_kernel=Z, cond_h=cond)
+    st = _spectral(_Stack(P=P[None], r=r[None], xi=xi[None])).only()
+    return ChainSpectralData(P=P, r=r, xi=xi, zeta=float(st.zeta[0]), rhat=st.rhat[0],
+                             sigma2=float(st.sigma2[0]), z_kernel=st.Z[0],
+                             cond_h=float(st.cond[0]))
 
 
 @dataclass(frozen=True)
@@ -165,6 +252,18 @@ class KappaResult:
     k2: float
     k3: float
     truncation: int = 0  # always 0 (no lag sum); varbench/tracing.py still reads it
+
+
+def _kappa(st: _Stack) -> _Stack:
+    """``k1``, ``k2``, ``k3`` and ``kappa`` of every chain (see ``third_moment_constant``)."""
+    rt = st.r - st.zeta[..., None]
+    w = st.xi * rt
+    s = _mv(st.Z, rt) - rt  # sum_{j>=1} P^j rt
+    st.k1 = (rt ** 3 * st.xi).sum(axis=-1)
+    st.k2 = 3.0 * (_dot(w * rt, s) + _dot(w, _mv(st.Z, rt * rt) - rt * rt))
+    st.k3 = 6.0 * _dot(w, _mv(st.Z, rt * s) - rt * s)
+    st.kappa = st.k1 + st.k2 + st.k3
+    return st
 
 
 def third_moment_constant(data: ChainSpectralData) -> KappaResult:
@@ -182,22 +281,35 @@ def third_moment_constant(data: ChainSpectralData) -> KappaResult:
     are paired with ``xi * rt``, which annihilates constants, so they are
     taken uncentered.
     """
-    xi, Z = data.xi, data.z_kernel
-    rt = data.r - data.zeta
-    w = xi * rt
-    s = Z @ rt - rt  # sum_{j>=1} P^j rt
-    k1 = float((rt ** 3 * xi).sum())
-    k2 = 3.0 * float((w * rt) @ s + w @ (Z @ (rt * rt) - rt * rt))
-    k3 = 6.0 * float(w @ (Z @ (rt * s) - rt * s))
-    return KappaResult(kappa=k1 + k2 + k3, k1=k1, k2=k2, k3=k3)
+    st = _kappa(_Stack(r=data.r[None], xi=data.xi[None], zeta=np.array([data.zeta]),
+                       Z=data.z_kernel[None]))
+    return KappaResult(kappa=float(st.kappa[0]), k1=float(st.k1[0]), k2=float(st.k2[0]),
+                       k3=float(st.k3[0]))
 
 
-_erfc = np.vectorize(math.erfc, otypes=[float])
+# 0.5 * math.erfc(-y / sqrt(2)) is exactly 0.0 at and below the first cut-off
+# and exactly 1.0 at and above the second, so those cells skip math.erfc.
+_CDF_ZERO_AT_OR_BELOW = -38.4754
+_CDF_ONE_AT_OR_ABOVE = 8.2924
 
 
 def normal_cdf(y):
     """Standard normal CDF, ``0.5 * erfc(-y / sqrt(2))``, elementwise."""
-    return 0.5 * _erfc(-np.asarray(y, dtype=float) / math.sqrt(2.0))
+    y = np.asarray(y, dtype=float)
+    out = np.where(y >= _CDF_ONE_AT_OR_ABOVE, 1.0, 0.0)
+    inside = ~((y <= _CDF_ZERO_AT_OR_BELOW) | (y >= _CDF_ONE_AT_OR_ABOVE))  # NaN is inside
+    z = -y[inside] / math.sqrt(2.0)
+    out[inside] = 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, count=len(z))
+    return out
+
+
+def _edgeworth_values(n_steps: int, zeta, sigma2, kappa, rhat_start, tau):
+    """The estimate ``F(tau)`` clipped to [0, 1], broadcast over the chain parameters and ``tau``."""
+    scale = np.sqrt(sigma2) * math.sqrt(n_steps)
+    y = (tau - float(n_steps) * zeta) / scale
+    density = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+    correction = density / scale * (kappa / (6.0 * sigma2) * (1.0 - y * y) - rhat_start)
+    return np.clip(normal_cdf(y) + correction, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -216,13 +328,8 @@ class EdgeworthCdf:
         return math.sqrt(self.sigma2)
 
     def evaluate(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        scale = self.sigma * math.sqrt(self.n_steps)
-        y = (tau - self.n_steps * self.zeta) / scale
-        density = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
-        correction = density / scale * (
-            self.kappa / (6.0 * self.sigma2) * (1.0 - y * y) - self.rhat_start)
-        out = np.clip(normal_cdf(y) + correction, 0.0, 1.0)
+        out = _edgeworth_values(self.n_steps, self.zeta, self.sigma2, self.kappa,
+                                self.rhat_start, np.asarray(tau, dtype=float))
         return float(out) if out.ndim == 0 else out
 
 
@@ -259,19 +366,37 @@ def _check_n_steps(n_steps: int) -> None:
             f"estimate_cdf: n_steps must be at most {sys.float_info.max:.6g}")
 
 
+def _degenerate(st: _Stack) -> _Stack:
+    """Refuse every chain whose asymptotic variance is numerically zero."""
+    st.refuse(st.sigma2 <= _DEGENERATE_SIGMA2, lambda j: (
+        f"asymptotic variance {st.sigma2[j]:.3e} is (numerically) zero; "
+        f"the normalized total reward is degenerate"), DegenerateVarianceError)
+    return st
+
+
 def estimate_cdf_arrays(P, r, mu0, n_steps: int) -> EdgeworthCdf:
     """Array-level variant of ``estimate_cdf`` for chains given as float matrices."""
     _check_n_steps(n_steps)
     mu0 = np.asarray(mu0, dtype=float)
     data = spectral_data(P, r)
-    if data.sigma2 <= _DEGENERATE_SIGMA2:
-        raise DegenerateVarianceError(
-            f"asymptotic variance {data.sigma2:.3e} is (numerically) zero; "
-            f"the normalized total reward is degenerate")
+    _degenerate(_Stack(sigma2=np.array([data.sigma2]))).only()
     kap = third_moment_constant(data)
     return EdgeworthCdf(
         n_steps=int(n_steps), zeta=data.zeta, sigma2=data.sigma2, kappa=kap.kappa,
-        rhat_start=float(mu0 @ data.rhat), cond_h=data.cond_h)
+        rhat_start=float(_dot(mu0, data.rhat)), cond_h=data.cond_h)
+
+
+def _estimate_stack(P: np.ndarray, r: np.ndarray, mu0: np.ndarray) -> _Stack:
+    """Every stage of ``estimate_cdf_arrays`` on a stack of equal-size chains.
+
+    The chains left in the stack carry ``zeta``, ``sigma2``, ``kappa`` and
+    ``rhat_start``; each refused one has its error under its index.
+    """
+    st = _Stack(P=P, r=r, mu0=mu0)
+    for stage in (_check_structure, _stationary, _spectral, _degenerate, _kappa):
+        stage(st)
+    st.rhat_start = _dot(st.mu0, st.rhat)
+    return st
 
 
 def enumerate_stationary_policies(mdp: FiniteMdp) -> list[DeterministicPolicy]:
@@ -314,20 +439,27 @@ class FloatTables:
     mu0: np.ndarray
     slots: tuple[dict, ...]
 
-    def chain(self, policy: DeterministicPolicy):
-        """Float ``(P, r, mu0)`` of a stationary policy's chain, as ``policy_chain`` builds it.
+    def chains(self, policies: Sequence[DeterministicPolicy]) -> list[tuple[np.ndarray, ...]]:
+        """Float chains of stationary policies, as ``policy_chain`` builds them, grouped by size.
 
-        The policy's rows are restricted to the states reachable from the
+        Each policy's rows are restricted to the states reachable from the
         start; SAS rows then go through the pair-state construction.
+        Returns ``(members, P, r, mu0)`` per chain size, with the chains of
+        ``policies[members[g]]`` along the leading axis.
         """
         rows = np.arange(len(self.slots))
-        choice = [slot[policy.action(0, x)] for x, slot in enumerate(self.slots)]
+        choice = np.array([[slot[policy.action(0, x)] for x, slot in enumerate(self.slots)]
+                           for policy in policies])
         P, R = self.P[rows, choice], self.R[rows, choice]
-        if R.ndim == 2:  # SAS: one reward per transition
-            _, _, kernel, reward, mu0 = pair_chain(P, R, self.start[rows, choice])
-            return kernel, reward, mu0
-        keep = bfs_levels(P > 0, self.mu0 > 0) >= 0
-        return P[np.ix_(keep, keep)], R[keep], self.mu0[keep]
+        if R.ndim == 3:  # SAS: one reward per transition
+            return [(members, kernel, reward, mu0) for members, _, _, kernel, reward, mu0
+                    in pair_chain(P, R, self.start[rows, choice])]
+        groups = []
+        for members, keep in support_groups(bfs_levels(P > 0, self.mu0 > 0) >= 0):
+            m = members[:, None]
+            groups.append((members, P[m[..., None], keep[:, :, None], keep[:, None, :]],
+                           R[m, keep], self.mu0[keep]))
+        return groups
 
 
 def float_tables(mdp: FiniteMdp) -> FloatTables:
@@ -351,14 +483,16 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     """Estimated front: pointwise minimum of per-policy CDF estimates.
 
     Enumerates stationary deterministic policies; non-ergodic or
-    degenerate-variance chains are skipped with a logged warning.  Each
-    policy's chain is built directly as float arrays from the MDP's
-    ``FloatTables`` (reachable rows, then pair states for SAS instances)
-    and estimated by ``estimate_cdf_arrays``.  Every witness is rebuilt
-    on the exact route, ``float_chain(policy_chain(mdp, policy))``, and
-    its arrays must equal the float ones; that route runs at horizon 2,
-    the least the pair-state transformation accepts, whatever the
-    document's horizon.
+    degenerate-variance chains are skipped with a logged warning, in
+    policy order.  The policies' chains are built as float arrays from the
+    MDP's ``FloatTables`` (reachable rows, then pair states for SAS
+    instances), ``_STACK`` policies at a time, and each group of equal
+    size is estimated in one stacked pass, with the numbers
+    ``estimate_cdf_arrays`` gives each chain alone.  The minimum keeps the
+    earliest policy on ties.  Every witness is rebuilt on the exact route,
+    ``float_chain(policy_chain(mdp, policy))``, and its arrays must equal
+    the float ones; that route runs at horizon 2, the least the pair-state
+    transformation accepts, whatever the document's horizon.
     The number of reward terms is ``n_steps`` for both reward conventions
     (an SAS chain over ``n_steps`` epochs pays ``n_steps`` transition
     rewards; its pair chain pays the same count of state rewards).
@@ -375,30 +509,42 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
             f"budget {max_policies}")
     _check_n_steps(n_steps)
     tables = float_tables(mdp)
+    policies = enumerate_stationary_policies(mdp)
+    estimated = np.zeros(len(policies), dtype=bool)
+    params = np.zeros((len(policies), 4))  # zeta, sigma2, kappa, rhat_start
+    for first in range(0, len(policies), _STACK):
+        skipped = {}
+        for members, P, r, mu0 in tables.chains(policies[first:first + _STACK]):
+            st = _estimate_stack(P, r, mu0)
+            done = first + members[st.ids]
+            estimated[done] = True
+            params[done] = np.stack([st.zeta, st.sigma2, st.kappa, st.rhat_start], axis=-1)
+            skipped.update((first + int(members[j]), exc) for j, exc in st.errors.items())
+        for pid in sorted(skipped):
+            logger.warning("policy %d skipped: %s", pid, skipped[pid])
+    used = np.flatnonzero(estimated)
+    if len(used) == 0:
+        raise ErgodicityError("no stationary policy induces an ergodic chain")
     best = np.full(len(taus), np.inf)
     witness = np.full(len(taus), -1, dtype=int)
-    used = 0
-    policies = enumerate_stationary_policies(mdp)
-    for pid, policy in enumerate(policies):
-        try:
-            cdf = estimate_cdf_arrays(*tables.chain(policy), n_steps)
-        except (ErgodicityError, DegenerateVarianceError) as exc:
-            logger.warning("policy %d skipped: %s", pid, exc)
-            continue
-        used += 1
-        values = cdf.evaluate(taus)
-        improved = values < best
-        best = np.where(improved, values, best)
-        witness = np.where(improved, pid, witness)
-    if used == 0:
-        raise ErgodicityError("no stationary policy induces an ergodic chain")
+    block = max(1, _EVAL_CELLS // len(taus))
+    for first in range(0, len(used), block):
+        pids = used[first:first + block]
+        values = _edgeworth_values(n_steps, *params[pids].T[..., None], taus)
+        values[np.isnan(values)] = np.inf  # a NaN never improves the minimum
+        low = values.argmin(axis=0)  # the earliest policy of the block on ties
+        value = values[low, np.arange(len(taus))]
+        improved = value < best
+        best = np.where(improved, value, best)
+        witness = np.where(improved, pids[low], witness)
     best = np.maximum.accumulate(best)  # guard against float non-monotonicity in far tails
     present = {int(w) for w in witness if w >= 0}
     listings: dict[int, str] = {}
     routed = replace(mdp, horizon=2)  # chain arrays do not depend on the horizon
     for pid in sorted(present):
+        [(_, *chain)] = tables.chains([policies[pid]])
         exact = float_chain(policy_chain(routed, policies[pid]))
-        if not all(map(np.array_equal, tables.chain(policies[pid]), exact)):
+        if not all(np.array_equal(a[0], b) for a, b in zip(chain, exact)):
             raise RuntimeError(f"policy {pid}: float chain differs from its exact chain")
         listings[pid] = "\n".join(
             f"{mdp.states[x]} -> {policies[pid].action(0, x)}" for x in range(mdp.n_states))

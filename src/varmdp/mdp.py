@@ -286,16 +286,32 @@ def bfs_levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Breadth-first levels over a boolean adjacency matrix; -1 where unreached.
 
     ``sources`` is a boolean mask of the level-0 states; each pass moves
-    the whole frontier one edge forward.
+    the whole frontier one edge forward.  A leading axis on ``adjacency``
+    searches a stack of graphs at once; ``sources`` broadcasts against it.
     """
-    level = np.where(sources, 0, -1)
-    frontier = np.asarray(sources, dtype=bool)
+    frontier = np.broadcast_to(np.asarray(sources, dtype=bool), adjacency.shape[:-1])
+    level = np.where(frontier, 0, -1)
     depth = 0
     while frontier.any():
         depth += 1
-        frontier = adjacency[frontier].any(axis=0) & (level < 0)
+        frontier = (frontier[..., :, None] & adjacency).any(axis=-2) & (level < 0)
         level[frontier] = depth
     return level
+
+
+def support_groups(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows of a boolean matrix grouped by their number of ``True`` entries.
+
+    Returns ``(members, columns)`` per count, by increasing count:
+    ``members`` are the row indices with that count, in order, and
+    ``columns[g]`` the ``True`` column indices of row ``members[g]``, in order.
+    """
+    counts = mask.sum(axis=1)
+    groups = []
+    for count in sorted(set(counts.tolist())):
+        members = np.flatnonzero(counts == count)
+        groups.append((members, np.nonzero(mask[members])[1].reshape(len(members), count)))
+    return groups
 
 
 def _backward_induction(mdp: FiniteMdp, candidates) -> tuple[Fraction, tuple[dict, ...]]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .mdp import MarkovRewardProcess, ZERO, bfs_levels
+from .mdp import MarkovRewardProcess, ZERO, bfs_levels, support_groups
 
 
 @dataclass(frozen=True)
@@ -36,22 +36,30 @@ class TransformedMrp(MarkovRewardProcess):
 
 
 def pair_chain(P: np.ndarray, R: np.ndarray, start: np.ndarray):
-    """Pair-state arrays ``(xs, ys, kernel, reward, mu0)`` of a transition-rewarded chain.
+    """Pair-state arrays of a stack of transition-rewarded chains, grouped by pair count.
 
-    ``P[x, y]`` is the kernel, ``R[x, y]`` the transition reward and
-    ``start[x, y] = mu0(x) p(y | x)`` the law of the first transition.
-    Pair ``i`` is ``(xs[i], ys[i])``: the positive transitions out of the
-    states reachable from the support of ``mu0``, by ``x`` then ``y``.
-    It moves to pair ``(ys[i], z)`` with probability ``p(z | ys[i])``,
-    pays ``R[xs[i], ys[i]]`` and starts with mass ``start[xs[i], ys[i]]``.
+    ``P[m, x, y]`` is chain ``m``'s kernel, ``R[m, x, y]`` its transition
+    reward and ``start[m, x, y] = mu0(x) p(y | x)`` the law of its first
+    transition.  A chain's pairs are the positive transitions out of the
+    states reachable from the support of its ``mu0``, by ``x`` then ``y``.
+    Returns ``(members, xs, ys, kernel, reward, mu0)`` per pair count:
+    pair ``i`` of chain ``members[g]`` is ``(xs[g, i], ys[g, i])``; it
+    moves to pair ``(ys[g, i], z)`` with probability ``p(z | ys[g, i])``,
+    pays ``R[xs, ys]`` and starts with mass ``start[xs, ys]``.
     The same code serves float arrays and exact ``Fraction`` object arrays.
     """
+    n = P.shape[-1]
     positive = P != 0
-    reach = bfs_levels(positive, (start != 0).any(axis=1)) >= 0
-    xs, ys = np.nonzero(positive & reach[:, None])
+    reach = bfs_levels(positive, (start != 0).any(axis=-1)) >= 0
     zero = P.flat[0] * 0  # of P's own type: Fraction or float
-    kernel = np.where(xs[None, :] == ys[:, None], P[np.ix_(ys, ys)], zero)
-    return xs, ys, kernel, R[xs, ys], start[xs, ys]
+    groups = []
+    for members, cols in support_groups((positive & reach[..., None]).reshape(len(P), -1)):
+        xs, ys = np.divmod(cols, n)
+        m = members[:, None]
+        kernel = np.where(xs[:, None, :] == ys[:, :, None],
+                          P[m[..., None], ys[:, :, None], ys[:, None, :]], zero)
+        groups.append((members, xs, ys, kernel, R[m, xs, ys], start[m, xs, ys]))
+    return groups
 
 
 def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
@@ -74,8 +82,8 @@ def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
     for (x, y), r in mrp.transition_reward.items():
         R[x, y] = r
     start = np.array(mrp.mu0, dtype=object)[:, None] * P
-    xs, ys, kernel, state_reward, mu0 = pair_chain(P, R, start)
-    pairs = list(zip(xs.tolist(), ys.tolist()))
+    [(_, xs, ys, kernel, state_reward, mu0)] = pair_chain(P[None], R[None], start[None])
+    pairs = list(zip(xs[0].tolist(), ys[0].tolist()))
     salvage = None
     if mrp.salvage is not None:
         salvage = tuple(mrp.salvage[y] for (_, y) in pairs)
@@ -83,11 +91,11 @@ def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
     return TransformedMrp(
         horizon=mrp.horizon - 1,
         states=tuple(f"{mrp.states[x]}->{mrp.states[y]}" for (x, y) in pairs),
-        kernel=tuple(tuple(row) for row in kernel),
+        kernel=tuple(tuple(row) for row in kernel[0]),
         reward_on="state",
-        state_reward=tuple(state_reward),
+        state_reward=tuple(state_reward[0]),
         transition_reward=None,
-        mu0=tuple(mu0),
+        mu0=tuple(mu0[0]),
         salvage=salvage,
         include_final_reward=True,
         pairs=tuple(pairs),

@@ -1,5 +1,6 @@
 """Shared fixtures: paper presets, exact-rational random instance generators,
-and test-only helpers: CDF distances and derived quantities of library objects."""
+test-only helpers (CDF distances, derived quantities of library objects) and
+the per-policy long-horizon front loop that the stacked front is checked against."""
 
 import math
 import os
@@ -11,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varmdp import (FiniteMdp, MarkovRewardProcess, PreconditionError, StepCdf,
-                    paper_short, paper_short_printed, simplify_reward, transform)
-from varmdp.edgeworth import normal_cdf
+from varmdp import (DegenerateVarianceError, ErgodicityError, FiniteMdp, MarkovRewardProcess,
+                    ParetoFront, PreconditionError, StepCdf, enumerate_stationary_policies,
+                    estimate_cdf_arrays, paper_short, paper_short_printed, policy_chain,
+                    simplify_reward, transform)
+from varmdp.edgeworth import float_chain, normal_cdf
 
 ZERO = Fraction(0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -167,3 +170,37 @@ def normal_reference(cdf, tau):
 def transformed_salvage(mrp: MarkovRewardProcess, salvage):
     """Pair-state transform with an explicit terminal value over the original states."""
     return transform(replace(mrp, salvage=tuple(Fraction(v) for v in salvage)))
+
+
+def reference_front_long(mdp: FiniteMdp, n_steps: int, taus):
+    """The long-horizon front one policy at a time: ``estimate_cdf_arrays`` per exact chain.
+
+    Returns the front (``None`` when no policy is estimated) and the skip
+    messages, in policy order, as ``pareto_front_long`` logs them.
+    """
+    taus = np.asarray(taus, dtype=float)
+    policies = enumerate_stationary_policies(mdp)
+    routed = replace(mdp, horizon=2)  # the least horizon the pair-state transform accepts
+    best = np.full(len(taus), np.inf)
+    witness = np.full(len(taus), -1)
+    skipped, used = [], 0
+    for pid, policy in enumerate(policies):
+        try:
+            cdf = estimate_cdf_arrays(*float_chain(policy_chain(routed, policy)), n_steps)
+        except (ErgodicityError, DegenerateVarianceError) as exc:
+            skipped.append(f"policy {pid} skipped: {exc}")
+            continue
+        used += 1
+        values = cdf.evaluate(taus)
+        improved = values < best
+        best = np.where(improved, values, best)
+        witness = np.where(improved, pid, witness)
+    if used == 0:
+        return None, skipped
+    listings = {pid: "\n".join(f"{mdp.states[x]} -> {policies[pid].action(0, x)}"
+                               for x in range(mdp.n_states))
+                for pid in sorted({int(w) for w in witness if w >= 0})}
+    front = ParetoFront(kind="estimated", grid=tuple(float(t) for t in taus),
+                        value=tuple(float(v) for v in np.maximum.accumulate(best)),
+                        witness=tuple(int(w) for w in witness), policies=listings)
+    return front, skipped

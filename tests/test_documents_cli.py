@@ -585,3 +585,24 @@ def test_estimate_cdf_loads_no_scipy(tmp_path):
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "0 []"
     assert len(out.read_text().splitlines()) == 10
+
+
+def test_long_estimates_leave_numpy_ma_unloaded(tmp_path):
+    # a reducible chain's classes are grouped in plain Python: np.unique imports numpy.ma
+    front = tmp_path / "cap3.json"
+    front.write_text(dump_document(mdp_to_document(
+        build_inventory(InventoryParams(horizon=500, capacity=3)))))
+    chain = tmp_path / "reducible.json"
+    chain.write_text(json.dumps({
+        "horizon": 20, "states": ["a", "b"], "reward_on": "state",
+        "transitions": [{"x": "a", "y": "a", "p": "1"}, {"x": "b", "y": "b", "p": "1"}],
+        "state_rewards": ["1", "3"], "mu0": ["1/2", "1/2"]}))
+    for argv, code in ((["pareto-long", str(front), "--horizon", "500",
+                         "--grid=1700:2600:901", "-o", str(tmp_path / "front.csv")], 0),
+                       (["estimate-cdf", str(chain), "--n-steps", "20", "--grid=20:60:9",
+                         "-o", str(tmp_path / "cdf.csv")], 5)):
+        script = ("import sys; from varmdp.cli import main; "
+                  f"print(main({argv!r}), 'numpy.ma' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == [str(code), "False"], (argv[0], result.stderr)

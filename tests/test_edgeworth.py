@@ -21,7 +21,8 @@ from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityErro
                     query_rho, simplify_reward, simulate, spectral_data,
                     stationary_distribution, third_moment_constant)
 
-from conftest import empirical_cdf, normal_reference, random_ergodic_chain, random_mdp
+from conftest import (empirical_cdf, normal_reference, random_ergodic_chain, random_mdp,
+                      reference_front_long)
 
 F = Fraction
 
@@ -313,6 +314,19 @@ class TestEstimateCdf:
         assert edgeworth.normal_cdf(-40.0) == ndtr(-40.0)  # far tail keeps its precision
         assert np.ndim(edgeworth.normal_cdf(0.3)) == 0
 
+    def test_normal_cdf_is_bitwise_half_erfc(self):
+        cuts = (edgeworth._CDF_ZERO_AT_OR_BELOW, edgeworth._CDF_ONE_AT_OR_ABOVE)
+        near = [v for cut in cuts for v in (np.nextafter(cut, -np.inf), cut,
+                                            np.nextafter(cut, np.inf))]
+        y = np.concatenate([np.linspace(-45.0, 12.0, 228_001), near,
+                            [-np.inf, np.inf, np.nan, -0.0]])
+        want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in y])
+        assert np.array_equal(edgeworth.normal_cdf(y).view(np.int64), want.view(np.int64))
+        for v in (0.3, -40.0, 9.0, np.nan):
+            got = edgeworth.normal_cdf(v)
+            assert np.ndim(got) == 0
+            assert np.array_equal(got, 0.5 * math.erfc(-v / math.sqrt(2.0)), equal_nan=True)
+
     def test_vanishing_correction_is_exactly_normal(self):
         P, r = iid_chain([0.5, 0.5], [1.0, -1.0])
         cdf = estimate_cdf_arrays(P, r, np.array([0.5, 0.5]), 400)
@@ -481,25 +495,18 @@ class TestParetoFrontLong:
             assert query_eta(front, rho) == pytest.approx(alpha, abs=1e-9)
 
 
-def reference_front(mdp, n, taus):
-    """Per-policy loop on the exact path: ``estimate_cdf(policy_chain(mdp, policy))``.
-
-    Returns the front values, the witnesses and the ``(pid, reason)`` of every
-    skipped policy.
-    """
-    best = np.full(len(taus), np.inf)
-    witness = np.full(len(taus), -1)
-    skipped = []
-    for pid, policy in enumerate(enumerate_stationary_policies(mdp)):
-        try:
-            cdf = estimate_cdf(policy_chain(mdp, policy), n)
-        except (ErgodicityError, DegenerateVarianceError) as exc:
-            skipped.append((pid, str(exc)))
-            continue
-        values = cdf.evaluate(taus)
-        witness = np.where(values < best, pid, witness)
-        best = np.minimum(values, best)
-    return np.maximum.accumulate(best), witness, skipped
+def assert_front_matches_reference(caplog, mdp, n_steps, taus):
+    """The stacked front equals the per-policy loop: values, witnesses, listings, skips."""
+    want, skipped = reference_front_long(mdp, n_steps, taus)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="varmdp.edgeworth"):
+        if want is None:
+            with pytest.raises(ErgodicityError, match="no stationary policy"):
+                pareto_front_long(mdp, n_steps, taus)
+        else:
+            assert pareto_front_long(mdp, n_steps, taus) == want
+    assert caplog.messages == skipped
+    return want
 
 
 @pytest.mark.parametrize("name, mdp, grid", [
@@ -509,14 +516,65 @@ def reference_front(mdp, n, taus):
     ("paper-long-sa", simplify_reward(paper_long()), (1700, 2600, 901)),
 ])
 def test_float_front_matches_exact_path_reference(caplog, name, mdp, grid):
-    taus = np.linspace(*grid)
-    value, witness, skipped = reference_front(mdp, 500, taus)
-    with caplog.at_level(logging.WARNING, logger="varmdp.edgeworth"):
-        front = pareto_front_long(mdp, 500, taus)
-    assert np.abs(np.asarray(front.value) - value).max() <= 1e-12
-    assert front.witness == tuple(witness.tolist())
-    assert caplog.messages == [f"policy {pid} skipped: {reason}" for pid, reason in skipped]
+    front = assert_front_matches_reference(caplog, mdp, 500, np.linspace(*grid))
     assert len(front.policies) >= 1
+
+
+@pytest.mark.parametrize("reward_kind", ["sas", "sa"])
+def test_stacked_front_matches_per_policy_loop_on_random_mdps(caplog, reward_kind):
+    # SA chains group by their count of reachable states, SAS chains by pair count
+    taus = np.linspace(-1700.0, 1700.0, 681)
+    fronts = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=3, reward_kind=reward_kind,
+                         max_actions=3, max_support=rng.choice([None, None, 2]))
+        fronts += assert_front_matches_reference(caplog, mdp, 200, taus) is not None
+    assert fronts >= 50
+
+
+def test_stacked_chains_fail_alone(monkeypatch):
+    """One stack holds a chain failing each numeric check and healthy chains around them.
+
+    Each failing chain gets the error its one-chain estimate raises, and the
+    healthy ones the one-chain estimates, bit for bit, as in a stack of their own.
+    """
+    # off for every chain, so that the identity kernel reaches the solve and makes it singular
+    monkeypatch.setattr(edgeworth, "_check_structure", lambda st: st)
+    eps = 1e-15
+    near_split = np.array([[1 - eps, eps, 0.0], [eps, 0.5 - eps, 0.5], [0.0, 0.5, 0.5]])
+    two_cycles = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+    telescoping = np.array([1.0, -1.0, 0.0])  # cycle means zero: sigma^2 = 0 exactly
+    chains = [random_ergodic_chain(seed, 3) for seed in range(4)]
+    cases = [
+        (*chains[0], None),
+        (np.eye(3), np.ones(3), "stationary solve failed: "),
+        (*chains[1], None),
+        (near_split, np.array([1.0, -2.0, 0.5]), "fundamental kernel is numerically singular"),
+        (chains[2][0], 1e6 * chains[2][1], "Poisson residual "),
+        (two_cycles, 1e4 * telescoping, "asymptotic variance -"),
+        (chains[3][0], np.full(3, 3.25), "asymptotic variance 0.000e+00 is (numerically) zero"),
+        (*chains[3], None),
+    ]
+    P, r, _ = (np.array(column) for column in zip(*cases))
+    mu0 = np.full((len(cases), 3), 1 / 3)
+    stack = edgeworth._estimate_stack(P, r, mu0)
+    healthy = [i for i, case in enumerate(cases) if case[2] is None]
+    alone = edgeworth._estimate_stack(P[healthy], r[healthy], mu0[healthy])
+    assert stack.ids.tolist() == healthy and sorted(stack.errors) == sorted(
+        set(range(len(cases))) - set(healthy))
+    for i, (Pi, ri, prefix) in enumerate(cases):
+        try:
+            want = estimate_cdf_arrays(Pi, ri, mu0[i], 100)
+        except (ErgodicityError, DegenerateVarianceError) as exc:
+            got = stack.errors[i]
+            assert type(got) is type(exc) and str(got) == str(exc)
+            assert str(got).startswith(prefix)
+            continue
+        j, k = stack.ids.tolist().index(i), healthy.index(i)
+        for st, m in ((stack, j), (alone, k)):
+            assert (st.zeta[m], st.sigma2[m], st.kappa[m], st.rhat_start[m]) \
+                == (want.zeta, want.sigma2, want.kappa, want.rhat_start)
 
 
 def test_witness_chain_mismatch_is_refused(monkeypatch):
@@ -540,11 +598,15 @@ def test_float_chain_arrays_equal_exact_path(reward_kind):
         mdp = random_mdp(rng, n_states=rng.randint(1, 5), horizon=3,
                          reward_kind=reward_kind, max_actions=3,
                          max_support=rng.choice([None, 1, 2]))
-        tables = edgeworth.float_tables(mdp)
-        for policy in enumerate_stationary_policies(mdp):
-            got = tables.chain(policy)
-            want = edgeworth.float_chain(policy_chain(mdp, policy))
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and np.array_equal(a, b)
-            checked += 1
+        policies = enumerate_stationary_policies(mdp)
+        groups = edgeworth.float_tables(mdp).chains(policies)
+        assert sorted(np.concatenate([members for members, *_ in groups])) \
+            == list(range(len(policies)))
+        for members, *stacked in groups:
+            for g, pid in enumerate(members):
+                got = [a[g] for a in stacked]
+                want = edgeworth.float_chain(policy_chain(mdp, policies[pid]))
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+                checked += 1
     assert checked > 200
