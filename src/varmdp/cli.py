@@ -5,16 +5,22 @@ solving, exact distributions, threshold percentiles, exact and estimated
 Pareto fronts, the pair-state transformation, CDF estimation, seeded
 simulation, and CDF comparison.  Outputs are deterministic given inputs
 and seeds.  A regular output file is replaced atomically, keeping its
-mode; a FIFO or device is written in place.
+mode; a FIFO or device is written in place.  ``build_parser`` declares
+each subcommand through one ``command`` helper, which gives it
+``-o/--output`` and, when it reads one, the ``document`` positional
+(default stdin).  Both fronts go through ``_write_front``: the CSV and
+the ``--policies-out`` listings.
 
-Exit codes: 0 success, 2 parse/validation error, 3 precondition
-violation, 4 budget refusal, 5 ergodicity/degeneracy error.
+Exit codes: 0 success, 2 parse/validation error (an unreadable or
+undecodable input too), 3 precondition violation, 4 budget refusal or an
+array too large to allocate, 5 ergodicity/degeneracy error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -54,12 +60,12 @@ _SCHEMA_NOTE = "Document schemas: mdp-v1 and mrp-v1 (JSON; numerics as exact str
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"input: cannot read {path}: {exc}") from exc
 
 
@@ -107,6 +113,16 @@ def _dec(value) -> str:
 
 def _exact_pair(q: Fraction) -> str:
     return f"{format_rational(q)} = {_dec(q)}"
+
+
+def _write_front(args, front, cells, header: list[str]) -> None:
+    """Write a front's CSV, ``cells`` formatting tau and value, and its policy listings."""
+    rows = [[*cells(t), *cells(v), w] for t, v, w in zip(front.grid, front.value, front.witness)]
+    _write_text(args.output, _csv_text([*header, "witness_policy_id"], rows))
+    if args.policies_out:
+        rows = [[pid, listing.replace("\n", "; ")]
+                for pid, listing in sorted(front.policies.items())]
+        _write_text(args.policies_out, _csv_text(["policy_id", "rules"], rows))
 
 
 def _load_mdp(path: str):
@@ -208,15 +224,8 @@ def cmd_pareto_short(args) -> int:
     _require_positive(args.max_aug_states, "max-aug-states")
     mdp = _load_mdp(args.document)
     front = pareto_front_exact(mdp, max_states=args.max_aug_states)
-    rows = [[format_rational(t), _dec(t), format_rational(v), _dec(v), w]
-            for t, v, w in zip(front.grid, front.value, front.witness)]
-    _write_text(args.output, _csv_text(
-        ["tau", "tau_decimal", "pareto_value", "pareto_value_decimal",
-         "witness_policy_id"], rows))
-    if args.policies_out:
-        rows = [[pid, listing.replace("\n", "; ")]
-                for pid, listing in sorted(front.policies.items())]
-        _write_text(args.policies_out, _csv_text(["policy_id", "rules"], rows))
+    _write_front(args, front, lambda q: [format_rational(q), _dec(q)],
+                 ["tau", "tau_decimal", "pareto_value", "pareto_value_decimal"])
     return EXIT_OK
 
 
@@ -234,15 +243,7 @@ def cmd_estimate_cdf(args) -> int:
     rows = [[_dec(t), _dec(v)] for t, v in zip(taus, values)]
     _write_text(args.output, _csv_text(["tau", "cdf"], rows))
     if args.sidecar:
-        side = {
-            "n_steps": cdf.n_steps,
-            "zeta": float(cdf.zeta),
-            "sigma2": float(cdf.sigma2),
-            "kappa": float(cdf.kappa),
-            "rhat_start": float(cdf.rhat_start),
-            "cond_h": float(cdf.cond_h),
-        }
-        _write_text(args.sidecar, json.dumps(side, indent=2) + "\n")
+        _write_text(args.sidecar, json.dumps(dataclasses.asdict(cdf), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -251,14 +252,7 @@ def cmd_pareto_long(args) -> int:
     mdp = _load_mdp(args.document)
     front = pareto_front_long(mdp, args.horizon, _parse_grid(args.grid),
                               max_policies=args.max_policies)
-    rows = [[_dec(t), _dec(v), w]
-            for t, v, w in zip(front.grid, front.value, front.witness)]
-    _write_text(args.output, _csv_text(["tau", "pareto_value", "witness_policy_id"],
-                                       rows))
-    if args.policies_out:
-        rows = [[pid, listing.replace("\n", "; ")]
-                for pid, listing in sorted(front.policies.items())]
-        _write_text(args.policies_out, _csv_text(["policy_id", "rules"], rows))
+    _write_front(args, front, lambda q: [_dec(q)], ["tau", "pareto_value"])
     return EXIT_OK
 
 
@@ -324,85 +318,67 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_SCHEMA_NOTE)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-inventory", help="write an inventory MDP document")
+    def command(name: str, func, summary: str, reads_document: bool = True):
+        p = sub.add_parser(name, help=summary)
+        if reads_document:
+            p.add_argument("document", nargs="?", default="-")
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-inventory", cmd_gen_inventory, "write an inventory MDP document",
+                reads_document=False)
     p.add_argument("--preset", default="paper-short",
                    choices=sorted(inventory.PRESETS))
     p.add_argument("--simplify", action="store_true",
                    help="emit the SA (successor-averaged) variant")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_gen_inventory)
 
-    p = sub.add_parser("solve-expected",
-                       help="optimal expected total reward and argmax policy")
-    p.add_argument("document", nargs="?", default="-")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_solve_expected)
+    command("solve-expected", cmd_solve_expected,
+            "optimal expected total reward and argmax policy")
 
-    p = sub.add_parser("dist-exact",
-                       help="exact total-reward distribution of a policy "
-                            "(default: the expected-optimal policy)")
-    p.add_argument("document", nargs="?", default="-")
+    p = command("dist-exact", cmd_dist_exact,
+                "exact total-reward distribution of a policy "
+                "(default: the expected-optimal policy)")
     p.add_argument("--policy", default=None, help="policy document (JSON)")
     p.add_argument("--budget", type=int, default=200_000,
                    help="refuse beyond this many reachable (state, reward) pairs, "
                         "summed over epochs")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_dist_exact)
 
-    p = sub.add_parser("var-threshold",
-                       help="best P(total >= tau) and its augmented-state policy")
-    p.add_argument("document", nargs="?", default="-")
+    p = command("var-threshold", cmd_var_threshold,
+                "best P(total >= tau) and its augmented-state policy")
     p.add_argument("--tau", required=True)
     p.add_argument("--max-aug-states", type=int, default=200_000)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_var_threshold)
 
-    p = sub.add_parser("pareto-short",
-                       help="exact CDF Pareto front (threshold backward induction)")
-    p.add_argument("document", nargs="?", default="-")
+    p = command("pareto-short", cmd_pareto_short,
+                "exact CDF Pareto front (threshold backward induction)")
     p.add_argument("--max-aug-states", type=int, default=200_000)
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--policies-out", default=None)
-    p.set_defaults(func=cmd_pareto_short)
 
-    p = sub.add_parser("transform",
-                       help="pair-state transformation of a transition-rewarded MRP")
-    p.add_argument("document", nargs="?", default="-")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_transform)
+    command("transform", cmd_transform,
+            "pair-state transformation of a transition-rewarded MRP")
 
-    p = sub.add_parser("estimate-cdf",
-                       help="normal-plus-correction CDF estimate of a state-rewarded MRP")
-    p.add_argument("document", nargs="?", default="-")
+    p = command("estimate-cdf", cmd_estimate_cdf,
+                "normal-plus-correction CDF estimate of a state-rewarded MRP")
     p.add_argument("--n-steps", type=int, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:steps")
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--sidecar", default=None, help="write diagnostics JSON here")
-    p.set_defaults(func=cmd_estimate_cdf)
 
-    p = sub.add_parser("pareto-long", help="estimated front over stationary policies")
-    p.add_argument("document", nargs="?", default="-")
+    p = command("pareto-long", cmd_pareto_long, "estimated front over stationary policies")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:steps")
     p.add_argument("--max-policies", type=int, default=10_000)
-    p.add_argument("-o", "--output", default=None)
     p.add_argument("--policies-out", default=None)
-    p.set_defaults(func=cmd_pareto_long)
 
-    p = sub.add_parser("simulate", help="seeded trajectory simulation (quantile CSV)")
-    p.add_argument("document", nargs="?", default="-")
+    p = command("simulate", cmd_simulate, "seeded trajectory simulation (quantile CSV)")
     p.add_argument("--n", type=int, default=None, help="epochs (default: horizon)")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--quantiles", type=int, default=1001)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="max CDF difference between two CSV files")
+    p = command("compare", cmd_compare, "max CDF difference between two CSV files",
+                reads_document=False)
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -415,6 +391,9 @@ def main(argv=None) -> int:
     except VarMdpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]
+    except MemoryError as exc:  # numpy refuses an oversized array before allocating it
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

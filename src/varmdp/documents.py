@@ -17,6 +17,11 @@ optional ``salvage`` and ``include_final_reward``.
 
 A ``schema`` field is optional; when present it must name the loader's
 schema, so an ``mrp-v1`` document is not read as an MDP or vice versa.
+
+Both loaders share one header check, ``_state_names`` (a JSON object,
+the right ``schema``, a ``states`` list), and one row reader,
+``_transition_rows`` (a nonempty ``transitions`` list of objects whose
+``x`` and ``y`` name states).  Each loader reads only its own fields.
 """
 
 from __future__ import annotations
@@ -38,11 +43,6 @@ def _require(doc: dict, field: str, where: str = "document"):
     return doc[field]
 
 
-def _check_schema(doc: dict, schema: str) -> None:
-    if "schema" in doc and doc["schema"] != schema:
-        raise ValidationError(f"schema: expected {schema!r}, got {doc['schema']!r}")
-
-
 def state_index(names: tuple[str, ...], name, field: str) -> int:
     """Index of the named state; an unknown name is a ValidationError on ``field``."""
     try:
@@ -51,11 +51,29 @@ def state_index(names: tuple[str, ...], name, field: str) -> int:
         raise ValidationError(f"{field}: unknown state {name!r}") from None
 
 
-def _state_names(doc: dict) -> tuple[str, ...]:
+def _state_names(doc, schema: str) -> tuple[str, ...]:
+    """The header checks of either schema: an object of ``schema`` with a ``states`` list."""
+    if not isinstance(doc, dict):
+        raise ValidationError("document: expected a JSON object")
+    if "schema" in doc and doc["schema"] != schema:
+        raise ValidationError(f"schema: expected {schema!r}, got {doc['schema']!r}")
     raw = _require(doc, "states")
     if not isinstance(raw, list):
         raise ValidationError("states: expected a list of state names")
     return tuple(str(s) for s in raw)
+
+
+def _transition_rows(doc: dict, states: tuple[str, ...]):
+    """Yield ``(where, row, x, y)`` for each ``transitions`` row, ``x`` and ``y`` as indices."""
+    rows = _require(doc, "transitions")
+    if not isinstance(rows, list) or not rows:
+        raise ValidationError("transitions: expected a nonempty list")
+    for i, row in enumerate(rows):
+        where = f"transitions[{i}]"
+        if not isinstance(row, dict):
+            raise ValidationError(f"{where}: expected an object")
+        yield (where, row, state_index(states, _require(row, "x", where), f"{where}.x"),
+               state_index(states, _require(row, "y", where), f"{where}.y"))
 
 
 def _horizon(doc: dict) -> int:
@@ -76,10 +94,7 @@ def _aligned_rationals(doc: dict, field: str, n: int) -> tuple[Fraction, ...]:
 
 
 def mdp_from_document(doc: dict) -> FiniteMdp:
-    if not isinstance(doc, dict):
-        raise ValidationError("document: expected a JSON object")
-    _check_schema(doc, MDP_SCHEMA)
-    states = _state_names(doc)
+    states = _state_names(doc, MDP_SCHEMA)
     n = len(states)
     raw_actions = _require(doc, "actions")
     if not isinstance(raw_actions, list) or len(raw_actions) != n:
@@ -89,16 +104,8 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
             raise ValidationError(f"actions[{x}]: expected a list of scalar actions")
     actions = tuple(tuple(acts) for acts in raw_actions)
     reward_kind = _require(doc, "reward_kind")
-    rows = _require(doc, "transitions")
-    if not isinstance(rows, list) or not rows:
-        raise ValidationError("transitions: expected a nonempty list")
     kernel: dict = {}
-    for i, row in enumerate(rows):
-        where = f"transitions[{i}]"
-        if not isinstance(row, dict):
-            raise ValidationError(f"{where}: expected an object")
-        x = state_index(states, _require(row, "x", where), f"{where}.x")
-        y = state_index(states, _require(row, "y", where), f"{where}.y")
+    for where, row, x, y in _transition_rows(doc, states):
         a = _require(row, "a", where)
         if a not in actions[x]:
             raise ValidationError(f"{where}.a: action {a!r} not declared at state {states[x]}")
@@ -145,24 +152,13 @@ def mdp_to_document(mdp: FiniteMdp) -> dict:
 
 
 def mrp_from_document(doc: dict) -> MarkovRewardProcess:
-    if not isinstance(doc, dict):
-        raise ValidationError("document: expected a JSON object")
-    _check_schema(doc, MRP_SCHEMA)
-    states = _state_names(doc)
+    states = _state_names(doc, MRP_SCHEMA)
     n = len(states)
     reward_on = _require(doc, "reward_on")
-    rows = _require(doc, "transitions")
-    if not isinstance(rows, list) or not rows:
-        raise ValidationError("transitions: expected a nonempty list")
     kernel = [[ZERO] * n for _ in range(n)]
     trans_reward: dict = {}
     seen: set = set()
-    for i, row in enumerate(rows):
-        where = f"transitions[{i}]"
-        if not isinstance(row, dict):
-            raise ValidationError(f"{where}: expected an object")
-        x = state_index(states, _require(row, "x", where), f"{where}.x")
-        y = state_index(states, _require(row, "y", where), f"{where}.y")
+    for where, row, x, y in _transition_rows(doc, states):
         if (x, y) in seen:
             raise ValidationError(f"{where}: duplicate (x, y) entry")
         seen.add((x, y))

@@ -132,16 +132,17 @@ class DeterministicPolicy:
 
 
 def check_policy(mdp: FiniteMdp, policy: DeterministicPolicy) -> None:
-    """Reject policies that use an illegal action, naming the state."""
+    """Reject policies that miss a state or use an illegal action, naming the state."""
     if not policy.stationary and len(policy.rules) < mdp.horizon:
         raise PreconditionError(
             f"policy: {len(policy.rules)} rules for horizon {mdp.horizon}")
-    for t in range(1 if policy.stationary else mdp.horizon):
+    for rule in policy.rules[:1 if policy.stationary else mdp.horizon]:
         for x in range(mdp.n_states):
-            a = policy.action(t, x)
-            if a not in mdp.actions[x]:
+            if x not in rule:
+                raise PreconditionError(f"policy: no action assigned at state {mdp.states[x]}")
+            if rule[x] not in mdp.actions[x]:
                 raise PreconditionError(
-                    f"policy: action {a!r} is illegal at state {mdp.states[x]}")
+                    f"policy: action {rule[x]!r} is illegal at state {mdp.states[x]}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import io
 import json
 import os
 import random
@@ -511,6 +512,50 @@ def test_step_count_beyond_float_range_exits_3(tmp_path, capsys, short_sas, comm
         argv = ["--horizon", steps]
     assert run_cli(command, str(path), *argv, "--grid=0:10:3") == 3
     assert "n_steps must be at most" in capsys.readouterr().err
+
+
+HUGE = "1000000000000000"  # a float64 array of this length is 7.11 PiB
+
+
+@pytest.mark.parametrize("argv", [
+    ("pareto-long", "--horizon", "10", f"--grid=0:1:{HUGE}"),
+    ("estimate-cdf", "--n-steps", "10", f"--grid=0:1:{HUGE}"),
+    ("simulate", "--samples", HUGE, "--seed", "1"),
+    ("simulate", "--samples", "10", "--seed", "1", "--quantiles", HUGE),
+], ids=["pareto-long-grid", "estimate-cdf-grid", "simulate-samples", "simulate-quantiles"])
+def test_oversized_sizes_exit_4(tmp_path, capsys, short_sas, argv):
+    # numpy refuses such an array before allocating any of it
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(mdp_to_document(short_sas) if argv[0] == "pareto-long"
+                               else TRANS_MRP))
+    assert run_cli(argv[0], str(path), *argv[1:]) == 4
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
+
+
+@pytest.mark.parametrize("where", ["document", "policy", "compare", "stdin"])
+def test_undecodable_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, short_doc,
+                                             where):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b'{"rules": "\xff\xfe"}')
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes()),
+                                                      encoding="utf-8"))
+    argv = {"document": ["solve-expected", str(bad)],
+            "policy": ["dist-exact", short_doc, "--policy", str(bad)],
+            "compare": ["compare", str(bad), str(bad)],
+            "stdin": ["solve-expected", "-"]}[where]
+    assert run_cli(*argv) == 2
+    name = "-" if where == "stdin" else bad
+    assert f"input: cannot read {name}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_partial_policy_names_the_missing_state(tmp_path, capsys):
+    mdp = random_mdp(random.Random(3), n_states=3, horizon=2)  # states s0, s1, s2
+    doc, policy = tmp_path / "mdp.json", tmp_path / "policy.json"
+    doc.write_text(json.dumps(mdp_to_document(mdp)))
+    policy.write_text(json.dumps({"rules": [{"s0": mdp.actions[0][0],
+                                             "s2": mdp.actions[2][0]}]}))
+    assert run_cli("dist-exact", str(doc), "--policy", str(policy)) == 3
+    assert "policy: no action assigned at state s1\n" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -495,6 +495,23 @@ class TestParetoFrontLong:
             assert query_eta(front, rho) == pytest.approx(alpha, abs=1e-9)
 
 
+def test_monotone_guard_lifts_far_tail_dips_on_paper_long():
+    # In two far-tail cells the pointwise minimum of the per-policy estimates
+    # dips below the cell before; without np.maximum.accumulate in
+    # pareto_front_long, ParetoFront refuses the front as decreasing.
+    mdp, taus = paper_long(), np.linspace(1000, 3000, 2001)
+    raw = np.full(len(taus), np.inf)
+    for policy in enumerate_stationary_policies(mdp):
+        try:
+            cdf = estimate_cdf_arrays(*edgeworth.float_chain(policy_chain(mdp, policy)), 500)
+        except (ErgodicityError, DegenerateVarianceError):
+            continue
+        raw = np.minimum(raw, cdf.evaluate(taus))
+    assert np.count_nonzero(np.diff(raw) < 0) == 2
+    front = pareto_front_long(mdp, 500, taus)
+    assert np.array_equal(front.value, np.maximum.accumulate(raw))
+
+
 def assert_front_matches_reference(caplog, mdp, n_steps, taus):
     """The stacked front equals the per-policy loop: values, witnesses, listings, skips."""
     want, skipped = reference_front_long(mdp, n_steps, taus)
