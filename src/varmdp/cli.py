@@ -76,7 +76,7 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         _replace_file(os.path.realpath(path), text)  # a symlink is written through
     except OSError as exc:
-        raise ValidationError(f"output: cannot write {path}: {exc}") from exc
+        raise ValidationError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _replace_file(target: str, text: str) -> None:
@@ -172,11 +172,7 @@ def _require_positive(value: int, flag: str) -> None:
 
 
 def cmd_gen_inventory(args) -> int:
-    try:
-        build = inventory.PRESETS[args.preset]
-    except KeyError:
-        raise ValidationError(f"preset: unknown preset {args.preset!r}") from None
-    mdp = build()
+    mdp = inventory.PRESETS[args.preset]()
     if args.simplify:
         mdp = simplify_reward(mdp)
     _write_text(args.output, dump_document(mdp_to_document(mdp)))
@@ -267,6 +263,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _cell(text: str) -> float:
+    """A CSV number: an exact ratio such as ``1/16`` (from ``pareto-short``) or a float."""
+    return float(Fraction(text)) if "/" in text else float(text)
+
+
 def _read_cdf_csv(path: str):
     rows = list(csv.reader(io.StringIO(_read_text(path))))
     if len(rows) < 2:
@@ -282,9 +283,9 @@ def _read_cdf_csv(path: str):
                     break
         elif "quantile" in header and "value" in header:  # simulate: F(value) = quantile
             ti, vi = header.index("value"), header.index("quantile")
-        taus = np.array([float(r[ti]) for r in rows[1:]])
-        vals = np.array([float(r[vi]) for r in rows[1:]])
-    except (ValueError, IndexError) as exc:
+        taus = np.array([_cell(r[ti]) for r in rows[1:]])
+        vals = np.array([_cell(r[vi]) for r in rows[1:]])
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise ValidationError(f"{path}: cannot parse CDF columns ({exc})") from exc
     bad = np.flatnonzero(~(np.isfinite(taus) & np.isfinite(vals)))
     if bad.size:

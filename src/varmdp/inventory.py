@@ -2,14 +2,15 @@
 
 The model: inventory level ``x`` (states ``0..capacity``), order ``a``
 (capped so ``x + a <= capacity``), iid demand ``D``; the next level is
-``max(x + a - D, 0)`` (lost sales, no backlog).  Ordering ``u > 0``
-units costs ``fixed_cost + unit_cost * u``; selling ``u`` units earns
-``unit_price * u``; leftover stock at the end of the horizon is worth
-its level (salvage ``v(x) = x``).  The per-transition reward is
+``max(x + a - D, 0)`` (lost sales, no backlog).  Only the horizon and
+the capacity are settable; the rest are the paper's constants.  ``D`` is
+0, 1 or 2 with probabilities 1/4, 1/2, 1/4 and stock starts empty.
+Ordering ``u > 0`` units costs ``4 + 2u``, a sold unit earns 8, and
+leftover stock is worth its level (salvage ``v(x) = x``).  The reward
 
-    r(x, a, y) = unit_price * (x + a - y) - order_cost(a),
+    r(x, a, y) = 8 (x + a - y) - (4 + 2a if a > 0 else 0)
 
-which depends on the destination ``y``, i.e. the instance is SAS-tagged.
+depends on the destination ``y``, i.e. the instance is SAS-tagged.
 
 Two desk-size presets are provided.  They differ only in the action
 structure, a point on which the source problem statement is internally
@@ -25,52 +26,33 @@ sets it prints only allow orders up to ``x + a <= 2``, i.e. capacity 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
 from .mdp import FiniteMdp, ZERO
 
-_QUARTER = Fraction(1, 4)
-_HALF = Fraction(1, 2)
-
-DEFAULT_DEMAND = {0: _QUARTER, 1: _HALF, 2: _QUARTER}
+_FIXED_COST = Fraction(4)
+_UNIT_COST = Fraction(2)
+_UNIT_PRICE = Fraction(8)
+_DEMAND = {0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)}
 
 
 @dataclass(frozen=True)
 class InventoryParams:
-    """Parameters of the inventory instance; all monetary values exact rationals."""
+    """The settable size of the inventory instance: epochs and storage capacity."""
 
-    horizon: int = 2
-    capacity: int = 3
-    fixed_cost: Fraction = Fraction(4)
-    unit_cost: Fraction = Fraction(2)
-    unit_price: Fraction = Fraction(8)
-    demand: dict[int, Fraction] = field(default_factory=lambda: dict(DEFAULT_DEMAND))
-    initial_level: int = 0
+    horizon: int
+    capacity: int
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValidationError("capacity: must be nonnegative")
         if self.horizon < 1:
             raise ValidationError("horizon: must be positive")
-        if any(d < 0 or not isinstance(d, int) for d in self.demand):
-            raise ValidationError("demand: support must be nonnegative integers")
-        if any(p < 0 for p in self.demand.values()):
-            raise ValidationError("demand: negative probability")
-        if sum(self.demand.values(), ZERO) != 1:
-            raise ValidationError("demand: probabilities must sum to 1 exactly")
-        if not 0 <= self.initial_level <= self.capacity:
-            raise ValidationError("initial_level: outside 0..capacity")
 
 
-def order_cost(params: InventoryParams, units: int) -> Fraction:
-    if units <= 0:
-        return ZERO
-    return params.fixed_cost + params.unit_cost * units
-
-
-def build_inventory(params: InventoryParams = InventoryParams()) -> FiniteMdp:
+def build_inventory(params: InventoryParams) -> FiniteMdp:
     """Construct the SAS-tagged inventory MDP for the given parameters.
 
     Transition law for stock ``s = x + a``: ``p(y) = P(D = s - y)`` for
@@ -83,17 +65,18 @@ def build_inventory(params: InventoryParams = InventoryParams()) -> FiniteMdp:
     for x in range(cap + 1):
         for a in actions[x]:
             stock = x + a
+            cost = _FIXED_COST + _UNIT_COST * a if a > 0 else ZERO
             rows = []
             for y in range(stock, -1, -1):
                 if y > 0:
-                    p = params.demand.get(stock - y, ZERO)
+                    p = _DEMAND.get(stock - y, ZERO)
                 else:
-                    p = sum((q for d, q in params.demand.items() if d >= stock), ZERO)
+                    p = sum((q for d, q in _DEMAND.items() if d >= stock), ZERO)
                 if p > 0:
-                    rows.append((y, p, params.unit_price * (stock - y) - order_cost(params, a)))
+                    rows.append((y, p, _UNIT_PRICE * (stock - y) - cost))
             rows.sort()
             kernel[(x, a)] = tuple(rows)
-    mu0 = tuple(Fraction(int(x == params.initial_level)) for x in range(cap + 1))
+    mu0 = tuple(Fraction(int(x == 0)) for x in range(cap + 1))
     salvage = tuple(Fraction(x) for x in range(cap + 1))
     return FiniteMdp(
         horizon=params.horizon,

@@ -265,6 +265,8 @@ STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
     ("pareto-short", "grid", ("--max-aug-states", "-1"), "max-aug-states"),
     ("pareto-long", "grid", ("--horizon", "10", "--grid=0:10:3", "--max-policies", "-1"),
      "max-policies"),
+    ("dist-exact", "policy", {"rules": [{"0": 0}, {"0": 0}], "stationary": True},
+     "policy: a stationary policy has exactly one rule"),
 ])
 def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
                                               command, kind, patch, field):
@@ -424,8 +426,13 @@ def test_foreign_schema_exits_2(tmp_path, capsys, short_sas, kind, argv, schema)
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, where):
     out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
-    assert run_cli("gen-inventory", "-o", str(out)) == 2
-    assert f"output: cannot write {out}: " in capsys.readouterr().err
+    errors = []
+    for _ in range(2):
+        assert run_cli("gen-inventory", "-o", str(out)) == 2
+        errors.append(capsys.readouterr().err)
+    assert f"output: cannot write {out}: " in errors[0]
+    # the temporary file's random name stays out of the message
+    assert ".varmdp-" not in errors[0] and errors[0] == errors[1]
 
 
 NOT_FINITE, OUTSIDE = "tau and value must be finite", "CDF value must lie in [0, 1]"
@@ -441,6 +448,48 @@ def test_compare_refuses_non_finite_values(tmp_path, capsys, row, message):
     bad.write_text(f"tau,cdf\n0,0.0\n{row}\n2,1.0\n")
     assert run_cli("compare", str(good), str(bad)) == 2
     assert f"{bad}: line 3: {message}" in capsys.readouterr().err
+
+
+def test_compare_reads_exact_fronts(tmp_path, capsys):
+    fronts = []
+    for i, extra in enumerate(([], ["--simplify"])):
+        doc, front = tmp_path / f"doc{i}.json", tmp_path / f"front{i}.csv"
+        assert run_cli("gen-inventory", *extra, "-o", str(doc)) == 0
+        assert run_cli("pareto-short", str(doc), "-o", str(front)) == 0
+        fronts.append(str(front))
+    assert run_cli("compare", fronts[0], fronts[0]) == 0
+    assert run_cli("compare", fronts[0], fronts[1]) == 0
+    # reward simplification moves the front, and with it the VaR
+    assert capsys.readouterr().out == "ks_distance = 0\nks_distance = 0.375\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("tau,cdf\n0,0\n1/0,1\n")
+    assert run_cli("compare", fronts[0], str(bad)) == 2
+    assert f"{bad}: cannot parse CDF columns" in capsys.readouterr().err
+
+
+def test_pareto_long_budget_boundary(short_doc, capsys):
+    argv = ["pareto-long", short_doc, "--horizon", "50", "--grid=0:10:3", "--max-policies"]
+    assert run_cli(*argv, "23") == 4
+    assert capsys.readouterr().err == (
+        "error: long-horizon front refused: 24 stationary policies exceed budget 23\n")
+    assert run_cli(*argv, "24") == 0
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("row-mass", 2, "kernel row (1, 0): probabilities sum to 3/4, expected 1"),
+    ("short-transform", 3, "transform: horizon must be at least 2"),
+])
+def test_model_refusals_exit_through_main(tmp_path, capsys, short_sas, case, code, message):
+    if case == "row-mass":
+        doc, command = mdp_to_document(short_sas), "solve-expected"
+        row, = [r for r in doc["transitions"] if (r["x"], r["a"], r["y"]) == ("1", 0, "0")]
+        row["p"] = "1/2"  # from 3/4: the rows of (1, 0) now sum to 3/4
+    else:
+        doc, command = dict(TRANS_MRP, horizon=1), "transform"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, str(path)) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_pareto_long_front_ignores_document_horizon(tmp_path):
@@ -605,7 +654,7 @@ def test_output_to_fifo_is_written_in_place(tmp_path, short_doc):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only where an Edgeworth CDF is evaluated
+    # no command imports scipy, so loading the CLI must not either
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, varmdp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],

@@ -1,13 +1,13 @@
 """Inventory instance generator: structure, rewards, and published values."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from varmdp import (InventoryParams, ValidationError, build_inventory,
-                    expected_backward_induction, paper_long, paper_short,
-                    paper_short_printed, simplify_reward)
-from varmdp.inventory import order_cost
+from varmdp import (InventoryParams, ValidationError, expected_backward_induction,
+                    paper_long, paper_short, paper_short_printed, simplify_reward)
+from varmdp.cli import main
 
 F = Fraction
 
@@ -40,12 +40,12 @@ class TestRewardsAndKernel:
         assert p == F(1, 2)
 
     def test_full_table_against_formulas(self, short_sas):
-        params = InventoryParams()
-        demand = params.demand
+        # the paper's numbers: order u > 0 costs 4 + 2u, a sale earns 8, demand 0/1/2
+        demand = {0: F(1, 4), 1: F(1, 2), 2: F(1, 4)}
         for (x, a), rows in short_sas.kernel.items():
             for y, p, r in rows:
                 stock = x + a
-                assert r == params.unit_price * (stock - y) - order_cost(params, a)
+                assert r == 8 * (stock - y) - (4 + 2 * a if a > 0 else 0)
                 if y > 0:
                     assert p == demand.get(stock - y, F(0))
                 else:
@@ -54,12 +54,6 @@ class TestRewardsAndKernel:
     def test_lost_sales_boundary(self, short_sas):
         # empty stock, no order: demand never met, stay at zero with certainty
         assert short_sas.kernel[0, 0] == ((0, F(1), F(0)),)
-
-    def test_deterministic_demand(self):
-        mdp = build_inventory(InventoryParams(demand={1: F(1)}, capacity=2))
-        for (x, a), rows in mdp.kernel.items():
-            assert len(rows) == 1
-            assert rows[0][1] == 1
 
 
 class TestPublishedValues:
@@ -79,13 +73,34 @@ class TestPublishedValues:
 
 
 class TestValidation:
-    def test_demand_must_sum_to_one(self):
-        with pytest.raises(ValidationError, match="demand"):
-            InventoryParams(demand={0: F(1, 2), 1: F(1, 4)})
-
-    def test_initial_level_bounds(self):
-        with pytest.raises(ValidationError, match="initial_level"):
-            InventoryParams(initial_level=5, capacity=2)
+    @pytest.mark.parametrize("horizon, capacity, message", [
+        (2, -1, "capacity: must be nonnegative"),
+        (0, 3, "horizon: must be positive"),
+        (-4, 0, "horizon: must be positive"),
+    ])
+    def test_params_bounds(self, horizon, capacity, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            InventoryParams(horizon=horizon, capacity=capacity)
 
     def test_presets_callable(self):
         assert paper_short_printed().n_states == 3
+
+
+# sha256 of the generated documents; a drifted constant or formula changes them
+PRESET_SHA256 = {
+    ("paper-short", False): "f656892bd257a43353cd7a2acf9d6eba75fb89184b0f29186f0382c4545979d4",
+    ("paper-short", True): "d73e51fe92174f728c66a53a842e2592af54c46856aa98fac634d477441b13e9",
+    ("paper-short-printed", False):
+        "47de5890048e0a1cb0adf34846765fb8cc63584122ab3b657acaa95de433a1f9",
+    ("paper-short-printed", True):
+        "deb5f725a1fb909ff2bb0365ba7e75a68f0bba1317f5921c5daefc6da35a84d8",
+    ("paper-long", False): "9d0556b12cd62dcb4a322ae174f675070624d1ee984f0943b4e9802a8f1e6ef3",
+    ("paper-long", True): "ecda98b78f42719d2deec418bfbdb7baea6e1aba56b7a6c9ee94dab967ee6ffd",
+}
+
+
+@pytest.mark.parametrize("preset, simplify", sorted(PRESET_SHA256))
+def test_generated_document_bytes(capsys, preset, simplify):
+    assert main(["gen-inventory", "--preset", preset, *["--simplify"] * simplify]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PRESET_SHA256[preset, simplify]

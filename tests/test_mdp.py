@@ -346,6 +346,10 @@ class TestForwardPropagation:
                 exact_total_reward_distribution(mdp, policy)
 
 
+TRANSITION = dict(reward_on="transition", state_reward=None,
+                  transition_reward={(x, y): F(x + y) for x in range(3) for y in range(3)})
+
+
 class TestValidation:
     """Malformed models are refused at construction, naming the field."""
 
@@ -365,11 +369,11 @@ class TestValidation:
             self.chain(**{name: values})
 
     @staticmethod
-    def mdp(rows) -> FiniteMdp:
-        return FiniteMdp(
-            horizon=1, states=("a", "b"), actions=((0,), (0,)),
-            kernel={(0, 0): rows, (1, 0): ((1, F(1), F(0)),)}, reward_kind="sa",
-            mu0=(F(1), F(0)), salvage=(F(0), F(1)))
+    def mdp(rows=((0, F(1, 2), F(1)), (1, F(1, 2), F(1))), **fields) -> FiniteMdp:
+        base = dict(horizon=1, states=("a", "b"), actions=((0,), (0,)),
+                    kernel={(0, 0): rows, (1, 0): ((1, F(1), F(0)),)}, reward_kind="sa",
+                    mu0=(F(1), F(0)), salvage=(F(0), F(1)))
+        return FiniteMdp(**{**base, **fields})
 
     @pytest.mark.parametrize("y", [2, 5, -1])
     def test_mdp_successor_outside_states(self, y):
@@ -385,3 +389,88 @@ class TestValidation:
         self.mdp(((0, F(1, 2), F(1)), (1, F(1, 2), F(1))))
         with pytest.raises(ValidationError, match=r"kernel row \(a, 0\): an 'sa' instance"):
             self.mdp(((0, F(1, 2), F(1)), (1, F(1, 2), F(2))))
+
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(horizon=0), "horizon: must be a positive integer"),
+        (dict(states=("a", "a")), "states: names must be unique"),
+        (dict(actions=((0,),)), "actions/mu0/salvage: length must match states"),
+        (dict(mu0=(F(1),)), "actions/mu0/salvage: length must match states"),
+        (dict(salvage=(F(0),) * 3), "actions/mu0/salvage: length must match states"),
+        (dict(reward_kind="sam"), "reward_kind: 'sam' not in {'sas','sa'}"),
+        (dict(mu0=(F(3, 2), F(-1, 2))), "mu0: negative probability"),
+        (dict(mu0=(F(1, 2), F(0))), "mu0: probabilities sum to 1/2, expected 1"),
+        (dict(actions=((0,), ())), "actions: state b has no actions"),
+        (dict(actions=((0, 0), (0,))), "actions: duplicates at state a"),
+        (dict(actions=((0, 1), (0,))), "kernel: no transitions for state a, action 1"),
+        (dict(rows=()), "kernel: no transitions for state a, action 0"),
+        (dict(rows=((2, F(1), F(1)),)), "kernel row (a, 0): successor index outside 0..1"),
+        (dict(rows=((0, F(1, 2), F(1)), (0, F(1, 2), F(1)))),
+         "kernel row (a, 0): successor listed twice"),
+        (dict(rows=((0, F(3, 2), F(1)), (1, F(-1, 2), F(1)))),
+         "kernel row (a, 0): negative probability"),
+        (dict(rows=((0, F(1, 2), F(1)), (1, F(1, 4), F(1)))),
+         "kernel row (a, 0): probabilities sum to 3/4, expected 1"),
+        (dict(rows=((0, F(1), F(1)), (1, F(0), F(1)))),
+         "kernel: nonpositive mass on (a, 0, b)"),
+        (dict(rows=((0, F(1, 2), F(1)), (1, F(1, 2), F(2)))),
+         "kernel row (a, 0): an 'sa' instance pays one reward per (state, action)"),
+    ])
+    def test_mdp_refusals(self, fields, message):
+        self.mdp()
+        with pytest.raises(ValidationError) as info:
+            self.mdp(**fields)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(horizon=0), "horizon: must be a positive integer"),
+        (dict(reward_on="edge"), "reward_on: 'edge' not in {'state','transition'}"),
+        (dict(state_reward=None), "reward table must match reward_on"),
+        (dict(reward_on="transition"), "reward table must match reward_on"),
+        (dict(transition_reward=TRANSITION["transition_reward"]),
+         "reward table must match reward_on"),
+        (dict(kernel=((F(1, 3),) * 3,) * 2), "kernel: must be a square matrix over states"),
+        (dict(kernel=((F(1, 2),) * 2,) * 3), "kernel: must be a square matrix over states"),
+        (dict(mu0=(F(1),)), "mu0: 1 entries for 3 states"),
+        (dict(kernel=((F(3, 2), F(-1, 2), F(0)),) * 3), "kernel row a: negative probability"),
+        (dict(kernel=((F(1, 2), F(1, 4), F(0)),) * 3),
+         "kernel row a: probabilities sum to 3/4, expected 1"),
+        (dict(mu0=(F(1, 3), F(1, 3), F(0))), "mu0: probabilities sum to 2/3, expected 1"),
+        (dict(TRANSITION, include_final_reward=True),
+         "include_final_reward only applies to state rewards"),
+        (dict(TRANSITION, transition_reward={
+            k: v for k, v in TRANSITION["transition_reward"].items() if k != (0, 1)}),
+         "reward: missing r(a, b)"),
+    ])
+    def test_mrp_refusals(self, fields, message):
+        self.chain(include_final_reward=True)
+        self.chain(**TRANSITION)
+        with pytest.raises(ValidationError) as info:
+            self.chain(**fields)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rules, stationary, message", [
+        ((), False, "policy: no decision rules"),
+        ((), True, "policy: no decision rules"),
+        (({0: 0}, {0: 1}), True, "policy: a stationary policy has exactly one rule"),
+    ])
+    def test_policy_refusals(self, rules, stationary, message):
+        DeterministicPolicy(rules=({0: 0}, {0: 1}))
+        with pytest.raises(ValidationError) as info:
+            DeterministicPolicy(rules=rules, stationary=stationary)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("support, prob, message", [
+        ((F(0), F(1)), (F(1),), "StepCdf: support/prob length mismatch or empty"),
+        ((), (), "StepCdf: support/prob length mismatch or empty"),
+        ((F(1), F(1)), (F(1, 2), F(1, 2)), "StepCdf: support must be strictly increasing"),
+        ((F(2), F(1)), (F(1, 2), F(1, 2)), "StepCdf: support must be strictly increasing"),
+        ((F(0), F(1)), (F(1), F(0)), "StepCdf: masses must be positive"),
+        ((F(0), F(1)), (F(3, 2), F(-1, 2)), "StepCdf: masses must be positive"),
+        ((F(0), F(1)), (F(1, 2), F(1, 4)), "StepCdf: masses must sum to 1 exactly"),
+    ])
+    def test_step_cdf_refusals(self, support, prob, message):
+        StepCdf(support=(F(0), F(1)), prob=(F(1, 2), F(1, 2)))
+        with pytest.raises(ValidationError) as info:
+            StepCdf(support=support, prob=prob)
+        assert str(info.value) == message

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from varmdp import (BudgetExceededError, ParetoFront, PreconditionError,
+from varmdp import (BudgetExceededError, ParetoFront, PreconditionError, ValidationError,
                     augmented_policy_distribution, build_augmented,
                     pareto_front_exact, query_eta, query_rho, simplify_reward,
                     solve_threshold_var)
@@ -225,3 +225,23 @@ class TestQueries:
         assert query_rho(front, 0.5) == 2.5
         assert query_rho(front, 0.25) == 2.75
         assert query_rho(front, 0.0) == 5.0      # target 1.0 is reached: the grid's end
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(kind="rough"), "front kind: 'rough'"),
+    (dict(value=(F(0), F(1))), "front: grid/value/witness lengths differ or empty"),
+    (dict(witness=(0, 0)), "front: grid/value/witness lengths differ or empty"),
+    (dict(grid=(), value=(), witness=()), "front: grid/value/witness lengths differ or empty"),
+    (dict(grid=(F(0), F(0), F(1))), "front: grid must be strictly increasing"),
+    (dict(grid=(F(0), F(2), F(1))), "front: grid must be strictly increasing"),
+    (dict(value=(F(-1, 4), F(1, 2), F(1))), "front: values must lie in [0, 1]"),
+    (dict(value=(F(0), F(1, 2), F(5, 4))), "front: values must lie in [0, 1]"),
+    (dict(value=(F(0), F(3, 4), F(1, 2))), "front: values must be nondecreasing"),
+])
+def test_front_refusals(changes, message):
+    fields = dict(kind="exact", grid=(F(0), F(1), F(2)), value=(F(0), F(1, 2), F(1)),
+                  witness=(0, 1, 1))
+    ParetoFront(**fields)
+    with pytest.raises(ValidationError) as info:
+        ParetoFront(**{**fields, **changes})
+    assert str(info.value) == message
