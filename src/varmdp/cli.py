@@ -28,6 +28,7 @@ import stat
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -269,22 +270,36 @@ def _cell(text: str) -> float:
 
 
 def _read_cdf_csv(path: str):
+    """``(taus, values, shape)`` of a CDF table; ``shape`` says how it runs between its taus.
+
+    A ``pareto-short`` front (``tau_decimal`` in the header) stores
+    ``P(total < tau)``, a left-continuous step; a ``dist-exact`` table
+    (``value`` and ``prob``) is the right-continuous step of the running sum
+    of ``prob``; every other table is read as piecewise linear.
+    """
     rows = list(csv.reader(io.StringIO(_read_text(path))))
     if len(rows) < 2:
         raise ValidationError(f"{path}: expected a CSV with a header and data rows")
     header = rows[0]
     try:
-        ti, vi = 0, 1
+        ti, vi, shape = 0, 1, "linear"
         if "tau" in header:
             ti = header.index("tau")
             for name in ("cdf", "pareto_value", "value"):
                 if name in header:
                     vi = header.index(name)
                     break
+            if "tau_decimal" in header:
+                shape = "left"
+        elif "value" in header and "prob" in header:
+            ti, vi, shape = header.index("value"), header.index("prob"), "right"
         elif "quantile" in header and "value" in header:  # simulate: F(value) = quantile
             ti, vi = header.index("value"), header.index("quantile")
         taus = np.array([_cell(r[ti]) for r in rows[1:]])
-        vals = np.array([_cell(r[vi]) for r in rows[1:]])
+        if shape == "right":  # summed exactly, so the last value is 1, not 1 + ulp
+            vals = np.array([float(c) for c in accumulate(Fraction(r[vi]) for r in rows[1:])])
+        else:
+            vals = np.array([_cell(r[vi]) for r in rows[1:]])
     except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise ValidationError(f"{path}: cannot parse CDF columns ({exc})") from exc
     bad = np.flatnonzero(~(np.isfinite(taus) & np.isfinite(vals)))
@@ -296,18 +311,38 @@ def _read_cdf_csv(path: str):
     points, inverse = np.unique(taus, return_inverse=True)  # a repeated tau keeps its top value
     top = np.full(len(points), -np.inf)
     np.maximum.at(top, inverse, vals)
-    return points, top
+    return points, top, shape
+
+
+def _on_grid(table, grid: np.ndarray) -> np.ndarray:
+    """A table's CDF at the points of ``grid``, which lie inside the table's span."""
+    taus, values, shape = table
+    if shape == "linear":
+        return np.interp(grid, taus, values)
+    if shape == "left":  # constant on (taus[k - 1], taus[k]]
+        return values[np.searchsorted(taus, grid, side="left")]
+    return values[np.searchsorted(taus, grid, side="right") - 1]  # on [taus[k], taus[k + 1])
+
+
+# Where a table's limits at both ends of an interval (grid[i], grid[i + 1])
+# sit among its values on the grid: at index i + shift.
+_END_SHIFTS = {"linear": (0, 1), "left": (1, 1), "right": (0, 0)}
 
 
 def cmd_compare(args) -> int:
-    ta, va = _read_cdf_csv(args.file_a)
-    tb, vb = _read_cdf_csv(args.file_b)
-    lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
+    a, b = _read_cdf_csv(args.file_a), _read_cdf_csv(args.file_b)
+    lo, hi = max(a[0][0], b[0][0]), min(a[0][-1], b[0][-1])
     if not hi >= lo:
         raise PreconditionError("compare: the two CDF grids do not overlap")
-    grid = np.unique(np.concatenate([ta[(ta >= lo) & (ta <= hi)],
-                                     tb[(tb >= lo) & (tb <= hi)]]))
-    distance = np.abs(np.interp(grid, ta, va) - np.interp(grid, tb, vb)).max()
+    grid = np.unique(np.concatenate([t[(t >= lo) & (t <= hi)] for t, _, _ in (a, b)]))
+    # each side is constant or linear between grid points, so the largest gap
+    # lies at a point or at an end of an interval
+    va, vb = _on_grid(a, grid), _on_grid(b, grid)
+    gaps = [va - vb]
+    for end in (0, 1):
+        sa, sb = _END_SHIFTS[a[2]][end], _END_SHIFTS[b[2]][end]
+        gaps.append(va[sa:sa + len(grid) - 1] - vb[sb:sb + len(grid) - 1])
+    distance = np.abs(np.concatenate(gaps)).max()
     _write_text(args.output, f"ks_distance = {_dec(distance)}\n")
     return EXIT_OK
 

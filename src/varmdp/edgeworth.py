@@ -339,10 +339,8 @@ def float_chain(mrp: MarkovRewardProcess):
         raise PreconditionError(
             "float_chain: transition-rewarded process; apply the pair-state "
             "transformation first")
-    P = np.array([[float(p) for p in row] for row in mrp.kernel])
-    r = np.array([float(v) for v in mrp.state_reward])
-    mu0 = np.array([float(p) for p in mrp.mu0])
-    return P, r, mu0
+    P, R, _, mu0 = mrp.arrays(float)
+    return P, R[:, 0].copy(), mu0  # a strided column would round the dot products differently
 
 
 def estimate_cdf(mrp: MarkovRewardProcess, n_steps: int) -> EdgeworthCdf:
@@ -500,6 +498,8 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or len(taus) < 2 or np.any(np.diff(taus) <= 0):
         raise PreconditionError("pareto_front_long: grid must be strictly increasing")
+    if not np.isfinite(taus).all():
+        raise PreconditionError("pareto_front_long: grid must be finite")
     count = 1
     for acts in mdp.actions:
         count *= len(acts)

@@ -55,8 +55,8 @@ class InventoryParams:
 def build_inventory(params: InventoryParams) -> FiniteMdp:
     """Construct the SAS-tagged inventory MDP for the given parameters.
 
-    Transition law for stock ``s = x + a``: ``p(y) = P(D = s - y)`` for
-    ``y > 0`` and ``p(0) = P(D >= s)`` (excess demand is lost).
+    Demand ``d`` takes stock ``s = x + a`` to ``y = max(s - d, 0)``
+    (excess demand is lost), so ``p(y)`` sums the masses of those ``d``.
     """
     cap = params.capacity
     states = tuple(str(x) for x in range(cap + 1))
@@ -66,16 +66,12 @@ def build_inventory(params: InventoryParams) -> FiniteMdp:
         for a in actions[x]:
             stock = x + a
             cost = _FIXED_COST + _UNIT_COST * a if a > 0 else ZERO
-            rows = []
-            for y in range(stock, -1, -1):
-                if y > 0:
-                    p = _DEMAND.get(stock - y, ZERO)
-                else:
-                    p = sum((q for d, q in _DEMAND.items() if d >= stock), ZERO)
-                if p > 0:
-                    rows.append((y, p, _UNIT_PRICE * (stock - y) - cost))
-            rows.sort()
-            kernel[(x, a)] = tuple(rows)
+            law: dict[int, Fraction] = {}
+            for d, p in _DEMAND.items():
+                y = max(stock - d, 0)
+                law[y] = law.get(y, ZERO) + p
+            kernel[(x, a)] = tuple((y, law[y], _UNIT_PRICE * (stock - y) - cost)
+                                   for y in sorted(law))
     mu0 = tuple(Fraction(int(x == 0)) for x in range(cap + 1))
     salvage = tuple(Fraction(x) for x in range(cap + 1))
     return FiniteMdp(

@@ -14,6 +14,8 @@ Averaging preserves expectations but not distributions, which is the
 reason both conventions are first-class citizens throughout the package.
 Exact total-reward distributions come from one forward propagation of
 mass over (state, accumulated reward) pairs, ``propagate_masses``.
+What a Markov reward process pays on each move and at its last state is
+decided in one place, ``MarkovRewardProcess.arrays``, for every reader.
 """
 
 from __future__ import annotations
@@ -156,6 +158,8 @@ class MarkovRewardProcess:
       ``include_final_reward`` is set), plus salvage if present;
     * ``reward_on == "transition"``: sum of ``transition_reward[(X_t, X_{t+1})]``
       for ``t = 0..horizon-1``, plus salvage if present.
+
+    ``arrays`` is the one place that decides from these fields what a move pays.
     """
 
     horizon: int
@@ -200,8 +204,24 @@ class MarkovRewardProcess:
     def n_states(self) -> int:
         return len(self.states)
 
-    def successors(self, x: int) -> list[tuple[int, Fraction]]:
-        return [(y, p) for y, p in enumerate(self.kernel[x]) if p > 0]
+    def arrays(self, dtype) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+        """Dense ``(P, R, final, mu0)``: ``object`` keeps the ``Fraction``s, ``float`` converts.
+
+        A move from ``x`` to ``y`` pays ``R[x, y]``: the transition reward, or
+        ``state_reward[x]``.  ``final`` holds the vectors added at the last state,
+        in order: the state reward if ``include_final_reward``, then the salvage.
+        """
+        n = self.n_states
+        if self.reward_on == "state":
+            R = np.repeat(np.array(self.state_reward, dtype=dtype)[:, None], n, axis=1)
+        else:
+            R = np.array([[self.transition_reward.get((x, y), ZERO) for y in range(n)]
+                          for x in range(n)], dtype=dtype)
+        final = [self.state_reward] if self.include_final_reward else []
+        if self.salvage is not None:
+            final.append(self.salvage)
+        return (np.array(self.kernel, dtype=dtype), R,
+                tuple(np.array(v, dtype=dtype) for v in final), np.array(self.mu0, dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -404,18 +424,10 @@ def exact_total_reward_distribution(process, policy: DeterministicPolicy | None 
         if policy is not None:
             raise PreconditionError(
                 "exact_total_reward_distribution: a Markov reward process takes no policy")
-        mrp = process
-        on_state = mrp.reward_on == "state"
-
-        def step(t: int, x: int, c: Fraction):
-            return [(y, p, mrp.state_reward[x] if on_state else mrp.transition_reward[(x, y)])
-                    for y, p in mrp.successors(x)]
-
-        def final(x: int) -> Fraction:
-            total = mrp.state_reward[x] if mrp.include_final_reward else ZERO
-            return total if mrp.salvage is None else total + mrp.salvage[x]
-
-        return propagate_masses(mrp.mu0, mrp.horizon, step, final, max_states)
+        P, R, final, mu0 = process.arrays(object)
+        rows = [[(y, p, R[x, y]) for y, p in enumerate(P[x]) if p > 0] for x in range(len(P))]
+        return propagate_masses(mu0, process.horizon, lambda t, x, c: rows[x],
+                                lambda x: sum((v[x] for v in final), ZERO), max_states)
 
     raise PreconditionError(
         f"exact_total_reward_distribution: unsupported input {type(process).__name__}")

@@ -3,9 +3,9 @@
 Serves as the independent check on both the exact short-horizon
 distributions and the long-horizon estimates.  Sampling runs the numpy
 kernel of ``_kernels`` and is reproducible bit-exactly from the seed
-(counter-based streams), so results are stable in CI.  A state reward
-is the transition reward ``R[x, y] = r[x]``, so one kernel loop serves
-both reward conventions.
+(counter-based streams), so results are stable in CI.  What each move
+pays and what the last state adds come from
+``MarkovRewardProcess.arrays``.
 """
 
 from __future__ import annotations
@@ -31,22 +31,12 @@ def simulate(mrp: MarkovRewardProcess, samples: int, seed: int,
     steps = mrp.horizon if n_steps is None else int(n_steps)
     if steps < 1:
         raise PreconditionError("simulate: n_steps must be >= 1")
-    cum = np.cumsum([[float(p) for p in row] for row in mrp.kernel], axis=1)
+    P, R, final, mu0 = mrp.arrays(float)
+    cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
-    mu0 = np.cumsum([float(p) for p in mrp.mu0])
+    mu0 = np.cumsum(mu0)
     mu0[-1] = 1.0
-    if mrp.reward_on == "state":
-        state = np.array([float(r) for r in mrp.state_reward])
-        step_reward = np.broadcast_to(state[:, None], cum.shape)
-    else:
-        step_reward = np.zeros(cum.shape)
-        for (x, y), r in mrp.transition_reward.items():
-            step_reward[x, y] = float(r)
-    final = [state] if mrp.include_final_reward else []
-    if mrp.salvage is not None:
-        final.append(np.array([float(v) for v in mrp.salvage]))
-    totals = simulate_totals(cum, mu0, steps, samples, seed,
-                             step_reward=step_reward, final=tuple(final))
+    totals = simulate_totals(cum, mu0, steps, samples, seed, step_reward=R, final=final)
     totals.sort()
     return totals
 

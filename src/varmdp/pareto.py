@@ -51,9 +51,11 @@ class ParetoFront:
             raise ValidationError(f"front kind: {self.kind!r}")
         if not (len(self.grid) == len(self.value) == len(self.witness)) or not self.grid:
             raise ValidationError("front: grid/value/witness lengths differ or empty")
+        if not all(-math.inf < t < math.inf for t in self.grid):
+            raise ValidationError("front: grid must be finite")
         if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
             raise ValidationError("front: grid must be strictly increasing")
-        if any(v < 0 or v > 1 for v in self.value):
+        if not all(0 <= v <= 1 for v in self.value):
             raise ValidationError("front: values must lie in [0, 1]")
         if any(self.value[i] > self.value[i + 1] for i in range(len(self.value) - 1)):
             raise ValidationError("front: values must be nondecreasing")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .mdp import MarkovRewardProcess, ZERO, bfs_levels, support_groups
+from .mdp import MarkovRewardProcess, bfs_levels, support_groups
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,8 @@ def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
     if mrp.horizon < 2:
         raise PreconditionError("transform: horizon must be at least 2")
 
-    n = mrp.n_states
-    P = np.array(mrp.kernel, dtype=object)
-    R = np.full((n, n), ZERO, dtype=object)
-    for (x, y), r in mrp.transition_reward.items():
-        R[x, y] = r
-    start = np.array(mrp.mu0, dtype=object)[:, None] * P
+    P, R, _, mu0 = mrp.arrays(object)
+    start = mu0[:, None] * P
     [(_, xs, ys, kernel, state_reward, mu0)] = pair_chain(P[None], R[None], start[None])
     pairs = list(zip(xs[0].tolist(), ys[0].tolist()))
     salvage = None

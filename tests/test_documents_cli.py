@@ -452,18 +452,40 @@ def test_compare_refuses_non_finite_values(tmp_path, capsys, row, message):
 
 def test_compare_reads_exact_fronts(tmp_path, capsys):
     fronts = []
-    for i, extra in enumerate(([], ["--simplify"])):
+    variants = ([], ["--simplify"], ["--preset", "paper-short-printed"])
+    for i, extra in enumerate(variants):
         doc, front = tmp_path / f"doc{i}.json", tmp_path / f"front{i}.csv"
         assert run_cli("gen-inventory", *extra, "-o", str(doc)) == 0
         assert run_cli("pareto-short", str(doc), "-o", str(front)) == 0
         fronts.append(str(front))
     assert run_cli("compare", fronts[0], fronts[0]) == 0
     assert run_cli("compare", fronts[0], fronts[1]) == 0
+    # read as steps, the fronts differ by 1/4 at tau = 14: 11/16 against 15/16
+    assert run_cli("compare", fronts[0], fronts[2]) == 0
     # reward simplification moves the front, and with it the VaR
-    assert capsys.readouterr().out == "ks_distance = 0\nks_distance = 0.375\n"
+    assert capsys.readouterr().out == (
+        "ks_distance = 0\nks_distance = 0.375\nks_distance = 0.25\n")
     bad = tmp_path / "bad.csv"
     bad.write_text("tau,cdf\n0,0\n1/0,1\n")
     assert run_cli("compare", fronts[0], str(bad)) == 2
+    assert f"{bad}: cannot parse CDF columns" in capsys.readouterr().err
+
+
+def test_compare_reads_exact_distributions(tmp_path, capsys):
+    """Simplifying the reward keeps the mean 105/16 but changes the distribution."""
+    dists = []
+    for i, extra in enumerate(([], ["--simplify"])):
+        doc, dist = tmp_path / f"doc{i}.json", tmp_path / f"dist{i}.csv"
+        assert run_cli("gen-inventory", *extra, "-o", str(doc)) == 0
+        assert run_cli("dist-exact", str(doc), "-o", str(dist)) == 0
+        dists.append(str(dist))
+    assert run_cli("compare", dists[0], dists[0]) == 0
+    # totals {-7, 0, 7, 14} against {4, ..., 9}: P(total <= 9) = 11/16 against 1
+    assert run_cli("compare", dists[0], dists[1]) == 0
+    assert capsys.readouterr().out == "ks_distance = 0\nks_distance = 0.3125\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("value,prob\n0,1/2\n1,x\n")
+    assert run_cli("compare", dists[0], str(bad)) == 2
     assert f"{bad}: cannot parse CDF columns" in capsys.readouterr().err
 
 

@@ -15,11 +15,11 @@ from scipy.special import ndtr
 
 import varmdp.edgeworth as edgeworth
 from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityError,
-                    FiniteMdp, InventoryParams, build_inventory, check_ergodic_structure,
-                    enumerate_stationary_policies, estimate_cdf, estimate_cdf_arrays,
-                    induced_mrp, paper_long, pareto_front_long, policy_chain, query_eta,
-                    query_rho, simplify_reward, simulate, spectral_data,
-                    stationary_distribution, third_moment_constant)
+                    FiniteMdp, InventoryParams, PreconditionError, build_inventory,
+                    check_ergodic_structure, enumerate_stationary_policies, estimate_cdf,
+                    estimate_cdf_arrays, induced_mrp, paper_long, pareto_front_long,
+                    policy_chain, query_eta, query_rho, simplify_reward, simulate,
+                    spectral_data, stationary_distribution, third_moment_constant)
 
 from conftest import (empirical_cdf, normal_reference, random_ergodic_chain, random_mdp,
                       reference_front_long)
@@ -477,6 +477,14 @@ class TestParetoFrontLong:
                         mu0=(F(1, 2), F(1, 2)), salvage=(F(0), F(0)))
         with pytest.raises(ErgodicityError, match="no stationary policy"):
             pareto_front_long(mdp, 100, np.linspace(0, 20, 11))
+
+    @pytest.mark.parametrize("grid", [[100, math.nan, 200], [100, 200, math.inf],
+                                      [-math.inf, 0]])
+    def test_non_finite_grid_refused_before_estimating(self, monkeypatch, grid):
+        monkeypatch.setattr(edgeworth, "float_tables", None)  # estimating would raise TypeError
+        with pytest.raises(PreconditionError) as info:
+            pareto_front_long(paper_long(50), 50, grid)
+        assert str(info.value) == "pareto_front_long: grid must be finite"
 
     def test_front_queries_invert(self):
         # grid kept inside the bulk so the min envelope is strictly increasing

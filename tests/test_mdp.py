@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from varmdp import (BudgetExceededError, DeterministicPolicy, FiniteMdp,
@@ -48,9 +49,10 @@ def reference_distribution(process, policy=None):
                 return
             if on_state:
                 total = total + mrp.state_reward[x]
-            for y, p in mrp.successors(x):
-                step = total if on_state else total + mrp.transition_reward[(x, y)]
-                walk(t + 1, y, mass * p, step)
+            for y, p in enumerate(mrp.kernel[x]):
+                if p > 0:
+                    step = total if on_state else total + mrp.transition_reward[(x, y)]
+                    walk(t + 1, y, mass * p, step)
 
     for x, p in enumerate(process.mu0):
         if p > 0:
@@ -344,6 +346,50 @@ class TestForwardPropagation:
                           for t in range(mdp.horizon))
             assert augmented_policy_distribution(mdp, rules) == \
                 exact_total_reward_distribution(mdp, policy)
+
+
+ARRAY_CHAINS = {
+    "transition with salvage": MarkovRewardProcess(
+        horizon=3, states=("a", "b", "c"),
+        kernel=((F(1, 2), F(1, 2), F(0)), (F(0), F(1, 3), F(2, 3)), (F(1), F(0), F(0))),
+        reward_on="transition", state_reward=None,
+        transition_reward={(0, 0): F(1), (0, 1): F(-2, 3), (1, 1): F(5),
+                           (1, 2): F(7, 4), (2, 0): F(-1)},
+        mu0=(F(1, 4), F(0), F(3, 4)), salvage=(F(3), F(-1, 2), F(0))),
+    "state with final reward and salvage": MarkovRewardProcess(
+        horizon=2, states=("a", "b"), kernel=((F(1, 5), F(4, 5)), (F(1), F(0))),
+        reward_on="state", state_reward=(F(2), F(-3, 7)), transition_reward=None,
+        mu0=(F(1, 2), F(1, 2)), salvage=(F(10), F(1, 9)), include_final_reward=True),
+    "neither": MarkovRewardProcess(
+        horizon=4, states=("a", "b"), kernel=((F(0), F(1)), (F(2, 3), F(1, 3))),
+        reward_on="state", state_reward=(F(5, 2), F(0)), transition_reward=None,
+        mu0=(F(0), F(1))),
+}
+
+
+@pytest.mark.parametrize("dtype", [object, float])
+@pytest.mark.parametrize("name", list(ARRAY_CHAINS))
+def test_mrp_arrays_match_fields(name, dtype):
+    """``arrays`` equals the arrays read entry by entry from the record's fields."""
+    mrp = ARRAY_CHAINS[name]
+    n = mrp.n_states
+    if mrp.reward_on == "state":
+        pays = [[mrp.state_reward[x]] * n for x in range(n)]
+    else:
+        pays = [[mrp.transition_reward.get((x, y), F(0)) for y in range(n)] for x in range(n)]
+    final = {"transition with salvage": [mrp.salvage],
+             "state with final reward and salvage": [mrp.state_reward, mrp.salvage],
+             "neither": []}[name]
+    want = [mrp.kernel, pays, *final, mrp.mu0]
+    P, R, got_final, mu0 = mrp.arrays(dtype)
+    assert len(got_final) == len(final)
+    for got, exact in zip([P, R, *got_final, mu0], want):
+        exact = np.array(exact, dtype=object)
+        assert got.dtype == np.dtype(dtype) and got.shape == exact.shape
+        if dtype is object:
+            assert all(type(v) is F for v in got.flat) and got.tolist() == exact.tolist()
+        else:
+            assert got.ravel().tolist() == [float(v) for v in exact.flat]
 
 
 TRANSITION = dict(reward_on="transition", state_reward=None,

@@ -237,6 +237,9 @@ class TestQueries:
     (dict(value=(F(-1, 4), F(1, 2), F(1))), "front: values must lie in [0, 1]"),
     (dict(value=(F(0), F(1, 2), F(5, 4))), "front: values must lie in [0, 1]"),
     (dict(value=(F(0), F(3, 4), F(1, 2))), "front: values must be nondecreasing"),
+    (dict(grid=(F(0), math.nan, F(2))), "front: grid must be finite"),
+    (dict(grid=(F(0), F(1), math.inf)), "front: grid must be finite"),
+    (dict(value=(F(0), math.nan, F(1))), "front: values must lie in [0, 1]"),
 ])
 def test_front_refusals(changes, message):
     fields = dict(kind="exact", grid=(F(0), F(1), F(2)), value=(F(0), F(1, 2), F(1)),
