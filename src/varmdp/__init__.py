@@ -9,15 +9,18 @@ Long horizons are estimated: the pair-state transformation preserves
 transition-reward distributions, and per-policy CDFs come from a
 normal-plus-correction expansion validated against a seeded Monte Carlo
 oracle.
+
+``import varmdp`` loads the exact, rational layers only, and no numpy.
+The float layers (``edgeworth``, ``montecarlo`` and ``transform``) load,
+with numpy, when one of their names is first read from this package.
 """
+
+import importlib
+import sys
+import types
 
 from .augmented import (AugmentedMdp, VarSolution, augmented_policy_distribution,
                         build_augmented, solve_threshold_var, solve_thresholds)
-from .edgeworth import (ChainSpectralData, EdgeworthCdf, KappaResult,
-                        check_ergodic_structure, enumerate_stationary_policies,
-                        estimate_cdf, estimate_cdf_arrays, pareto_front_long,
-                        policy_chain, spectral_data, stationary_distribution,
-                        third_moment_constant)
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError, ValidationError, VarMdpError)
 from .inventory import (InventoryParams, build_inventory, paper_long, paper_short,
@@ -25,10 +28,8 @@ from .inventory import (InventoryParams, build_inventory, paper_long, paper_shor
 from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, StepCdf,
                   check_policy, evaluate_policy, exact_total_reward_distribution,
                   expected_backward_induction, induced_mrp, simplify_reward)
-from .montecarlo import simulate
 from .pareto import ParetoFront, pareto_front_exact, query_eta, query_rho
 from .rationals import format_rational, parse_rational
-from .transform import TransformedMrp, transform
 
 __version__ = "0.1.0"
 
@@ -50,3 +51,31 @@ __all__ = [
     "solve_threshold_var", "solve_thresholds", "spectral_data", "stationary_distribution",
     "third_moment_constant", "transform",
 ]
+
+_FLOAT_LAYERS = {
+    **dict.fromkeys(("ChainSpectralData", "EdgeworthCdf", "KappaResult",
+                     "check_ergodic_structure", "enumerate_stationary_policies",
+                     "estimate_cdf", "estimate_cdf_arrays", "pareto_front_long",
+                     "policy_chain", "spectral_data", "stationary_distribution",
+                     "third_moment_constant"), ".edgeworth"),
+    "simulate": ".montecarlo", "TransformedMrp": ".transform", "transform": ".transform",
+}
+
+
+def __getattr__(name: str):
+    """Import a float layer's name on first use and bind it in this package (PEP 562)."""
+    if name not in _FLOAT_LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_FLOAT_LAYERS[name], __name__), name)
+    return globals().setdefault(name, value)
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # Loading the submodule varmdp.transform would bind it here as ``transform``,
+        # hiding the function of that name; the function keeps the name.
+        if not (name == "transform" and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

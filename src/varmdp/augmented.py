@@ -9,11 +9,10 @@ salvage ``1[c + v(x) >= tau]``; the optimal expected value of the
 augmented model is exactly the optimal exceedance probability.
 
 Only ``build_augmented`` adds rewards, as integers over their least
-common denominator; per epoch it records the next-slice index of every
-(pair, action, successor) move.  ``solve_thresholds`` is one numpy pass
-over those indices for all thresholds at once, in exact Python ints, and
-keeps one witness per threshold: the earliest optimal action of every
-reachable pair.
+common denominator.  ``solve_thresholds`` answers every threshold at
+once by one backward pass over remaining targets, in plain Python ints:
+a pair's value at a threshold depends only on what is left to collect.
+Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Mapping
-
-import numpy as np
 
 from .errors import BudgetExceededError
 from .mdp import Action, FiniteMdp, StepCdf, propagate_masses
@@ -34,21 +30,19 @@ AugState = tuple[int, Fraction]  # (state index, accumulated reward)
 
 @dataclass(frozen=True)
 class AugmentedMdp:
-    """Augmented model: base MDP, reachable slices and their successor indices.
+    """Augmented model: base MDP and its reachable slices.
 
     ``layers[t]`` lists the reachable (state, accumulated reward) pairs at
     epoch ``t``, sorted; ``layers[0]`` pairs every mu0-positive state with
     0.  From ``(x, c)`` under ``a``, the successor ``(y, c + r(x, a, y))``
-    has probability ``p(y | x, a)``; ``successors[t]`` holds its index in
-    ``layers[t + 1]`` for every such move, pair by pair, in action and then
-    kernel-row order.  ``totals`` are the final ``c + v(x)`` times
-    ``scale``, the least common denominator of the rewards and salvage.
+    has probability ``p(y | x, a)`` and lies in ``layers[t + 1]``.
+    ``totals`` are the final ``c + v(x)`` times ``scale``, the least common
+    denominator of the rewards and salvage.
     """
 
     base: FiniteMdp
     layers: tuple[tuple[AugState, ...], ...]
     scale: int
-    successors: tuple[np.ndarray, ...]
     totals: tuple[int, ...]
 
     @property
@@ -96,22 +90,19 @@ def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
                      *(v.denominator for v in mdp.salvage))
     moves = [[(y, int(r * scale)) for y, r in row] for row in moves]
     layer = [(x, 0) for x, p in enumerate(mdp.mu0) if p > 0]
-    layers, successors = [layer], []
+    layers = [layer]
     for _ in range(mdp.horizon):
         nxt = sorted({(y, n + r) for x, n in layer for y, r in moves[x]})
         if sum(map(len, layers)) + len(nxt) > max_states:
             raise BudgetExceededError(
                 f"augmented model refused: more than {max_states} reachable "
                 f"(state, reward) pairs")
-        index = {pair: i for i, pair in enumerate(nxt)}
-        successors.append(np.fromiter(
-            (index[y, n + r] for x, n in layer for y, r in moves[x]), dtype=np.intp))
         layer = nxt
         layers.append(layer)
     return AugmentedMdp(
         base=mdp, layers=tuple(tuple((x, Fraction(n, scale)) for x, n in pairs)
                                for pairs in layers),
-        scale=scale, successors=tuple(successors),
+        scale=scale,
         totals=tuple(n + int(mdp.salvage[x] * scale) for x, n in layer))
 
 
@@ -119,45 +110,63 @@ def solve_thresholds(aug: AugmentedMdp,
                      taus: tuple[Fraction, ...]) -> tuple[VarSolution, ...]:
     """Best achievable P(total reward >= tau) for every threshold, in one backward pass.
 
-    Each augmented pair carries one exceedance value per threshold: the
-    terminal value of ``(x, c)`` is ``1[c + v(x) >= tau]``, and interior
-    values maximize the expected successor value.  Per threshold, ties are
-    broken toward the earliest action in the state's action list, and that
-    action is the pair's witness.  Values are integers over
+    With rewards counted in units of ``1 / aug.scale``, pair ``(x, n)`` at
+    threshold ``tau`` has the remaining target ``s = cut - n``, ``cut =
+    ceil(tau * scale)``, and its value depends on ``(t, x, s)`` alone.  So
+    the pass keeps one value per needed cell: ``s`` ranges over ``cut - n``
+    for every pair of ``layers[t]`` and every threshold, and a move from
+    ``(x, s)`` lands on the needed cell ``(y, s - r)`` of the next epoch.  A
+    final cell is worth ``1[v(x) >= s]``; an interior cell maximizes the
+    expected value of its successors.  Values are integers over
     ``D**(H - t)``, ``D`` the kernel's least common denominator, so all
-    comparisons and ties are exact.  The pairs of one state form a block
-    of the sorted slice; each block is one numpy step over its
-    ``(pairs, moves, thresholds)`` successor values.
+    comparisons and ties are exact.  A strict ``>`` over the state's action
+    list keeps the earliest optimal action, the witness of every pair whose
+    cell it is.  At one threshold the cells are exactly the reachable pairs.
     """
-    mdp, k = aug.base, len(taus)
+    mdp, unit = aug.base, aug.scale
     scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p, _ in rows))
-    weights, slots, choices = [], [], []
-    for x, acts in enumerate(mdp.actions):
-        rows = [mdp.kernel[x, a] for a in acts]
-        weights.append(np.array([[int(p * scale)] for row in rows for _, p, _ in row],
-                                dtype=object))
-        slots.append(np.cumsum([0] + [len(row) for row in rows[:-1]]))
-        choices.append(np.fromiter(acts, dtype=object, count=len(acts)))  # tuples stay whole
-    cuts = np.array([math.ceil(tau * aug.scale) for tau in taus], dtype=object)
-    u = np.where(np.array(aug.totals, dtype=object)[:, None] >= cuts, 1, 0).astype(object)
-    found = []  # found[t][i]: the witness actions over layers[t] at taus[i]
+    moves = [[(a, [(y, int(p * scale), int(r * unit)) for y, p, r in mdp.kernel[x, a]])
+              for a in acts] for x, acts in enumerate(mdp.actions)]
+    cuts = [math.ceil(tau * unit) for tau in taus]
+    pairs = [[(x, c.numerator * (unit // c.denominator)) for x, c in layer]
+             for layer in aug.layers]
+    cells = []  # cells[t][x]: the remaining targets needed at state x in epoch t
+    for layer in pairs:
+        need = [set() for _ in mdp.states]
+        for x, n in layer:
+            need[x].update([cut - n for cut in cuts])
+        cells.append(need)
+    value = [{s: int(v >= s) for s in need}
+             for v, need in zip((int(v * unit) for v in mdp.salvage), cells[-1])]
+    picks = []  # picks[t][x][s]: the witness action at cell (t, x, s)
     for t in reversed(range(aug.horizon)):
-        blocks, picks, move = [], [], 0
-        for x, block in groupby(x for x, _ in aug.layers[t]):
-            n, m = sum(1 for _ in block), len(weights[x])
-            values = u[aug.successors[t][move:move + n * m]].reshape(n, m, k) * weights[x]
-            q = np.add.reduceat(values, slots[x], axis=1)
-            blocks.append(q.max(axis=1))
-            picks.append(choices[x][(q == blocks[-1][:, None]).argmax(axis=1)])
-            move += n * m
-        u = np.concatenate(blocks)
-        found.insert(0, np.concatenate(picks).T.tolist())
+        nxt, value, pick = value, [], []
+        for x, need in enumerate(cells[t]):
+            options = [(a, [(nxt[y], w, r) for y, w, r in rows]) for a, rows in moves[x]]
+            best, chosen = {}, {}
+            for s in need:
+                top = -1
+                for a, rows in options:
+                    q = 0
+                    for successor, w, r in rows:
+                        q += w * successor[s - r]
+                    if q > top:
+                        top, act = q, a
+                best[s], chosen[s] = top, act
+            value.append(best)
+            pick.append(chosen)
+        picks.insert(0, pick)
     mass_scale = math.lcm(*(p.denominator for p in mdp.mu0))
-    numerators = sum(int(mdp.mu0[x] * mass_scale) * row for (x, _), row in zip(aug.layers[0], u))
+    start = [(int(mdp.mu0[x] * mass_scale), value[x]) for x, _ in pairs[0]]
+    witnesses = [[(pick[x], n) for x, n in layer] for pick, layer in zip(picks, pairs)]
     return tuple(
-        VarSolution(tau=tau, eta=Fraction(numerators[i], mass_scale * scale ** aug.horizon),
-                    layers=aug.layers, actions=tuple(tuple(acts[i]) for acts in found))
-        for i, tau in enumerate(taus))
+        VarSolution(tau=tau,
+                    eta=Fraction(sum(m * v[cut] for m, v in start),
+                                 mass_scale * scale ** aug.horizon),
+                    layers=aug.layers,
+                    actions=tuple(tuple([chosen[cut - n] for chosen, n in cells_t])
+                                  for cells_t in witnesses))
+        for tau, cut in zip(taus, cuts))
 
 
 def solve_threshold_var(mdp: FiniteMdp, tau, max_states: int = 200_000) -> VarSolution:

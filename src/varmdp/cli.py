@@ -11,6 +11,14 @@ each subcommand through one ``command`` helper, which gives it
 (default stdin).  Both fronts go through ``_write_front``: the CSV and
 the ``--policies-out`` listings.
 
+The exact subcommands (``gen-inventory``, ``solve-expected``,
+``dist-exact``, ``var-threshold``, ``pareto-short``) run on the rational
+layers and never load numpy.  The float layers' entry points
+(``transform``, ``estimate_cdf``, ``pareto_front_long``, ``simulate``) are
+imported when a float subcommand first asks for one, through this
+module's ``__getattr__``; numpy comes with them, and ``compare`` loads it
+itself.
+
 Exit codes: 0 success, 2 parse/validation error (an unreadable or
 undecodable input too), 3 precondition violation, 4 budget refusal or an
 array too large to allocate, 5 ergodicity/degeneracy error.
@@ -23,6 +31,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import stat
 import sys
@@ -30,22 +39,17 @@ import tempfile
 from fractions import Fraction
 from itertools import accumulate
 
-import numpy as np
-
 from . import inventory
 from .augmented import solve_threshold_var
 from .documents import (dump_document, load_document, mdp_from_document,
                         mdp_to_document, mrp_from_document, mrp_to_document,
                         state_index)
-from .edgeworth import estimate_cdf, pareto_front_long
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError, ValidationError, VarMdpError)
 from .mdp import (DeterministicPolicy, exact_total_reward_distribution,
                   expected_backward_induction, simplify_reward)
-from .montecarlo import simulate
 from .pareto import pareto_front_exact
 from .rationals import format_rational, parse_rational
-from .transform import transform
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -58,6 +62,25 @@ _EXIT_CODES = {ValidationError: EXIT_PARSE, PreconditionError: EXIT_PRECONDITION
                DegenerateVarianceError: EXIT_ERGODICITY}
 
 _SCHEMA_NOTE = "Document schemas: mdp-v1 and mrp-v1 (JSON; numerics as exact strings)."
+
+_FLOAT_ENTRY_POINTS = ("transform", "estimate_cdf", "pareto_front_long", "simulate")
+
+
+def __getattr__(name: str):
+    """Import a float layer's entry point on first use and bind it in this module.
+
+    The package imports it on first read.  Only a name that is not bound
+    yet reaches here, so a name bound from outside (a timing wrapper, say)
+    is never replaced.
+    """
+    if name not in _FLOAT_ENTRY_POINTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
+
+
+def _layer(name: str):
+    """The float-layer entry point bound to ``name`` in this module, imported if need be."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def _read_text(path: str) -> str:
@@ -134,7 +157,8 @@ def _load_mrp(path: str):
     return mrp_from_document(load_document(_read_text(path)))
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str):
+    import numpy as np
     try:
         lo, hi, steps = spec.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
@@ -142,7 +166,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid: expected lo:hi:steps, got {spec!r}") from None
     if steps < 2 or not hi > lo:
         raise ValidationError("grid: need hi > lo and steps >= 2")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"grid: bounds must be finite, got {spec!r}")
     return np.linspace(lo, hi, steps)
 
@@ -228,14 +252,14 @@ def cmd_pareto_short(args) -> int:
 
 def cmd_transform(args) -> int:
     mrp = _load_mrp(args.document)
-    _write_text(args.output, dump_document(mrp_to_document(transform(mrp))))
+    _write_text(args.output, dump_document(mrp_to_document(_layer("transform")(mrp))))
     return EXIT_OK
 
 
 def cmd_estimate_cdf(args) -> int:
     mrp = _load_mrp(args.document)
     taus = _parse_grid(args.grid)
-    cdf = estimate_cdf(mrp, args.n_steps)
+    cdf = _layer("estimate_cdf")(mrp, args.n_steps)
     values = cdf.evaluate(taus)
     rows = [[_dec(t), _dec(v)] for t, v in zip(taus, values)]
     _write_text(args.output, _csv_text(["tau", "cdf"], rows))
@@ -247,16 +271,17 @@ def cmd_estimate_cdf(args) -> int:
 def cmd_pareto_long(args) -> int:
     _require_positive(args.max_policies, "max-policies")
     mdp = _load_mdp(args.document)
-    front = pareto_front_long(mdp, args.horizon, _parse_grid(args.grid),
-                              max_policies=args.max_policies)
+    front = _layer("pareto_front_long")(mdp, args.horizon, _parse_grid(args.grid),
+                                        max_policies=args.max_policies)
     _write_front(args, front, lambda q: [_dec(q)], ["tau", "pareto_value"])
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
     _require_positive(args.quantiles, "quantiles")
     mrp = _load_mrp(args.document)
-    totals = simulate(mrp, samples=args.samples, seed=args.seed, n_steps=args.n)
+    totals = _layer("simulate")(mrp, samples=args.samples, seed=args.seed, n_steps=args.n)
     qs = np.linspace(0.0, 1.0, args.quantiles)
     values = np.quantile(totals, qs, method="inverted_cdf")
     rows = [[_dec(q), _dec(v)] for q, v in zip(qs, values)]
@@ -277,6 +302,7 @@ def _read_cdf_csv(path: str):
     (``value`` and ``prob``) is the right-continuous step of the running sum
     of ``prob``; every other table is read as piecewise linear.
     """
+    import numpy as np
     rows = list(csv.reader(io.StringIO(_read_text(path))))
     if len(rows) < 2:
         raise ValidationError(f"{path}: expected a CSV with a header and data rows")
@@ -314,14 +340,27 @@ def _read_cdf_csv(path: str):
     return points, top, shape
 
 
-def _on_grid(table, grid: np.ndarray) -> np.ndarray:
-    """A table's CDF at the points of ``grid``, which lie inside the table's span."""
+def _span(table) -> tuple[float, float]:
+    """Where a table's CDF is known: a linear table on its taus, a step table everywhere."""
+    taus, _, shape = table
+    return (taus[0], taus[-1]) if shape == "linear" else (-math.inf, math.inf)
+
+
+def _on_grid(table, grid):
+    """A table's CDF at the points of ``grid``, which lie inside the table's span.
+
+    A front holds its first value below its first tau and is 1 above its
+    last; a distribution is 0 below its first value and its total from the
+    last value on.
+    """
+    import numpy as np
     taus, values, shape = table
     if shape == "linear":
         return np.interp(grid, taus, values)
     if shape == "left":  # constant on (taus[k - 1], taus[k]]
-        return values[np.searchsorted(taus, grid, side="left")]
-    return values[np.searchsorted(taus, grid, side="right") - 1]  # on [taus[k], taus[k + 1])
+        return np.append(values, 1.0)[np.searchsorted(taus, grid, side="left")]
+    # constant on [taus[k], taus[k + 1])
+    return np.insert(values, 0, 0.0)[np.searchsorted(taus, grid, side="right")]
 
 
 # Where a table's limits at both ends of an interval (grid[i], grid[i + 1])
@@ -330,11 +369,14 @@ _END_SHIFTS = {"linear": (0, 1), "left": (1, 1), "right": (0, 0)}
 
 
 def cmd_compare(args) -> int:
+    import numpy as np
     a, b = _read_cdf_csv(args.file_a), _read_cdf_csv(args.file_b)
-    lo, hi = max(a[0][0], b[0][0]), min(a[0][-1], b[0][-1])
+    (lo_a, hi_a), (lo_b, hi_b) = _span(a), _span(b)
+    lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
     if not hi >= lo:
         raise PreconditionError("compare: the two CDF grids do not overlap")
-    grid = np.unique(np.concatenate([t[(t >= lo) & (t <= hi)] for t, _, _ in (a, b)]))
+    points = np.concatenate([a[0], b[0], [lo, hi]])  # two step tables add -inf and inf
+    grid = np.unique(points[(points >= lo) & (points <= hi)])
     # each side is constant or linear between grid points, so the largest gap
     # lies at a point or at an end of an interval
     va, vb = _on_grid(a, grid), _on_grid(b, grid)

@@ -16,17 +16,20 @@ Exact total-reward distributions come from one forward propagation of
 mass over (state, accumulated reward) pairs, ``propagate_masses``.
 What a Markov reward process pays on each move and at its last state is
 decided in one place, ``MarkovRewardProcess.arrays``, for every reader.
+Only the array builders (``arrays``, ``bfs_levels``, ``support_groups``)
+load numpy, when first called; the exact solvers never do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from .errors import BudgetExceededError, PreconditionError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Action = Hashable
 
@@ -194,6 +197,11 @@ class MarkovRewardProcess:
         if self.include_final_reward and self.reward_on != "state":
             raise ValidationError("include_final_reward only applies to state rewards")
         if self.reward_on == "transition":
+            for key in self.transition_reward:
+                if not (isinstance(key, tuple) and len(key) == 2
+                        and all(i in range(n) for i in key)):
+                    raise ValidationError(f"transition_reward: {key!r} is not a pair of "
+                                          f"state indices 0..{n - 1}")
             for x in range(n):
                 for y in range(n):
                     if self.kernel[x][y] > 0 and (x, y) not in self.transition_reward:
@@ -211,6 +219,7 @@ class MarkovRewardProcess:
         ``state_reward[x]``.  ``final`` holds the vectors added at the last state,
         in order: the state reward if ``include_final_reward``, then the salvage.
         """
+        import numpy as np
         n = self.n_states
         if self.reward_on == "state":
             R = np.repeat(np.array(self.state_reward, dtype=dtype)[:, None], n, axis=1)
@@ -310,6 +319,7 @@ def bfs_levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
     the whole frontier one edge forward.  A leading axis on ``adjacency``
     searches a stack of graphs at once; ``sources`` broadcasts against it.
     """
+    import numpy as np
     frontier = np.broadcast_to(np.asarray(sources, dtype=bool), adjacency.shape[:-1])
     level = np.where(frontier, 0, -1)
     depth = 0
@@ -327,6 +337,7 @@ def support_groups(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     ``members`` are the row indices with that count, in order, and
     ``columns[g]`` the ``True`` column indices of row ``members[g]``, in order.
     """
+    import numpy as np
     counts = mask.sum(axis=1)
     groups = []
     for count in sorted(set(counts.tolist())):

@@ -8,7 +8,8 @@ state-feedback policy class would be strictly too small.  That class is
 never enumerated: the infimum at each threshold is the complement of
 the threshold optimum ``eta(tau)``, and one backward pass over the
 augmented slices yields ``eta`` at every grid point at once.  That pass
-reads the successor indices ``build_augmented`` recorded, never a reward.
+runs on remaining targets in plain Python ints, so an exact front never
+loads numpy; only the linear reading of an estimated front does.
 
 Atom convention of exact fronts: the stored value at a grid point
 ``tau`` is ``inf_pi P(total < tau)`` (the left limit), so that
@@ -27,8 +28,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
-
-import numpy as np
 
 from .augmented import build_augmented, solve_thresholds
 from .errors import PreconditionError, ValidationError
@@ -99,6 +98,7 @@ def query_eta(front: ParetoFront, tau):
     """
     if front.kind == "exact":
         return _eta_exact(front, parse_rational(tau, "tau"))
+    import numpy as np
     return 1.0 - float(np.interp(float(tau), front.grid, front.value))
 
 
@@ -125,4 +125,5 @@ def query_rho(front: ParetoFront, alpha):
         return front.grid[idx]
     if idx == len(front.grid) - 1:
         return float(front.grid[-1]) if target == front.value[-1] else math.inf
+    import numpy as np
     return float(np.interp(target, front.value[idx:idx + 2], front.grid[idx:idx + 2]))

@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import groupby
 
+import numpy as np
 import pytest
 
 from varmdp import (BudgetExceededError, InventoryParams, build_augmented,
-                    augmented_policy_distribution, build_inventory, solve_threshold_var,
-                    solve_thresholds)
+                    augmented_policy_distribution, build_inventory, pareto_front_exact,
+                    solve_threshold_var, solve_thresholds)
 
 from conftest import random_mdp
 
@@ -59,11 +61,56 @@ def reference_thresholds(aug, taus):
             for k in range(len(taus))]
 
 
+def numpy_thresholds(aug, taus):
+    """The earlier numpy pass over every pair: ``(eta, actions)`` per threshold.
+
+    Every move's successor is looked up by its index in the next slice;
+    the pairs of one state form a block of the sorted slice, and each block
+    is one numpy step over its ``(pairs, moves, thresholds)`` successor
+    values, exact Python ints in ``object`` arrays.
+    """
+    mdp, k = aug.base, len(taus)
+    successors = []
+    for layer, nxt in zip(aug.layers, aug.layers[1:]):
+        index = {pair: i for i, pair in enumerate(nxt)}
+        successors.append(np.array([index[y, c + r] for x, c in layer for a in mdp.actions[x]
+                                    for y, _, r in mdp.kernel[x, a]], dtype=np.intp))
+    scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p, _ in rows))
+    weights, slots, choices = [], [], []
+    for x, acts in enumerate(mdp.actions):
+        rows = [mdp.kernel[x, a] for a in acts]
+        weights.append(np.array([[int(p * scale)] for row in rows for _, p, _ in row],
+                                dtype=object))
+        slots.append(np.cumsum([0] + [len(row) for row in rows[:-1]]))
+        choices.append(np.fromiter(acts, dtype=object, count=len(acts)))  # tuples stay whole
+    cuts = np.array([math.ceil(tau * aug.scale) for tau in taus], dtype=object)
+    u = np.where(np.array(aug.totals, dtype=object)[:, None] >= cuts, 1, 0).astype(object)
+    found = []  # found[t][i]: the witness actions over layers[t] at taus[i]
+    for t in reversed(range(aug.horizon)):
+        blocks, picks, move = [], [], 0
+        for x, block in groupby(x for x, _ in aug.layers[t]):
+            n, m = sum(1 for _ in block), len(weights[x])
+            values = u[successors[t][move:move + n * m]].reshape(n, m, k) * weights[x]
+            q = np.add.reduceat(values, slots[x], axis=1)
+            blocks.append(q.max(axis=1))
+            picks.append(choices[x][(q == blocks[-1][:, None]).argmax(axis=1)])
+            move += n * m
+        u = np.concatenate(blocks)
+        found.insert(0, np.concatenate(picks).T.tolist())
+    mass_scale = math.lcm(*(p.denominator for p in mdp.mu0))
+    numerators = sum(int(mdp.mu0[x] * mass_scale) * row for (x, _), row in zip(aug.layers[0], u))
+    return [(Fraction(numerators[i], mass_scale * scale ** aug.horizon),
+             tuple(tuple(acts[i]) for acts in found)) for i in range(k)]
+
+
 def assert_matches_reference(aug, taus):
-    for sol, (eta, policy, _) in zip(solve_thresholds(aug, taus),
-                                     reference_thresholds(aug, taus), strict=True):
-        assert sol.eta == eta
+    """The remaining-target pass against the dict induction and the earlier numpy pass."""
+    for sol, (eta, policy, _), (np_eta, np_actions) in zip(
+            solve_thresholds(aug, taus), reference_thresholds(aug, taus),
+            numpy_thresholds(aug, taus), strict=True):
+        assert sol.eta == eta == np_eta
         assert sol.policy == policy
+        assert sol.actions == np_actions
 
 
 def reference_sets(mdp, tau):
@@ -137,6 +184,14 @@ class TestBuildAugmented:
     def test_budget_guard(self, short_sas):
         with pytest.raises(BudgetExceededError, match="pairs"):
             build_augmented(short_sas, max_states=3)
+
+    def test_budget_refusal_text(self, short_sas):
+        message = "augmented model refused: more than 3 reachable (state, reward) pairs"
+        for solve in (lambda: solve_threshold_var(short_sas, 9, max_states=3),
+                      lambda: pareto_front_exact(short_sas, max_states=3)):
+            with pytest.raises(BudgetExceededError) as info:
+                solve()
+            assert str(info.value) == message
 
 
 class TestSolveThreshold:
@@ -254,11 +309,18 @@ class TestIndexInduction:
         for sol in solve_thresholds(aug, taus):
             assert all(a in pair.values() for acts in sol.actions for a in acts)
 
-    def test_successor_indices_name_the_reward_sums(self):
-        rng = random.Random(23)
-        mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=3)
-        aug = build_augmented(mdp)
-        for t in range(mdp.horizon):
-            expected = [(y, c + r) for x, c in aug.layers[t]
-                        for a in mdp.actions[x] for y, _, r in mdp.kernel[x, a]]
-            assert [aug.layers[t + 1][i] for i in aug.successors[t]] == expected
+    def test_moves_land_in_the_next_layer(self):
+        for seed in range(10):
+            rng = random.Random(23 + seed)
+            mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=3)
+            aug = build_augmented(mdp)
+            for t in range(mdp.horizon):
+                landed = {(y, c + r) for x, c in aug.layers[t]
+                          for a in mdp.actions[x] for y, _, r in mdp.kernel[x, a]}
+                assert landed == set(aug.layers[t + 1])
+
+    def test_off_grid_and_negative_taus_match_references(self, short_sas, short_sa):
+        for mdp in (short_sas, short_sa):
+            aug = build_augmented(mdp)
+            assert_matches_reference(aug, (F(-100), F(-11, 2), F(-1, 3), F(0), F(15, 2),
+                                           F(9), F(101, 7), F(1000)))

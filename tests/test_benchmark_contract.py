@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -117,3 +118,42 @@ def test_declared_estimate_spans_fire(tmp_path):
             _, codes = tracing.replay(workload.calls, tracer)
             assert codes == [0] * len(workload.calls), name
     assert declared and declared - set(tracing.layer_metrics(tracer)) == set()
+
+
+def test_lazy_cli_names_trace_and_restore(tmp_path):
+    # cli binds its float-layer entry points on first use; tracing must still wrap
+    # and restore them, so this runs in an interpreter where none is bound yet
+    script = f"""
+import importlib.util, sys
+import varmdp.cli as cli
+lazy = ("pareto_front_long", "estimate_cdf", "simulate")
+assert not set(lazy) & set(vars(cli)), "bound before use"
+def load(name):
+    path = {str(VARBENCH)!r} + "/" + name + ".py"
+    spec = importlib.util.spec_from_file_location("varbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+tracing, workloads = load("tracing"), load("workloads")
+calls = {{}}
+for name in ("estimate-long", "mc-oracle"):
+    for call in workloads.build(name, 0, {str(tmp_path)!r} + "/" + name, workloads.TINY).calls:
+        calls.setdefault(call.command, call)
+tracer = tracing.Tracer()
+with tracing.instrumented(tracer):
+    _, codes = tracing.replay([calls[c] for c in ("pareto-long", "estimate-cdf", "simulate")],
+                              tracer)
+import varmdp.edgeworth as edgeworth, varmdp.montecarlo as montecarlo
+print(codes, sorted({{span[0] for span in tracer.spans if span[4]}}))
+print(cli.pareto_front_long is edgeworth.pareto_front_long,
+      cli.estimate_cdf is edgeworth.estimate_cdf, cli.simulate is montecarlo.simulate)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    codes_and_spans, restored = result.stdout.splitlines()
+    assert codes_and_spans.startswith("[0, 0, 0] ")
+    for span in ("edgeworth.front_long", "edgeworth.estimate_cdf", "montecarlo.simulate",
+                 "kernels.simulate_totals"):
+        assert f"'{span}'" in codes_and_spans
+    assert restored == "True True True"

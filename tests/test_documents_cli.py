@@ -489,6 +489,40 @@ def test_compare_reads_exact_distributions(tmp_path, capsys):
     assert f"{bad}: cannot parse CDF columns" in capsys.readouterr().err
 
 
+DIST_HEADER = "value,value_decimal,prob,prob_decimal\n"
+FRONT_HEADER = "tau,tau_decimal,pareto_value,pareto_value_decimal,witness_policy_id\n"
+
+
+@pytest.mark.parametrize("text_a, text_b, out", [
+    # distributions: 0 below the first value, 1 from the last one
+    (DIST_HEADER + "0,0,9/10,0.9\n5,5,1/10,0.1\n", DIST_HEADER + "5,5,1/2,0.5\n6,6,1/2,0.5\n",
+     "ks_distance = 0.9\n"),
+    (DIST_HEADER + "5,5,1/2,0.5\n6,6,1/2,0.5\n", DIST_HEADER + "7,7,1,1\n",
+     "ks_distance = 1\n"),
+    # fronts: the first value up to the first tau, 1 above the last; (10, 20] gives 3/4
+    (FRONT_HEADER + "0,0,0,0,0\n10,10,1/2,0.5,1\n",
+     FRONT_HEADER + "10,10,0,0,0\n20,20,1/4,0.25,1\n", "ks_distance = 0.75\n"),
+    (FRONT_HEADER + "5,5,0,0,0\n", FRONT_HEADER + "7,7,0,0,0\n", "ks_distance = 1\n"),
+    # a linear table against a step table: the step table is known across the linear span
+    ("tau,cdf\n0,0\n10,1\n", DIST_HEADER + "20,20,1,1\n", "ks_distance = 1\n"),
+])
+def test_compare_extends_step_tables_past_their_grids(tmp_path, capsys, text_a, text_b, out):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(text_a)
+    b.write_text(text_b)
+    assert run_cli("compare", str(a), str(b)) == 0
+    assert run_cli("compare", str(b), str(a)) == 0
+    assert capsys.readouterr().out == out * 2
+
+
+def test_compare_linear_tables_need_overlapping_grids(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("tau,cdf\n0,0\n10,1\n")
+    b.write_text("tau,cdf\n11,0\n20,1\n")
+    assert run_cli("compare", str(a), str(b)) == 3
+    assert capsys.readouterr().err == "error: compare: the two CDF grids do not overlap\n"
+
+
 def test_pareto_long_budget_boundary(short_doc, capsys):
     argv = ["pareto-long", short_doc, "--horizon", "50", "--grid=0:10:3", "--max-policies"]
     assert run_cli(*argv, "23") == 4
@@ -682,6 +716,28 @@ def test_cli_import_loads_no_scipy():
          "import sys, varmdp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_exact_subcommands_load_no_float_layer(tmp_path):
+    # the exact path is pure Python: numpy and the float layers load only when asked for,
+    # and loading the submodule varmdp.transform leaves the name to the function
+    doc, out = str(tmp_path / "short.json"), str(tmp_path / "out")
+    runs = [["gen-inventory", "-o", doc], ["solve-expected", doc, "-o", out],
+            ["dist-exact", doc, "-o", out], ["var-threshold", doc, "--tau", "9", "-o", out],
+            ["pareto-short", doc, "-o", out, "--policies-out", out + "-pol"]]
+    float_layers = ["numpy", "varmdp._kernels", "varmdp.edgeworth", "varmdp.montecarlo"]
+    script = (
+        "import sys; from varmdp.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        f"print(sorted(m for m in {float_layers!r} if m in sys.modules))\n"
+        "import varmdp.transform, varmdp.edgeworth\n"
+        "from varmdp import transform, simulate, estimate_cdf, policy_chain\n"
+        "print([callable(f) for f in (transform, simulate, estimate_cdf, policy_chain)],\n"
+        "      transform is sys.modules['varmdp.transform'].transform is varmdp.transform)\n")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == ["[]", "[True, True, True, True] True"]
 
 
 def test_estimate_cdf_loads_no_scipy(tmp_path):

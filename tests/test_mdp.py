@@ -487,6 +487,12 @@ class TestValidation:
         (dict(TRANSITION, transition_reward={
             k: v for k, v in TRANSITION["transition_reward"].items() if k != (0, 1)}),
          "reward: missing r(a, b)"),
+        (dict(TRANSITION, transition_reward={**TRANSITION["transition_reward"], (5, 7): F(1)}),
+         "transition_reward: (5, 7) is not a pair of state indices 0..2"),
+        (dict(TRANSITION, transition_reward={**TRANSITION["transition_reward"], (0, -1): F(1)}),
+         "transition_reward: (0, -1) is not a pair of state indices 0..2"),
+        (dict(TRANSITION, transition_reward={**TRANSITION["transition_reward"], "ab": F(1)}),
+         "transition_reward: 'ab' is not a pair of state indices 0..2"),
     ])
     def test_mrp_refusals(self, fields, message):
         self.chain(include_final_reward=True)
