@@ -14,13 +14,27 @@ so each row gets integer thresholds.  The tests keep the float compare
 as the reference.  A guide table splits the draws of each row
 into ``2**B`` equal buckets by the top ``B`` bits of ``k``.  A bucket
 holds its pick when no threshold falls inside it; then one flat gather
-gives the next state and the step reward.  A bucket that a threshold
-splits holds -1, and its draws fall back to the full integer compare.
-Each row has at most ``S - 1`` thresholds, so at most ``(S - 1) / 2**B``
-of its draws fall back.  ``B`` is ``ceil(log2 S) + 7``, lowered until the
-table has at most ``_GUIDE_CELLS`` cells; any ``B``, down to 0, is exact.
-The start state is picked from ``mu0`` through the same table, as an
-extra row.
+gives the next state and another the step reward.  A bucket that a
+threshold splits holds -1, and its draws fall back to the full integer
+compare.  Each row has at most ``S - 1`` thresholds, so at most
+``(S - 1) / 2**B`` of its draws fall back.  ``B`` is ``ceil(log2 S) + 7``,
+lowered until the table has at most ``_GUIDE_CELLS`` cells; any ``B``,
+down to 0, is exact.  The start state is picked from ``mu0`` through the
+same table, as an extra row.
+
+Layout.  Samples run in blocks of at most ``_BLOCK``, split evenly, so
+that one block's buffers stay in the L2 cache.  The buffers are made once
+and every step writes into them (``out=``): no array is allocated per
+step.  The draws of ``_CHUNK`` steps are mixed together, in one
+``_CHUNK x block`` pass per splitmix operation.
+
+The bucket is read before splitmix's last ``z ^= z >> 31``.  That
+xor-shift leaves bits 33-63 unchanged, and the top ``B`` bits of ``k``
+are bits ``64 - B`` to 63 of ``z``; the cell bound keeps ``B <= 20``, so
+those bits are the same before and after it.  Only a draw that falls back
+gets its full ``k``.  The gathers run in ``take`` mode ``"clip"``: a cell
+index is in range by construction, and mode ``"raise"`` would copy
+through a buffer.
 """
 
 from __future__ import annotations
@@ -34,9 +48,9 @@ from .errors import PreconditionError
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_ELEVEN = np.uint64(11)
-_GUIDE_CELLS = 1 << 20  # bound on the cells of one guide table
-_BLOCK = 1 << 17  # samples per vectorized pass; the totals do not depend on it
+_GUIDE_CELLS = 1 << 20  # bound on the cells of one guide table; keeps B <= 20
+_BLOCK = 1 << 13  # samples per vectorized pass; the totals do not depend on it
+_CHUNK = 8  # steps whose draws are mixed in one pass
 
 
 def numba_enabled() -> bool:
@@ -48,9 +62,18 @@ def numba_enabled() -> bool:
     return False
 
 
+def _premix(z, tmp):
+    """splitmix64's finalizer on ``z`` in place, without its last ``z ^= z >> 31``."""
+    for shift, factor in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, factor, out=z)
+
+
 def _mix(z):
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    """splitmix64's finalizer of ``z``, as a new array."""
+    z = np.array(z, dtype=np.uint64)
+    _premix(z, np.empty_like(z))
     return z ^ (z >> np.uint64(31))
 
 
@@ -63,6 +86,7 @@ class _Guide(NamedTuple):
                              # -1 where a threshold splits the bucket
     reward: np.ndarray       # flat (S + 1) * 2**B: R[x, y] of each cell, 0 where -1
     step_reward: np.ndarray  # (S + 1) x S: R[x, y], start row 0
+    split: bool              # whether any cell holds -1
 
 
 def _guide(cum, mu0_cum, step_reward) -> _Guide:
@@ -87,20 +111,28 @@ def _guide(cum, mu0_cum, step_reward) -> _Guide:
     split = pick < 0
     reward = np.take_along_axis(step_reward, np.where(split, 0, pick), axis=1)
     return _Guide(thresholds, bits, np.where(split, -1, pick << bits).ravel(),
-                  np.where(split, 0.0, reward).ravel(), step_reward)
+                  np.where(split, 0.0, reward).ravel(), step_reward, bool(split.any()))
 
 
-def _guide_pick(guide, offset, k):
-    """Next row offsets and step rewards from row offsets and 53-bit draws ``k``."""
-    cell = offset + (k >> np.uint64(53 - guide.bits)).view(np.int64)
-    nxt, w = guide.offset[cell], guide.reward[cell]
-    if nxt.min() < 0:
+def _guide_pick(guide, row, word, nxt, w):
+    """Next row offsets into ``nxt`` and step rewards into ``w``.
+
+    ``row`` holds row offsets ``x * 2**B`` and is overwritten with the
+    cells; ``word`` holds splitmix64 outputs before their last xor-shift.
+    A draw whose cell is split rebuilds its 53-bit ``k`` for the full compare.
+    """
+    np.right_shift(word, np.uint64(64 - guide.bits), out=nxt.view(np.uint64))
+    np.add(row, nxt, out=row)
+    guide.offset.take(row, out=nxt, mode="clip")
+    guide.reward.take(row, out=w, mode="clip")
+    if guide.split and nxt.min() < 0:
         miss = np.flatnonzero(nxt < 0)
-        x = offset[miss] >> guide.bits
-        y = np.count_nonzero(k[miss, None].view(np.int64) >= guide.thresholds[x], axis=1)
+        z = word[miss]
+        k = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).view(np.int64)
+        x = row[miss] >> guide.bits
+        y = np.count_nonzero(k[:, None] >= guide.thresholds[x], axis=1)
         nxt[miss] = y << guide.bits
         w[miss] = guide.step_reward[x, y]
-    return nxt, w
 
 
 def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, step_reward,
@@ -116,20 +148,29 @@ def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, step_reward,
     n = cum.shape[0]
     guide = _guide(cum, mu0_cum, step_reward)
     out = np.empty(n_samples)
+    size = -(-n_samples // -(-n_samples // _BLOCK))  # the blocks split the samples evenly
+    chunk = min(_CHUNK, n_steps + 1)
+    words, scratch = (np.empty((chunk, size), dtype=np.uint64) for _ in range(2))
+    rows, picks = (np.empty(size, dtype=np.int64) for _ in range(2))
+    rewards = np.empty(size)
     with np.errstate(over="ignore"):
-        for lo in range(0, n_samples, _BLOCK):
-            hi = min(lo + _BLOCK, n_samples)
-            idx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-            keys = _mix(seed + _GOLD * idx)
-            start = np.full(hi - lo, n << guide.bits)
-            row, _ = _guide_pick(guide, start, _mix(keys + _GOLD) >> _ELEVEN)
-            tot = np.zeros(hi - lo)
-            for t in range(n_steps):
-                k = _mix(keys + _GOLD * np.uint64(t + 2)) >> _ELEVEN
-                row, w = _guide_pick(guide, row, k)
-                tot += w
-            x = row >> guide.bits
+        for lo in range(0, n_samples, size):
+            m = min(size, n_samples - lo)
+            keys = _mix(seed + _GOLD * np.arange(lo + 1, lo + m + 1, dtype=np.uint64))
+            row, nxt, w, tot = rows[:m], picks[:m], rewards[:m], out[lo:lo + m]
+            row.fill(n << guide.bits)
+            tot.fill(0.0)
+            # draw d of a sample mixes keys + d * GOLD: d = 1 picks the start state
+            # (the start row pays 0), d = t + 2 makes the move of epoch t
+            for d in range(1, n_steps + 2, chunk):
+                z = words[:min(chunk, n_steps + 2 - d), :m]
+                np.add(keys, _GOLD * np.arange(d, d + len(z), dtype=np.uint64)[:, None], out=z)
+                _premix(z, scratch[:len(z), :m])
+                for word in z:
+                    _guide_pick(guide, row, word, nxt, w)
+                    row, nxt = nxt, row
+                    np.add(tot, w, out=tot)
+            last = row >> guide.bits
             for terminal in final:
-                tot += terminal[x]
-            out[lo:hi] = tot
+                tot += terminal[last]
     return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping
 
 from .errors import BudgetExceededError
@@ -73,37 +74,51 @@ class VarSolution:
         return tuple(dict(zip(layer, acts)) for layer, acts in zip(self.layers, self.actions))
 
     def listing(self, states: tuple[str, ...]) -> str:
-        """Stable text form: one "(state, cum_reward) -> action" line per pair."""
-        return "\n".join(f"t={t} ({states[x]}, {c}) -> {a}"
-                         for t, (layer, acts) in enumerate(zip(self.layers, self.actions))
-                         for (x, c), a in zip(layer, acts))
+        """Stable text form: one "t=... (state, cum_reward) -> action" line per pair."""
+        return listings((self,), states)[0]
+
+
+def listings(solutions: tuple[VarSolution, ...], states: tuple[str, ...]) -> list[str]:
+    """``listing`` of each solution, all on the same layers; each pair's label is formatted once."""
+    layers = solutions[0].layers[:len(solutions[0].actions)]  # the last epoch decides nothing
+    labels = [f"t={t} ({states[x]}, {c}) -> " for t, layer in enumerate(layers) for x, c in layer]
+    return ["\n".join(map(str.__add__, labels, map(str, chain.from_iterable(sol.actions))))
+            for sol in solutions]
 
 
 def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
     """Enumerate reachable (state, accumulated reward) pairs epoch by epoch.
 
-    Rewards add as integers over ``scale``, so ``(x, integer)`` order is ``(x, reward)`` order.
+    Rewards add as integers over ``scale``: each state keeps the set of
+    its reachable integer totals, grown once per distinct ``(y, r)`` move.
     """
-    moves = [[(y, r) for a in acts for y, _, r in mdp.kernel[x, a]]
+    moves = [{(y, r) for a in acts for y, _, r in mdp.kernel[x, a]}
              for x, acts in enumerate(mdp.actions)]
     scale = math.lcm(*(r.denominator for row in moves for _, r in row),
                      *(v.denominator for v in mdp.salvage))
-    moves = [[(y, int(r * scale)) for y, r in row] for row in moves]
-    layer = [(x, 0) for x, p in enumerate(mdp.mu0) if p > 0]
-    layers = [layer]
+    moves = [sorted({(y, int(r * scale)) for y, r in row}) for row in moves]
+    sums = [{0} if p > 0 else set() for p in mdp.mu0]
+    layers = [[(x, sorted(ns)) for x, ns in enumerate(sums) if ns]]
+    count = len(layers[0])
     for _ in range(mdp.horizon):
-        nxt = sorted({(y, n + r) for x, n in layer for y, r in moves[x]})
-        if sum(map(len, layers)) + len(nxt) > max_states:
+        nxt = [set() for _ in mdp.states]
+        for x, ns in enumerate(sums):
+            for y, r in moves[x]:
+                nxt[y].update(map(r.__add__, ns))
+        count += sum(map(len, nxt))
+        if count > max_states:
             raise BudgetExceededError(
                 f"augmented model refused: more than {max_states} reachable "
                 f"(state, reward) pairs")
-        layer = nxt
-        layers.append(layer)
+        sums = nxt
+        layers.append([(y, sorted(ns)) for y, ns in enumerate(sums) if ns])
+    fraction = {n: Fraction(n, scale)
+                for n in set().union(*(ns for layer in layers for _, ns in layer))}
     return AugmentedMdp(
-        base=mdp, layers=tuple(tuple((x, Fraction(n, scale)) for x, n in pairs)
-                               for pairs in layers),
+        base=mdp, layers=tuple(tuple((x, fraction[n]) for x, ns in layer for n in ns)
+                               for layer in layers),
         scale=scale,
-        totals=tuple(n + int(mdp.salvage[x] * scale) for x, n in layer))
+        totals=tuple(n + int(mdp.salvage[x] * scale) for x, ns in layers[-1] for n in ns))
 
 
 def solve_thresholds(aug: AugmentedMdp,

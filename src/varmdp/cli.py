@@ -157,6 +157,13 @@ def _load_mrp(path: str):
     return mrp_from_document(load_document(_read_text(path)))
 
 
+def _require_array_size(count: int, flag: str) -> None:
+    """Refuse, as out of memory, a count of float64 values no numpy array can hold."""
+    if count > sys.maxsize // 8:
+        raise MemoryError(f"{flag}: {count} values exceed the largest numpy array "
+                          f"({sys.maxsize // 8} float64 values)")
+
+
 def _parse_grid(spec: str):
     import numpy as np
     try:
@@ -168,6 +175,7 @@ def _parse_grid(spec: str):
         raise ValidationError("grid: need hi > lo and steps >= 2")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"grid: bounds must be finite, got {spec!r}")
+    _require_array_size(steps, "grid")
     return np.linspace(lo, hi, steps)
 
 
@@ -280,6 +288,8 @@ def cmd_pareto_long(args) -> int:
 def cmd_simulate(args) -> int:
     import numpy as np
     _require_positive(args.quantiles, "quantiles")
+    _require_array_size(args.samples, "samples")
+    _require_array_size(args.quantiles, "quantiles")
     mrp = _load_mrp(args.document)
     totals = _layer("simulate")(mrp, samples=args.samples, seed=args.seed, n_steps=args.n)
     qs = np.linspace(0.0, 1.0, args.quantiles)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .augmented import build_augmented, solve_thresholds
+from .augmented import build_augmented, listings, solve_thresholds
 from .errors import PreconditionError, ValidationError
 from .mdp import FiniteMdp, ZERO
 from .rationals import parse_rational
@@ -76,10 +76,11 @@ def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront
     solutions = solve_thresholds(aug, grid)
     ids: dict[tuple, int] = {}
     witness = tuple(ids.setdefault(sol.actions, len(ids)) for sol in solutions)
+    distinct = dict(zip(witness, solutions))
     return ParetoFront(kind="exact", grid=grid,
                        value=tuple(1 - sol.eta for sol in solutions), witness=witness,
-                       policies={pid: sol.listing(mdp.states)
-                                 for pid, sol in dict(zip(witness, solutions)).items()})
+                       policies=dict(zip(distinct, listings(tuple(distinct.values()),
+                                                            mdp.states))))
 
 
 def _eta_exact(front: ParetoFront, tau: Fraction) -> Fraction:

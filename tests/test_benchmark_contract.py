@@ -92,6 +92,19 @@ def test_estimate_and_simulation_goldens_replay_in_process(tmp_path):
     assert replay("mc-oracle", tmp_path) == 2 * pool
 
 
+def test_full_simulate_goldens_replay_in_process(tmp_path):
+    # 50,000 samples span several kernel blocks; the self-test size fits in one
+    workloads, checks = load_by_path("workloads"), load_by_path("checks")
+    goldens = json.loads((VARBENCH / "goldens.json").read_text(encoding="utf-8"))["full"]
+    for variant in range(workloads.POOL):
+        workload = workloads.build("mc-oracle", variant, str(tmp_path / f"v{variant}"),
+                                   workloads.FULL)
+        call, = (call for call in workload.calls if call.command == "simulate")
+        assert main([call.command, *call.argv]) == 0, call.golden
+        text = Path(call.output).read_text(encoding="utf-8")
+        assert checks.sha256(text) == goldens[call.golden]["sha256"], call.golden
+
+
 def test_compare_reads_simulate_output(tmp_path, capsys):
     workloads, checks = load_by_path("workloads"), load_by_path("checks")
     workload = workloads.build("mc-oracle", 0, str(tmp_path), workloads.TINY)

@@ -637,6 +637,24 @@ def test_oversized_sizes_exit_4(tmp_path, capsys, short_sas, argv):
     assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
 
 
+PAST_INDEX = str(10 ** 20)  # past numpy's index range, not just past this host's memory
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("pareto-long", "--horizon", "10", f"--grid=0:1:{PAST_INDEX}"), "grid"),
+    (("estimate-cdf", "--n-steps", "10", f"--grid=0:1:{PAST_INDEX}"), "grid"),
+    (("simulate", "--samples", str(2 ** 63), "--seed", "1"), "samples"),
+    (("simulate", "--samples", "10", "--seed", "1", "--quantiles", PAST_INDEX), "quantiles"),
+], ids=["pareto-long-grid", "estimate-cdf-grid", "simulate-samples", "simulate-quantiles"])
+def test_counts_past_numpy_index_range_exit_4_naming_flag(tmp_path, capsys, short_sas,
+                                                         argv, flag):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(mdp_to_document(short_sas) if argv[0] == "pareto-long"
+                               else TRANS_MRP))
+    assert run_cli(argv[0], str(path), *argv[1:]) == 4
+    assert capsys.readouterr().err.startswith(f"error: out of memory: {flag}: ")
+
+
 @pytest.mark.parametrize("where", ["document", "policy", "compare", "stdin"])
 def test_undecodable_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, short_doc,
                                              where):

@@ -210,10 +210,46 @@ class TestIntegerPick:
                 k = np.concatenate([np.floor(scaled) + d for d in (-1, 0, 1)]
                                    + [np.ceil(scaled) + d for d in (0, 1)])
                 k = np.clip(k, 0, 2.0**53 - 1).astype(np.uint64)
-                row, w = _kernels._guide_pick(guide, np.full(len(k), x << guide.bits), k)
                 want = np.count_nonzero(k[:, None] * _INV53 >= cum[x, None, :-1], axis=1)
-                assert np.array_equal(row >> guide.bits, want)
-                assert np.array_equal(w, R[x, want])
+                for low in (0, 0x7FF):  # bits below the draw
+                    # the pick reads the word before splitmix's last z ^= z >> 31: invert it
+                    z = (k << np.uint64(11)) | np.uint64(low)
+                    word = z ^ (z >> np.uint64(31)) ^ (z >> np.uint64(62))
+                    row, w = np.full(len(k), x << guide.bits), np.empty(len(k))
+                    nxt = np.empty_like(row)
+                    _kernels._guide_pick(guide, row, word, nxt, w)
+                    assert np.array_equal(nxt >> guide.bits, want)
+                    assert np.array_equal(w, R[x, want])
+
+    def test_block_and_chunk_boundaries(self):
+        rng = np.random.default_rng(41)
+        cum = float_rows(rng, 6)
+        block = _kernels._BLOCK
+        for n_samples in (block - 1, block, block + 1, 2 * block + 3):  # the last splits unevenly
+            self.assert_kernel_matches(cum, cum[3], rng, 3, n_samples, n_samples)
+        for n_steps in (1, _kernels._CHUNK - 1, _kernels._CHUNK, 2 * _kernels._CHUNK + 3):
+            self.assert_kernel_matches(cum, cum[1], rng, n_steps, 500, n_steps)
+
+    def test_non_dyadic_chain_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        cum = float_rows(rng, 40)
+        fallbacks = []
+        pick = _kernels._guide_pick
+
+        def counting_pick(guide, row, word, nxt, w):
+            pick(guide, row, word, nxt, w)
+            fallbacks.append(np.count_nonzero(guide.offset[row] < 0))  # row now holds cells
+
+        monkeypatch.setattr(_kernels, "_guide_pick", counting_pick)
+        self.assert_kernel_matches(cum, cum[7], rng, 30, 3000, 19)
+        assert sum(fallbacks) > 0
+
+    def test_guide_bits_fit_above_the_last_xor_shift(self):
+        # z ^= z >> 31 keeps bits 33-63, so a bucket of B <= 31 top bits is read before it
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 8, 40, 200, 1000, 3000):
+            cum = float_rows(rng, n, max_support=3 if n > 200 else None)
+            assert _kernels._guide(cum, cum[0], np.zeros((n, n))).bits <= 20
 
     def test_large_sparse_chain_table_is_bounded(self):
         rng = np.random.default_rng(3)
