@@ -11,13 +11,13 @@ normal-plus-correction expansion validated against a seeded Monte Carlo
 oracle.
 
 ``import varmdp`` loads the exact, rational layers only, and no numpy.
-The float layers (``edgeworth``, ``montecarlo`` and ``transform``) load,
-with numpy, when one of their names is first read from this package.
+The float layers (``edgeworth``, ``montecarlo`` and ``transformation``)
+load, with numpy, when one of their names is first read from this
+package (PEP 562).  No submodule shares a name with an export, so
+loading one never hides a function.
 """
 
 import importlib
-import sys
-import types
 
 from .augmented import (AugmentedMdp, VarSolution, augmented_policy_distribution,
                         build_augmented, solve_threshold_var, solve_thresholds)
@@ -58,7 +58,7 @@ _FLOAT_LAYERS = {
                      "estimate_cdf", "estimate_cdf_arrays", "pareto_front_long",
                      "policy_chain", "spectral_data", "stationary_distribution",
                      "third_moment_constant"), ".edgeworth"),
-    "simulate": ".montecarlo", "TransformedMrp": ".transform", "transform": ".transform",
+    "simulate": ".montecarlo", "TransformedMrp": ".transformation", "transform": ".transformation",
 }
 
 
@@ -69,13 +69,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(_FLOAT_LAYERS[name], __name__), name)
     return globals().setdefault(name, value)
 
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # Loading the submodule varmdp.transform would bind it here as ``transform``,
-        # hiding the function of that name; the function keeps the name.
-        if not (name == "transform" and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

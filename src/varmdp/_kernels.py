@@ -104,7 +104,7 @@ def _guide(cum, mu0_cum, step_reward) -> _Guide:
     last = first + ((1 << width) - 1)
     pick = np.empty((n_rows, 1 << bits), dtype=np.int64)
     for x in range(n_rows):
-        row = np.sort(thresholds[x])
+        row = thresholds[x]  # prefix sums of nonnegative masses: already nondecreasing
         lo = np.searchsorted(row, first, side="right")
         pick[x] = np.where(lo == np.searchsorted(row, last, side="right"), lo, -1)
     step_reward = np.vstack([step_reward, np.zeros(n)])

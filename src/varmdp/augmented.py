@@ -37,14 +37,12 @@ class AugmentedMdp:
     epoch ``t``, sorted; ``layers[0]`` pairs every mu0-positive state with
     0.  From ``(x, c)`` under ``a``, the successor ``(y, c + r(x, a, y))``
     has probability ``p(y | x, a)`` and lies in ``layers[t + 1]``.
-    ``totals`` are the final ``c + v(x)`` times ``scale``, the least common
-    denominator of the rewards and salvage.
+    ``scale`` is the least common denominator of the rewards and salvage.
     """
 
     base: FiniteMdp
     layers: tuple[tuple[AugState, ...], ...]
     scale: int
-    totals: tuple[int, ...]
 
     @property
     def horizon(self) -> int:
@@ -117,8 +115,7 @@ def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
     return AugmentedMdp(
         base=mdp, layers=tuple(tuple((x, fraction[n]) for x, ns in layer for n in ns)
                                for layer in layers),
-        scale=scale,
-        totals=tuple(n + int(mdp.salvage[x] * scale) for x, ns in layers[-1] for n in ns))
+        scale=scale)
 
 
 def solve_thresholds(aug: AugmentedMdp,

@@ -15,9 +15,9 @@ The exact subcommands (``gen-inventory``, ``solve-expected``,
 ``dist-exact``, ``var-threshold``, ``pareto-short``) run on the rational
 layers and never load numpy.  The float layers' entry points
 (``transform``, ``estimate_cdf``, ``pareto_front_long``, ``simulate``) are
-imported when a float subcommand first asks for one, through this
-module's ``__getattr__``; numpy comes with them, and ``compare`` loads it
-itself.
+imported when a float subcommand first asks ``_layer`` for one; ``_layer``
+is this module's ``__getattr__`` too.  numpy comes with them, and
+``compare`` loads it itself.
 
 Exit codes: 0 success, 2 parse/validation error (an unreadable or
 undecodable input too), 3 precondition violation, 4 budget refusal or an
@@ -66,21 +66,18 @@ _SCHEMA_NOTE = "Document schemas: mdp-v1 and mrp-v1 (JSON; numerics as exact str
 _FLOAT_ENTRY_POINTS = ("transform", "estimate_cdf", "pareto_front_long", "simulate")
 
 
-def __getattr__(name: str):
-    """Import a float layer's entry point on first use and bind it in this module.
+def _layer(name: str):
+    """The float-layer entry point bound to ``name`` in this module, imported on first use.
 
-    The package imports it on first read.  Only a name that is not bound
-    yet reaches here, so a name bound from outside (a timing wrapper, say)
-    is never replaced.
+    It is also this module's ``__getattr__`` (PEP 562).  ``setdefault``
+    returns a name already bound here (a timing wrapper, say) unchanged.
     """
     if name not in _FLOAT_ENTRY_POINTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
-def _layer(name: str):
-    """The float-layer entry point bound to ``name`` in this module, imported if need be."""
-    return globals()[name] if name in globals() else __getattr__(name)
+__getattr__ = _layer
 
 
 def _read_text(path: str) -> str:

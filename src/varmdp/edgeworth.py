@@ -53,10 +53,9 @@ import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError)
-from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, bfs_levels,
-                  induced_mrp, support_groups)
+from .mdp import DeterministicPolicy, FiniteMdp, MarkovRewardProcess, induced_mrp
 from .pareto import ParetoFront
-from .transform import pair_chain, transform
+from .transformation import bfs_levels, pair_chain, support_groups, transform
 
 logger = logging.getLogger(__name__)
 

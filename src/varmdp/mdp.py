@@ -16,8 +16,7 @@ Exact total-reward distributions come from one forward propagation of
 mass over (state, accumulated reward) pairs, ``propagate_masses``.
 What a Markov reward process pays on each move and at its last state is
 decided in one place, ``MarkovRewardProcess.arrays``, for every reader.
-Only the array builders (``arrays``, ``bfs_levels``, ``support_groups``)
-load numpy, when first called; the exact solvers never do.
+Only ``arrays`` loads numpy, when first called; the exact solvers never do.
 """
 
 from __future__ import annotations
@@ -310,40 +309,6 @@ def induced_mrp(mdp: FiniteMdp, policy: DeterministicPolicy) -> MarkovRewardProc
         mu0=mdp.mu0,
         salvage=mdp.salvage,
     )
-
-
-def bfs_levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Breadth-first levels over a boolean adjacency matrix; -1 where unreached.
-
-    ``sources`` is a boolean mask of the level-0 states; each pass moves
-    the whole frontier one edge forward.  A leading axis on ``adjacency``
-    searches a stack of graphs at once; ``sources`` broadcasts against it.
-    """
-    import numpy as np
-    frontier = np.broadcast_to(np.asarray(sources, dtype=bool), adjacency.shape[:-1])
-    level = np.where(frontier, 0, -1)
-    depth = 0
-    while frontier.any():
-        depth += 1
-        frontier = (frontier[..., :, None] & adjacency).any(axis=-2) & (level < 0)
-        level[frontier] = depth
-    return level
-
-
-def support_groups(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rows of a boolean matrix grouped by their number of ``True`` entries.
-
-    Returns ``(members, columns)`` per count, by increasing count:
-    ``members`` are the row indices with that count, in order, and
-    ``columns[g]`` the ``True`` column indices of row ``members[g]``, in order.
-    """
-    import numpy as np
-    counts = mask.sum(axis=1)
-    groups = []
-    for count in sorted(set(counts.tolist())):
-        members = np.flatnonzero(counts == count)
-        groups.append((members, np.nonzero(mask[members])[1].reshape(len(members), count)))
-    return groups
 
 
 def _backward_induction(mdp: FiniteMdp, candidates) -> tuple[Fraction, tuple[dict, ...]]:

@@ -32,11 +32,8 @@ def simulate(mrp: MarkovRewardProcess, samples: int, seed: int,
     if steps < 1:
         raise PreconditionError("simulate: n_steps must be >= 1")
     P, R, final, mu0 = mrp.arrays(float)
-    cum = np.cumsum(P, axis=1)
-    cum[:, -1] = 1.0
-    mu0 = np.cumsum(mu0)
-    mu0[-1] = 1.0
-    totals = simulate_totals(cum, mu0, steps, samples, seed, step_reward=R, final=final)
+    totals = simulate_totals(np.cumsum(P, axis=1), np.cumsum(mu0), steps, samples, seed,
+                             step_reward=R, final=final)
     totals.sort()
     return totals
 

@@ -72,7 +72,7 @@ def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront
     along the grid; each distinct witness is listed once.
     """
     aug = build_augmented(mdp, max_states=max_states)
-    grid = tuple(Fraction(n, aug.scale) for n in sorted(set(aug.totals)))
+    grid = tuple(sorted({c + mdp.salvage[x] for x, c in aug.layers[-1]}))
     solutions = solve_thresholds(aug, grid)
     ids: dict[tuple, int] = {}
     witness = tuple(ids.setdefault(sol.actions, len(ids)) for sol in solutions)

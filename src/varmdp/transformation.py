@@ -16,6 +16,10 @@ but collects its state reward at every epoch including the last
 two total-reward distributions identical, exactly.  Salvage carries
 over as ``v((x, y)) = v(y)``: the pair chain ends in ``(X_{N-1}, X_N)``,
 so it pays exactly the original ``v(X_N)``.
+
+The numpy graph helpers ``bfs_levels`` and ``support_groups`` serve
+``pair_chain`` and ``edgeworth``.  The module's name differs from the
+package export ``transform``, so importing it hides no function.
 """
 
 from __future__ import annotations
@@ -25,7 +29,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .mdp import MarkovRewardProcess, bfs_levels, support_groups
+from .mdp import MarkovRewardProcess
+
+
+def bfs_levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Breadth-first levels over a boolean adjacency matrix; -1 where unreached.
+
+    ``sources`` is a boolean mask of the level-0 states; each pass moves
+    the whole frontier one edge forward.  A leading axis on ``adjacency``
+    searches a stack of graphs at once; ``sources`` broadcasts against it.
+    """
+    frontier = np.broadcast_to(np.asarray(sources, dtype=bool), adjacency.shape[:-1])
+    level = np.where(frontier, 0, -1)
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = (frontier[..., :, None] & adjacency).any(axis=-2) & (level < 0)
+        level[frontier] = depth
+    return level
+
+
+def support_groups(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows of a boolean matrix grouped by their number of ``True`` entries.
+
+    Returns ``(members, columns)`` per count, by increasing count:
+    ``members`` are the row indices with that count, in order, and
+    ``columns[g]`` the ``True`` column indices of row ``members[g]``, in order.
+    """
+    counts = mask.sum(axis=1)
+    groups = []
+    for count in sorted(set(counts.tolist())):
+        members = np.flatnonzero(counts == count)
+        groups.append((members, np.nonzero(mask[members])[1].reshape(len(members), count)))
+    return groups
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,8 @@ def numpy_thresholds(aug, taus):
         slots.append(np.cumsum([0] + [len(row) for row in rows[:-1]]))
         choices.append(np.fromiter(acts, dtype=object, count=len(acts)))  # tuples stay whole
     cuts = np.array([math.ceil(tau * aug.scale) for tau in taus], dtype=object)
-    u = np.where(np.array(aug.totals, dtype=object)[:, None] >= cuts, 1, 0).astype(object)
+    totals = [int((c + mdp.salvage[x]) * aug.scale) for x, c in aug.layers[-1]]
+    u = np.where(np.array(totals, dtype=object)[:, None] >= cuts, 1, 0).astype(object)
     found = []  # found[t][i]: the witness actions over layers[t] at taus[i]
     for t in reversed(range(aug.horizon)):
         blocks, picks, move = [], [], 0
@@ -285,8 +286,8 @@ class TestIndexInduction:
         assert any(r.denominator == 4 for rows in mdp.kernel.values() for _, _, r in rows)
         aug = build_augmented(mdp)
         assert aug.scale % 4 == 0
-        assert aug.totals == tuple((c + mdp.salvage[x]) * aug.scale
-                                   for x, c in aug.layers[-1])
+        assert all(((c + mdp.salvage[x]) * aug.scale).denominator == 1
+                   for x, c in aug.layers[-1])
         assert_matches_reference(aug, (F(1, 4), F(-3, 2), F(5, 3)))
 
     def test_values_beyond_int64(self):

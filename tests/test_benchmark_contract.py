@@ -119,18 +119,19 @@ def test_compare_reads_simulate_output(tmp_path, capsys):
 
 def test_declared_estimate_spans_fire(tmp_path):
     # layer_metrics emits a self time only for a span that fired, so a declared
-    # self.edgeworth.* or self.transform.* metric vanishes when its call site stops running
+    # self.* metric vanishes when its call site stops running; run.py adds the other two
     tracing, workloads = load_by_path("tracing"), load_by_path("workloads")
     benchmark = json.loads((VARBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    declared = {metric["name"] for metric in benchmark["per_layer"]
-                if metric["name"].startswith(("self.edgeworth.", "self.transform."))}
+    declared = {metric["name"] for metric in benchmark["per_layer"]}
     tracer = tracing.Tracer()
     with tracing.instrumented(tracer):
-        for name in ("estimate-long", "mc-oracle"):
+        for name in ("exact-short", "estimate-long", "mc-oracle"):
             workload = workloads.build(name, 0, str(tmp_path / name), workloads.TINY)
             _, codes = tracing.replay(workload.calls, tracer)
             assert codes == [0] * len(workload.calls), name
-    assert declared and declared - set(tracing.layer_metrics(tracer)) == set()
+    reported = set(tracing.layer_metrics(tracer)) | {"trace.overhead_s",
+                                                     "montecarlo.ks_edgeworth_mc"}
+    assert reported == declared
 
 
 def test_lazy_cli_names_trace_and_restore(tmp_path):

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import pkgutil
 import random
 import stat
 import subprocess
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import varmdp
 from varmdp import (DeterministicPolicy, InventoryParams, ValidationError,
                     build_inventory, induced_mrp, parse_rational, simplify_reward, transform)
 from varmdp.cli import main
@@ -548,6 +550,41 @@ def test_model_refusals_exit_through_main(tmp_path, capsys, short_sas, case, cod
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["estimate-cdf", "{trans}", "--n-steps", "5", "--grid=1:2"], 2,
+     "grid: expected lo:hi:steps, got '1:2'"),
+    (["estimate-cdf", "{trans}", "--n-steps", "5", "--grid=2:1:5"], 2,
+     "grid: need hi > lo and steps >= 2"),
+    (["estimate-cdf", "{trans}", "--n-steps", "5", "--grid=0:1:1"], 2,
+     "grid: need hi > lo and steps >= 2"),
+    (["compare", "{header}", "{header}"], 2,
+     "{header}: expected a CSV with a header and data rows"),
+    (["estimate-cdf", "{trans}", "--n-steps", "5", "--grid=0:1:3"], 3,
+     "float_chain: transition-rewarded process; apply the pair-state transformation first"),
+    (["dist-exact", "{short}", "--policy", "{policy}"], 3, "policy: 1 rules for horizon 2"),
+], ids=["grid-two-fields", "grid-decreasing", "grid-one-step", "compare-header-only",
+        "estimate-transition-rewarded", "policy-too-few-rules"])
+def test_argument_refusals_exit_through_main(tmp_path, capsys, short_doc, argv, code, message):
+    paths = {"trans": tmp_path / "trans.json", "header": tmp_path / "header.csv",
+             "policy": tmp_path / "policy.json", "short": short_doc}
+    paths["trans"].write_text(json.dumps(TRANS_MRP))
+    paths["header"].write_text("tau,cdf\n")
+    paths["policy"].write_text(json.dumps({"rules": [{"0": 0}], "stationary": False}))
+    assert run_cli(*(arg.format_map(paths) for arg in argv)) == code
+    assert capsys.readouterr().err == f"error: {message.format_map(paths)}\n"
+
+
+def test_failed_replace_exits_2_and_leaves_no_temporary(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "short.json"
+    assert run_cli("gen-inventory", "-o", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: output: cannot write {out}: Invalid cross-device link\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pareto_long_front_ignores_document_horizon(tmp_path):
     # the witness re-check builds chains, which do not depend on the horizon
     mdp = random_mdp(random.Random(0), n_states=3, horizon=1, reward_kind="sas")
@@ -738,24 +775,33 @@ def test_cli_import_loads_no_scipy():
 
 def test_exact_subcommands_load_no_float_layer(tmp_path):
     # the exact path is pure Python: numpy and the float layers load only when asked for,
-    # and loading the submodule varmdp.transform leaves the name to the function
+    # and loading the submodule varmdp.transformation leaves the name to the function
     doc, out = str(tmp_path / "short.json"), str(tmp_path / "out")
     runs = [["gen-inventory", "-o", doc], ["solve-expected", doc, "-o", out],
             ["dist-exact", doc, "-o", out], ["var-threshold", doc, "--tau", "9", "-o", out],
             ["pareto-short", doc, "-o", out, "--policies-out", out + "-pol"]]
-    float_layers = ["numpy", "varmdp._kernels", "varmdp.edgeworth", "varmdp.montecarlo"]
+    float_layers = ["numpy", "varmdp._kernels", "varmdp.edgeworth", "varmdp.montecarlo",
+                    "varmdp.transformation"]
     script = (
         "import sys; from varmdp.cli import main\n"
         f"for argv in {runs!r}:\n"
         "    assert main(argv) == 0, argv\n"
         f"print(sorted(m for m in {float_layers!r} if m in sys.modules))\n"
-        "import varmdp.transform, varmdp.edgeworth\n"
+        "import varmdp.transformation, varmdp.edgeworth\n"
         "from varmdp import transform, simulate, estimate_cdf, policy_chain\n"
         "print([callable(f) for f in (transform, simulate, estimate_cdf, policy_chain)],\n"
-        "      transform is sys.modules['varmdp.transform'].transform is varmdp.transform)\n")
+        "      transform is sys.modules['varmdp.transformation'].transform is varmdp.transform)\n")
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, check=True)
     assert result.stdout.splitlines() == ["[]", "[True, True, True, True] True"]
+
+
+def test_no_submodule_is_named_like_an_export():
+    # loading such a submodule would bind it in the package over the export
+    assert {m.name for m in pkgutil.iter_modules(varmdp.__path__)} & set(varmdp.__all__) == set()
+    with pytest.raises(AttributeError) as info:
+        varmdp.nope
+    assert str(info.value) == "module 'varmdp' has no attribute 'nope'"
 
 
 def test_estimate_cdf_loads_no_scipy(tmp_path):

@@ -486,6 +486,13 @@ class TestParetoFrontLong:
             pareto_front_long(paper_long(50), 50, grid)
         assert str(info.value) == "pareto_front_long: grid must be finite"
 
+    @pytest.mark.parametrize("grid", [[0, 2, 1], [0, 0, 1], [100]])
+    def test_non_increasing_grid_refused_before_estimating(self, monkeypatch, grid):
+        monkeypatch.setattr(edgeworth, "float_tables", None)
+        with pytest.raises(PreconditionError) as info:
+            pareto_front_long(paper_long(50), 50, grid)
+        assert str(info.value) == "pareto_front_long: grid must be strictly increasing"
+
     def test_front_queries_invert(self):
         # grid kept inside the bulk so the min envelope is strictly increasing
         # (in the far tails the envelope saturates at 0/1 and has no inverse)

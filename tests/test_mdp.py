@@ -286,6 +286,20 @@ class TestExactDistribution:
             exact_total_reward_distribution(big, policy, max_states=100)
         assert sum(exact_total_reward_distribution(big, policy, max_states=200).prob) == 1
 
+    @pytest.mark.parametrize("case, message", [
+        ("mdp", "exact_total_reward_distribution: an MDP needs a policy"),
+        ("mrp", "exact_total_reward_distribution: a Markov reward process takes no policy"),
+        ("other", "exact_total_reward_distribution: unsupported input str"),
+    ])
+    def test_precondition_refusals(self, short_sas, case, message):
+        policy = DeterministicPolicy(rules=({x: 0 for x in range(short_sas.n_states)},),
+                                     stationary=True)
+        args = {"mdp": (short_sas,), "mrp": (induced_mrp(short_sas, policy), policy),
+                "other": ("mdp.json",)}[case]
+        with pytest.raises(PreconditionError) as info:
+            exact_total_reward_distribution(*args)
+        assert str(info.value) == message
+
     def test_mrp_variant_and_final_epoch_reward(self):
         mrp = MarkovRewardProcess(
             horizon=2, states=("a", "b"),

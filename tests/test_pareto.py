@@ -200,6 +200,12 @@ class TestQueries:
             with pytest.raises(PreconditionError):
                 query_rho(front_sas, bad)
 
+    def test_rho_refuses_nan(self, front_sas):
+        for front in (linear_front(), front_sas):
+            with pytest.raises(PreconditionError) as info:
+                query_rho(front, float("nan"))
+            assert str(info.value) == "alpha: must be finite"
+
     def test_rho_exact_sup_of_level_set(self, front_sas):
         # the front sits at 11/16 on [9, 14] and jumps above it after 14, so the
         # level set of target 11/16 tops out at 14
