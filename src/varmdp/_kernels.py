@@ -2,9 +2,10 @@
 
 Every draw comes from a counter-based splitmix64 stream keyed by
 ``(seed, sample, step)``, so a sample's total depends only on the seed
-and its index, not on how the samples are split into blocks.  The
-simulate golden hash of ``varbench/`` checks the output bit for bit;
-``varbench`` reports throughput as ``kernels.msteps_per_s``.
+and its index, not on how the samples are split into blocks or among
+worker threads.  The simulate golden hash of ``varbench/`` checks the
+output bit for bit; ``varbench`` reports throughput as
+``kernels.msteps_per_s``.
 
 Every step draws ``u = k * 2**-53`` with ``k = z >> 11`` the top 53 bits
 of a splitmix64 output ``z``, and moves from ``x`` to the number of
@@ -22,11 +23,26 @@ lowered until the table has at most ``_GUIDE_CELLS`` cells; any ``B``,
 down to 0, is exact.  The start state is picked from ``mu0`` through the
 same table, as an extra row.
 
-Layout.  Samples run in blocks of at most ``_BLOCK``, split evenly, so
-that one block's buffers stay in the L2 cache.  The buffers are made once
-and every step writes into them (``out=``): no array is allocated per
-step.  The draws of ``_CHUNK`` steps are mixed together, in one
-``_CHUNK x block`` pass per splitmix operation.
+Layout.  The blocks run on one worker per CPU that the process may use
+(``os.sched_getaffinity``), capped so that each worker gets at least
+``_MIN_SHARE`` samples: a smaller run stays on the caller and starts no
+thread.  The samples split evenly into a multiple of the worker count of
+blocks, each of at most ``_BLOCK``; worker ``k`` runs the ``k``-th run of
+consecutive blocks, and the caller is worker 0.  The other workers are
+plain threads, started and joined within the call; an exception in any
+of them is raised once all are joined.  Each worker owns its buffers
+(``words``, ``scratch``, ``rows``, ``picks``, ``rewards``), made once and
+written by every step (``out=``), and writes its own slice of ``out``;
+the guide table is shared and only read.  numpy lets go of the GIL
+inside each call, but every handoff between threads costs latency, so a
+worker runs one large block or a few.  In-process on the 8-state
+``mc-oracle`` witness chain (50,000 x 500, 2-core host, best of 7 runs),
+one thread took 0.13-0.16 s; two took 0.19-0.24 s on blocks of 6,250,
+0.11-0.16 s on 12,500 and 0.09-0.12 s on one 25,000 block each.  One
+thread on 25,000-sample blocks is within noise of 8,192.  Two threads
+lose to one below about 10,000 samples a worker.  The draws of
+``_CHUNK`` steps are mixed together, in one ``_CHUNK x block`` pass per
+splitmix operation.
 
 The bucket is read before splitmix's last ``z ^= z >> 31``.  That
 xor-shift leaves bits 33-63 unchanged, and the top ``B`` bits of ``k``
@@ -39,6 +55,8 @@ through a buffer.
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +67,9 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GUIDE_CELLS = 1 << 20  # bound on the cells of one guide table; keeps B <= 20
-_BLOCK = 1 << 13  # samples per vectorized pass; the totals do not depend on it
-_CHUNK = 8  # steps whose draws are mixed in one pass
+_BLOCK = 1 << 15  # most samples per vectorized pass; the totals do not depend on it
+_CHUNK = 4  # steps whose draws are mixed in one pass
+_MIN_SHARE = 10_000  # fewest samples per worker; fewer lose more to GIL handoffs than they gain
 
 
 def numba_enabled() -> bool:
@@ -135,29 +154,30 @@ def _guide_pick(guide, row, word, nxt, w):
         w[miss] = guide.step_reward[x, y]
 
 
-def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, step_reward,
-                    final=()) -> np.ndarray:
-    """Draw total rewards for ``n_samples`` trajectories of ``n_steps`` epochs.
+def _cpus() -> int:
+    """CPUs this process may run on: the most workers ``simulate_totals`` starts."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    A move from ``x`` to ``y`` pays ``step_reward[x, y]``; then each
-    per-state vector of ``final`` is added at the last state, in order.
+
+def _fill(guide, out, edges, n_steps, seed, final):
+    """Totals of the samples ``edges[0] <= i < edges[-1]`` into ``out``, one block between edges.
+
+    The buffers are this call's own, so calls on disjoint edges can run side by side.
     """
-    if n_samples < 1:
-        raise PreconditionError("simulate_totals: samples must be >= 1")
-    seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    n = cum.shape[0]
-    guide = _guide(cum, mu0_cum, step_reward)
-    out = np.empty(n_samples)
-    size = -(-n_samples // -(-n_samples // _BLOCK))  # the blocks split the samples evenly
+    n = guide.step_reward.shape[1]
+    size = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     chunk = min(_CHUNK, n_steps + 1)
     words, scratch = (np.empty((chunk, size), dtype=np.uint64) for _ in range(2))
     rows, picks = (np.empty(size, dtype=np.int64) for _ in range(2))
     rewards = np.empty(size)
     with np.errstate(over="ignore"):
-        for lo in range(0, n_samples, size):
-            m = min(size, n_samples - lo)
-            keys = _mix(seed + _GOLD * np.arange(lo + 1, lo + m + 1, dtype=np.uint64))
-            row, nxt, w, tot = rows[:m], picks[:m], rewards[:m], out[lo:lo + m]
+        for lo, hi in zip(edges, edges[1:]):
+            m = hi - lo
+            keys = _mix(seed + _GOLD * np.arange(lo + 1, hi + 1, dtype=np.uint64))
+            row, nxt, w, tot = rows[:m], picks[:m], rewards[:m], out[lo:hi]
             row.fill(n << guide.bits)
             tot.fill(0.0)
             # draw d of a sample mixes keys + d * GOLD: d = 1 picks the start state
@@ -173,4 +193,43 @@ def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, step_reward,
             last = row >> guide.bits
             for terminal in final:
                 tot += terminal[last]
+
+
+def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, step_reward,
+                    final=()) -> np.ndarray:
+    """Draw total rewards for ``n_samples`` trajectories of ``n_steps`` epochs.
+
+    A move from ``x`` to ``y`` pays ``step_reward[x, y]``; then each
+    per-state vector of ``final`` is added at the last state, in order.
+    One worker per CPU runs, each on at least ``_MIN_SHARE`` samples, so
+    a run of fewer than ``2 * _MIN_SHARE`` samples starts no thread.
+    """
+    if n_samples < 1:
+        raise PreconditionError("simulate_totals: samples must be >= 1")
+    seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    guide = _guide(cum, mu0_cum, step_reward)
+    out = np.empty(n_samples)
+    workers = max(1, min(_cpus(), n_samples // _MIN_SHARE))
+    per = -(-n_samples // (workers * _BLOCK))  # blocks per worker
+    edges = [n_samples * i // (workers * per) for i in range(workers * per + 1)]  # even blocks
+    errors = []
+
+    def work(k):
+        try:
+            _fill(guide, out, edges[k * per:(k + 1) * per + 1], n_steps, seed, final)
+        except BaseException as exc:  # the caller re-raises it once every worker is joined
+            errors.append(exc)
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=work, args=(k,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out

@@ -2,8 +2,9 @@
 
 Serves as the independent check on both the exact short-horizon
 distributions and the long-horizon estimates.  Sampling runs the numpy
-kernel of ``_kernels`` and is reproducible bit-exactly from the seed
-(counter-based streams), so results are stable in CI.  What each move
+kernel of ``_kernels`` on every CPU the process may use, and is
+reproducible from the seed (counter-based streams), bit-exact whatever
+the number of CPUs, so results are stable in CI.  What each move
 pays and what the last state adds come from
 ``MarkovRewardProcess.arrays``.
 """

@@ -5,6 +5,7 @@ the per-policy long-horizon front loop that the stacked front is checked against
 import math
 import os
 import random
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,20 @@ def _src_on_child_path():
         paths = [SRC, os.environ.get("PYTHONPATH")]
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
         yield
+
+
+@pytest.fixture
+def thread_starts(monkeypatch) -> list:
+    """The threads started while the test runs, in order."""
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return starts
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from varmdp import _kernels
 from varmdp.cli import main
 
 VARBENCH = Path(__file__).resolve().parent.parent / "varbench"
@@ -92,17 +93,21 @@ def test_estimate_and_simulation_goldens_replay_in_process(tmp_path):
     assert replay("mc-oracle", tmp_path) == 2 * pool
 
 
-def test_full_simulate_goldens_replay_in_process(tmp_path):
-    # 50,000 samples span several kernel blocks; the self-test size fits in one
+def test_full_simulate_goldens_replay_in_process(tmp_path, monkeypatch, thread_starts):
+    # 50,000 samples span several kernel blocks; the self-test size fits in one.
+    # Every variant runs on two workers and the first four on one, whatever the host's CPUs.
     workloads, checks = load_by_path("workloads"), load_by_path("checks")
     goldens = json.loads((VARBENCH / "goldens.json").read_text(encoding="utf-8"))["full"]
-    for variant in range(workloads.POOL):
-        workload = workloads.build("mc-oracle", variant, str(tmp_path / f"v{variant}"),
-                                   workloads.FULL)
-        call, = (call for call in workload.calls if call.command == "simulate")
-        assert main([call.command, *call.argv]) == 0, call.golden
-        text = Path(call.output).read_text(encoding="utf-8")
-        assert checks.sha256(text) == goldens[call.golden]["sha256"], call.golden
+    for cpus, variants in ((2, range(workloads.POOL)), (1, range(4))):
+        monkeypatch.setattr(_kernels, "_cpus", lambda: cpus)
+        for variant in variants:
+            workload = workloads.build("mc-oracle", variant,
+                                       str(tmp_path / f"cpus{cpus}-v{variant}"), workloads.FULL)
+            call, = (call for call in workload.calls if call.command == "simulate")
+            assert main([call.command, *call.argv]) == 0, call.golden
+            text = Path(call.output).read_text(encoding="utf-8")
+            assert checks.sha256(text) == goldens[call.golden]["sha256"], (cpus, call.golden)
+    assert len(thread_starts) == workloads.POOL  # one worker thread per two-worker run
 
 
 def test_compare_reads_simulate_output(tmp_path, capsys):

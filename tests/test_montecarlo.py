@@ -1,6 +1,8 @@
 """Simulation oracle: reproducibility, exact integer pick, CDF distances."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +264,63 @@ class TestIntegerPick:
         got = kernel_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
         want = reference_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
         assert np.array_equal(got, want)
+
+
+class TestWorkers:
+    """Sample blocks on worker threads: the totals do not depend on how many run."""
+
+    @pytest.fixture
+    def small_shares(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BLOCK", 300)
+        monkeypatch.setattr(_kernels, "_MIN_SHARE", 100)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_totals_do_not_depend_on_the_worker_count(self, monkeypatch, small_shares,
+                                                      thread_starts, cpus):
+        # 64 CPUs: the workers are capped by the 100-sample shares, and there are
+        # more of them than cores and than one worker would run blocks
+        monkeypatch.setattr(_kernels, "_cpus", lambda: cpus)
+        cases = TestIntegerPick()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+        try:
+            cases.test_block_and_chunk_boundaries()
+            cases.test_subnormal_dyadic_and_block_boundary(monkeypatch)
+            cases.test_non_dyadic_chain_falls_back(monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert bool(thread_starts) == (cpus > 1)
+        assert not any(thread.is_alive() for thread in thread_starts)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_failure_is_raised_once_every_worker_is_joined(self, monkeypatch, small_shares,
+                                                           thread_starts, failing):
+        monkeypatch.setattr(_kernels, "_cpus", lambda: 3)
+        pick, chosen = _kernels._guide_pick, {}
+
+        def failing_pick(guide, row, word, nxt, w):
+            me = threading.get_ident()
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (failing == "caller") and chosen.setdefault("thread", me) == me:
+                raise MemoryError(f"{failing} block")  # in one thread only
+            pick(guide, row, word, nxt, w)
+
+        monkeypatch.setattr(_kernels, "_guide_pick", failing_pick)
+        cum = float_rows(np.random.default_rng(6), 6)
+        running = threading.active_count()
+        with pytest.raises(MemoryError, match=f"{failing} block"):
+            kernel_totals(cum, cum[0], 20, 900, 3, state_reward=np.arange(6.0))
+        assert threading.active_count() == running
+        assert len(thread_starts) == 2 and not any(t.is_alive() for t in thread_starts)
+
+    def test_small_runs_start_no_thread(self, monkeypatch, printed_chain_mrp, thread_starts):
+        # each worker gets at least _MIN_SHARE samples: the TINY warm-up's 2,000 run alone
+        monkeypatch.setattr(_kernels, "_cpus", lambda: 8)
+        simulate(printed_chain_mrp, samples=2_000, seed=1)
+        simulate(printed_chain_mrp, samples=2 * _kernels._MIN_SHARE - 1, seed=1)
+        assert thread_starts == []
+        simulate(printed_chain_mrp, samples=2 * _kernels._MIN_SHARE, seed=1)
+        assert len(thread_starts) == 1
 
 
 class TestKsDistance:
