@@ -71,13 +71,12 @@ class VarSolution:
     def policy(self) -> tuple[dict[AugState, Action], ...]:
         return tuple(dict(zip(layer, acts)) for layer, acts in zip(self.layers, self.actions))
 
-    def listing(self, states: tuple[str, ...]) -> str:
-        """Stable text form: one "t=... (state, cum_reward) -> action" line per pair."""
-        return listings((self,), states)[0]
-
 
 def listings(solutions: tuple[VarSolution, ...], states: tuple[str, ...]) -> list[str]:
-    """``listing`` of each solution, all on the same layers; each pair's label is formatted once."""
+    """Stable text form of each solution: one "t=... (state, cum_reward) -> action" line per pair.
+
+    The solutions share their layers, so each pair's label is formatted once.
+    """
     layers = solutions[0].layers[:len(solutions[0].actions)]  # the last epoch decides nothing
     labels = [f"t={t} ({states[x]}, {c}) -> " for t, layer in enumerate(layers) for x, c in layer]
     return ["\n".join(map(str.__add__, labels, map(str, chain.from_iterable(sol.actions))))

@@ -8,8 +8,8 @@ and seeds.  A regular output file is replaced atomically, keeping its
 mode; a FIFO or device is written in place.  ``build_parser`` declares
 each subcommand through one ``command`` helper, which gives it
 ``-o/--output`` and, when it reads one, the ``document`` positional
-(default stdin).  Both fronts go through ``_write_front``: the CSV and
-the ``--policies-out`` listings.
+(default stdin).  Commands return their ``(path, text)`` outputs, ``-o``
+first, then a side file; ``main`` alone writes them, in order, and exits.
 
 The exact subcommands (``gen-inventory``, ``solve-expected``,
 ``dist-exact``, ``var-threshold``, ``pareto-short``) run on the rational
@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import inventory
-from .augmented import solve_threshold_var
+from .augmented import listings, solve_threshold_var
 from .documents import (dump_document, load_document, mdp_from_document,
                         mdp_to_document, mrp_from_document, mrp_to_document,
                         state_index)
@@ -136,14 +136,15 @@ def _exact_pair(q: Fraction) -> str:
     return f"{format_rational(q)} = {_dec(q)}"
 
 
-def _write_front(args, front, cells, header: list[str]) -> None:
-    """Write a front's CSV, ``cells`` formatting tau and value, and its policy listings."""
+def _front_outputs(args, front, cells, header: list[str]) -> list:
+    """A front's CSV, ``cells`` formatting tau and value, then its policy listings if asked."""
     rows = [[*cells(t), *cells(v), w] for t, v, w in zip(front.grid, front.value, front.witness)]
-    _write_text(args.output, _csv_text([*header, "witness_policy_id"], rows))
+    outputs = [(args.output, _csv_text([*header, "witness_policy_id"], rows))]
     if args.policies_out:
         rows = [[pid, listing.replace("\n", "; ")]
                 for pid, listing in sorted(front.policies.items())]
-        _write_text(args.policies_out, _csv_text(["policy_id", "rules"], rows))
+        outputs.append((args.policies_out, _csv_text(["policy_id", "rules"], rows)))
+    return outputs
 
 
 def _load_mdp(path: str):
@@ -201,26 +202,24 @@ def _require_positive(value: int, flag: str) -> None:
         raise ValidationError(f"{flag}: must be >= 1, got {value}")
 
 
-def cmd_gen_inventory(args) -> int:
+def cmd_gen_inventory(args) -> list:
     mdp = inventory.PRESETS[args.preset]()
     if args.simplify:
         mdp = simplify_reward(mdp)
-    _write_text(args.output, dump_document(mdp_to_document(mdp)))
-    return EXIT_OK
+    return [(args.output, dump_document(mdp_to_document(mdp)))]
 
 
-def cmd_solve_expected(args) -> int:
+def cmd_solve_expected(args) -> list:
     mdp = _load_mdp(args.document)
     value, policy = expected_backward_induction(mdp)
     lines = [f"optimal expected total reward = {_exact_pair(value)}"]
     for t, rule in enumerate(policy.rules):
         for x in sorted(rule):
             lines.append(f"t={t} {mdp.states[x]} -> {rule[x]}")
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return [(args.output, "\n".join(lines) + "\n")]
 
 
-def cmd_dist_exact(args) -> int:
+def cmd_dist_exact(args) -> list:
     _require_positive(args.budget, "budget")
     mdp = _load_mdp(args.document)
     if args.policy:
@@ -230,59 +229,52 @@ def cmd_dist_exact(args) -> int:
     dist = exact_total_reward_distribution(mdp, policy, max_states=args.budget)
     rows = [[format_rational(s), _dec(s), format_rational(p), _dec(p)]
             for s, p in zip(dist.support, dist.prob)]
-    _write_text(args.output, _csv_text(["value", "value_decimal", "prob", "prob_decimal"],
-                                       rows))
-    return EXIT_OK
+    return [(args.output, _csv_text(["value", "value_decimal", "prob", "prob_decimal"], rows))]
 
 
-def cmd_var_threshold(args) -> int:
+def cmd_var_threshold(args) -> list:
     _require_positive(args.max_aug_states, "max-aug-states")
     mdp = _load_mdp(args.document)
     tau = parse_rational(args.tau, "tau")
     solution = solve_threshold_var(mdp, tau, max_states=args.max_aug_states)
-    text = (f"eta = {_exact_pair(solution.eta)}\n"
-            f"{solution.listing(mdp.states)}\n")
-    _write_text(args.output, text)
-    return EXIT_OK
+    return [(args.output, f"eta = {_exact_pair(solution.eta)}\n"
+                          f"{listings((solution,), mdp.states)[0]}\n")]
 
 
-def cmd_pareto_short(args) -> int:
+def cmd_pareto_short(args) -> list:
     _require_positive(args.max_aug_states, "max-aug-states")
     mdp = _load_mdp(args.document)
     front = pareto_front_exact(mdp, max_states=args.max_aug_states)
-    _write_front(args, front, lambda q: [format_rational(q), _dec(q)],
-                 ["tau", "tau_decimal", "pareto_value", "pareto_value_decimal"])
-    return EXIT_OK
+    return _front_outputs(args, front, lambda q: [format_rational(q), _dec(q)],
+                          ["tau", "tau_decimal", "pareto_value", "pareto_value_decimal"])
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> list:
     mrp = _load_mrp(args.document)
-    _write_text(args.output, dump_document(mrp_to_document(_layer("transform")(mrp))))
-    return EXIT_OK
+    return [(args.output, dump_document(mrp_to_document(_layer("transform")(mrp))))]
 
 
-def cmd_estimate_cdf(args) -> int:
+def cmd_estimate_cdf(args) -> list:
     mrp = _load_mrp(args.document)
     taus = _parse_grid(args.grid)
     cdf = _layer("estimate_cdf")(mrp, args.n_steps)
     values = cdf.evaluate(taus)
     rows = [[_dec(t), _dec(v)] for t, v in zip(taus, values)]
-    _write_text(args.output, _csv_text(["tau", "cdf"], rows))
+    outputs = [(args.output, _csv_text(["tau", "cdf"], rows))]
     if args.sidecar:
-        _write_text(args.sidecar, json.dumps(dataclasses.asdict(cdf), indent=2) + "\n")
-    return EXIT_OK
+        outputs.append((args.sidecar, json.dumps(dataclasses.asdict(cdf), indent=2) + "\n"))
+    return outputs
 
 
-def cmd_pareto_long(args) -> int:
+def cmd_pareto_long(args) -> list:
     _require_positive(args.max_policies, "max-policies")
     mdp = _load_mdp(args.document)
     front = _layer("pareto_front_long")(mdp, args.horizon, _parse_grid(args.grid),
                                         max_policies=args.max_policies)
-    _write_front(args, front, lambda q: [_dec(q)], ["tau", "pareto_value"])
-    return EXIT_OK
+    return _front_outputs(args, front, lambda q: [_dec(q)], ["tau", "pareto_value"])
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     import numpy as np
     _require_positive(args.quantiles, "quantiles")
     _require_array_size(args.samples, "samples")
@@ -292,8 +284,7 @@ def cmd_simulate(args) -> int:
     qs = np.linspace(0.0, 1.0, args.quantiles)
     values = np.quantile(totals, qs, method="inverted_cdf")
     rows = [[_dec(q), _dec(v)] for q, v in zip(qs, values)]
-    _write_text(args.output, _csv_text(["quantile", "value"], rows))
-    return EXIT_OK
+    return [(args.output, _csv_text(["quantile", "value"], rows))]
 
 
 def _cell(text: str) -> float:
@@ -375,7 +366,7 @@ def _on_grid(table, grid):
 _END_SHIFTS = {"linear": (0, 1), "left": (1, 1), "right": (0, 0)}
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> list:
     import numpy as np
     a, b = _read_cdf_csv(args.file_a), _read_cdf_csv(args.file_b)
     (lo_a, hi_a), (lo_b, hi_b) = _span(a), _span(b)
@@ -392,8 +383,7 @@ def cmd_compare(args) -> int:
         sa, sb = _END_SHIFTS[a[2]][end], _END_SHIFTS[b[2]][end]
         gaps.append(va[sa:sa + len(grid) - 1] - vb[sb:sb + len(grid) - 1])
     distance = np.abs(np.concatenate(gaps)).max()
-    _write_text(args.output, f"ks_distance = {_dec(distance)}\n")
-    return EXIT_OK
+    return [(args.output, f"ks_distance = {_dec(distance)}\n")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,13 +462,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        for path, text in args.func(args):
+            _write_text(path, text)
     except VarMdpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]
     except MemoryError as exc:  # numpy refuses an oversized array before allocating it
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    return EXIT_OK
 
 
 if __name__ == "__main__":

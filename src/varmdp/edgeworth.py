@@ -186,9 +186,8 @@ def _stationary(st: _Stack) -> _Stack:
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Solve ``xi P = xi``, ``sum xi = 1`` on a single aperiodic recurrent class."""
-    P = np.asarray(P, dtype=float)
-    check_ergodic_structure(P)
-    return _stationary(_Stack(P=P[None])).only().xi[0]
+    st = _check_structure(_Stack(P=np.asarray(P, dtype=float)[None])).only()
+    return _stationary(st).only().xi[0]
 
 
 @dataclass(frozen=True)
@@ -499,9 +498,7 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
         raise PreconditionError("pareto_front_long: grid must be strictly increasing")
     if not np.isfinite(taus).all():
         raise PreconditionError("pareto_front_long: grid must be finite")
-    count = 1
-    for acts in mdp.actions:
-        count *= len(acts)
+    count = math.prod(map(len, mdp.actions))
     if count > max_policies:
         raise BudgetExceededError(
             f"long-horizon front refused: {count} stationary policies exceed "

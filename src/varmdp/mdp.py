@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 Action = Hashable
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _check_distribution(values: Sequence[Fraction], what: str) -> None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .augmented import build_augmented, listings, solve_thresholds
@@ -83,13 +82,6 @@ def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront
                                                             mdp.states))))
 
 
-def _eta_exact(front: ParetoFront, tau: Fraction) -> Fraction:
-    if tau > front.grid[-1]:
-        return ZERO
-    idx = bisect_left(front.grid, tau)
-    return 1 - front.value[idx]
-
-
 def query_eta(front: ParetoFront, tau):
     """Best exceedance probability ``1 - P(tau)`` read off the front.
 
@@ -98,7 +90,8 @@ def query_eta(front: ParetoFront, tau):
     interpolate linearly and clamp outside the grid span.
     """
     if front.kind == "exact":
-        return _eta_exact(front, parse_rational(tau, "tau"))
+        tau = parse_rational(tau, "tau")
+        return ZERO if tau > front.grid[-1] else 1 - front.value[bisect_left(front.grid, tau)]
     import numpy as np
     return 1.0 - float(np.interp(float(tau), front.grid, front.value))
 

@@ -34,5 +34,4 @@ def parse_rational(value, field: str = "value") -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Canonical string form: plain integer or "num/den"."""
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))

@@ -130,7 +130,7 @@ class TestCli:
     def test_dist_exact_csv(self, short_doc, tmp_path, capsys):
         out = tmp_path / "dist.csv"
         assert run_cli("dist-exact", short_doc, "-o", str(out)) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert rows[0]["value"] == "-7"
         assert rows[0]["prob"] == "1/16"
         total = sum(F(r["prob"]) for r in rows)
@@ -143,13 +143,13 @@ class TestCli:
                        "--policies-out", str(pol)) == 0
         assert run_cli("pareto-short", short_doc, "-o", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
-        rows = list(csv.DictReader(a.open()))
+        rows = list(csv.DictReader(io.StringIO(a.read_text())))
         header = rows[0].keys()
         for col in ("tau", "pareto_value", "witness_policy_id"):
             assert col in header
         nine = [r for r in rows if r["tau"] == "9"]
         assert nine and nine[0]["pareto_value"] == "11/16"
-        listings = list(csv.DictReader(pol.open()))
+        listings = list(csv.DictReader(io.StringIO(pol.read_text())))
         assert {r["policy_id"] for r in listings} >= {nine[0]["witness_policy_id"]}
 
     def test_transform_and_estimate_pipeline(self, tmp_path, capsys):
@@ -172,7 +172,7 @@ class TestCli:
         assert run_cli("estimate-cdf", str(tdoc), "--n-steps", "500",
                        "--grid", "1500:2200:100", "-o", str(csv_out),
                        "--sidecar", str(side)) == 0
-        rows = list(csv.DictReader(csv_out.open()))
+        rows = list(csv.DictReader(io.StringIO(csv_out.read_text())))
         assert len(rows) == 100
         values = [float(r["cdf"]) for r in rows]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
@@ -425,6 +425,35 @@ def test_foreign_schema_exits_2(tmp_path, capsys, short_sas, kind, argv, schema)
     assert "schema: expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("pareto-short", []), ("pareto-long", ["--horizon", "60", "--grid=-300:300:61"])])
+def test_front_csv_precedes_listings_on_stdout(tmp_path, capsys, short_doc, command, argv):
+    front, listings = tmp_path / "front.csv", tmp_path / "listings.csv"
+    assert run_cli(command, short_doc, *argv, "-o", str(front),
+                   "--policies-out", str(listings)) == 0
+    assert run_cli(command, short_doc, *argv, "-o", "-", "--policies-out", "-") == 0
+    assert front.read_text().startswith("tau,") and listings.read_text().startswith("policy_id,")
+    assert capsys.readouterr().out == front.read_text() + listings.read_text()
+
+
+@pytest.mark.parametrize("command, argv, side", [
+    ("pareto-short", [], "--policies-out"),
+    ("pareto-long", ["--horizon", "60", "--grid=-300:300:61"], "--policies-out"),
+    ("estimate-cdf", ["--n-steps", "50", "--grid=-10:10:5"], "--sidecar")])
+def test_failed_output_leaves_the_side_file_unwritten(tmp_path, capsys, short_doc, command,
+                                                      argv, side):
+    doc = short_doc
+    if command == "estimate-cdf":  # a two-state chain whose total has positive variance
+        doc = tmp_path / "chain.json"
+        doc.write_text(json.dumps(dict(
+            STATE_MRP, states=["a", "b"], state_rewards=["0", "1"], mu0=["1", "0"],
+            transitions=[{"x": x, "y": y, "p": "1/2"} for x in "ab" for y in "ab"])))
+    out, side_file = tmp_path / "missing" / "out.csv", tmp_path / "side"
+    assert run_cli(command, str(doc), *argv, "-o", str(out), side, str(side_file)) == 2
+    assert capsys.readouterr().err.startswith(f"error: output: cannot write {out}: ")
+    assert not side_file.exists()
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, where):
     out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
@@ -608,7 +637,7 @@ def test_dist_exact_beyond_trajectory_enumeration(tmp_path, capsys):
     optimum = F(capsys.readouterr().out.split(" = ")[1])
     out = tmp_path / "dist.csv"
     assert run_cli("dist-exact", str(doc), "-o", str(out)) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert sum(F(r["prob"]) for r in rows) == 1
     assert sum(F(r["value"]) * F(r["prob"]) for r in rows) == optimum
 

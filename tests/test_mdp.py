@@ -526,6 +526,14 @@ class TestValidation:
             DeterministicPolicy(rules=rules, stationary=stationary)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_policy_without_action_at_a_state(self, stationary):
+        policy = DeterministicPolicy(rules=({0: 0},), stationary=stationary)
+        assert policy.action(0, 0) == 0
+        with pytest.raises(PreconditionError) as info:
+            policy.action(0, 1)
+        assert str(info.value) == "policy: no action assigned at state index 1"
+
     @pytest.mark.parametrize("support, prob, message", [
         ((F(0), F(1)), (F(1),), "StepCdf: support/prob length mismatch or empty"),
         ((), (), "StepCdf: support/prob length mismatch or empty"),

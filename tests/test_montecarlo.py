@@ -323,6 +323,19 @@ class TestWorkers:
         assert len(thread_starts) == 1
 
 
+def test_kernel_refuses_zero_samples():
+    cum = float_rows(np.random.default_rng(1), 3)
+    with pytest.raises(PreconditionError, match="samples must be >= 1"):
+        kernel_totals(cum, cum[0], 5, 0, 1, state_reward=np.arange(3.0))
+
+
+@pytest.mark.parametrize("count, want", [(6, 6), (None, 1)])
+def test_cpus_without_an_affinity_call(monkeypatch, count, want):
+    monkeypatch.delattr(_kernels.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: count)
+    assert _kernels._cpus() == want
+
+
 class TestKsDistance:
     def test_identical_cdfs(self):
         f = lambda t: ndtr(t)
