@@ -18,9 +18,10 @@ out of one fundamental kernel ``Z = (I - P - Xi)^{-1}``, where ``Xi``
 stacks ``xi`` row-wise; the lag sums in ``kappa`` close through
 ``sum_{i>=1} P^i f = (Z - I)(f - xi.f)``.
 
-Geometric ergodicity is certified structurally, with numpy frontier
-searches: a finite chain that is one strongly connected aperiodic class
-qualifies; anything else is rejected with an ergodicity error.
+Geometric ergodicity is certified structurally, with one reachability
+closure per stack: a finite chain that is one strongly connected
+aperiodic class qualifies; anything else is rejected with an ergodicity
+error.
 
 Every stage works on a stack of equal-size chains (``_Stack``): the
 structural check, the stationary solve, the spectral pass and ``kappa``
@@ -28,20 +29,24 @@ are each one stacked numpy call sequence, and a chain that fails a check
 leaves the stack with the error a one-chain call raises.  The one-chain
 functions (``check_ergodic_structure``, ``stationary_distribution``,
 ``spectral_data``, ``third_moment_constant``, ``estimate_cdf_arrays``)
-run the same stages on a stack of one.  The long-horizon front gathers
-every stationary policy's chain as float arrays from per-MDP float tables
-(``FloatTables``), up to ``_STACK`` policies at a time, groups the chains
-by size and estimates each group in one pass; the per-policy numpy call
-overhead on many small chains is what this saves.  Its CDFs are
-evaluated ``_EVAL_CELLS`` grid cells at a time, which keeps the
-temporaries of a large policy count times a fine grid from setting the
-process's peak memory.  ``policy_chain`` and ``estimate_cdf`` keep the
-exact ``Fraction`` route, which re-checks every witness.  The normal CDF
-is ``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command loads scipy.
+run the same stages on a stack of one.  The long-horizon front groups
+the stationary policies by the size of their chains, builds the chains
+as float arrays from per-MDP float tables (``FloatTables``) and
+estimates all chains of one size together, in stacks of at most
+``_STACK_CELLS`` kernel entries; the per-policy numpy call overhead on
+many small chains is what this saves, and the cell bound keeps the
+stacks' temporaries small.  Its minimum is taken ``_EVAL_CELLS`` grid
+cells at a time, and it bounds each cell from below without ``math.erfc``
+(a knot table of the normal CDF), so the normal CDF runs only on the
+cells that can hold the minimum.  ``policy_chain`` and ``estimate_cdf``
+keep the exact ``Fraction`` route, which re-checks every witness.  The
+normal CDF is ``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command
+loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
@@ -63,10 +68,11 @@ _XI_TOL = 1e-12
 _POISSON_TOL = 1e-10
 _SIGMA2_FLOOR = -1e-12
 _DEGENERATE_SIGMA2 = 1e-12
-# Policies whose chains are gathered and estimated together, and grid cells
+# Kernel entries (chains x states^2) estimated in one stack, and grid cells
 # (policies x thresholds) evaluated at once: both bound the front's memory.
-_STACK = 256
+_STACK_CELLS = 1 << 15
 _EVAL_CELLS = 1 << 13
+_RUN = 32  # thresholds the front's minimum screens as one run
 
 
 class _Stack:
@@ -114,40 +120,43 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _check_structure(st: _Stack) -> _Stack:
     """Refuse every chain that is not one strongly connected, aperiodic class.
 
-    Strong connectivity: every state is reached from state 0 forward and
-    backward.  The period is ``gcd(d(u) + 1 - d(v))`` over the edges
-    ``(u, v)``, with ``d`` the breadth-first levels from state 0.
+    One reachability closure serves the connectivity test and the classes:
+    ``I + A`` (``A`` the support of ``P``) squared until its paths reach
+    length ``n - 1``, in float matmuls clamped to 0/1 after each product, is
+    positive exactly where a path leads.  A chain is strongly connected when
+    it is positive everywhere; otherwise its communicating classes are the
+    sets of mutually reachable states.  A strongly connected chain with a
+    self-loop is aperiodic; any other has period ``gcd(d(u) + 1 - d(v))``
+    over the edges ``(u, v)``, with ``d`` the breadth-first levels from state 0.
     """
     positive = st.P > 0
-    origin = np.arange(positive.shape[-1]) == 0
-    level = bfs_levels(positive, origin)
-    reducible = ((level.min(axis=-1) < 0)
-                 | (bfs_levels(positive.swapaxes(-1, -2), origin).min(axis=-1) < 0))
+    n = positive.shape[-1]
+    reach = (positive | np.eye(n, dtype=bool)).astype(float)
+    for _ in range(max(n - 2, 0).bit_length()):  # paths of length 2**k >= n - 1
+        reach = np.minimum(reach @ reach, 1.0)  # counts up to n: exact in floats
+    reducible = reach.min(axis=(-2, -1)) == 0
+    mutual = reach[reducible] * reach[reducible].swapaxes(-1, -2) > 0
     classes = dict(zip(np.flatnonzero(reducible).tolist(),
-                       _communicating_classes(positive[reducible])))
-    lag = np.where(positive, level[..., :, None] + 1 - level[..., None, :], 0)
-    period = np.gcd.reduce(lag.reshape(len(lag), -1), axis=-1)
+                       map(_classes_text, map(tuple, mutual.argmax(axis=-1).tolist()))))
+    period = np.ones(len(positive), dtype=np.int64)
+    loopless = np.flatnonzero(~reducible & ~np.diagonal(positive, axis1=-2, axis2=-1).any(axis=-1))
+    edges = positive[loopless]
+    level = bfs_levels(edges, np.arange(n) == 0)
+    lag = np.where(edges, level[..., :, None] + 1 - level[..., None, :], 0)
+    period[loopless] = np.gcd.reduce(lag.reshape(len(lag), n * n), axis=-1)
     st.refuse(reducible | (period != 1), lambda j: (
-        f"chain is reducible: {len(classes[j])} communicating classes {classes[j]}"
-        if j in classes else f"chain is periodic with period {period[j]}"))
+        f"chain is reducible: {classes[j]}" if j in classes
+        else f"chain is periodic with period {period[j]}"))
     return st
 
 
-def _communicating_classes(positive: np.ndarray) -> list[list[list[int]]]:
-    """Communicating classes of each stacked boolean adjacency matrix, by smallest member."""
-    reach = positive | np.eye(positive.shape[-1], dtype=bool)
-    while True:
-        closure = reach @ reach
-        if (closure == reach).all():
-            break
-        reach = closure
-    found = []
-    for smallest in (reach & reach.swapaxes(-1, -2)).argmax(axis=-1).tolist():
-        classes: dict[int, list[int]] = {}  # keyed by each state's smallest classmate
-        for x, first in enumerate(smallest):
-            classes.setdefault(first, []).append(x)
-        found.append(list(classes.values()))
-    return found
+@functools.lru_cache(maxsize=1024)
+def _classes_text(smallest: tuple[int, ...]) -> str:
+    """``"k communicating classes [[...], ...]"``, given each state's smallest classmate."""
+    classes: dict[int, list[int]] = {}  # in order of smallest member
+    for x, first in enumerate(smallest):
+        classes.setdefault(first, []).append(x)
+    return f"{len(classes)} communicating classes {list(classes.values())}"
 
 
 def check_ergodic_structure(P: np.ndarray) -> None:
@@ -301,13 +310,140 @@ def normal_cdf(y):
     return out
 
 
-def _edgeworth_values(n_steps: int, zeta, sigma2, kappa, rhat_start, tau):
-    """The estimate ``F(tau)`` clipped to [0, 1], broadcast over the chain parameters and ``tau``."""
+# Lower bounds of normal_cdf at the knots y = i / 16, so that a cell can be
+# screened without math.erfc: for y >= knot K, normal_cdf(y) >= floor(K).
+# - The last knot lies at or above _CDF_ONE_AT_OR_ABOVE, where normal_cdf is
+#   1.0 by definition, and so is its floor.  The first lies at or below
+#   _CDF_ZERO_AT_OR_BELOW, where normal_cdf is 0.0, and a y below it reads it.
+# - At every knot but the last the floor is normal_cdf(K) (1 - 2**-30) - 2**-1070.
+#   The exact CDF rises with y, and normal_cdf stays within a relative 4e-13
+#   of it between the cut-offs: rounding -y / sqrt(2) moves the argument z of
+#   erfc by a relative 2**-52 at most, which moves erfc(z) by a relative
+#   2 (|z| + 1) |z| 2**-52 <= 4e-13 for |z| <= 27.3, and math.erfc adds a few
+#   ulps.  So normal_cdf(y) >= normal_cdf(K) (1 - 1e-12), and the margin
+#   2**-30 (9.3e-10) leaves room for math.erfc to be off by many ulps.  Below
+#   2**-1022 the values are subnormal, their rounding is absolute and the
+#   relative margin rounds away; 2**-1070, 16 of their ulps, covers them.
+# - A knot step that is a power of two makes floor(y * 16) exact, so the knot
+#   read for y is never above it.
+_KNOTS_PER_UNIT = 16
+_FIRST_KNOT = math.floor(_CDF_ZERO_AT_OR_BELOW * _KNOTS_PER_UNIT)
+_LAST_KNOT = math.ceil(_CDF_ONE_AT_OR_ABOVE * _KNOTS_PER_UNIT)
+
+
+@functools.cache
+def _cdf_floors() -> np.ndarray:
+    """The floor at each knot from ``_FIRST_KNOT`` to ``_LAST_KNOT``; built on first use."""
+    floors = normal_cdf(np.arange(_FIRST_KNOT, _LAST_KNOT + 1) / _KNOTS_PER_UNIT)
+    floors[:-1] *= 1.0 - 2.0 ** -30
+    floors[:-1] -= 2.0 ** -1070
+    return floors
+
+
+def _cdf_floor(y: np.ndarray) -> np.ndarray:
+    """A lower bound of ``normal_cdf(y)`` from the knot table, elementwise; finite for NaN."""
+    knot = np.fmin(np.fmax(y * _KNOTS_PER_UNIT, _FIRST_KNOT), _LAST_KNOT)  # NaN reads the first
+    np.floor(knot, out=knot)
+    knot -= _FIRST_KNOT
+    return _cdf_floors()[knot.astype(np.intp)]
+
+
+def _edgeworth_terms(n_steps: int, zeta, sigma2, kappa, rhat_start, tau):
+    """``y`` and the correction of the estimate, broadcast over the chain parameters and ``tau``."""
     scale = np.sqrt(sigma2) * math.sqrt(n_steps)
     y = (tau - float(n_steps) * zeta) / scale
     density = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
-    correction = density / scale * (kappa / (6.0 * sigma2) * (1.0 - y * y) - rhat_start)
+    return y, density / scale * (kappa / (6.0 * sigma2) * (1.0 - y * y) - rhat_start)
+
+
+def _edgeworth_values(n_steps: int, zeta, sigma2, kappa, rhat_start, tau):
+    """The estimate ``F(tau)`` clipped to [0, 1], broadcast over the chain parameters and ``tau``."""
+    y, correction = _edgeworth_terms(n_steps, zeta, sigma2, kappa, rhat_start, tau)
     return np.clip(normal_cdf(y) + correction, 0.0, 1.0)
+
+
+def _front_minimum(n_steps: int, params: np.ndarray, taus: np.ndarray):
+    """The least estimate over the rows of ``params`` at each ``tau``, and its earliest row.
+
+    ``params`` holds ``(zeta, sigma2, kappa, rhat_start)`` per row.  The
+    result is the minimum over every (row, tau) cell of ``_edgeworth_values``,
+    bit for bit: a NaN estimate never wins, and where every estimate is NaN
+    the minimum is ``inf`` and the row -1.  But ``normal_cdf`` sees only the
+    cells whose lower bound, clipped to [0, 1] as the value is, does not
+    exceed the ceiling and is below the least value of an earlier row:
+
+    - The ceiling at a tau is the value of the row whose ``y`` is least at
+      the start of its run of ``_RUN`` thresholds, widened by 2**-40 of its
+      terms' size in case ``np.exp`` rounds a lane of another array shape
+      differently.  The minimum does not exceed it, and a later row wins a
+      tau only below the least value of the rows before it.
+    - A run's bound is ``_cdf_floor(y)`` at its start less a bound on the
+      correction over the run.  ``y`` rises with tau, in floats too, so the
+      run's ``y`` lie between the bracket's ends, and ``|correction| <= phi(y)
+      (|k| |1 - y^2| + |rhat|) / scale`` with ``k = kappa / (6 sigma2)``.
+      ``phi(y)`` is at most its value at the bracket's point nearest 0, and
+      ``phi(y) |1 - y^2|`` at most ``phi(y) (1 + y^2)``, which is at most
+      0.4840 and falls for ``|y| > 1``.  The relative margin 2**-30 covers
+      the rounding of both sides (at most about 2e-13, from ``y^2`` in
+      ``np.exp``).  A subnormal density is rounded by up to 2**-1074
+      absolute, times ``1 + y^2 < 2**11`` (beyond, it is 0), which the term
+      ``2**-1000 (|k| + |rhat|)`` covers.  A NaN bound keeps the run.
+    - A cell's bound is ``_cdf_floor(y) + correction``, with the correction
+      its value adds: rounded addition and the clip are monotone, so the
+      bound never exceeds the value, and it is NaN exactly when the value is.
+
+    So every cell left out is above the minimum or ties a row before it; the
+    others are evaluated, and the minimum is taken in row order.
+    """
+    count, runs = len(taus), np.arange(0, len(taus), _RUN)
+    edges = taus[np.append(runs, count - 1)]  # y at the edges brackets each run's y
+    zeta, sigma2, kappa, rhat_start = params.T[..., None]  # columns
+    scale = np.sqrt(sigma2) * math.sqrt(n_steps)
+    shift = float(n_steps) * zeta
+    k, r = np.abs(kappa / (6.0 * sigma2)), np.abs(rhat_start)
+    step = max(1, _EVAL_CELLS // len(edges))
+    blocks = [slice(first, first + step) for first in range(0, len(params), step)]
+    cols = np.arange(len(runs))
+    least, incumbent = np.full(len(runs), np.inf), np.zeros(len(runs), dtype=np.intp)
+    for rows in blocks:
+        y = (edges[:-1] - shift[rows]) / scale[rows]
+        y[np.isnan(y)] = np.inf
+        low = y.argmin(axis=0)
+        lower = y[low, cols] < least
+        least = np.where(lower, y[low, cols], least)
+        incumbent = np.where(lower, rows.start + low, incumbent)
+    y, correction = _edgeworth_terms(n_steps, *params[np.repeat(incumbent, _RUN)[:count]].T, taus)
+    cdf = normal_cdf(y)
+    value = np.clip(cdf + correction, 0.0, 1.0)
+    ceiling = np.where(np.isnan(value), np.inf, value + 2.0 ** -40 * (cdf + np.abs(correction)))
+    run_ceiling = np.maximum.reduceat(ceiling, runs)
+    best = np.full(count, np.inf)
+    witness = np.full(count, -1, dtype=np.intp)
+    for rows in blocks:
+        y = (edges - shift[rows]) / scale[rows]
+        near = np.clip(0.0, y[:, :-1], y[:, 1:])  # the point of each bracket nearest 0
+        density = np.exp(-0.5 * near * near) / math.sqrt(2.0 * math.pi)
+        shape = np.where(np.abs(near) < 1.0, 0.4840, density * (1.0 + near * near))
+        reach = (k[rows] * shape + r[rows] * density + 2.0 ** -1000 * (k[rows] + r[rows]))
+        bound = np.maximum(_cdf_floor(y[:, :-1]) - reach / scale[rows] * (1.0 + 2.0 ** -30), 0.0)
+        run_best = np.maximum.reduceat(best, runs)
+        kept = np.flatnonzero(~((bound > run_ceiling) | (bound >= run_best)))  # NaN is kept
+        for part in range(0, len(kept), _EVAL_CELLS // _RUN):
+            row, run = np.divmod(kept[part:part + _EVAL_CELLS // _RUN], len(runs))
+            t = (runs[run, None] + np.arange(_RUN)).ravel()
+            row = np.repeat(rows.start + row, _RUN)[t < count]
+            t = t[t < count]
+            y, correction = _edgeworth_terms(n_steps, *params[row].T, taus[t])
+            bound = np.clip(_cdf_floor(y) + correction, 0.0, 1.0)
+            sent = (bound <= ceiling[t]) & (bound < best[t])
+            t, row = t[sent], row[sent]
+            value = np.clip(normal_cdf(y[sent]) + correction[sent], 0.0, 1.0)
+            order = np.lexsort((row, value, t))  # by tau, then value, then row
+            lead = order[np.diff(t[order], prepend=-1) != 0]  # least value, earliest row
+            improved = lead[value[lead] < best[t[lead]]]
+            best[t[improved]] = value[improved]
+            witness[t[improved]] = row[improved]
+    return best, witness
 
 
 @dataclass(frozen=True)
@@ -419,6 +555,17 @@ def policy_chain(mdp: FiniteMdp, policy: DeterministicPolicy) -> MarkovRewardPro
                    mu0=tuple(mrp.mu0[x] for x in keep))
 
 
+def policy_slots(mdp: FiniteMdp) -> np.ndarray:
+    """``slots[m, x]``: the index in ``mdp.actions[x]`` of policy ``m``'s action in state ``x``.
+
+    Policies are numbered as ``enumerate_stationary_policies`` lists them,
+    in product order: the last state's action varies fastest.
+    """
+    counts = np.array([len(acts) for acts in mdp.actions])
+    later = np.cumprod(counts[::-1])[::-1]  # policies per choice at each state
+    return np.arange(later[0])[:, None] // (later // counts) % counts
+
+
 @dataclass(frozen=True)
 class FloatTables:
     """Float copies of an MDP's tables, indexed by action slot ``k`` of ``actions[x]``.
@@ -427,29 +574,36 @@ class FloatTables:
     the reward and ``start[x, k, y]`` the exact product
     ``mu0(x) p(y | x, a)`` rounded once, so the arrays of a policy's chain
     equal ``float_chain(policy_chain(mdp, policy))`` entry for entry.
+    Policies are given as rows of action slots (``policy_slots``).
     """
 
     P: np.ndarray
     R: np.ndarray
     start: np.ndarray
     mu0: np.ndarray
-    slots: tuple[dict, ...]
 
-    def chains(self, policies: Sequence[DeterministicPolicy]) -> list[tuple[np.ndarray, ...]]:
+    def sizes(self, slots: np.ndarray) -> np.ndarray:
+        """The state count of each policy's chain: reachable states, or pairs for SAS rows."""
+        rows = np.arange(slots.shape[-1])
+        positive = (self.P > 0)[rows, slots]
+        if self.R.ndim == 2:
+            return (bfs_levels(positive, self.mu0 > 0) >= 0).sum(axis=-1)
+        reach = bfs_levels(positive, (self.start > 0).any(axis=-1)[rows, slots]) >= 0
+        return (positive & reach[..., None]).sum(axis=(-2, -1))
+
+    def chains(self, slots: np.ndarray) -> list[tuple[np.ndarray, ...]]:
         """Float chains of stationary policies, as ``policy_chain`` builds them, grouped by size.
 
         Each policy's rows are restricted to the states reachable from the
         start; SAS rows then go through the pair-state construction.
         Returns ``(members, P, r, mu0)`` per chain size, with the chains of
-        ``policies[members[g]]`` along the leading axis.
+        the policies ``slots[members[g]]`` along the leading axis.
         """
-        rows = np.arange(len(self.slots))
-        choice = np.array([[slot[policy.action(0, x)] for x, slot in enumerate(self.slots)]
-                           for policy in policies])
-        P, R = self.P[rows, choice], self.R[rows, choice]
+        rows = np.arange(slots.shape[-1])
+        P, R = self.P[rows, slots], self.R[rows, slots]
         if R.ndim == 3:  # SAS: one reward per transition
             return [(members, kernel, reward, mu0) for members, _, _, kernel, reward, mu0
-                    in pair_chain(P, R, self.start[rows, choice])]
+                    in pair_chain(P, R, self.start[rows, slots])]
         groups = []
         for members, keep in support_groups(bfs_levels(P > 0, self.mu0 > 0) >= 0):
             m = members[:, None]
@@ -469,9 +623,7 @@ def float_tables(mdp: FiniteMdp) -> FloatTables:
                 P[x, k, y] = float(p)
                 start[x, k, y] = float(mdp.mu0[x] * p)
                 R[(x, k, y) if mdp.is_sas else (x, k)] = float(r)
-    return FloatTables(P=P, R=R, start=start, mu0=np.array([float(p) for p in mdp.mu0]),
-                       slots=tuple({a: k for k, a in enumerate(acts)}
-                                   for acts in mdp.actions))
+    return FloatTables(P=P, R=R, start=start, mu0=np.array([float(p) for p in mdp.mu0]))
 
 
 def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
@@ -479,13 +631,15 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     """Estimated front: pointwise minimum of per-policy CDF estimates.
 
     Enumerates stationary deterministic policies; non-ergodic or
-    degenerate-variance chains are skipped with a logged warning, in
-    policy order.  The policies' chains are built as float arrays from the
-    MDP's ``FloatTables`` (reachable rows, then pair states for SAS
-    instances), ``_STACK`` policies at a time, and each group of equal
-    size is estimated in one stacked pass, with the numbers
-    ``estimate_cdf_arrays`` gives each chain alone.  The minimum keeps the
-    earliest policy on ties.  Every witness is rebuilt on the exact route,
+    degenerate-variance chains are skipped and reported in one logged
+    warning, a line per policy in policy order.  The policies' chains are
+    built as float arrays from the MDP's ``FloatTables`` (reachable rows,
+    then pair states for SAS instances).  All chains of one size are
+    estimated together, in stacks of at most ``_STACK_CELLS`` kernel
+    entries, with the numbers ``estimate_cdf_arrays`` gives each chain
+    alone.  The minimum (``_front_minimum``) keeps the earliest policy on
+    ties and evaluates the normal CDF only where the minimum can be.  Every
+    witness is rebuilt on the exact route,
     ``float_chain(policy_chain(mdp, policy))``, and its arrays must equal
     the float ones; that route runs at horizon 2, the least the pair-state
     transformation accepts, whatever the document's horizon.
@@ -506,45 +660,39 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     _check_n_steps(n_steps)
     tables = float_tables(mdp)
     policies = enumerate_stationary_policies(mdp)
+    slots = policy_slots(mdp)
+    sizes = tables.sizes(slots)
     estimated = np.zeros(len(policies), dtype=bool)
     params = np.zeros((len(policies), 4))  # zeta, sigma2, kappa, rhat_start
-    for first in range(0, len(policies), _STACK):
-        skipped = {}
-        for members, P, r, mu0 in tables.chains(policies[first:first + _STACK]):
-            st = _estimate_stack(P, r, mu0)
-            done = first + members[st.ids]
-            estimated[done] = True
-            params[done] = np.stack([st.zeta, st.sigma2, st.kappa, st.rhat_start], axis=-1)
-            skipped.update((first + int(members[j]), exc) for j, exc in st.errors.items())
-        for pid in sorted(skipped):
-            logger.warning("policy %d skipped: %s", pid, skipped[pid])
+    skipped = {}
+    for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+        same = np.flatnonzero(sizes == size)
+        step = max(1, _STACK_CELLS // (size * size))
+        for first in range(0, len(same), step):
+            for members, P, r, mu0 in tables.chains(slots[same[first:first + step]]):
+                st = _estimate_stack(P, r, mu0)
+                pids = same[first:first + step][members]
+                estimated[pids[st.ids]] = True
+                params[pids[st.ids]] = np.stack(
+                    [st.zeta, st.sigma2, st.kappa, st.rhat_start], axis=-1)
+                skipped.update((int(pids[j]), exc) for j, exc in st.errors.items())
+    if skipped:
+        logger.warning("\n".join(f"policy {pid} skipped: {skipped[pid]}"
+                                  for pid in sorted(skipped)))
     used = np.flatnonzero(estimated)
     if len(used) == 0:
         raise ErgodicityError("no stationary policy induces an ergodic chain")
-    best = np.full(len(taus), np.inf)
-    witness = np.full(len(taus), -1, dtype=int)
-    block = max(1, _EVAL_CELLS // len(taus))
-    for first in range(0, len(used), block):
-        pids = used[first:first + block]
-        values = _edgeworth_values(n_steps, *params[pids].T[..., None], taus)
-        values[np.isnan(values)] = np.inf  # a NaN never improves the minimum
-        low = values.argmin(axis=0)  # the earliest policy of the block on ties
-        value = values[low, np.arange(len(taus))]
-        improved = value < best
-        best = np.where(improved, value, best)
-        witness = np.where(improved, pids[low], witness)
+    best, row = _front_minimum(n_steps, params[used], taus)
+    witness = np.where(row >= 0, used[row], -1)
     best = np.maximum.accumulate(best)  # guard against float non-monotonicity in far tails
-    present = {int(w) for w in witness if w >= 0}
     listings: dict[int, str] = {}
     routed = replace(mdp, horizon=2)  # chain arrays do not depend on the horizon
-    for pid in sorted(present):
-        [(_, *chain)] = tables.chains([policies[pid]])
+    for pid in sorted(set(witness.tolist()) - {-1}):
+        [(_, *chain)] = tables.chains(slots[[pid]])
         exact = float_chain(policy_chain(routed, policies[pid]))
         if not all(np.array_equal(a[0], b) for a, b in zip(chain, exact)):
             raise RuntimeError(f"policy {pid}: float chain differs from its exact chain")
         listings[pid] = "\n".join(
             f"{mdp.states[x]} -> {policies[pid].action(0, x)}" for x in range(mdp.n_states))
-    return ParetoFront(kind="estimated", grid=tuple(float(t) for t in taus),
-                       value=tuple(float(v) for v in best),
-                       witness=tuple(int(w) for w in witness),
-                       policies=listings)
+    return ParetoFront(kind="estimated", grid=tuple(taus.tolist()), value=tuple(best.tolist()),
+                       witness=tuple(witness.tolist()), policies=listings)

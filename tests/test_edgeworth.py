@@ -537,7 +537,7 @@ def assert_front_matches_reference(caplog, mdp, n_steps, taus):
                 pareto_front_long(mdp, n_steps, taus)
         else:
             assert pareto_front_long(mdp, n_steps, taus) == want
-    assert caplog.messages == skipped
+    assert caplog.messages == (["\n".join(skipped)] if skipped else [])  # one record
     return want
 
 
@@ -546,6 +546,8 @@ def assert_front_matches_reference(caplog, mdp, n_steps, taus):
     ("capacity-5", build_inventory(InventoryParams(horizon=500, capacity=5)),
      (2000, 3000, 501)),
     ("paper-long-sa", simplify_reward(paper_long()), (1700, 2600, 901)),
+    ("capacity-5-full", build_inventory(InventoryParams(horizon=500, capacity=5)),
+     (2000, 3000, 2501)),
 ])
 def test_float_front_matches_exact_path_reference(caplog, name, mdp, grid):
     front = assert_front_matches_reference(caplog, mdp, 500, np.linspace(*grid))
@@ -631,7 +633,10 @@ def test_float_chain_arrays_equal_exact_path(reward_kind):
                          reward_kind=reward_kind, max_actions=3,
                          max_support=rng.choice([None, 1, 2]))
         policies = enumerate_stationary_policies(mdp)
-        groups = edgeworth.float_tables(mdp).chains(policies)
+        slots = edgeworth.policy_slots(mdp)
+        assert [[mdp.actions[x][k] for x, k in enumerate(row)] for row in slots.tolist()] \
+            == [[policy.action(0, x) for x in range(mdp.n_states)] for policy in policies]
+        groups = edgeworth.float_tables(mdp).chains(slots)
         assert sorted(np.concatenate([members for members, *_ in groups])) \
             == list(range(len(policies)))
         for members, *stacked in groups:
@@ -642,3 +647,153 @@ def test_float_chain_arrays_equal_exact_path(reward_kind):
                     assert a.shape == b.shape and np.array_equal(a, b)
                 checked += 1
     assert checked > 200
+
+
+def dense_front_minimum(n_steps, params, taus):
+    """Every (row, tau) cell of ``_edgeworth_values``, in blocks: the reference minimum.
+
+    The least value at each tau and its earliest row; a NaN value never
+    wins, and a tau where every value is NaN keeps ``inf`` and row -1.
+    """
+    best = np.full(len(taus), np.inf)
+    witness = np.full(len(taus), -1)
+    block = max(1, edgeworth._EVAL_CELLS // len(taus))
+    for first in range(0, len(params), block):
+        values = edgeworth._edgeworth_values(n_steps, *params[first:first + block].T[..., None],
+                                             taus)
+        values[np.isnan(values)] = np.inf
+        low = values.argmin(axis=0)  # the earliest row of the block on ties
+        value = values[low, np.arange(len(taus))]
+        improved = value < best
+        best = np.where(improved, value, best)
+        witness = np.where(improved, first + low, witness)
+    return best, witness
+
+
+def random_params(rng, rows, sigma2=None):
+    """Rows of (zeta, sigma2, kappa, rhat_start) spread around totals of 2,000 to 3,000."""
+    sigma2 = 10.0 ** rng.uniform(-2, 2, rows) if sigma2 is None else np.full(rows, sigma2)
+    kappa = rng.normal(0.0, 2.0, rows) * sigma2 ** 1.5
+    return np.column_stack([rng.uniform(4.0, 6.0, rows), sigma2, kappa,
+                            rng.normal(0.0, 3.0, rows)])
+
+
+def knot_params(rng, rows):
+    """Rows with ``y = tau`` exactly at ``n_steps = 1``, and corrections of every size."""
+    params = random_params(rng, rows)
+    params[:, 0], params[:, 1] = 0.0, 1.0
+    params[:, 2] *= 10.0 ** rng.uniform(-3, 2, rows)
+    params[:, 3] *= 10.0 ** rng.uniform(-3, 0, rows)
+    return params
+
+
+EDGES = (edgeworth._CDF_ZERO_AT_OR_BELOW, edgeworth._CDF_ONE_AT_OR_ABOVE)
+ON_KNOTS = np.unique(np.concatenate([
+    np.arange(-640, 140) / 16.0,
+    [v for edge in EDGES for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))],
+    np.nextafter(np.arange(-40, 10) / 2.0, -np.inf)]))
+
+
+def seeded_params(seed):
+    """A seeded table with NaN rows, duplicated rows and corrections of a random size."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 60))
+    params = random_params(rng, rows)
+    params[rng.random(rows) < 0.1] = np.nan
+    params[np.sort(rng.integers(0, rows, rows // 4))] = params[rng.integers(0, rows, rows // 4)]
+    params[:, 2:] *= 10.0 ** rng.uniform(-2, 3)
+    lo = rng.uniform(1500.0, 3000.0)
+    return params, np.linspace(lo, lo + rng.uniform(1.0, 800.0), int(rng.integers(2, 900)))
+
+
+def front_minimum_cases():
+    """(name, n_steps, params, taus) tables that the screened minimum must match densely."""
+    rng = np.random.default_rng(24)
+    mixed = random_params(rng, 40)
+    mixed[[3, 17]] = np.nan
+    mixed[25, 2] = np.nan  # one NaN field: the whole row is NaN
+    mixed[[30, 35, 39]] = mixed[[5, 5, 12]]  # duplicates: the earliest wins
+    wide = random_params(rng, 30)
+    wide[:, 2] *= 1e3  # corrections past 0 and 1: clipped ties
+    wide[:, 3] *= 1e2
+    taus = np.linspace(2000.0, 3000.0, 2501)
+    return [
+        ("mixed", 500, mixed, taus),
+        ("clipped corrections", 500, wide, taus),
+        ("below every tail", 500, mixed, np.linspace(-5e4, -4e4, 301)),
+        ("above every tail", 500, mixed, np.linspace(1e5, 2e5, 301)),
+        ("knots and cut-offs", 1, knot_params(rng, 12), ON_KNOTS),
+        ("knots, duplicated", 1, np.repeat(knot_params(rng, 4), 3, axis=0), ON_KNOTS),
+        ("one policy, two points", 500, random_params(rng, 1), np.array([2400.0, 2600.0])),
+        ("two points", 500, mixed, np.array([2450.0, 2500.0])),
+        ("sigma2 1e-10", 500, random_params(rng, 25, 1e-10),
+         np.linspace(2400.0, 2600.0, 2001)),
+        ("sigma2 1e6", 500, random_params(rng, 25, 1e6), np.linspace(-4e4, 4e4, 2001)),
+        ("all NaN", 500, np.full((3, 4), np.nan), taus[:50]),
+        ("many rows", 500, np.concatenate([random_params(rng, 300), mixed]), taus[::7]),
+        *((f"seed {seed}", 500, *seeded_params(seed)) for seed in range(30)),
+    ]
+
+
+FRONT_MINIMUM_CASES = front_minimum_cases()
+
+
+@pytest.mark.parametrize("name, n_steps, params, taus", FRONT_MINIMUM_CASES,
+                         ids=[case[0] for case in FRONT_MINIMUM_CASES])
+def test_screened_minimum_equals_dense_minimum(name, n_steps, params, taus):
+    best, witness = edgeworth._front_minimum(n_steps, params, taus)
+    want_best, want_witness = dense_front_minimum(n_steps, params, taus)
+    assert np.array_equal(best.view(np.int64), want_best.view(np.int64))
+    assert witness.tolist() == want_witness.tolist()
+
+
+def test_front_sends_few_cells_to_normal_cdf(monkeypatch):
+    # The dense minimum sends all 228 estimated policies x 2,501 thresholds
+    # (570,228 cells) of the capacity-5 front through normal_cdf.
+    cells = []
+    normal = edgeworth.normal_cdf
+
+    def counting(y):
+        cells.append(np.size(y))
+        return normal(y)
+
+    monkeypatch.setattr(edgeworth, "normal_cdf", counting)
+    mdp = build_inventory(InventoryParams(horizon=500, capacity=5))
+    pareto_front_long(mdp, 500, np.linspace(2000, 3000, 2501))
+    assert 0 < sum(cells) <= 570_228 // 10
+
+
+def run_front(caplog, mdp, n_steps, taus):
+    """The front (None when no policy is estimated) and its logged messages."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="varmdp.edgeworth"):
+        try:
+            front = pareto_front_long(mdp, n_steps, taus)
+        except ErgodicityError:
+            front = None
+    return front, list(caplog.messages)
+
+
+def test_sub_stacks_of_one_and_many_chains_give_the_same_front(caplog, monkeypatch):
+    cases = [(build_inventory(InventoryParams(horizon=500, capacity=c)), 500,
+              np.linspace(1700, 3000, 651)) for c in (3, 4, 5)]
+    for reward_kind in ("sas", "sa"):  # the MDPs of the per-policy loop test
+        for seed in range(100):
+            rng = random.Random(seed)
+            mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=3,
+                             reward_kind=reward_kind, max_actions=3,
+                             max_support=rng.choice([None, None, 2]))
+            cases.append((mdp, 200, np.linspace(-1700.0, 1700.0, 681)))
+    defaults = [run_front(caplog, *case) for case in cases]
+    stacks = []
+    estimate = edgeworth._estimate_stack
+
+    def recording(P, r, mu0):
+        stacks.append(len(P))
+        return estimate(P, r, mu0)
+
+    monkeypatch.setattr(edgeworth, "_estimate_stack", recording)
+    monkeypatch.setattr(edgeworth, "_STACK_CELLS", 64)  # 64 one-state chains, one of 8 states
+    for case, want in zip(cases, defaults):
+        assert run_front(caplog, *case) == want
+    assert stacks.count(1) > 10 and max(stacks) == 64
