@@ -34,30 +34,21 @@ from .rationals import format_rational, parse_rational
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedMdp", "BudgetExceededError", "ChainSpectralData",
-    "DegenerateVarianceError", "DeterministicPolicy", "EdgeworthCdf",
-    "ErgodicityError", "FiniteMdp", "InventoryParams", "KappaResult",
-    "MarkovRewardProcess", "ParetoFront", "PreconditionError", "StepCdf",
-    "TransformedMrp", "ValidationError", "VarMdpError", "VarSolution",
-    "augmented_policy_distribution", "build_augmented",
-    "build_inventory", "check_ergodic_structure", "check_policy",
-    "enumerate_stationary_policies", "estimate_cdf", "estimate_cdf_arrays",
-    "evaluate_policy",
-    "exact_total_reward_distribution", "expected_backward_induction",
-    "format_rational", "induced_mrp", "paper_long",
+    "AugmentedMdp", "BudgetExceededError", "DegenerateVarianceError", "DeterministicPolicy",
+    "EdgeworthCdf", "ErgodicityError", "FiniteMdp", "InventoryParams", "MarkovRewardProcess",
+    "ParetoFront", "PreconditionError", "StepCdf", "TransformedMrp", "ValidationError",
+    "VarMdpError", "VarSolution", "augmented_policy_distribution", "build_augmented",
+    "build_inventory", "check_policy", "enumerate_stationary_policies", "estimate_cdf",
+    "estimate_cdf_arrays", "evaluate_policy", "exact_total_reward_distribution",
+    "expected_backward_induction", "format_rational", "induced_mrp", "paper_long",
     "paper_short", "paper_short_printed", "pareto_front_exact", "pareto_front_long",
-    "parse_rational", "policy_chain", "query_eta", "query_rho",
-    "simplify_reward", "simulate",
-    "solve_threshold_var", "solve_thresholds", "spectral_data", "stationary_distribution",
-    "third_moment_constant", "transform",
+    "parse_rational", "policy_chain", "query_eta", "query_rho", "simplify_reward", "simulate",
+    "solve_threshold_var", "solve_thresholds", "transform",
 ]
 
 _FLOAT_LAYERS = {
-    **dict.fromkeys(("ChainSpectralData", "EdgeworthCdf", "KappaResult",
-                     "check_ergodic_structure", "enumerate_stationary_policies",
-                     "estimate_cdf", "estimate_cdf_arrays", "pareto_front_long",
-                     "policy_chain", "spectral_data", "stationary_distribution",
-                     "third_moment_constant"), ".edgeworth"),
+    **dict.fromkeys(("EdgeworthCdf", "enumerate_stationary_policies", "estimate_cdf",
+                     "estimate_cdf_arrays", "pareto_front_long", "policy_chain"), ".edgeworth"),
     "simulate": ".montecarlo", "TransformedMrp": ".transformation", "transform": ".transformation",
 }
 

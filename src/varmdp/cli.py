@@ -173,6 +173,8 @@ def _parse_grid(spec: str):
         raise ValidationError("grid: need hi > lo and steps >= 2")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"grid: bounds must be finite, got {spec!r}")
+    if not math.isfinite(hi - lo):  # np.linspace would overflow forming it
+        raise ValidationError(f"grid: span hi - lo must be finite, got {spec!r}")
     _require_array_size(steps, "grid")
     return np.linspace(lo, hi, steps)
 

@@ -23,15 +23,16 @@ closure per stack: a finite chain that is one strongly connected
 aperiodic class qualifies; anything else is rejected with an ergodicity
 error.
 
-Every stage works on a stack of equal-size chains (``_Stack``): the
-structural check, the stationary solve, the spectral pass and ``kappa``
-are each one stacked numpy call sequence, and a chain that fails a check
-leaves the stack with the error a one-chain call raises.  The one-chain
-functions (``check_ergodic_structure``, ``stationary_distribution``,
-``spectral_data``, ``third_moment_constant``, ``estimate_cdf_arrays``)
-run the same stages on a stack of one.  The long-horizon front groups
-the stationary policies by the size of their chains, builds the chains
-as float arrays from per-MDP float tables (``FloatTables``) and
+Every estimate is a stack of equal-size chains (``_Stack``) run through
+``_estimate_stack``; ``estimate_cdf_arrays`` runs a stack of one.  Each
+stage (structural check, stationary solve, spectral pass, ``kappa``) is one
+stacked numpy call sequence, and a chain that fails a check leaves the
+stack with its own error.  Three stages keep public names
+(``stationary_distribution``, ``spectral_data``, ``third_moment_constant``)
+and are looked up at each call, so a timing wrapper bound over one of them
+sees every estimate, the front's stacks included.  The long-horizon front
+groups the stationary policies by the size of their chains, builds the
+chains as float arrays from per-MDP float tables (``FloatTables``) and
 estimates all chains of one size together, in stacks of at most
 ``_STACK_CELLS`` kernel entries; the per-policy numpy call overhead on
 many small chains is what this saves, and the cell bound keeps the
@@ -80,9 +81,11 @@ class _Stack:
 
     Every array attribute holds the chains still in the running along its
     leading axis; ``ids`` are their indices in the stack as built.  A
-    chain that fails a check leaves every array at once and keeps, in
-    ``errors`` under its id, the error a one-chain call would raise.
+    chain that fails a check leaves every array at once, and its error
+    stays in ``errors`` under its id.
     """
+
+    truncation = 0  # no lag sum is cut short; varbench/tracing.py reads it off a kappa stage
 
     def __init__(self, **arrays: np.ndarray):
         self.errors: dict[int, Exception] = {}
@@ -159,12 +162,7 @@ def _classes_text(smallest: tuple[int, ...]) -> str:
     return f"{len(classes)} communicating classes {list(classes.values())}"
 
 
-def check_ergodic_structure(P: np.ndarray) -> None:
-    """Require one strongly connected, aperiodic class; else raise with the classes."""
-    _check_structure(_Stack(P=np.asarray(P, dtype=float)[None])).only()
-
-
-def _stationary(st: _Stack) -> _Stack:
+def stationary_distribution(st: _Stack) -> _Stack:
     """Solve ``xi P = xi``, ``sum xi = 1`` for every chain; refuse failed or inexact solves."""
     n = st.P.shape[-1]
     A = st.P.swapaxes(-1, -2) - np.eye(n)
@@ -193,28 +191,15 @@ def _stationary(st: _Stack) -> _Stack:
     return st
 
 
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Solve ``xi P = xi``, ``sum xi = 1`` on a single aperiodic recurrent class."""
-    st = _check_structure(_Stack(P=np.asarray(P, dtype=float)[None])).only()
-    return _stationary(st).only().xi[0]
+def spectral_data(st: _Stack) -> _Stack:
+    """One spectral pass per chain: ``zeta``, ``cond``, ``Z``, ``rhat`` and ``sigma2``.
 
-
-@dataclass(frozen=True)
-class ChainSpectralData:
-    """Stationary/spectral quantities of one ergodic state-rewarded chain."""
-
-    P: np.ndarray
-    r: np.ndarray
-    xi: np.ndarray
-    zeta: float
-    rhat: np.ndarray
-    sigma2: float
-    z_kernel: np.ndarray   # (I - P - Xi)^{-1}
-    cond_h: float
-
-
-def _spectral(st: _Stack) -> _Stack:
-    """``zeta``, ``cond``, ``Z``, ``rhat`` and ``sigma2`` of every chain (see ``spectral_data``)."""
+    ``Z = (I - P - Xi)^{-1}`` is the fundamental kernel; a numerically
+    singular ``I - P - Xi`` (cond above 1e14) is refused.  ``rhat`` solves
+    the Poisson equation ``P rhat = rhat - r + zeta 1`` in the
+    ``xi . rhat = 0`` gauge, with its residual checked against 1e-10, and
+    ``sigma^2 = sum_x [rhat(x)^2 - (P rhat)(x)^2] xi(x)``, clamped at zero.
+    """
     st.zeta = _dot(st.xi, st.r)
     H = np.eye(st.P.shape[-1]) - st.P - st.xi[..., None, :]
     st.cond = np.linalg.cond(H)
@@ -234,46 +219,7 @@ def _spectral(st: _Stack) -> _Stack:
     return st
 
 
-def spectral_data(P: np.ndarray, r: np.ndarray) -> ChainSpectralData:
-    """One spectral pass: ``xi``, ``zeta``, ``rhat``, ``sigma^2`` and ``Z`` of a chain.
-
-    ``Z = (I - P - Xi)^{-1}`` is the fundamental kernel; a numerically
-    singular ``I - P - Xi`` (cond above 1e14) is refused.  ``rhat`` solves
-    the Poisson equation ``P rhat = rhat - r + zeta 1`` in the
-    ``xi . rhat = 0`` gauge, with its residual checked against 1e-10, and
-    ``sigma^2 = sum_x [rhat(x)^2 - (P rhat)(x)^2] xi(x)``, clamped at zero.
-    """
-    P = np.asarray(P, dtype=float)
-    r = np.asarray(r, dtype=float)
-    xi = stationary_distribution(P)
-    st = _spectral(_Stack(P=P[None], r=r[None], xi=xi[None])).only()
-    return ChainSpectralData(P=P, r=r, xi=xi, zeta=float(st.zeta[0]), rhat=st.rhat[0],
-                             sigma2=float(st.sigma2[0]), z_kernel=st.Z[0],
-                             cond_h=float(st.cond[0]))
-
-
-@dataclass(frozen=True)
-class KappaResult:
-    kappa: float
-    k1: float
-    k2: float
-    k3: float
-    truncation: int = 0  # always 0 (no lag sum); varbench/tracing.py still reads it
-
-
-def _kappa(st: _Stack) -> _Stack:
-    """``k1``, ``k2``, ``k3`` and ``kappa`` of every chain (see ``third_moment_constant``)."""
-    rt = st.r - st.zeta[..., None]
-    w = st.xi * rt
-    s = _mv(st.Z, rt) - rt  # sum_{j>=1} P^j rt
-    st.k1 = (rt ** 3 * st.xi).sum(axis=-1)
-    st.k2 = 3.0 * (_dot(w * rt, s) + _dot(w, _mv(st.Z, rt * rt) - rt * rt))
-    st.k3 = 6.0 * _dot(w, _mv(st.Z, rt * s) - rt * s)
-    st.kappa = st.k1 + st.k2 + st.k3
-    return st
-
-
-def third_moment_constant(data: ChainSpectralData) -> KappaResult:
+def third_moment_constant(st: _Stack) -> _Stack:
     """Asymptotic third-cumulant constant ``kappa = k1 + k2 + k3`` of the total per step.
 
     With the centered reward ``rt = r - zeta`` and the stationary start:
@@ -288,16 +234,23 @@ def third_moment_constant(data: ChainSpectralData) -> KappaResult:
     are paired with ``xi * rt``, which annihilates constants, so they are
     taken uncentered.
     """
-    st = _kappa(_Stack(r=data.r[None], xi=data.xi[None], zeta=np.array([data.zeta]),
-                       Z=data.z_kernel[None]))
-    return KappaResult(kappa=float(st.kappa[0]), k1=float(st.k1[0]), k2=float(st.k2[0]),
-                       k3=float(st.k3[0]))
+    rt = st.r - st.zeta[..., None]
+    w = st.xi * rt
+    s = _mv(st.Z, rt) - rt  # sum_{j>=1} P^j rt
+    st.k1 = (rt ** 3 * st.xi).sum(axis=-1)
+    st.k2 = 3.0 * (_dot(w * rt, s) + _dot(w, _mv(st.Z, rt * rt) - rt * rt))
+    st.k3 = 6.0 * _dot(w, _mv(st.Z, rt * s) - rt * s)
+    st.kappa = st.k1 + st.k2 + st.k3
+    return st
 
 
 # 0.5 * math.erfc(-y / sqrt(2)) is exactly 0.0 at and below the first cut-off
 # and exactly 1.0 at and above the second, so those cells skip math.erfc.
 _CDF_ZERO_AT_OR_BELOW = -38.4754
 _CDF_ONE_AT_OR_ABOVE = 8.2924
+# np.exp(-y * y / 2) is 0.0 for |y| > 38.6, so the correction is formed at y clipped to
+# +-_FLAT: the same values, and y * y cannot overflow (the correction 0 * -inf = NaN).
+_FLAT = 40.0
 
 
 def normal_cdf(y):
@@ -352,8 +305,9 @@ def _edgeworth_terms(n_steps: int, zeta, sigma2, kappa, rhat_start, tau):
     """``y`` and the correction of the estimate, broadcast over the chain parameters and ``tau``."""
     scale = np.sqrt(sigma2) * math.sqrt(n_steps)
     y = (tau - float(n_steps) * zeta) / scale
-    density = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
-    return y, density / scale * (kappa / (6.0 * sigma2) * (1.0 - y * y) - rhat_start)
+    flat = np.clip(y, -_FLAT, _FLAT)
+    density = np.exp(-0.5 * flat * flat) / math.sqrt(2.0 * math.pi)
+    return y, density / scale * (kappa / (6.0 * sigma2) * (1.0 - flat * flat) - rhat_start)
 
 
 def _edgeworth_values(n_steps: int, zeta, sigma2, kappa, rhat_start, tau):
@@ -381,7 +335,8 @@ def _front_minimum(n_steps: int, params: np.ndarray, taus: np.ndarray):
       correction over the run.  ``y`` rises with tau, in floats too, so the
       run's ``y`` lie between the bracket's ends, and ``|correction| <= phi(y)
       (|k| |1 - y^2| + |rhat|) / scale`` with ``k = kappa / (6 sigma2)``.
-      ``phi(y)`` is at most its value at the bracket's point nearest 0, and
+      ``phi(y)`` is at most its value at the bracket's point nearest 0 (with
+      ``y`` clipped to +-``_FLAT`` on both sides, as the correction is), and
       ``phi(y) |1 - y^2|`` at most ``phi(y) (1 + y^2)``, which is at most
       0.4840 and falls for ``|y| > 1``.  The relative margin 2**-30 covers
       the rounding of both sides (at most about 2e-13, from ``y^2`` in
@@ -421,7 +376,7 @@ def _front_minimum(n_steps: int, params: np.ndarray, taus: np.ndarray):
     witness = np.full(count, -1, dtype=np.intp)
     for rows in blocks:
         y = (edges - shift[rows]) / scale[rows]
-        near = np.clip(0.0, y[:, :-1], y[:, 1:])  # the point of each bracket nearest 0
+        near = np.clip(np.clip(0.0, y[:, :-1], y[:, 1:]), -_FLAT, _FLAT)  # bracket point nearest 0
         density = np.exp(-0.5 * near * near) / math.sqrt(2.0 * math.pi)
         shape = np.where(np.abs(near) < 1.0, 0.4840, density * (1.0 + near * near))
         reach = (k[rows] * shape + r[rows] * density + 2.0 ** -1000 * (k[rows] + r[rows]))
@@ -455,7 +410,7 @@ class EdgeworthCdf:
     sigma2: float
     kappa: float
     rhat_start: float
-    cond_h: float = float("nan")
+    cond_h: float
 
     @property
     def sigma(self) -> float:
@@ -507,25 +462,24 @@ def _degenerate(st: _Stack) -> _Stack:
 
 
 def estimate_cdf_arrays(P, r, mu0, n_steps: int) -> EdgeworthCdf:
-    """Array-level variant of ``estimate_cdf`` for chains given as float matrices."""
+    """Array-level variant of ``estimate_cdf``: ``_estimate_stack`` on a stack of one."""
     _check_n_steps(n_steps)
-    mu0 = np.asarray(mu0, dtype=float)
-    data = spectral_data(P, r)
-    _degenerate(_Stack(sigma2=np.array([data.sigma2]))).only()
-    kap = third_moment_constant(data)
+    st = _estimate_stack(*(np.asarray(a, dtype=float)[None] for a in (P, r, mu0))).only()
     return EdgeworthCdf(
-        n_steps=int(n_steps), zeta=data.zeta, sigma2=data.sigma2, kappa=kap.kappa,
-        rhat_start=float(_dot(mu0, data.rhat)), cond_h=data.cond_h)
+        n_steps=int(n_steps), zeta=float(st.zeta[0]), sigma2=float(st.sigma2[0]),
+        kappa=float(st.kappa[0]), rhat_start=float(st.rhat_start[0]), cond_h=float(st.cond[0]))
 
 
 def _estimate_stack(P: np.ndarray, r: np.ndarray, mu0: np.ndarray) -> _Stack:
-    """Every stage of ``estimate_cdf_arrays`` on a stack of equal-size chains.
+    """Every stage of the estimate on a stack of equal-size chains.
 
-    The chains left in the stack carry ``zeta``, ``sigma2``, ``kappa`` and
-    ``rhat_start``; each refused one has its error under its index.
+    The chains left in the stack carry ``zeta``, ``sigma2``, ``kappa``,
+    ``rhat_start`` and ``cond``; each refused one has its error under its
+    index.  The stages are read from the module at each call.
     """
     st = _Stack(P=P, r=r, mu0=mu0)
-    for stage in (_check_structure, _stationary, _spectral, _degenerate, _kappa):
+    for stage in (_check_structure, stationary_distribution, spectral_data, _degenerate,
+                  third_moment_constant):
         stage(st)
     st.rhat_start = _dot(st.mu0, st.rhat)
     return st

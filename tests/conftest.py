@@ -1,6 +1,7 @@
 """Shared fixtures: paper presets, exact-rational random instance generators,
-test-only helpers (CDF distances, derived quantities of library objects) and
-the per-policy long-horizon front loop that the stacked front is checked against."""
+test-only helpers (CDF distances, derived quantities of library objects, one
+chain run through the estimate's stages) and the per-policy long-horizon
+front loop that the stacked front is checked against."""
 
 import math
 import os
@@ -9,10 +10,12 @@ import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import varmdp.edgeworth as edgeworth
 from varmdp import (DegenerateVarianceError, ErgodicityError, FiniteMdp, MarkovRewardProcess,
                     ParetoFront, PreconditionError, StepCdf, enumerate_stationary_policies,
                     estimate_cdf_arrays, paper_short, paper_short_printed, policy_chain,
@@ -129,6 +132,23 @@ def random_ergodic_chain(seed: int, n: int):
     P /= P.sum(axis=1, keepdims=True)
     r = gen.uniform(-2.0, 2.0, size=n)
     return P, r
+
+
+CHAIN_STAGES = ("_check_structure", "stationary_distribution", "spectral_data",
+                "third_moment_constant")
+
+
+def chain_stages(P, r=None, last: str = CHAIN_STAGES[-1]) -> SimpleNamespace:
+    """One chain's row after the estimate's stages up to ``last``, run on a stack of one.
+
+    The stages are read from ``edgeworth`` at each call; the chain's own
+    error is raised by the stage that refuses it.
+    """
+    st = edgeworth._Stack(**{k: np.asarray(v, dtype=float)[None]
+                             for k, v in (("P", P), ("r", r)) if v is not None})
+    for name in CHAIN_STAGES[:CHAIN_STAGES.index(last) + 1]:
+        getattr(edgeworth, name)(st).only()
+    return SimpleNamespace(**{k: v[0] for k, v in vars(st).items() if isinstance(v, np.ndarray)})
 
 
 def empirical_cdf(totals: np.ndarray):

@@ -269,6 +269,9 @@ STATE_MRP = {"horizon": 3, "states": ["a"], "reward_on": "state",
      "max-policies"),
     ("dist-exact", "policy", {"rules": [{"0": 0}, {"0": 0}], "stationary": True},
      "policy: a stationary policy has exactly one rule"),
+    # finite bounds whose span hi - lo overflows
+    ("estimate-cdf", "grid", ("--n-steps", "10", "--grid=-1e308:1e308:5"), "grid"),
+    ("pareto-long", "grid", ("--horizon", "10", "--grid=-1e308:1e308:5"), "grid"),
 ])
 def test_malformed_input_exits_2_naming_field(tmp_path, capsys, short_sas,
                                               command, kind, patch, field):
@@ -661,6 +664,30 @@ def test_simulate_refuses_fewer_than_one_quantile(tmp_path, capsys, quantiles):
     assert not out.exists()
 
 
+def test_far_tails_read_exactly_0_and_1(tmp_path, short_doc):
+    # past |y| ~ 1.3e154 the estimate's y * y overflows; the tails must still be exact
+    # (and warn nothing: pytest turns warnings into errors)
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "horizon": 20, "states": ["a", "b"], "reward_on": "state",
+        "transitions": [{"x": "a", "y": "a", "p": "1/3"}, {"x": "a", "y": "b", "p": "2/3"},
+                        {"x": "b", "y": "a", "p": "1/2"}, {"x": "b", "y": "b", "p": "1/2"}],
+        "state_rewards": ["1", "3"], "mu0": ["1", "0"]}))
+    out = tmp_path / "out.csv"
+
+    def column(name):
+        return [row[name] for row in csv.DictReader(io.StringIO(out.read_text()))]
+
+    estimate = ("estimate-cdf", str(chain), "--n-steps", "200", "-o", str(out))
+    assert run_cli(*estimate, "--grid=0:1e308:5") == 0
+    assert column("cdf")[1:] == ["1"] * 4
+    assert run_cli(*estimate, "--grid=-1e300:1e300:5") == 0
+    assert column("cdf")[:2] == ["0", "0"] and column("cdf")[3:] == ["1", "1"]
+    assert run_cli("pareto-long", short_doc, "--horizon", "500", "--grid=-1e300:1e300:5",
+                   "-o", str(out)) == 0
+    assert column("pareto_value")[:2] == ["0", "0"] and column("pareto_value")[3:] == ["1", "1"]
+
+
 def test_pareto_long_refuses_nonpositive_horizon(tmp_path, capsys, short_sas):
     path = tmp_path / "mdp.json"
     path.write_text(json.dumps(mdp_to_document(short_sas)))
@@ -804,7 +831,8 @@ def test_cli_import_loads_no_scipy():
 
 def test_exact_subcommands_load_no_float_layer(tmp_path):
     # the exact path is pure Python: numpy and the float layers load only when asked for,
-    # and loading the submodule varmdp.transformation leaves the name to the function
+    # and loading the submodule varmdp.transformation leaves the name to the function;
+    # every lazy name is exported, and every export resolves
     doc, out = str(tmp_path / "short.json"), str(tmp_path / "out")
     runs = [["gen-inventory", "-o", doc], ["solve-expected", doc, "-o", out],
             ["dist-exact", doc, "-o", out], ["var-threshold", doc, "--tau", "9", "-o", out],
@@ -812,17 +840,21 @@ def test_exact_subcommands_load_no_float_layer(tmp_path):
     float_layers = ["numpy", "varmdp._kernels", "varmdp.edgeworth", "varmdp.montecarlo",
                     "varmdp.transformation"]
     script = (
-        "import sys; from varmdp.cli import main\n"
+        "import sys, varmdp\n"
+        "print('numpy' in sys.modules, set(varmdp._FLOAT_LAYERS) <= set(varmdp.__all__))\n"
+        "from varmdp.cli import main\n"
         f"for argv in {runs!r}:\n"
         "    assert main(argv) == 0, argv\n"
         f"print(sorted(m for m in {float_layers!r} if m in sys.modules))\n"
         "import varmdp.transformation, varmdp.edgeworth\n"
         "from varmdp import transform, simulate, estimate_cdf, policy_chain\n"
         "print([callable(f) for f in (transform, simulate, estimate_cdf, policy_chain)],\n"
-        "      transform is sys.modules['varmdp.transformation'].transform is varmdp.transform)\n")
+        "      transform is sys.modules['varmdp.transformation'].transform is varmdp.transform)\n"
+        "print([name for name in varmdp.__all__ if not hasattr(varmdp, name)])\n")
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines() == ["[]", "[True, True, True, True] True"]
+    assert result.stdout.splitlines() == ["False True", "[]", "[True, True, True, True] True",
+                                          "[]"]
 
 
 def test_no_submodule_is_named_like_an_export():

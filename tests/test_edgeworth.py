@@ -16,13 +16,12 @@ from scipy.special import ndtr
 import varmdp.edgeworth as edgeworth
 from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityError,
                     FiniteMdp, InventoryParams, PreconditionError, build_inventory,
-                    check_ergodic_structure, enumerate_stationary_policies, estimate_cdf,
-                    estimate_cdf_arrays, induced_mrp, paper_long, pareto_front_long,
-                    policy_chain, query_eta, query_rho, simplify_reward, simulate,
-                    spectral_data, stationary_distribution, third_moment_constant)
+                    enumerate_stationary_policies, estimate_cdf, estimate_cdf_arrays,
+                    induced_mrp, paper_long, pareto_front_long, policy_chain, query_eta,
+                    query_rho, simplify_reward, simulate)
 
-from conftest import (empirical_cdf, normal_reference, random_ergodic_chain, random_mdp,
-                      reference_front_long)
+from conftest import (CHAIN_STAGES, chain_stages, empirical_cdf, normal_reference,
+                      random_ergodic_chain, random_mdp, reference_front_long)
 
 F = Fraction
 
@@ -50,7 +49,7 @@ def lag_sum_kappa(P, r, T=None):
     Without ``T`` the sums stop at the smallest power of two with
     ``max_x sum_y |P^T - 1 xi|(x, y) <= 1e-12``.
     """
-    xi = stationary_distribution(P)
+    xi = chain_stages(P, last="stationary_distribution").xi
     rt = r - float(xi @ r)
     if T is None:
         M, T = P.copy(), 1
@@ -74,12 +73,12 @@ def lag_sum_kappa(P, r, T=None):
 
 class TestStationaryDistribution:
     def test_symmetric_two_state(self):
-        xi = stationary_distribution(np.full((2, 2), 0.5))
+        xi = chain_stages(np.full((2, 2), 0.5), last="stationary_distribution").xi
         assert np.allclose(xi, [0.5, 0.5], atol=1e-15)
 
     def test_inventory_chain_against_power_iteration(self, printed_chain):
         P, _, _, _ = printed_chain
-        xi = stationary_distribution(P)
+        xi = chain_stages(P, last="stationary_distribution").xi
         mu = np.full(3, 1.0 / 3.0)
         for _ in range(6000):
             mu = mu @ P
@@ -89,26 +88,27 @@ class TestStationaryDistribution:
     def test_lazy_doubly_stochastic_uniform(self):
         Q = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         P = 0.5 * np.eye(3) + 0.5 * Q
-        assert np.allclose(stationary_distribution(P), 1.0 / 3.0, atol=1e-14)
+        xi = chain_stages(P, last="stationary_distribution").xi
+        assert np.allclose(xi, 1.0 / 3.0, atol=1e-14)
 
     def test_reducible_rejected_with_classes(self):
         P = np.array([[1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ErgodicityError, match="2 communicating classes"):
-            stationary_distribution(P)
+            chain_stages(P, last="stationary_distribution")
 
     def test_periodic_rejected(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ErgodicityError, match="period 2"):
-            stationary_distribution(P)
+            chain_stages(P, last="stationary_distribution")
 
     def test_structural_check_passes_on_positive_kernel(self):
         P, _ = random_ergodic_chain(0, 5)
-        check_ergodic_structure(P)
+        chain_stages(P, last="_check_structure")
 
     def test_residual_bound_random_batch(self):
         for seed in range(20):
             P, _ = random_ergodic_chain(seed, 3 + seed % 4)
-            xi = stationary_distribution(P)
+            xi = chain_stages(P, last="stationary_distribution").xi
             assert np.abs(xi @ P - xi).max() <= 1e-12
             assert xi.min() >= 0 and abs(xi.sum() - 1) < 1e-14
 
@@ -169,7 +169,7 @@ class TestErgodicStructure:
             kind, detail = reference_ergodic_verdict(P)
             seen.add(kind if kind != "periodic" else detail)
             try:
-                check_ergodic_structure(P)
+                chain_stages(P, last="_check_structure")
                 got = ("ergodic", 1)
             except ErgodicityError as exc:
                 text = str(exc)
@@ -189,26 +189,26 @@ class TestErgodicStructure:
         P = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ErgodicityError,
                            match=r"3 communicating classes \[\[0\], \[1\], \[2\]\]"):
-            check_ergodic_structure(P)
+            chain_stages(P, last="_check_structure")
 
 
 class TestPoisson:
     def test_constant_reward_gives_zero_bias(self):
         P, _ = random_ergodic_chain(1, 4)
-        data = spectral_data(P, np.full(4, 3.25))
+        data = chain_stages(P, np.full(4, 3.25), last="spectral_data")
         assert data.zeta == pytest.approx(3.25, abs=1e-13)
         assert np.abs(data.rhat).max() < 1e-12
 
     def test_iid_chain_closed_form(self):
         P, r = iid_chain([0.3, 0.5, 0.2], [1.0, -2.0, 4.0])
-        xi = stationary_distribution(P)
-        data = spectral_data(P, r)
+        xi = chain_stages(P, last="stationary_distribution").xi
+        data = chain_stages(P, r, last="spectral_data")
         assert np.abs(data.rhat - (r - data.zeta)).max() < 1e-12
         assert data.zeta == pytest.approx(float(xi @ r), abs=1e-14)
 
     def test_partial_sum_oracle(self):
         P, r = random_ergodic_chain(7, 5)
-        data = spectral_data(P, r)
+        data = chain_stages(P, r, last="spectral_data")
         # rhat = sum_{t>=0} (P^t r - zeta), truncated far past mixing
         acc = np.zeros(5)
         v = r.copy()
@@ -220,7 +220,7 @@ class TestPoisson:
     def test_residual_and_gauge_random_batch(self):
         for seed in range(20):
             P, r = random_ergodic_chain(100 + seed, 3 + seed % 4)
-            data = spectral_data(P, r)
+            data = chain_stages(P, r, last="spectral_data")
             assert np.abs(P @ data.rhat - data.rhat + r - data.zeta).max() <= 1e-10
             assert abs(float(data.xi @ data.rhat)) < 1e-12
 
@@ -228,13 +228,13 @@ class TestPoisson:
 class TestAsymptoticVariance:
     def test_iid_chain_is_plain_variance(self):
         P, r = iid_chain([0.25, 0.25, 0.5], [2.0, -1.0, 0.5])
-        data = spectral_data(P, r)
+        data = chain_stages(P, r, last="spectral_data")
         var = float((r - data.zeta) ** 2 @ data.xi)
         assert data.sigma2 == pytest.approx(var, abs=1e-12)
 
     def test_constant_reward_degenerate(self):
         P, _ = random_ergodic_chain(2, 3)
-        data = spectral_data(P, np.full(3, -1.5))
+        data = chain_stages(P, np.full(3, -1.5), last="spectral_data")
         assert data.sigma2 == pytest.approx(0.0, abs=1e-12)
         mu0 = np.full(3, 1 / 3)
         with pytest.raises(DegenerateVarianceError):
@@ -243,7 +243,7 @@ class TestAsymptoticVariance:
     def test_inventory_chain_against_monte_carlo(self, printed_chain):
         # empirical variance of the N-step total over many seeded paths
         P, r, mu0, mrp = printed_chain
-        data = spectral_data(P, r)
+        data = chain_stages(P, r, last="spectral_data")
         n_steps, paths = 10_000, 100_000
         totals = simulate(mrp, samples=paths, seed=424_242, n_steps=n_steps)
         empirical = totals.var() / n_steps
@@ -253,7 +253,7 @@ class TestAsymptoticVariance:
 class TestThirdMomentConstant:
     def test_iid_symmetric_two_point_vanishes(self):
         P, r = iid_chain([0.5, 0.5], [1.0, -1.0])
-        res = third_moment_constant(spectral_data(P, r))
+        res = chain_stages(P, r)
         assert res.kappa == pytest.approx(0.0, abs=1e-12)
         assert res.k1 == pytest.approx(0.0, abs=1e-15)
         assert res.k2 == pytest.approx(0.0, abs=1e-12)
@@ -261,9 +261,9 @@ class TestThirdMomentConstant:
 
     def test_iid_general_is_third_central_moment(self):
         P, r = iid_chain([0.3, 0.5, 0.2], [2.0, -1.0, 0.25])
-        xi = stationary_distribution(P)
+        xi = chain_stages(P, last="stationary_distribution").xi
         zeta = float(xi @ r)
-        res = third_moment_constant(spectral_data(P, r))
+        res = chain_stages(P, r)
         assert res.kappa == pytest.approx(float(((r - zeta) ** 3) @ xi), abs=1e-12)
 
     def test_closed_form_matches_lag_sum(self):
@@ -272,7 +272,7 @@ class TestThirdMomentConstant:
                                DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0, 3: 0}))
         chains.append(edgeworth.float_chain(witness)[:2])
         for P, r in chains:
-            res = third_moment_constant(spectral_data(P, r))
+            res = chain_stages(P, r)
             for got, want in zip((res.k1, res.k2, res.k3), lag_sum_kappa(P, r)):
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -281,8 +281,7 @@ class TestThirdMomentConstant:
         # and third cumulants of the total; rational forward DP gives those
         # exactly, and the slope between two horizons cancels the O(1) term
         P, r, mu0, mrp = printed_chain
-        data = spectral_data(P, r)
-        res = third_moment_constant(data)
+        data = res = chain_stages(P, r)
 
         def cumulants(n_steps):
             rq = [F(0), F(6), F(8)]
@@ -399,16 +398,25 @@ class TestEstimateCdf:
         assert cdf.kappa == pytest.approx(sum(lag_sum_kappa(P, r, T=2 ** 16)), rel=1e-9)
 
     def test_one_stationary_solve_per_estimate(self, printed_chain, monkeypatch):
+        # each traced stage runs once per stack: once for a one-chain estimate, and
+        # once per stack (13) on the FULL capacity-5 front
         calls = []
 
-        def counting(P):
-            calls.append(P)
-            return stationary_distribution(P)
+        def counted(name, stage):
+            def run(st):
+                calls.append(name)
+                return stage(st)
+            return run
 
-        monkeypatch.setattr(edgeworth, "stationary_distribution", counting)
+        for name in CHAIN_STAGES[1:]:
+            monkeypatch.setattr(edgeworth, name, counted(name, getattr(edgeworth, name)))
         P, r, mu0, _ = printed_chain
         estimate_cdf_arrays(P, r, mu0, 500)
-        assert len(calls) == 1
+        assert calls == list(CHAIN_STAGES[1:])
+        calls.clear()
+        mdp = build_inventory(InventoryParams(horizon=500, capacity=5))
+        pareto_front_long(mdp, 500, np.linspace(2000, 3000, 2501))
+        assert calls == list(CHAIN_STAGES[1:]) * 13
 
 
 def two_policy_mdp():
@@ -731,6 +739,8 @@ def front_minimum_cases():
         ("sigma2 1e6", 500, random_params(rng, 25, 1e6), np.linspace(-4e4, 4e4, 2001)),
         ("all NaN", 500, np.full((3, 4), np.nan), taus[:50]),
         ("many rows", 500, np.concatenate([random_params(rng, 300), mixed]), taus[::7]),
+        ("past the overflow of y * y", 500, mixed, np.concatenate(  # |y| > 4e155 in the tails
+            [-np.geomspace(1e300, 1e158, 50), taus[::50], np.geomspace(1e158, 1e300, 50)])),
         *((f"seed {seed}", 500, *seeded_params(seed)) for seed in range(30)),
     ]
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from varmdp import (DeterministicPolicy, MarkovRewardProcess, PreconditionError,
-                    exact_total_reward_distribution, induced_mrp,
-                    stationary_distribution, transform)
+                    exact_total_reward_distribution, induced_mrp, transform)
 
-from conftest import random_transition_mrp, reward_term_count, transformed_salvage
+from conftest import (chain_stages, random_transition_mrp, reward_term_count,
+                      transformed_salvage)
 
 F = Fraction
 
@@ -103,7 +103,7 @@ class TestDistributionPreservation:
             mrp = random_transition_mrp(rng, 3, 5, max_support=3)
             P = np.array([[float(p) for p in row] for row in mrp.kernel])
             try:
-                xi = stationary_distribution(P)
+                xi = chain_stages(P, last="stationary_distribution").xi
                 break
             except Exception:
                 continue
