@@ -5,10 +5,11 @@ simplification, expected-value induction, exact total-reward
 distributions, threshold percentiles via cumulative-reward state
 augmentation, and the exact CDF Pareto front by one backward pass that
 carries every threshold of the grid at once.
-Long horizons are estimated: the pair-state transformation preserves
-transition-reward distributions, and per-policy CDFs come from a
-normal-plus-correction expansion validated against a seeded Monte Carlo
-oracle.
+Long horizons are estimated: per-policy CDFs come from a
+normal-plus-correction expansion on the policy's own states, for state
+and transition rewards alike, validated against a seeded Monte Carlo
+oracle.  The pair-state transformation preserves transition-reward
+distributions, and the estimated front re-checks its witnesses on it.
 
 ``import varmdp`` loads the exact, rational layers only, and no numpy.
 The float layers (``edgeworth``, ``montecarlo`` and ``transformation``)

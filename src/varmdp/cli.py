@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
             "pair-state transformation of a transition-rewarded MRP")
 
     p = command("estimate-cdf", cmd_estimate_cdf,
-                "normal-plus-correction CDF estimate of a state-rewarded MRP")
+                "normal-plus-correction CDF estimate of an MRP")
     p.add_argument("--n-steps", type=int, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:steps")
     p.add_argument("--sidecar", default=None, help="write diagnostics JSON here")

@@ -1,10 +1,11 @@
-"""Long-horizon total-reward CDF estimation for ergodic state-rewarded chains.
+"""Long-horizon total-reward CDF estimation for ergodic Markov reward chains.
 
-For an ergodic chain with stationary distribution ``xi`` and state
-reward ``r``, the ``N``-step total is asymptotically normal with mean
-``N * zeta`` (``zeta = xi . r``) and variance ``sigma^2 * N``.  The
-estimate used here sharpens the normal limit by the first Edgeworth
-correction term,
+A chain pays ``R[x, y]`` on each move from ``x`` to ``y``; a state reward
+``r`` is the case ``R[x, y] = r(x)``.  For an ergodic chain with
+stationary distribution ``xi``, the ``N``-step total is asymptotically
+normal with mean ``N * zeta`` (``zeta = xi . (P o R) 1``, ``o`` the
+entrywise product) and variance ``sigma^2 * N``.  The estimate used here
+sharpens the normal limit by the first Edgeworth correction term,
 
     F(tau) ~= g(y) + gamma(y)/(sigma sqrt(N)) *
               [kappa/(6 sigma^2) * (1 - y^2) - rhat_start],
@@ -12,11 +13,14 @@ correction term,
 
 with ``g``/``gamma`` the standard normal CDF/density, ``kappa`` the
 asymptotic third cumulant of the total per step, and ``rhat`` the
-solution of the Poisson equation ``P rhat = rhat - r + zeta 1``
-(averaged over the start distribution).  All chain-level quantities come
-out of one fundamental kernel ``Z = (I - P - Xi)^{-1}``, where ``Xi``
-stacks ``xi`` row-wise; the lag sums in ``kappa`` close through
-``sum_{i>=1} P^i f = (Z - I)(f - xi.f)``.
+solution of the Poisson equation ``P rhat = rhat - (P o R) 1 + zeta 1``
+(averaged over the start distribution).  ``zeta``, ``sigma^2`` and
+``kappa`` are the first three derivatives at 0 of the log Perron root of
+``P o exp(theta R)`` (Ney & Nummelin 1987), and ``rhat`` is the first-order
+term of its right eigenvector; all come out of one fundamental kernel
+``Z = (I - P - Xi)^{-1}``, where ``Xi`` stacks ``xi`` row-wise.  They
+depend only on the moves, so a transition-rewarded chain is estimated on
+its own states, with the numbers of its pair-state chain.
 
 Geometric ergodicity is certified structurally, with one reachability
 closure per stack: a finite chain that is one strongly connected
@@ -31,18 +35,19 @@ stack with its own error.  Three stages keep public names
 (``stationary_distribution``, ``spectral_data``, ``third_moment_constant``)
 and are looked up at each call, so a timing wrapper bound over one of them
 sees every estimate, the front's stacks included.  The long-horizon front
-groups the stationary policies by the size of their chains, builds the
-chains as float arrays from per-MDP float tables (``FloatTables``) and
-estimates all chains of one size together, in stacks of at most
+groups the stationary policies by the size of their chains (the states
+reachable from the start), builds the chains as float arrays from per-MDP
+float tables (``FloatTables``) and estimates all chains of one size
+together, in stacks of at most
 ``_STACK_CELLS`` kernel entries; the per-policy numpy call overhead on
 many small chains is what this saves, and the cell bound keeps the
 stacks' temporaries small.  Its minimum is taken ``_EVAL_CELLS`` grid
 cells at a time, and it bounds each cell from below without ``math.erfc``
 (a knot table of the normal CDF), so the normal CDF runs only on the
-cells that can hold the minimum.  ``policy_chain`` and ``estimate_cdf``
-keep the exact ``Fraction`` route, which re-checks every witness.  The
-normal CDF is ``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command
-loads scipy.
+cells that can hold the minimum.  Each witness is estimated once more on
+its exact chain, ``policy_chain`` (the pair-state chain of an SAS
+instance), and must give the same numbers.  The normal CDF is
+``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command loads scipy.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityErr
                      PreconditionError)
 from .mdp import DeterministicPolicy, FiniteMdp, MarkovRewardProcess, induced_mrp
 from .pareto import ParetoFront
-from .transformation import bfs_levels, pair_chain, support_groups, transform
+from .transformation import bfs_levels, transform
 
 logger = logging.getLogger(__name__)
 
@@ -194,25 +199,36 @@ def stationary_distribution(st: _Stack) -> _Stack:
 def spectral_data(st: _Stack) -> _Stack:
     """One spectral pass per chain: ``zeta``, ``cond``, ``Z``, ``rhat`` and ``sigma2``.
 
+    With the centered reward ``Rt = R - zeta`` and ``M_j = P o Rt^j / j!``,
+    this is the second order of the Perron root ``lambda(theta) = 1 +
+    lambda_2 theta^2 + lambda_3 theta^3 + ...`` of ``P o exp(theta Rt)``:
+    centering (``xi . M_1 1 = 0``) removes the first order, so the second and
+    third derivatives of ``log lambda`` at 0 are ``sigma^2 = 2 lambda_2`` and
+    ``kappa = 6 lambda_3``.
     ``Z = (I - P - Xi)^{-1}`` is the fundamental kernel; a numerically
-    singular ``I - P - Xi`` (cond above 1e14) is refused.  ``rhat`` solves
-    the Poisson equation ``P rhat = rhat - r + zeta 1`` in the
+    singular ``I - P - Xi`` (cond above 1e14) is refused.  ``rhat = Z M_1 1``
+    solves the Poisson equation ``P rhat = rhat - M_1 1`` in the
     ``xi . rhat = 0`` gauge, with its residual checked against 1e-10, and
-    ``sigma^2 = sum_x [rhat(x)^2 - (P rhat)(x)^2] xi(x)``, clamped at zero.
+    ``lambda_2 = xi . (M_1 rhat + M_2 1)``; ``sigma^2`` is clamped at zero.
     """
-    st.zeta = _dot(st.xi, st.r)
+    st.zeta = _dot(st.xi, (st.P * st.R).sum(axis=-1))
     H = np.eye(st.P.shape[-1]) - st.P - st.xi[..., None, :]
     st.cond = np.linalg.cond(H)
     keep = st.refuse(~np.isfinite(st.cond) | (st.cond > 1e14), lambda j: (
         f"fundamental kernel is numerically singular (cond ~ {st.cond[j]:.3e})"))
     st.Z = np.linalg.inv(H[keep])
-    rhat = _mv(st.Z, st.r - st.zeta[..., None])
+    st.Rt = st.R - st.zeta[..., None, None]
+    st.M1 = st.P * st.Rt
+    f = st.M1.sum(axis=-1)
+    rhat = _mv(st.Z, f)
     st.rhat = rhat - _dot(st.xi, rhat)[..., None]  # gauge: stationary mean zero
-    Pr = _mv(st.P, st.rhat)
-    residual = np.abs(Pr - st.rhat + st.r - st.zeta[..., None]).max(axis=-1)
-    keep = st.refuse(residual > _POISSON_TOL, lambda j: (
+    residual = np.abs(_mv(st.P, st.rhat) - st.rhat + f).max(axis=-1)
+    st.refuse(residual > _POISSON_TOL, lambda j: (
         f"Poisson residual {residual[j]:.3e} exceeds {_POISSON_TOL} (cond ~ {st.cond[j]:.3e})"))
-    st.sigma2 = ((st.rhat ** 2 - Pr[keep] ** 2) * st.xi).sum(axis=-1)
+    st.M2 = st.M1 * st.Rt / 2.0
+    st.second = _mv(st.M1, st.rhat) + st.M2.sum(axis=-1)  # its xi-mean is lambda_2
+    st.lambda2 = _dot(st.xi, st.second)
+    st.sigma2 = 2.0 * st.lambda2
     st.refuse(st.sigma2 < _SIGMA2_FLOOR,
               lambda j: f"asymptotic variance {st.sigma2[j]:.3e} is negative")
     st.sigma2 = np.maximum(st.sigma2, 0.0)
@@ -220,27 +236,21 @@ def spectral_data(st: _Stack) -> _Stack:
 
 
 def third_moment_constant(st: _Stack) -> _Stack:
-    """Asymptotic third-cumulant constant ``kappa = k1 + k2 + k3`` of the total per step.
+    """Asymptotic third-cumulant constant ``kappa = 6 lambda_3`` of the total per step.
 
-    With the centered reward ``rt = r - zeta`` and the stationary start:
+    The third order of the Perron root, with its right eigenvector expanded
+    as ``1 + theta rhat + theta^2 v_2 + ...`` and matched power by power:
 
-        k1 = E_xi[rt(X_0)^3]
-        k2 = 3 * sum_{i>=1} (E_xi[rt^2(X_0) rt(X_i)] + E_xi[rt(X_0) rt^2(X_i)])
-        k3 = 6 * sum_{i,j>=1} E_xi[rt(X_0) rt(X_i) rt(X_{i+j})]
+        v_2 = Z (M_1 rhat + M_2 1 - lambda_2 1),   xi . v_2 = 0
+        lambda_3 = xi . (M_1 v_2 + M_2 rhat + M_3 1)
 
-    Every lag sum is closed through the fundamental kernel,
-    ``sum_{i>=1} P^i f = (Z - I)(f - xi.f)``, so no sum is truncated.
-    ``rt`` is centered already, and the tails of ``rt^2`` and ``rt * s``
-    are paired with ``xi * rt``, which annihilates constants, so they are
-    taken uncentered.
+    ``lambda_1 = 0`` and ``xi . rhat = 0`` drop the other terms of the third
+    order.  No sum is truncated.
     """
-    rt = st.r - st.zeta[..., None]
-    w = st.xi * rt
-    s = _mv(st.Z, rt) - rt  # sum_{j>=1} P^j rt
-    st.k1 = (rt ** 3 * st.xi).sum(axis=-1)
-    st.k2 = 3.0 * (_dot(w * rt, s) + _dot(w, _mv(st.Z, rt * rt) - rt * rt))
-    st.k3 = 6.0 * _dot(w, _mv(st.Z, rt * s) - rt * s)
-    st.kappa = st.k1 + st.k2 + st.k3
+    v2 = _mv(st.Z, st.second - st.lambda2[..., None])
+    v2 -= _dot(st.xi, v2)[..., None]
+    M3 = st.M2 * st.Rt / 3.0
+    st.kappa = 6.0 * _dot(st.xi, _mv(st.M1, v2) + _mv(st.M2, st.rhat) + M3.sum(axis=-1))
     return st
 
 
@@ -295,7 +305,9 @@ def _cdf_floors() -> np.ndarray:
 
 def _cdf_floor(y: np.ndarray) -> np.ndarray:
     """A lower bound of ``normal_cdf(y)`` from the knot table, elementwise; finite for NaN."""
-    knot = np.fmin(np.fmax(y * _KNOTS_PER_UNIT, _FIRST_KNOT), _LAST_KNOT)  # NaN reads the first
+    # clamped before scaling, so that a huge y cannot overflow; NaN reads the first knot
+    knot = np.fmin(np.fmax(y, _FIRST_KNOT / _KNOTS_PER_UNIT), _LAST_KNOT / _KNOTS_PER_UNIT)
+    knot *= _KNOTS_PER_UNIT  # a power of two: exact
     np.floor(knot, out=knot)
     knot -= _FIRST_KNOT
     return _cdf_floors()[knot.astype(np.intp)]
@@ -304,7 +316,8 @@ def _cdf_floor(y: np.ndarray) -> np.ndarray:
 def _edgeworth_terms(n_steps: int, zeta, sigma2, kappa, rhat_start, tau):
     """``y`` and the correction of the estimate, broadcast over the chain parameters and ``tau``."""
     scale = np.sqrt(sigma2) * math.sqrt(n_steps)
-    y = (tau - float(n_steps) * zeta) / scale
+    with np.errstate(over="ignore", divide="ignore"):  # far tails: +-inf is the value meant
+        y = (tau - float(n_steps) * zeta) / scale
     flat = np.clip(y, -_FLAT, _FLAT)
     density = np.exp(-0.5 * flat * flat) / math.sqrt(2.0 * math.pi)
     return y, density / scale * (kappa / (6.0 * sigma2) * (1.0 - flat * flat) - rhat_start)
@@ -361,7 +374,8 @@ def _front_minimum(n_steps: int, params: np.ndarray, taus: np.ndarray):
     cols = np.arange(len(runs))
     least, incumbent = np.full(len(runs), np.inf), np.zeros(len(runs), dtype=np.intp)
     for rows in blocks:
-        y = (edges[:-1] - shift[rows]) / scale[rows]
+        with np.errstate(over="ignore", divide="ignore"):  # +-inf is the value meant
+            y = (edges[:-1] - shift[rows]) / scale[rows]
         y[np.isnan(y)] = np.inf
         low = y.argmin(axis=0)
         lower = y[low, cols] < least
@@ -375,7 +389,8 @@ def _front_minimum(n_steps: int, params: np.ndarray, taus: np.ndarray):
     best = np.full(count, np.inf)
     witness = np.full(count, -1, dtype=np.intp)
     for rows in blocks:
-        y = (edges - shift[rows]) / scale[rows]
+        with np.errstate(over="ignore", divide="ignore"):
+            y = (edges - shift[rows]) / scale[rows]
         near = np.clip(np.clip(0.0, y[:, :-1], y[:, 1:]), -_FLAT, _FLAT)  # bracket point nearest 0
         density = np.exp(-0.5 * near * near) / math.sqrt(2.0 * math.pi)
         shape = np.where(np.abs(near) < 1.0, 0.4840, density * (1.0 + near * near))
@@ -423,25 +438,27 @@ class EdgeworthCdf:
 
 
 def float_chain(mrp: MarkovRewardProcess):
-    """Float (P, r, mu0) arrays of a state-rewarded process."""
-    if mrp.reward_on != "state":
-        raise PreconditionError(
-            "float_chain: transition-rewarded process; apply the pair-state "
-            "transformation first")
+    """Float (P, R, mu0) arrays of a process, on the states reachable from its start.
+
+    ``R[x, y]`` is paid on the move from ``x`` to ``y``.  The other states
+    cannot change the total, and the pair-state transformation drops them too.
+    """
     P, R, _, mu0 = mrp.arrays(float)
-    return P, R[:, 0].copy(), mu0  # a strided column would round the dot products differently
+    keep = np.flatnonzero(bfs_levels(P > 0, mu0 > 0) >= 0)
+    return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep]
 
 
 def estimate_cdf(mrp: MarkovRewardProcess, n_steps: int) -> EdgeworthCdf:
     """Estimate the CDF of the ``n_steps``-term total reward of an ergodic chain.
 
-    ``n_steps`` is the number of reward summands.  The start distribution
-    enters through ``rhat_start = E_mu0[rhat]``; the third-moment
-    constant is the stationary one (the asymptotic constant does not
-    depend on the start).  Degenerate variance is refused.
+    ``n_steps`` is the number of reward summands.  The chain is taken on
+    the states reachable from its start (``float_chain``), whether it pays
+    state or transition rewards.  The start distribution enters through
+    ``rhat_start = E_mu0[rhat]``; the third-moment constant is the
+    stationary one (the asymptotic constant does not depend on the start).
+    Degenerate variance is refused.
     """
-    P, r, mu0 = float_chain(mrp)
-    return estimate_cdf_arrays(P, r, mu0, n_steps)
+    return estimate_cdf_arrays(*float_chain(mrp), n_steps)
 
 
 def _check_n_steps(n_steps: int) -> None:
@@ -461,27 +478,37 @@ def _degenerate(st: _Stack) -> _Stack:
     return st
 
 
-def estimate_cdf_arrays(P, r, mu0, n_steps: int) -> EdgeworthCdf:
-    """Array-level variant of ``estimate_cdf``: ``_estimate_stack`` on a stack of one."""
+def estimate_cdf_arrays(P, R, mu0, n_steps: int) -> EdgeworthCdf:
+    """Array-level variant of ``estimate_cdf``: ``_estimate_stack`` on a stack of one.
+
+    ``R[x, y]`` is the reward of a move from ``x`` to ``y``; a vector ``R``
+    is a state reward, ``R[x, y] = R[x]``.
+    """
     _check_n_steps(n_steps)
-    st = _estimate_stack(*(np.asarray(a, dtype=float)[None] for a in (P, r, mu0))).only()
+    P, R, mu0 = (np.asarray(a, dtype=float) for a in (P, R, mu0))
+    if R.ndim == 1:
+        R = np.repeat(R[:, None], len(R), axis=1)
+    st = _estimate_stack(P[None], R[None], mu0[None]).only()
     return EdgeworthCdf(
         n_steps=int(n_steps), zeta=float(st.zeta[0]), sigma2=float(st.sigma2[0]),
         kappa=float(st.kappa[0]), rhat_start=float(st.rhat_start[0]), cond_h=float(st.cond[0]))
 
 
-def _estimate_stack(P: np.ndarray, r: np.ndarray, mu0: np.ndarray) -> _Stack:
+def _estimate_stack(P: np.ndarray, R: np.ndarray, mu0: np.ndarray) -> _Stack:
     """Every stage of the estimate on a stack of equal-size chains.
 
-    The chains left in the stack carry ``zeta``, ``sigma2``, ``kappa``,
-    ``rhat_start`` and ``cond``; each refused one has its error under its
-    index.  The stages are read from the module at each call.
+    ``R[m, x, y]`` is the reward chain ``m`` pays on the move from ``x`` to
+    ``y``.  The chains left in the stack carry ``zeta``, ``sigma2``,
+    ``kappa``, ``rhat_start`` (the four also as rows of ``numbers``) and
+    ``cond``; each refused one has its error under its index.  The stages
+    are read from the module at each call.
     """
-    st = _Stack(P=P, r=r, mu0=mu0)
+    st = _Stack(P=P, R=R, mu0=mu0)
     for stage in (_check_structure, stationary_distribution, spectral_data, _degenerate,
                   third_moment_constant):
         stage(st)
     st.rhat_start = _dot(st.mu0, st.rhat)
+    st.numbers = np.stack([st.zeta, st.sigma2, st.kappa, st.rhat_start], axis=-1)
     return st
 
 
@@ -524,60 +551,51 @@ def policy_slots(mdp: FiniteMdp) -> np.ndarray:
 class FloatTables:
     """Float copies of an MDP's tables, indexed by action slot ``k`` of ``actions[x]``.
 
-    ``P[x, k, y]`` is the kernel, ``R[x, k, y]`` (SAS) or ``R[x, k]`` (SA)
-    the reward and ``start[x, k, y]`` the exact product
-    ``mu0(x) p(y | x, a)`` rounded once, so the arrays of a policy's chain
-    equal ``float_chain(policy_chain(mdp, policy))`` entry for entry.
-    Policies are given as rows of action slots (``policy_slots``).
+    ``P[x, k, y]`` is the kernel and ``R[x, k, y]`` the reward of the move
+    from ``x`` to ``y``, for SAS and SA instances alike (an SA action pays
+    its reward towards every ``y``).  A policy's chain lives on the base
+    states reachable from the start, and its arrays equal those of
+    ``induced_mrp(mdp, policy).arrays(float)`` on these states, entry for
+    entry.  Policies are given as rows of action slots (``policy_slots``).
     """
 
     P: np.ndarray
     R: np.ndarray
-    start: np.ndarray
     mu0: np.ndarray
 
     def sizes(self, slots: np.ndarray) -> np.ndarray:
-        """The state count of each policy's chain: reachable states, or pairs for SAS rows."""
-        rows = np.arange(slots.shape[-1])
-        positive = (self.P > 0)[rows, slots]
-        if self.R.ndim == 2:
-            return (bfs_levels(positive, self.mu0 > 0) >= 0).sum(axis=-1)
-        reach = bfs_levels(positive, (self.start > 0).any(axis=-1)[rows, slots]) >= 0
-        return (positive & reach[..., None]).sum(axis=(-2, -1))
+        """The state count of each policy's chain: the states reachable from the start."""
+        positive = (self.P > 0)[np.arange(slots.shape[-1]), slots]
+        return (bfs_levels(positive, self.mu0 > 0) >= 0).sum(axis=-1)
 
     def chains(self, slots: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-        """Float chains of stationary policies, as ``policy_chain`` builds them, grouped by size.
+        """Float chains of stationary policies on their reachable states, grouped by size.
 
-        Each policy's rows are restricted to the states reachable from the
-        start; SAS rows then go through the pair-state construction.
-        Returns ``(members, P, r, mu0)`` per chain size, with the chains of
+        Returns ``(members, P, R, mu0)`` per chain size, with the chains of
         the policies ``slots[members[g]]`` along the leading axis.
         """
         rows = np.arange(slots.shape[-1])
         P, R = self.P[rows, slots], self.R[rows, slots]
-        if R.ndim == 3:  # SAS: one reward per transition
-            return [(members, kernel, reward, mu0) for members, _, _, kernel, reward, mu0
-                    in pair_chain(P, R, self.start[rows, slots])]
-        groups = []
-        for members, keep in support_groups(bfs_levels(P > 0, self.mu0 > 0) >= 0):
-            m = members[:, None]
-            groups.append((members, P[m[..., None], keep[:, :, None], keep[:, None, :]],
-                           R[m, keep], self.mu0[keep]))
+        reach = bfs_levels(P > 0, self.mu0 > 0) >= 0
+        sizes, groups = reach.sum(axis=-1), []
+        for size in sorted(set(sizes.tolist())):
+            members = np.flatnonzero(sizes == size)
+            keep = np.nonzero(reach[members])[1].reshape(len(members), size)  # in state order
+            square = members[:, None, None], keep[:, :, None], keep[:, None, :]
+            groups.append((members, P[square], R[square], self.mu0[keep]))
         return groups
 
 
 def float_tables(mdp: FiniteMdp) -> FloatTables:
     """Build an MDP's ``FloatTables`` once, for many policy chains."""
     n, width = mdp.n_states, max(len(acts) for acts in mdp.actions)
-    P, start = np.zeros((n, width, n)), np.zeros((n, width, n))
-    R = np.zeros((n, width, n) if mdp.is_sas else (n, width))
+    P, R = np.zeros((n, width, n)), np.zeros((n, width, n))
     for x, acts in enumerate(mdp.actions):
         for k, a in enumerate(acts):
             for y, p, r in mdp.kernel[x, a]:
                 P[x, k, y] = float(p)
-                start[x, k, y] = float(mdp.mu0[x] * p)
-                R[(x, k, y) if mdp.is_sas else (x, k)] = float(r)
-    return FloatTables(P=P, R=R, start=start, mu0=np.array([float(p) for p in mdp.mu0]))
+                R[x, k, y if mdp.is_sas else slice(None)] = float(r)
+    return FloatTables(P=P, R=R, mu0=np.array([float(p) for p in mdp.mu0]))
 
 
 def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
@@ -587,19 +605,21 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     Enumerates stationary deterministic policies; non-ergodic or
     degenerate-variance chains are skipped and reported in one logged
     warning, a line per policy in policy order.  The policies' chains are
-    built as float arrays from the MDP's ``FloatTables`` (reachable rows,
-    then pair states for SAS instances).  All chains of one size are
-    estimated together, in stacks of at most ``_STACK_CELLS`` kernel
-    entries, with the numbers ``estimate_cdf_arrays`` gives each chain
-    alone.  The minimum (``_front_minimum``) keeps the earliest policy on
-    ties and evaluates the normal CDF only where the minimum can be.  Every
-    witness is rebuilt on the exact route,
-    ``float_chain(policy_chain(mdp, policy))``, and its arrays must equal
-    the float ones; that route runs at horizon 2, the least the pair-state
-    transformation accepts, whatever the document's horizon.
-    The number of reward terms is ``n_steps`` for both reward conventions
-    (an SAS chain over ``n_steps`` epochs pays ``n_steps`` transition
-    rewards; its pair chain pays the same count of state rewards).
+    built as float arrays from the MDP's ``FloatTables``, on the base
+    states reachable from the start, for SAS and SA instances alike.  All
+    chains of one size are estimated together, in stacks of at most
+    ``_STACK_CELLS`` kernel entries, with the numbers ``estimate_cdf_arrays``
+    gives each chain alone.  The minimum (``_front_minimum``) keeps the
+    earliest policy on ties and evaluates the normal CDF only where the
+    minimum can be.  Every witness is estimated once more on its exact
+    route, ``float_chain(policy_chain(mdp, policy))`` (the pair-state chain
+    of an SAS instance), and its four numbers must match the base-chain
+    ones within 1e-9 of ``max(1, |value|)``: the pair-state
+    transformation's claim, checked at run time.  That route runs at
+    horizon 2, the least the transformation accepts, whatever the
+    document's horizon.  The number of reward terms is ``n_steps`` for
+    both reward conventions (an SAS chain over ``n_steps`` epochs pays
+    ``n_steps`` transition rewards).
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or len(taus) < 2 or np.any(np.diff(taus) <= 0):
@@ -623,12 +643,11 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
         same = np.flatnonzero(sizes == size)
         step = max(1, _STACK_CELLS // (size * size))
         for first in range(0, len(same), step):
-            for members, P, r, mu0 in tables.chains(slots[same[first:first + step]]):
-                st = _estimate_stack(P, r, mu0)
+            for members, P, R, mu0 in tables.chains(slots[same[first:first + step]]):
+                st = _estimate_stack(P, R, mu0)
                 pids = same[first:first + step][members]
                 estimated[pids[st.ids]] = True
-                params[pids[st.ids]] = np.stack(
-                    [st.zeta, st.sigma2, st.kappa, st.rhat_start], axis=-1)
+                params[pids[st.ids]] = st.numbers
                 skipped.update((int(pids[j]), exc) for j, exc in st.errors.items())
     if skipped:
         logger.warning("\n".join(f"policy {pid} skipped: {skipped[pid]}"
@@ -642,10 +661,10 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     listings: dict[int, str] = {}
     routed = replace(mdp, horizon=2)  # chain arrays do not depend on the horizon
     for pid in sorted(set(witness.tolist()) - {-1}):
-        [(_, *chain)] = tables.chains(slots[[pid]])
-        exact = float_chain(policy_chain(routed, policies[pid]))
-        if not all(np.array_equal(a[0], b) for a, b in zip(chain, exact)):
-            raise RuntimeError(f"policy {pid}: float chain differs from its exact chain")
+        st = _estimate_stack(*(a[None] for a in float_chain(policy_chain(routed, policies[pid]))))
+        close = np.abs(st.numbers - params[pid]) <= 1e-9 * np.maximum(1, np.abs(params[pid]))
+        if st.errors or not close.all():  # a refused exact chain has no row
+            raise RuntimeError(f"policy {pid}: base-chain estimate differs from its exact chain's")
         listings[pid] = "\n".join(
             f"{mdp.states[x]} -> {policies[pid].action(0, x)}" for x in range(mdp.n_states))
     return ParetoFront(kind="estimated", grid=tuple(taus.tolist()), value=tuple(best.tolist()),

@@ -18,9 +18,9 @@ import pytest
 import varmdp.edgeworth as edgeworth
 from varmdp import (DegenerateVarianceError, ErgodicityError, FiniteMdp, MarkovRewardProcess,
                     ParetoFront, PreconditionError, StepCdf, enumerate_stationary_policies,
-                    estimate_cdf_arrays, paper_short, paper_short_printed, policy_chain,
+                    estimate_cdf_arrays, induced_mrp, paper_short, paper_short_printed,
                     simplify_reward, transform)
-from varmdp.edgeworth import float_chain, normal_cdf
+from varmdp.edgeworth import normal_cdf
 
 ZERO = Fraction(0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -141,11 +141,14 @@ CHAIN_STAGES = ("_check_structure", "stationary_distribution", "spectral_data",
 def chain_stages(P, r=None, last: str = CHAIN_STAGES[-1]) -> SimpleNamespace:
     """One chain's row after the estimate's stages up to ``last``, run on a stack of one.
 
-    The stages are read from ``edgeworth`` at each call; the chain's own
-    error is raised by the stage that refuses it.
+    ``r`` is a state reward, paid as ``R[x, y] = r(x)``.  The stages are
+    read from ``edgeworth`` at each call; the chain's own error is raised by
+    the stage that refuses it.
     """
-    st = edgeworth._Stack(**{k: np.asarray(v, dtype=float)[None]
-                             for k, v in (("P", P), ("r", r)) if v is not None})
+    P = np.asarray(P, dtype=float)
+    arrays = {"P": P} if r is None else {"P": P, "R": np.repeat(
+        np.asarray(r, dtype=float)[:, None], len(P), axis=1)}
+    st = edgeworth._Stack(**{k: v[None] for k, v in arrays.items()})
     for name in CHAIN_STAGES[:CHAIN_STAGES.index(last) + 1]:
         getattr(edgeworth, name)(st).only()
     return SimpleNamespace(**{k: v[0] for k, v in vars(st).items() if isinstance(v, np.ndarray)})
@@ -207,21 +210,34 @@ def transformed_salvage(mrp: MarkovRewardProcess, salvage):
     return transform(replace(mrp, salvage=tuple(Fraction(v) for v in salvage)))
 
 
+def base_chain(mdp: FiniteMdp, policy) -> tuple[np.ndarray, ...]:
+    """Float ``(P, R, mu0)`` of a policy's induced chain on the states reachable from the start.
+
+    The reachable set is closed here by plain iteration, not by the
+    library's breadth-first search.
+    """
+    P, R, _, mu0 = induced_mrp(mdp, policy).arrays(float)
+    reach = mu0 > 0
+    for _ in range(len(P)):  # a reachable state is at most n - 1 moves away
+        reach = reach | (P[reach] > 0).any(axis=0)
+    keep = np.flatnonzero(reach)
+    return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep]
+
+
 def reference_front_long(mdp: FiniteMdp, n_steps: int, taus):
-    """The long-horizon front one policy at a time: ``estimate_cdf_arrays`` per exact chain.
+    """The long-horizon front one policy at a time: ``estimate_cdf_arrays`` per base chain.
 
     Returns the front (``None`` when no policy is estimated) and the skip
     messages, in policy order, as ``pareto_front_long`` logs them.
     """
     taus = np.asarray(taus, dtype=float)
     policies = enumerate_stationary_policies(mdp)
-    routed = replace(mdp, horizon=2)  # the least horizon the pair-state transform accepts
     best = np.full(len(taus), np.inf)
     witness = np.full(len(taus), -1)
     skipped, used = [], 0
     for pid, policy in enumerate(policies):
         try:
-            cdf = estimate_cdf_arrays(*float_chain(policy_chain(routed, policy)), n_steps)
+            cdf = estimate_cdf_arrays(*base_chain(mdp, policy), n_steps)
         except (ErgodicityError, DegenerateVarianceError) as exc:
             skipped.append(f"policy {pid} skipped: {exc}")
             continue

@@ -179,6 +179,15 @@ class TestCli:
         meta = json.loads(side.read_text())
         for key in ("zeta", "sigma2", "kappa", "rhat_start", "cond_h"):
             assert key in meta
+        # the untransformed chain is estimated on its own states, with the same numbers
+        # (cond_h is the condition number of another matrix)
+        base_side = tmp_path / "base-side.json"
+        assert run_cli("estimate-cdf", str(mrp_doc), "--n-steps", "500",
+                       "--grid", "1500:2200:100", "-o", str(tmp_path / "base.csv"),
+                       "--sidecar", str(base_side)) == 0
+        base = json.loads(base_side.read_text())
+        for key in ("zeta", "sigma2", "kappa", "rhat_start"):
+            assert base[key] == pytest.approx(meta[key], rel=1e-12, abs=0.0)
 
     def test_simulate_and_compare(self, tmp_path, capsys):
         mrp_doc = tmp_path / "mrp.json"
@@ -591,11 +600,9 @@ def test_model_refusals_exit_through_main(tmp_path, capsys, short_sas, case, cod
      "grid: need hi > lo and steps >= 2"),
     (["compare", "{header}", "{header}"], 2,
      "{header}: expected a CSV with a header and data rows"),
-    (["estimate-cdf", "{trans}", "--n-steps", "5", "--grid=0:1:3"], 3,
-     "float_chain: transition-rewarded process; apply the pair-state transformation first"),
     (["dist-exact", "{short}", "--policy", "{policy}"], 3, "policy: 1 rules for horizon 2"),
 ], ids=["grid-two-fields", "grid-decreasing", "grid-one-step", "compare-header-only",
-        "estimate-transition-rewarded", "policy-too-few-rules"])
+        "policy-too-few-rules"])
 def test_argument_refusals_exit_through_main(tmp_path, capsys, short_doc, argv, code, message):
     paths = {"trans": tmp_path / "trans.json", "header": tmp_path / "header.csv",
              "policy": tmp_path / "policy.json", "short": short_doc}
@@ -686,6 +693,12 @@ def test_far_tails_read_exactly_0_and_1(tmp_path, short_doc):
     assert run_cli("pareto-long", short_doc, "--horizon", "500", "--grid=-1e300:1e300:5",
                    "-o", str(out)) == 0
     assert column("pareto_value")[:2] == ["0", "0"] and column("pareto_value")[3:] == ["1", "1"]
+    # a small scale makes (tau - N zeta) / scale itself overflow to inf
+    doc = json.loads(chain.read_text())
+    chain.write_text(json.dumps(dict(doc, state_rewards=["0", "1/1000"])))
+    assert run_cli("estimate-cdf", str(chain), "--n-steps", "1", "-o", str(out),
+                   "--grid=0:1e308:5") == 0
+    assert column("cdf")[1:] == ["1"] * 4
 
 
 def test_pareto_long_refuses_nonpositive_horizon(tmp_path, capsys, short_sas):

@@ -20,7 +20,7 @@ from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityErro
                     induced_mrp, paper_long, pareto_front_long, policy_chain, query_eta,
                     query_rho, simplify_reward, simulate)
 
-from conftest import (CHAIN_STAGES, chain_stages, empirical_cdf, normal_reference,
+from conftest import (CHAIN_STAGES, base_chain, chain_stages, empirical_cdf, normal_reference,
                       random_ergodic_chain, random_mdp, reference_front_long)
 
 F = Fraction
@@ -255,9 +255,6 @@ class TestThirdMomentConstant:
         P, r = iid_chain([0.5, 0.5], [1.0, -1.0])
         res = chain_stages(P, r)
         assert res.kappa == pytest.approx(0.0, abs=1e-12)
-        assert res.k1 == pytest.approx(0.0, abs=1e-15)
-        assert res.k2 == pytest.approx(0.0, abs=1e-12)
-        assert res.k3 == pytest.approx(0.0, abs=1e-12)
 
     def test_iid_general_is_third_central_moment(self):
         P, r = iid_chain([0.3, 0.5, 0.2], [2.0, -1.0, 0.25])
@@ -270,11 +267,11 @@ class TestThirdMomentConstant:
         chains = [random_ergodic_chain(200 + n, n) for n in (3, 4, 7, 12, 25, 50)]
         witness = policy_chain(paper_long(),
                                DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0, 3: 0}))
-        chains.append(edgeworth.float_chain(witness)[:2])
+        P, R, _ = edgeworth.float_chain(witness)
+        chains.append((P, R[:, 0]))  # a state-rewarded chain pays R[x, y] = r(x)
         for P, r in chains:
             res = chain_stages(P, r)
-            for got, want in zip((res.k1, res.k2, res.k3), lag_sum_kappa(P, r)):
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert res.kappa == pytest.approx(sum(lag_sum_kappa(P, r)), rel=1e-9, abs=1e-9)
 
     def test_matches_exact_cumulant_growth_rate(self, printed_chain):
         # sigma^2 and kappa are the asymptotic growth rates of the exact second
@@ -399,7 +396,8 @@ class TestEstimateCdf:
 
     def test_one_stationary_solve_per_estimate(self, printed_chain, monkeypatch):
         # each traced stage runs once per stack: once for a one-chain estimate, and
-        # once per stack (13) on the FULL capacity-5 front
+        # on the FULL capacity-5 front once per chain size (1 to 6 states) and once
+        # for the exact chain of its one witness
         calls = []
 
         def counted(name, stage):
@@ -416,7 +414,7 @@ class TestEstimateCdf:
         calls.clear()
         mdp = build_inventory(InventoryParams(horizon=500, capacity=5))
         pareto_front_long(mdp, 500, np.linspace(2000, 3000, 2501))
-        assert calls == list(CHAIN_STAGES[1:]) * 13
+        assert calls == list(CHAIN_STAGES[1:]) * 7
 
 
 def two_policy_mdp():
@@ -526,7 +524,7 @@ def test_monotone_guard_lifts_far_tail_dips_on_paper_long():
     raw = np.full(len(taus), np.inf)
     for policy in enumerate_stationary_policies(mdp):
         try:
-            cdf = estimate_cdf_arrays(*edgeworth.float_chain(policy_chain(mdp, policy)), 500)
+            cdf = estimate_cdf_arrays(*base_chain(mdp, policy), 500)
         except (ErgodicityError, DegenerateVarianceError):
             continue
         raw = np.minimum(raw, cdf.evaluate(taus))
@@ -562,17 +560,48 @@ def test_float_front_matches_exact_path_reference(caplog, name, mdp, grid):
     assert len(front.policies) >= 1
 
 
-@pytest.mark.parametrize("reward_kind", ["sas", "sa"])
-def test_stacked_front_matches_per_policy_loop_on_random_mdps(caplog, reward_kind):
-    # SA chains group by their count of reachable states, SAS chains by pair count
-    taus = np.linspace(-1700.0, 1700.0, 681)
-    fronts = 0
+def seeded_random_mdps(reward_kind):
+    """100 seeded random MDPs of 1 to 4 states, up to 3 actions, some with sparse rows."""
     for seed in range(100):
         rng = random.Random(seed)
-        mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=3, reward_kind=reward_kind,
+        yield random_mdp(rng, n_states=rng.randint(1, 4), horizon=3, reward_kind=reward_kind,
                          max_actions=3, max_support=rng.choice([None, None, 2]))
-        fronts += assert_front_matches_reference(caplog, mdp, 200, taus) is not None
+
+
+@pytest.mark.parametrize("reward_kind", ["sas", "sa"])
+def test_stacked_front_matches_per_policy_loop_on_random_mdps(caplog, reward_kind):
+    # the chains group by their count of reachable states
+    taus = np.linspace(-1700.0, 1700.0, 681)
+    fronts = sum(assert_front_matches_reference(caplog, mdp, 200, taus) is not None
+                 for mdp in seeded_random_mdps(reward_kind))
     assert fronts >= 50
+
+
+def test_pair_chain_and_base_chain_give_the_same_estimate():
+    # The paper's claim: the pair-state chain pays the same total as the transition-rewarded
+    # chain, so estimating it must refuse the same policies and give the same numbers.
+    mdps = [build_inventory(InventoryParams(horizon=500, capacity=c)) for c in (3, 4, 5)]
+    counts = {"estimated": 0, "refused": 0}
+    for mdp in [*mdps, *seeded_random_mdps("sas")]:
+        routed = replace(mdp, horizon=2)  # the least horizon the transformation accepts
+        for policy in enumerate_stationary_policies(mdp):
+            outcomes = []
+            for chain in (edgeworth.float_chain(policy_chain(routed, policy)),
+                          base_chain(mdp, policy)):
+                try:
+                    cdf = estimate_cdf_arrays(*chain, 500)
+                except (ErgodicityError, DegenerateVarianceError) as exc:
+                    outcomes.append(type(exc))
+                else:
+                    outcomes.append(np.array([cdf.zeta, cdf.sigma2, cdf.kappa, cdf.rhat_start]))
+            pair, base = outcomes
+            if isinstance(base, type) or isinstance(pair, type):
+                assert pair is base, policy
+                counts["refused"] += 1
+                continue
+            assert (np.abs(pair - base) <= 1e-12 * np.maximum(1.0, np.abs(base))).all(), policy
+            counts["estimated"] += 1
+    assert counts["estimated"] >= 700 and counts["refused"] >= 950
 
 
 def test_stacked_chains_fail_alone(monkeypatch):
@@ -586,28 +615,34 @@ def test_stacked_chains_fail_alone(monkeypatch):
     eps = 1e-15
     near_split = np.array([[1 - eps, eps, 0.0], [eps, 0.5 - eps, 0.5], [0.0, 0.5, 0.5]])
     two_cycles = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
-    telescoping = np.array([1.0, -1.0, 0.0])  # cycle means zero: sigma^2 = 0 exactly
-    chains = [random_ergodic_chain(seed, 3) for seed in range(4)]
+    h = np.array([0.0, 1e4, 2e4])
+    telescoping = h[:, None] - h[None, :]  # R[x, y] = h(x) - h(y): sigma^2 = 0 exactly
+
+    def state(r):  # a state reward is paid as R[x, y] = r(x)
+        return np.repeat(np.asarray(r, dtype=float)[:, None], 3, axis=1)
+
+    chains = [(P, state(r)) for P, r in (random_ergodic_chain(seed, 3) for seed in range(4))]
     cases = [
         (*chains[0], None),
-        (np.eye(3), np.ones(3), "stationary solve failed: "),
+        (np.eye(3), state(np.ones(3)), "stationary solve failed: "),
         (*chains[1], None),
-        (near_split, np.array([1.0, -2.0, 0.5]), "fundamental kernel is numerically singular"),
+        (near_split, state([1.0, -2.0, 0.5]), "fundamental kernel is numerically singular"),
         (chains[2][0], 1e6 * chains[2][1], "Poisson residual "),
-        (two_cycles, 1e4 * telescoping, "asymptotic variance -"),
-        (chains[3][0], np.full(3, 3.25), "asymptotic variance 0.000e+00 is (numerically) zero"),
+        (two_cycles, telescoping, "asymptotic variance -"),
+        (chains[3][0], state(np.full(3, 3.25)),
+         "asymptotic variance 0.000e+00 is (numerically) zero"),
         (*chains[3], None),
     ]
-    P, r, _ = (np.array(column) for column in zip(*cases))
+    P, R, _ = (np.array(column) for column in zip(*cases))
     mu0 = np.full((len(cases), 3), 1 / 3)
-    stack = edgeworth._estimate_stack(P, r, mu0)
+    stack = edgeworth._estimate_stack(P, R, mu0)
     healthy = [i for i, case in enumerate(cases) if case[2] is None]
-    alone = edgeworth._estimate_stack(P[healthy], r[healthy], mu0[healthy])
+    alone = edgeworth._estimate_stack(P[healthy], R[healthy], mu0[healthy])
     assert stack.ids.tolist() == healthy and sorted(stack.errors) == sorted(
         set(range(len(cases))) - set(healthy))
-    for i, (Pi, ri, prefix) in enumerate(cases):
+    for i, (Pi, Ri, prefix) in enumerate(cases):
         try:
-            want = estimate_cdf_arrays(Pi, ri, mu0[i], 100)
+            want = estimate_cdf_arrays(Pi, Ri, mu0[i], 100)
         except (ErgodicityError, DegenerateVarianceError) as exc:
             got = stack.errors[i]
             assert type(got) is type(exc) and str(got) == str(exc)
@@ -623,9 +658,9 @@ def test_witness_chain_mismatch_is_refused(monkeypatch):
     mdp = two_policy_mdp()
     exact = edgeworth.float_chain
 
-    def shifted(mrp):
-        P, r, mu0 = exact(mrp)
-        return P, r + 1e-9, mu0
+    def shifted(mrp):  # moves zeta by 1e-6, past the check's 1e-9 * max(1, |zeta|)
+        P, R, mu0 = exact(mrp)
+        return P, R + 1e-6, mu0
 
     monkeypatch.setattr(edgeworth, "float_chain", shifted)
     with pytest.raises(RuntimeError, match="differs from its exact chain"):
@@ -650,7 +685,7 @@ def test_float_chain_arrays_equal_exact_path(reward_kind):
         for members, *stacked in groups:
             for g, pid in enumerate(members):
                 got = [a[g] for a in stacked]
-                want = edgeworth.float_chain(policy_chain(mdp, policies[pid]))
+                want = base_chain(mdp, policies[pid])
                 for a, b in zip(got, want):
                     assert a.shape == b.shape and np.array_equal(a, b)
                 checked += 1
@@ -788,12 +823,8 @@ def test_sub_stacks_of_one_and_many_chains_give_the_same_front(caplog, monkeypat
     cases = [(build_inventory(InventoryParams(horizon=500, capacity=c)), 500,
               np.linspace(1700, 3000, 651)) for c in (3, 4, 5)]
     for reward_kind in ("sas", "sa"):  # the MDPs of the per-policy loop test
-        for seed in range(100):
-            rng = random.Random(seed)
-            mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=3,
-                             reward_kind=reward_kind, max_actions=3,
-                             max_support=rng.choice([None, None, 2]))
-            cases.append((mdp, 200, np.linspace(-1700.0, 1700.0, 681)))
+        cases.extend((mdp, 200, np.linspace(-1700.0, 1700.0, 681))
+                     for mdp in seeded_random_mdps(reward_kind))
     defaults = [run_front(caplog, *case) for case in cases]
     stacks = []
     estimate = edgeworth._estimate_stack
@@ -803,7 +834,7 @@ def test_sub_stacks_of_one_and_many_chains_give_the_same_front(caplog, monkeypat
         return estimate(P, r, mu0)
 
     monkeypatch.setattr(edgeworth, "_estimate_stack", recording)
-    monkeypatch.setattr(edgeworth, "_STACK_CELLS", 64)  # 64 one-state chains, one of 8 states
+    monkeypatch.setattr(edgeworth, "_STACK_CELLS", 64)  # 64 one-state chains, 4 of 4 states
     for case, want in zip(cases, defaults):
         assert run_front(caplog, *case) == want
     assert stacks.count(1) > 10 and max(stacks) == 64
