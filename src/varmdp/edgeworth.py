@@ -72,7 +72,6 @@ logger = logging.getLogger(__name__)
 
 _XI_TOL = 1e-12
 _POISSON_TOL = 1e-10
-_SIGMA2_FLOOR = -1e-12
 _DEGENERATE_SIGMA2 = 1e-12
 # Kernel entries (chains x states^2) estimated in one stack, and grid cells
 # (policies x thresholds) evaluated at once: both bound the front's memory.
@@ -133,7 +132,8 @@ def _check_structure(st: _Stack) -> _Stack:
     length ``n - 1``, in float matmuls clamped to 0/1 after each product, is
     positive exactly where a path leads.  A chain is strongly connected when
     it is positive everywhere; otherwise its communicating classes are the
-    sets of mutually reachable states.  A strongly connected chain with a
+    sets of mutually reachable states, named by ``st.states`` where the
+    stack has it.  A strongly connected chain with a
     self-loop is aperiodic; any other has period ``gcd(d(u) + 1 - d(v))``
     over the edges ``(u, v)``, with ``d`` the breadth-first levels from state 0.
     """
@@ -144,8 +144,10 @@ def _check_structure(st: _Stack) -> _Stack:
         reach = np.minimum(reach @ reach, 1.0)  # counts up to n: exact in floats
     reducible = reach.min(axis=(-2, -1)) == 0
     mutual = reach[reducible] * reach[reducible].swapaxes(-1, -2) > 0
-    classes = dict(zip(np.flatnonzero(reducible).tolist(),
-                       map(_classes_text, map(tuple, mutual.argmax(axis=-1).tolist()))))
+    names = getattr(st, "states", np.broadcast_to(np.arange(n), positive.shape[:-1]))
+    classes = dict(zip(np.flatnonzero(reducible).tolist(), map(
+        _classes_text, map(tuple, mutual.argmax(axis=-1).tolist()),
+        map(tuple, names[reducible].tolist()))))
     period = np.ones(len(positive), dtype=np.int64)
     loopless = np.flatnonzero(~reducible & ~np.diagonal(positive, axis1=-2, axis2=-1).any(axis=-1))
     edges = positive[loopless]
@@ -159,11 +161,11 @@ def _check_structure(st: _Stack) -> _Stack:
 
 
 @functools.lru_cache(maxsize=1024)
-def _classes_text(smallest: tuple[int, ...]) -> str:
-    """``"k communicating classes [[...], ...]"``, given each state's smallest classmate."""
+def _classes_text(smallest: tuple[int, ...], names: tuple[int, ...]) -> str:
+    """``"k communicating classes [[...], ...]"`` from each state's name and smallest classmate."""
     classes: dict[int, list[int]] = {}  # in order of smallest member
-    for x, first in enumerate(smallest):
-        classes.setdefault(first, []).append(x)
+    for name, first in zip(names, smallest):
+        classes.setdefault(first, []).append(name)
     return f"{len(classes)} communicating classes {list(classes.values())}"
 
 
@@ -208,9 +210,13 @@ def spectral_data(st: _Stack) -> _Stack:
     ``Z = (I - P - Xi)^{-1}`` is the fundamental kernel; a numerically
     singular ``I - P - Xi`` (cond above 1e14) is refused.  ``rhat = Z M_1 1``
     solves the Poisson equation ``P rhat = rhat - M_1 1`` in the
-    ``xi . rhat = 0`` gauge, with its residual checked against 1e-10, and
-    ``lambda_2 = xi . (M_1 rhat + M_2 1)``; ``sigma^2`` is clamped at zero.
+    ``xi . rhat = 0`` gauge, with its residual checked against 1e-10.
+    ``sigma^2`` is summed in its martingale form, ``sum xi(x) P(x, y) (Rt(x, y)
+    + rhat(y) - rhat(x))^2``, which cannot be negative: ``2 xi . (M_1 rhat +
+    M_2 1)``, equal to it, cancels terms of size ``Rt^2``.
     """
+    if st.R.ndim < st.P.ndim:  # a state reward: R[x, y] = r(x), broadcast over y
+        st.R = st.R[..., None]
     st.zeta = _dot(st.xi, (st.P * st.R).sum(axis=-1))
     H = np.eye(st.P.shape[-1]) - st.P - st.xi[..., None, :]
     st.cond = np.linalg.cond(H)
@@ -225,13 +231,11 @@ def spectral_data(st: _Stack) -> _Stack:
     residual = np.abs(_mv(st.P, st.rhat) - st.rhat + f).max(axis=-1)
     st.refuse(residual > _POISSON_TOL, lambda j: (
         f"Poisson residual {residual[j]:.3e} exceeds {_POISSON_TOL} (cond ~ {st.cond[j]:.3e})"))
+    step = st.Rt + st.rhat[..., None, :] - st.rhat[..., :, None]  # a move's martingale increment
+    st.sigma2 = _dot(st.xi, (st.P * step * step).sum(axis=-1))
+    st.lambda2 = st.sigma2 / 2.0
     st.M2 = st.M1 * st.Rt / 2.0
     st.second = _mv(st.M1, st.rhat) + st.M2.sum(axis=-1)  # its xi-mean is lambda_2
-    st.lambda2 = _dot(st.xi, st.second)
-    st.sigma2 = 2.0 * st.lambda2
-    st.refuse(st.sigma2 < _SIGMA2_FLOOR,
-              lambda j: f"asymptotic variance {st.sigma2[j]:.3e} is negative")
-    st.sigma2 = np.maximum(st.sigma2, 0.0)
     return st
 
 
@@ -438,14 +442,14 @@ class EdgeworthCdf:
 
 
 def float_chain(mrp: MarkovRewardProcess):
-    """Float (P, R, mu0) arrays of a process, on the states reachable from its start.
+    """Float (P, R, mu0) of a process on the states reachable from its start, and their indices.
 
     ``R[x, y]`` is paid on the move from ``x`` to ``y``.  The other states
     cannot change the total, and the pair-state transformation drops them too.
     """
     P, R, _, mu0 = mrp.arrays(float)
     keep = np.flatnonzero(bfs_levels(P > 0, mu0 > 0) >= 0)
-    return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep]
+    return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep], keep
 
 
 def estimate_cdf(mrp: MarkovRewardProcess, n_steps: int) -> EdgeworthCdf:
@@ -456,9 +460,10 @@ def estimate_cdf(mrp: MarkovRewardProcess, n_steps: int) -> EdgeworthCdf:
     state or transition rewards.  The start distribution enters through
     ``rhat_start = E_mu0[rhat]``; the third-moment constant is the
     stationary one (the asymptotic constant does not depend on the start).
-    Degenerate variance is refused.
+    Degenerate variance is refused, and a reducible chain's classes are
+    named by the process's state indices.
     """
-    return estimate_cdf_arrays(*float_chain(mrp), n_steps)
+    return _estimate_one(n_steps, *float_chain(mrp))
 
 
 def _check_n_steps(n_steps: int) -> None:
@@ -484,26 +489,34 @@ def estimate_cdf_arrays(P, R, mu0, n_steps: int) -> EdgeworthCdf:
     ``R[x, y]`` is the reward of a move from ``x`` to ``y``; a vector ``R``
     is a state reward, ``R[x, y] = R[x]``.
     """
+    return _estimate_one(n_steps, *(np.asarray(a, dtype=float) for a in (P, R, mu0)))
+
+
+def _estimate_one(n_steps: int, *arrays: np.ndarray) -> EdgeworthCdf:
+    """``_estimate_stack`` on a stack of one chain's arrays; the chain's error is raised."""
     _check_n_steps(n_steps)
-    P, R, mu0 = (np.asarray(a, dtype=float) for a in (P, R, mu0))
-    if R.ndim == 1:
-        R = np.repeat(R[:, None], len(R), axis=1)
-    st = _estimate_stack(P[None], R[None], mu0[None]).only()
+    st = _estimate_stack(*(a[None] for a in arrays)).only()
     return EdgeworthCdf(
         n_steps=int(n_steps), zeta=float(st.zeta[0]), sigma2=float(st.sigma2[0]),
         kappa=float(st.kappa[0]), rhat_start=float(st.rhat_start[0]), cond_h=float(st.cond[0]))
 
 
-def _estimate_stack(P: np.ndarray, R: np.ndarray, mu0: np.ndarray) -> _Stack:
+def _estimate_stack(P: np.ndarray, R: np.ndarray, mu0: np.ndarray,
+                    states: np.ndarray | None = None) -> _Stack:
     """Every stage of the estimate on a stack of equal-size chains.
 
     ``R[m, x, y]`` is the reward chain ``m`` pays on the move from ``x`` to
-    ``y``.  The chains left in the stack carry ``zeta``, ``sigma2``,
-    ``kappa``, ``rhat_start`` (the four also as rows of ``numbers``) and
-    ``cond``; each refused one has its error under its index.  The stages
-    are read from the module at each call.
+    ``y``, or ``R[m, x]`` a state reward, paid on every move from ``x``.
+    ``states[m, x]``, if given, is the index by which a refusal names state
+    ``x`` of chain ``m``; by default its index in the chain.  The chains
+    left in the stack carry ``zeta``, ``sigma2``, ``kappa``, ``rhat_start``
+    (the four also as rows of ``numbers``) and ``cond``; each refused one
+    has its error under its index.  The stages are read from the module at
+    each call.
     """
     st = _Stack(P=P, R=R, mu0=mu0)
+    if states is not None:
+        st.states = states
     for stage in (_check_structure, stationary_distribution, spectral_data, _degenerate,
                   third_moment_constant):
         stage(st)

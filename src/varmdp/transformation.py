@@ -19,7 +19,7 @@ two total-reward distributions identical, exactly.  Salvage carries
 over as ``v((x, y)) = v(y)``: the pair chain ends in ``(X_{N-1}, X_N)``,
 so it pays exactly the original ``v(X_N)``.
 
-The numpy graph helper ``bfs_levels`` serves ``pair_chain`` and
+The numpy graph helper ``bfs_levels`` serves ``transform`` and
 ``edgeworth``.  The module's name differs from the package export
 ``transform``, so importing it hides no function.
 """
@@ -58,24 +58,6 @@ class TransformedMrp(MarkovRewardProcess):
     pairs: tuple[tuple[int, int], ...] = ()
 
 
-def pair_chain(P: np.ndarray, R: np.ndarray, mu0: np.ndarray):
-    """Pair-state arrays of one transition-rewarded chain, on exact ``Fraction`` object arrays.
-
-    ``P[x, y]`` is the kernel, ``R[x, y]`` the transition reward and ``mu0``
-    the start distribution.  The pairs are the positive transitions out of
-    the states reachable from the support of ``mu0``, by ``x`` then ``y``.
-    Returns ``(xs, ys, kernel, reward, start)``: pair ``i`` is
-    ``(xs[i], ys[i])``; it moves to pair ``(ys[i], z)`` with probability
-    ``p(z | ys[i])``, pays ``R[xs, ys]`` and starts with mass
-    ``mu0(xs[i]) p(ys[i] | xs[i])``, the law of the first transition.
-    """
-    positive = P != 0
-    reach = bfs_levels(positive, mu0 != 0) >= 0
-    xs, ys = np.nonzero(positive & reach[:, None])
-    kernel = np.where(xs[None, :] == ys[:, None], P[ys[:, None], ys[None, :]], P.flat[0] * 0)
-    return xs, ys, kernel, R[xs, ys], mu0[xs] * P[xs, ys]
-
-
 def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
     """Build the pair chain with the same total-reward distribution.
 
@@ -91,7 +73,12 @@ def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
         raise PreconditionError("transform: horizon must be at least 2")
 
     P, R, _, mu0 = mrp.arrays(object)
-    xs, ys, kernel, state_reward, mu0 = pair_chain(P, R, mu0)
+    # the pairs are the positive transitions out of the states reachable from the support
+    # of mu0, by x then y; pair (x, y) moves to (y, z) with probability p(z | y)
+    positive = P != 0
+    reach = bfs_levels(positive, mu0 != 0) >= 0
+    xs, ys = np.nonzero(positive & reach[:, None])
+    kernel = np.where(xs[None, :] == ys[:, None], P[ys[:, None], ys[None, :]], P.flat[0] * 0)
     pairs = list(zip(xs.tolist(), ys.tolist()))
     salvage = None
     if mrp.salvage is not None:
@@ -102,9 +89,9 @@ def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
         states=tuple(f"{mrp.states[x]}->{mrp.states[y]}" for (x, y) in pairs),
         kernel=tuple(tuple(row) for row in kernel),
         reward_on="state",
-        state_reward=tuple(state_reward),
+        state_reward=tuple(R[xs, ys]),
         transition_reward=None,
-        mu0=tuple(mu0),
+        mu0=tuple(mu0[xs] * P[xs, ys]),  # the law of the first transition
         salvage=salvage,
         include_final_reward=True,
         pairs=tuple(pairs),

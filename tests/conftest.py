@@ -141,14 +141,12 @@ CHAIN_STAGES = ("_check_structure", "stationary_distribution", "spectral_data",
 def chain_stages(P, r=None, last: str = CHAIN_STAGES[-1]) -> SimpleNamespace:
     """One chain's row after the estimate's stages up to ``last``, run on a stack of one.
 
-    ``r`` is a state reward, paid as ``R[x, y] = r(x)``.  The stages are
-    read from ``edgeworth`` at each call; the chain's own error is raised by
-    the stage that refuses it.
+    ``r`` is a state reward, paid on every move from a state.  The stages
+    are read from ``edgeworth`` at each call; the chain's own error is
+    raised by the stage that refuses it.
     """
-    P = np.asarray(P, dtype=float)
-    arrays = {"P": P} if r is None else {"P": P, "R": np.repeat(
-        np.asarray(r, dtype=float)[:, None], len(P), axis=1)}
-    st = edgeworth._Stack(**{k: v[None] for k, v in arrays.items()})
+    st = edgeworth._Stack(**{k: np.asarray(v, dtype=float)[None]
+                             for k, v in (("P", P), ("R", r)) if v is not None})
     for name in CHAIN_STAGES[:CHAIN_STAGES.index(last) + 1]:
         getattr(edgeworth, name)(st).only()
     return SimpleNamespace(**{k: v[0] for k, v in vars(st).items() if isinstance(v, np.ndarray)})

@@ -701,6 +701,33 @@ def test_far_tails_read_exactly_0_and_1(tmp_path, short_doc):
     assert column("cdf")[1:] == ["1"] * 4
 
 
+def test_estimate_cdf_drops_unreachable_states(tmp_path, capsys):
+    # the chain is estimated on the states reachable from the start, and a refusal
+    # names its classes by the document's state indices
+    def write(name, transitions, rewards, mu0):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "horizon": 5, "states": ["a", "b", "c"][-len(rewards):], "reward_on": "state",
+            "transitions": [{"x": x, "y": y, "p": p} for x, y, p in transitions],
+            "state_rewards": rewards, "mu0": mu0}))
+        return str(path)
+
+    ergodic = [("b", "b", "1/3"), ("b", "c", "2/3"), ("c", "b", "1")]
+    sides = {}
+    for name, doc in (("whole", write("whole", ergodic, ["1", "4"], ["1", "0"])),
+                      ("part", write("part", [("a", "b", "1"), *ergodic], ["9", "1", "4"],
+                                     ["0", "1", "0"]))):
+        sides[name] = tmp_path / f"{name}-side.json"
+        assert run_cli("estimate-cdf", doc, "--n-steps", "50", "--grid=0:200:5",
+                       "-o", str(tmp_path / f"{name}.csv"), "--sidecar", str(sides[name])) == 0
+    assert json.loads(sides["part"].read_text()) == json.loads(sides["whole"].read_text())
+    reducible = write("reducible", [("a", "b", "1"), ("b", "b", "1/2"), ("b", "c", "1/2"),
+                                    ("c", "c", "1")], ["9", "1", "4"], ["0", "1", "0"])
+    capsys.readouterr()
+    assert run_cli("estimate-cdf", reducible, "--n-steps", "50", "--grid=0:200:5") == 5
+    assert "chain is reducible: 2 communicating classes [[1], [2]]" in capsys.readouterr().err
+
+
 def test_pareto_long_refuses_nonpositive_horizon(tmp_path, capsys, short_sas):
     path = tmp_path / "mdp.json"
     path.write_text(json.dumps(mdp_to_document(short_sas)))

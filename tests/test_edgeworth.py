@@ -267,7 +267,7 @@ class TestThirdMomentConstant:
         chains = [random_ergodic_chain(200 + n, n) for n in (3, 4, 7, 12, 25, 50)]
         witness = policy_chain(paper_long(),
                                DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0, 3: 0}))
-        P, R, _ = edgeworth.float_chain(witness)
+        P, R, *_ = edgeworth.float_chain(witness)
         chains.append((P, R[:, 0]))  # a state-rewarded chain pays R[x, y] = r(x)
         for P, r in chains:
             res = chain_stages(P, r)
@@ -586,7 +586,7 @@ def test_pair_chain_and_base_chain_give_the_same_estimate():
         routed = replace(mdp, horizon=2)  # the least horizon the transformation accepts
         for policy in enumerate_stationary_policies(mdp):
             outcomes = []
-            for chain in (edgeworth.float_chain(policy_chain(routed, policy)),
+            for chain in (edgeworth.float_chain(policy_chain(routed, policy))[:3],
                           base_chain(mdp, policy)):
                 try:
                     cdf = estimate_cdf_arrays(*chain, 500)
@@ -615,34 +615,29 @@ def test_stacked_chains_fail_alone(monkeypatch):
     eps = 1e-15
     near_split = np.array([[1 - eps, eps, 0.0], [eps, 0.5 - eps, 0.5], [0.0, 0.5, 0.5]])
     two_cycles = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
-    h = np.array([0.0, 1e4, 2e4])
-    telescoping = h[:, None] - h[None, :]  # R[x, y] = h(x) - h(y): sigma^2 = 0 exactly
-
-    def state(r):  # a state reward is paid as R[x, y] = r(x)
-        return np.repeat(np.asarray(r, dtype=float)[:, None], 3, axis=1)
-
-    chains = [(P, state(r)) for P, r in (random_ergodic_chain(seed, 3) for seed in range(4))]
+    telescoping = np.array([1.0, -1.0, 0.0])  # cycle means zero: sigma^2 = 0 exactly
+    chains = [random_ergodic_chain(seed, 3) for seed in range(4)]
     cases = [
         (*chains[0], None),
-        (np.eye(3), state(np.ones(3)), "stationary solve failed: "),
+        (np.eye(3), np.ones(3), "stationary solve failed: "),
         (*chains[1], None),
-        (near_split, state([1.0, -2.0, 0.5]), "fundamental kernel is numerically singular"),
+        (near_split, np.array([1.0, -2.0, 0.5]), "fundamental kernel is numerically singular"),
         (chains[2][0], 1e6 * chains[2][1], "Poisson residual "),
-        (two_cycles, telescoping, "asymptotic variance -"),
-        (chains[3][0], state(np.full(3, 3.25)),
-         "asymptotic variance 0.000e+00 is (numerically) zero"),
+        (two_cycles, 1e4 * telescoping, "asymptotic variance "),
+        (chains[3][0], np.full(3, 3.25), "asymptotic variance 0.000e+00 is (numerically) zero"),
         (*chains[3], None),
     ]
-    P, R, _ = (np.array(column) for column in zip(*cases))
+    P, r, _ = (np.array(column) for column in zip(*cases))
     mu0 = np.full((len(cases), 3), 1 / 3)
-    stack = edgeworth._estimate_stack(P, R, mu0)
+    stack = edgeworth._estimate_stack(P, r, mu0)
     healthy = [i for i, case in enumerate(cases) if case[2] is None]
-    alone = edgeworth._estimate_stack(P[healthy], R[healthy], mu0[healthy])
+    alone = edgeworth._estimate_stack(P[healthy], r[healthy], mu0[healthy])
     assert stack.ids.tolist() == healthy and sorted(stack.errors) == sorted(
         set(range(len(cases))) - set(healthy))
-    for i, (Pi, Ri, prefix) in enumerate(cases):
+    assert "is (numerically) zero" in str(stack.errors[5])
+    for i, (Pi, ri, prefix) in enumerate(cases):
         try:
-            want = estimate_cdf_arrays(Pi, Ri, mu0[i], 100)
+            want = estimate_cdf_arrays(Pi, ri, mu0[i], 100)
         except (ErgodicityError, DegenerateVarianceError) as exc:
             got = stack.errors[i]
             assert type(got) is type(exc) and str(got) == str(exc)
@@ -652,6 +647,9 @@ def test_stacked_chains_fail_alone(monkeypatch):
         for st, m in ((stack, j), (alone, k)):
             assert (st.zeta[m], st.sigma2[m], st.kappa[m], st.rhat_start[m]) \
                 == (want.zeta, want.sigma2, want.kappa, want.rhat_start)
+    h = np.array([0.0, 1e4, 2e4])  # paid per move as h(x) - h(y), the total telescopes
+    with pytest.raises(DegenerateVarianceError, match=r"is \(numerically\) zero"):
+        estimate_cdf_arrays(two_cycles, h[:, None] - h[None, :], mu0[5], 100)
 
 
 def test_witness_chain_mismatch_is_refused(monkeypatch):
@@ -659,8 +657,8 @@ def test_witness_chain_mismatch_is_refused(monkeypatch):
     exact = edgeworth.float_chain
 
     def shifted(mrp):  # moves zeta by 1e-6, past the check's 1e-9 * max(1, |zeta|)
-        P, R, mu0 = exact(mrp)
-        return P, R + 1e-6, mu0
+        P, R, mu0, states = exact(mrp)
+        return P, R + 1e-6, mu0, states
 
     monkeypatch.setattr(edgeworth, "float_chain", shifted)
     with pytest.raises(RuntimeError, match="differs from its exact chain"):
@@ -829,9 +827,9 @@ def test_sub_stacks_of_one_and_many_chains_give_the_same_front(caplog, monkeypat
     stacks = []
     estimate = edgeworth._estimate_stack
 
-    def recording(P, r, mu0):
+    def recording(P, *arrays):
         stacks.append(len(P))
-        return estimate(P, r, mu0)
+        return estimate(P, *arrays)
 
     monkeypatch.setattr(edgeworth, "_estimate_stack", recording)
     monkeypatch.setattr(edgeworth, "_STACK_CELLS", 64)  # 64 one-state chains, 4 of 4 states
