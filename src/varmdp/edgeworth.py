@@ -35,19 +35,18 @@ stack with its own error.  Three stages keep public names
 (``stationary_distribution``, ``spectral_data``, ``third_moment_constant``)
 and are looked up at each call, so a timing wrapper bound over one of them
 sees every estimate, the front's stacks included.  The long-horizon front
-groups the stationary policies by the size of their chains (the states
-reachable from the start), builds the chains as float arrays from per-MDP
-float tables (``FloatTables``) and estimates all chains of one size
-together, in stacks of at most
-``_STACK_CELLS`` kernel entries; the per-policy numpy call overhead on
-many small chains is what this saves, and the cell bound keeps the
-stacks' temporaries small.  Its minimum is taken ``_EVAL_CELLS`` grid
-cells at a time, and it bounds each cell from below without ``math.erfc``
-(a knot table of the normal CDF), so the normal CDF runs only on the
-cells that can hold the minimum.  Each witness is estimated once more on
-its exact chain, ``policy_chain`` (the pair-state chain of an SAS
-instance), and must give the same numbers.  The normal CDF is
-``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command loads scipy.
+takes its chains from one builder, ``policy_stacks``: float tables of the
+MDP, one reachability search over every stationary policy, and stacks of
+chains of one size (the states reachable from the start), at most
+``_STACK_CELLS`` kernel entries each, estimated together; the per-policy
+numpy call overhead on many small chains is what this saves, and the cell
+bound keeps the stacks' temporaries small.  Its minimum is taken
+``_EVAL_CELLS`` grid cells at a time, and it bounds each cell from below
+without ``math.erfc`` (a knot table of the normal CDF), so the normal CDF
+runs only on the cells that can hold the minimum.  Each witness is
+estimated once more on its exact chain, ``policy_chain`` (the pair-state
+chain of an SAS instance), and must give the same numbers.  The normal CDF
+is ``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command loads scipy.
 """
 
 from __future__ import annotations
@@ -537,16 +536,11 @@ def policy_chain(mdp: FiniteMdp, policy: DeterministicPolicy) -> MarkovRewardPro
     Salvage is dropped (a bounded terminal term is negligible at long
     horizons and the estimator does not model it).  SAS instances are
     routed through the pair-state transformation, which keeps only the
-    pairs reachable from the start; SA chains keep the reachable states.
+    pairs reachable from the start.  An SA chain keeps every state;
+    ``estimate_cdf`` drops the ones its start cannot reach.
     """
     mrp = replace(induced_mrp(mdp, policy), salvage=None)
-    if mrp.reward_on == "transition":
-        return transform(mrp)
-    keep = np.flatnonzero(bfs_levels(np.array(mrp.kernel) > 0, np.array(mrp.mu0) > 0) >= 0)
-    return replace(mrp, states=tuple(mrp.states[x] for x in keep),
-                   kernel=tuple(tuple(mrp.kernel[x][y] for y in keep) for x in keep),
-                   state_reward=tuple(mrp.state_reward[x] for x in keep),
-                   mu0=tuple(mrp.mu0[x] for x in keep))
+    return transform(mrp) if mrp.reward_on == "transition" else mrp
 
 
 def policy_slots(mdp: FiniteMdp) -> np.ndarray:
@@ -560,47 +554,19 @@ def policy_slots(mdp: FiniteMdp) -> np.ndarray:
     return np.arange(later[0])[:, None] // (later // counts) % counts
 
 
-@dataclass(frozen=True)
-class FloatTables:
-    """Float copies of an MDP's tables, indexed by action slot ``k`` of ``actions[x]``.
+def policy_stacks(mdp: FiniteMdp):
+    """Float chains of every stationary policy on its reachable base states, in stacks.
 
-    ``P[x, k, y]`` is the kernel and ``R[x, k, y]`` the reward of the move
-    from ``x`` to ``y``, for SAS and SA instances alike (an SA action pays
-    its reward towards every ``y``).  A policy's chain lives on the base
-    states reachable from the start, and its arrays equal those of
-    ``induced_mrp(mdp, policy).arrays(float)`` on these states, entry for
-    entry.  Policies are given as rows of action slots (``policy_slots``).
+    The kernel and reward are tabled once as ``P[x, k, y]`` and ``R[x, k,
+    y]``, for action slot ``k`` of ``actions[x]`` (``policy_slots``); an SA
+    action pays its reward towards every ``y``.  One breadth-first search
+    over every policy's support finds the states reachable from the start.
+    Yields ``(pids, P, R, mu0, states)`` per stack: the chains of the
+    policies ``pids``, all of one size, at most ``_STACK_CELLS`` kernel
+    entries together, and ``states[m]`` the base states chain ``m`` keeps,
+    in state order.  The arrays equal ``float_chain(induced_mrp(mdp,
+    policy))``'s, entry for entry, and only one stack's are built at a time.
     """
-
-    P: np.ndarray
-    R: np.ndarray
-    mu0: np.ndarray
-
-    def sizes(self, slots: np.ndarray) -> np.ndarray:
-        """The state count of each policy's chain: the states reachable from the start."""
-        positive = (self.P > 0)[np.arange(slots.shape[-1]), slots]
-        return (bfs_levels(positive, self.mu0 > 0) >= 0).sum(axis=-1)
-
-    def chains(self, slots: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-        """Float chains of stationary policies on their reachable states, grouped by size.
-
-        Returns ``(members, P, R, mu0)`` per chain size, with the chains of
-        the policies ``slots[members[g]]`` along the leading axis.
-        """
-        rows = np.arange(slots.shape[-1])
-        P, R = self.P[rows, slots], self.R[rows, slots]
-        reach = bfs_levels(P > 0, self.mu0 > 0) >= 0
-        sizes, groups = reach.sum(axis=-1), []
-        for size in sorted(set(sizes.tolist())):
-            members = np.flatnonzero(sizes == size)
-            keep = np.nonzero(reach[members])[1].reshape(len(members), size)  # in state order
-            square = members[:, None, None], keep[:, :, None], keep[:, None, :]
-            groups.append((members, P[square], R[square], self.mu0[keep]))
-        return groups
-
-
-def float_tables(mdp: FiniteMdp) -> FloatTables:
-    """Build an MDP's ``FloatTables`` once, for many policy chains."""
     n, width = mdp.n_states, max(len(acts) for acts in mdp.actions)
     P, R = np.zeros((n, width, n)), np.zeros((n, width, n))
     for x, acts in enumerate(mdp.actions):
@@ -608,7 +574,18 @@ def float_tables(mdp: FiniteMdp) -> FloatTables:
             for y, p, r in mdp.kernel[x, a]:
                 P[x, k, y] = float(p)
                 R[x, k, y if mdp.is_sas else slice(None)] = float(r)
-    return FloatTables(P=P, R=R, mu0=np.array([float(p) for p in mdp.mu0]))
+    mu0 = np.array([float(p) for p in mdp.mu0])
+    slots = policy_slots(mdp)
+    reach = bfs_levels((P > 0)[np.arange(n), slots], mu0 > 0) >= 0
+    sizes = reach.sum(axis=-1)
+    for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+        same = np.flatnonzero(sizes == size)
+        kept = np.nonzero(reach[same])[1].reshape(len(same), size)  # in state order
+        step = max(1, _STACK_CELLS // (size * size))
+        for first in range(0, len(same), step):
+            pids, x = same[first:first + step], kept[first:first + step]
+            square = x[:, :, None], slots[pids[:, None], x][:, :, None], x[:, None, :]
+            yield pids, P[square], R[square], mu0[x], x
 
 
 def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
@@ -617,14 +594,13 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
 
     Enumerates stationary deterministic policies; non-ergodic or
     degenerate-variance chains are skipped and reported in one logged
-    warning, a line per policy in policy order.  The policies' chains are
-    built as float arrays from the MDP's ``FloatTables``, on the base
-    states reachable from the start, for SAS and SA instances alike.  All
-    chains of one size are estimated together, in stacks of at most
-    ``_STACK_CELLS`` kernel entries, with the numbers ``estimate_cdf_arrays``
-    gives each chain alone.  The minimum (``_front_minimum``) keeps the
-    earliest policy on ties and evaluates the normal CDF only where the
-    minimum can be.  Every witness is estimated once more on its exact
+    warning, a line per policy in policy order, which names a reducible
+    chain's classes by MDP state index.  Each stack of ``policy_stacks``
+    (equal-size chains on the base states reachable from the start, SAS
+    and SA alike) is estimated together, with the numbers
+    ``estimate_cdf_arrays`` gives each chain alone.  The minimum
+    (``_front_minimum``) keeps the earliest policy on ties and evaluates the
+    normal CDF only where the minimum can be.  Every witness is estimated once more on its exact
     route, ``float_chain(policy_chain(mdp, policy))`` (the pair-state chain
     of an SAS instance), and its four numbers must match the base-chain
     ones within 1e-9 of ``max(1, |value|)``: the pair-state
@@ -645,23 +621,15 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
             f"long-horizon front refused: {count} stationary policies exceed "
             f"budget {max_policies}")
     _check_n_steps(n_steps)
-    tables = float_tables(mdp)
     policies = enumerate_stationary_policies(mdp)
-    slots = policy_slots(mdp)
-    sizes = tables.sizes(slots)
     estimated = np.zeros(len(policies), dtype=bool)
     params = np.zeros((len(policies), 4))  # zeta, sigma2, kappa, rhat_start
     skipped = {}
-    for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
-        same = np.flatnonzero(sizes == size)
-        step = max(1, _STACK_CELLS // (size * size))
-        for first in range(0, len(same), step):
-            for members, P, R, mu0 in tables.chains(slots[same[first:first + step]]):
-                st = _estimate_stack(P, R, mu0)
-                pids = same[first:first + step][members]
-                estimated[pids[st.ids]] = True
-                params[pids[st.ids]] = st.numbers
-                skipped.update((int(pids[j]), exc) for j, exc in st.errors.items())
+    for pids, *chains in policy_stacks(mdp):
+        st = _estimate_stack(*chains)
+        estimated[pids[st.ids]] = True
+        params[pids[st.ids]] = st.numbers
+        skipped.update((int(pids[j]), exc) for j, exc in st.errors.items())
     if skipped:
         logger.warning("\n".join(f"policy {pid} skipped: {skipped[pid]}"
                                   for pid in sorted(skipped)))

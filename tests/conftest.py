@@ -18,8 +18,7 @@ import pytest
 import varmdp.edgeworth as edgeworth
 from varmdp import (DegenerateVarianceError, ErgodicityError, FiniteMdp, MarkovRewardProcess,
                     ParetoFront, PreconditionError, StepCdf, enumerate_stationary_policies,
-                    estimate_cdf_arrays, induced_mrp, paper_short, paper_short_printed,
-                    simplify_reward, transform)
+                    induced_mrp, paper_short, paper_short_printed, simplify_reward, transform)
 from varmdp.edgeworth import normal_cdf
 
 ZERO = Fraction(0)
@@ -209,7 +208,8 @@ def transformed_salvage(mrp: MarkovRewardProcess, salvage):
 
 
 def base_chain(mdp: FiniteMdp, policy) -> tuple[np.ndarray, ...]:
-    """Float ``(P, R, mu0)`` of a policy's induced chain on the states reachable from the start.
+    """Float ``(P, R, mu0, states)`` of a policy's induced chain on the states reachable
+    from the start, and the indices of those states.
 
     The reachable set is closed here by plain iteration, not by the
     library's breadth-first search.
@@ -219,14 +219,15 @@ def base_chain(mdp: FiniteMdp, policy) -> tuple[np.ndarray, ...]:
     for _ in range(len(P)):  # a reachable state is at most n - 1 moves away
         reach = reach | (P[reach] > 0).any(axis=0)
     keep = np.flatnonzero(reach)
-    return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep]
+    return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep], keep
 
 
 def reference_front_long(mdp: FiniteMdp, n_steps: int, taus):
-    """The long-horizon front one policy at a time: ``estimate_cdf_arrays`` per base chain.
+    """The long-horizon front one policy at a time: each base chain estimated alone.
 
     Returns the front (``None`` when no policy is estimated) and the skip
-    messages, in policy order, as ``pareto_front_long`` logs them.
+    messages, in policy order, as ``pareto_front_long`` logs them: a
+    reducible chain's classes are named by MDP state index.
     """
     taus = np.asarray(taus, dtype=float)
     policies = enumerate_stationary_policies(mdp)
@@ -235,7 +236,7 @@ def reference_front_long(mdp: FiniteMdp, n_steps: int, taus):
     skipped, used = [], 0
     for pid, policy in enumerate(policies):
         try:
-            cdf = estimate_cdf_arrays(*base_chain(mdp, policy), n_steps)
+            cdf = edgeworth._estimate_one(n_steps, *base_chain(mdp, policy))
         except (ErgodicityError, DegenerateVarianceError) as exc:
             skipped.append(f"policy {pid} skipped: {exc}")
             continue

@@ -1,10 +1,13 @@
 """Spectral quantities, third-moment constant, CDF estimates, long-horizon fronts."""
 
 import ast
+import json
 import logging
 import math
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,6 +22,7 @@ from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityErro
                     enumerate_stationary_policies, estimate_cdf, estimate_cdf_arrays,
                     induced_mrp, paper_long, pareto_front_long, policy_chain, query_eta,
                     query_rho, simplify_reward, simulate)
+from varmdp.documents import mdp_to_document
 
 from conftest import (CHAIN_STAGES, base_chain, chain_stages, empirical_cdf, normal_reference,
                       random_ergodic_chain, random_mdp, reference_front_long)
@@ -487,14 +491,14 @@ class TestParetoFrontLong:
     @pytest.mark.parametrize("grid", [[100, math.nan, 200], [100, 200, math.inf],
                                       [-math.inf, 0]])
     def test_non_finite_grid_refused_before_estimating(self, monkeypatch, grid):
-        monkeypatch.setattr(edgeworth, "float_tables", None)  # estimating would raise TypeError
+        monkeypatch.setattr(edgeworth, "policy_stacks", None)  # estimating would raise TypeError
         with pytest.raises(PreconditionError) as info:
             pareto_front_long(paper_long(50), 50, grid)
         assert str(info.value) == "pareto_front_long: grid must be finite"
 
     @pytest.mark.parametrize("grid", [[0, 2, 1], [0, 0, 1], [100]])
     def test_non_increasing_grid_refused_before_estimating(self, monkeypatch, grid):
-        monkeypatch.setattr(edgeworth, "float_tables", None)
+        monkeypatch.setattr(edgeworth, "policy_stacks", None)
         with pytest.raises(PreconditionError) as info:
             pareto_front_long(paper_long(50), 50, grid)
         assert str(info.value) == "pareto_front_long: grid must be strictly increasing"
@@ -524,7 +528,7 @@ def test_monotone_guard_lifts_far_tail_dips_on_paper_long():
     raw = np.full(len(taus), np.inf)
     for policy in enumerate_stationary_policies(mdp):
         try:
-            cdf = estimate_cdf_arrays(*base_chain(mdp, policy), 500)
+            cdf = estimate_cdf_arrays(*base_chain(mdp, policy)[:3], 500)
         except (ErgodicityError, DegenerateVarianceError):
             continue
         raw = np.minimum(raw, cdf.evaluate(taus))
@@ -560,6 +564,23 @@ def test_float_front_matches_exact_path_reference(caplog, name, mdp, grid):
     assert len(front.policies) >= 1
 
 
+def test_front_names_reducible_classes_by_mdp_state(caplog, tmp_path):
+    # policy 221 of capacity 5 reaches states 0, 1, 3, 4 and 5; its classes are named by
+    # those indices, not by their positions among the reachable states
+    mdp = build_inventory(InventoryParams(horizon=500, capacity=5))
+    line = "policy 221 skipped: chain is reducible: 3 communicating classes [[0], [1], [3, 4, 5]]"
+    _, messages = run_front(caplog, mdp, 500, np.linspace(2000, 3000, 501))
+    assert len(messages) == 1 and messages[0].split("\n").count(line) == 1
+    doc = tmp_path / "capacity-5.json"
+    doc.write_text(json.dumps(mdp_to_document(mdp)))
+    argv = ["pareto-long", str(doc), "--horizon", "500", "--grid=2000:3000:501",
+            "-o", str(tmp_path / "front.csv")]
+    script = f"import sys; from varmdp.cli import main; sys.exit(main({argv!r}))"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines().count(line) == 1
+
+
 def seeded_random_mdps(reward_kind):
     """100 seeded random MDPs of 1 to 4 states, up to 3 actions, some with sparse rows."""
     for seed in range(100):
@@ -587,7 +608,7 @@ def test_pair_chain_and_base_chain_give_the_same_estimate():
         for policy in enumerate_stationary_policies(mdp):
             outcomes = []
             for chain in (edgeworth.float_chain(policy_chain(routed, policy))[:3],
-                          base_chain(mdp, policy)):
+                          base_chain(mdp, policy)[:3]):
                 try:
                     cdf = estimate_cdf_arrays(*chain, 500)
                 except (ErgodicityError, DegenerateVarianceError) as exc:
@@ -666,7 +687,8 @@ def test_witness_chain_mismatch_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("reward_kind", ["sas", "sa"])
-def test_float_chain_arrays_equal_exact_path(reward_kind):
+def test_float_chain_arrays_equal_exact_path(monkeypatch, reward_kind):
+    monkeypatch.setattr(edgeworth, "_STACK_CELLS", 64)  # stacks of 64 one-state chains, 2 of 5
     checked = 0
     for seed in range(60):
         rng = random.Random(seed)
@@ -677,16 +699,19 @@ def test_float_chain_arrays_equal_exact_path(reward_kind):
         slots = edgeworth.policy_slots(mdp)
         assert [[mdp.actions[x][k] for x, k in enumerate(row)] for row in slots.tolist()] \
             == [[policy.action(0, x) for x in range(mdp.n_states)] for policy in policies]
-        groups = edgeworth.float_tables(mdp).chains(slots)
-        assert sorted(np.concatenate([members for members, *_ in groups])) \
-            == list(range(len(policies)))
-        for members, *stacked in groups:
-            for g, pid in enumerate(members):
-                got = [a[g] for a in stacked]
+        seen = []
+        for pids, *stacked, states in edgeworth.policy_stacks(mdp):
+            size = states.shape[-1]
+            assert stacked[0].shape == (len(pids), size, size)
+            assert len(pids) * size * size <= 64
+            seen.extend(pids.tolist())
+            for g, pid in enumerate(pids):
+                got = [a[g] for a in (*stacked, states)]
                 want = base_chain(mdp, policies[pid])
                 for a, b in zip(got, want):
                     assert a.shape == b.shape and np.array_equal(a, b)
                 checked += 1
+        assert sorted(seen) == list(range(len(policies)))
     assert checked > 200
 
 
