@@ -17,10 +17,20 @@ solution of the Poisson equation ``P rhat = rhat - (P o R) 1 + zeta 1``
 (averaged over the start distribution).  ``zeta``, ``sigma^2`` and
 ``kappa`` are the first three derivatives at 0 of the log Perron root of
 ``P o exp(theta R)`` (Ney & Nummelin 1987), and ``rhat`` is the first-order
-term of its right eigenvector; all come out of one fundamental kernel
-``Z = (I - P - Xi)^{-1}``, where ``Xi`` stacks ``xi`` row-wise.  They
-depend only on the moves, so a transition-rewarded chain is estimated on
-its own states, with the numbers of its pair-state chain.
+term of its right eigenvector.  All of them need only ``xi`` and solutions
+``h`` of ``(I - P) h = g`` for ``xi . g = 0``, and one LU factorization per
+chain gives both.  With ``A = P^T - I`` and its last row set to ``1``,
+``A xi = e_n``: ``xi`` is the last column of ``A^{-1}``.  And ``Z =
+-A^{-T}`` is a fundamental kernel (Kemeny & Snell 1960; Meyer 1975): for
+``h = Z g``, ``A^T h = -g``.  The last column of ``A^T`` is ``1`` and
+``xi`` annihilates the others, which are columns of ``P - I``, so ``h_n =
+xi . (A^T h) = -xi . g = 0``, and then ``(I - P) h = -A^T h = g``.  The
+numbers depend only on the moves, so a transition-rewarded chain is
+estimated on its own states, with the numbers of its pair-state chain.
+Each chain is estimated in units of its reward scale, the power of two
+at or below its largest ``|R|``: the checks' tolerances are relative to
+it, the numbers scale back exactly, and one that overflows a float is
+refused.
 
 Geometric ergodicity is certified structurally, with one reachability
 closure per stack: a finite chain that is one strongly connected
@@ -85,7 +95,9 @@ class _Stack:
     Every array attribute holds the chains still in the running along its
     leading axis; ``ids`` are their indices in the stack as built.  A
     chain that fails a check leaves every array at once, and its error
-    stays in ``errors`` under its id.
+    stays in ``errors`` under its id.  The stages read each chain's
+    rewards in units of its reward scale ``2**scale`` (``_estimate_stack``
+    sets it; 1 by default).
     """
 
     truncation = 0  # no lag sum is cut short; varbench/tracing.py reads it off a kappa stage
@@ -93,6 +105,7 @@ class _Stack:
     def __init__(self, **arrays: np.ndarray):
         self.errors: dict[int, Exception] = {}
         self.ids = np.arange(len(next(iter(arrays.values()))))
+        self.scale = np.zeros_like(self.ids)
         self.__dict__.update(arrays)
 
     def refuse(self, bad: np.ndarray, message, kind=ErgodicityError) -> np.ndarray:
@@ -121,6 +134,12 @@ def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked inner product ``u @ v``."""
     return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _unscaled(value, scale, power: int = 1) -> str:
+    """``value * (2**scale)**power`` as ``%.3e``: a number of the stages' unit in the rewards'."""
+    unit = 2.0 ** int(scale)  # a product of Python floats that overflows is inf, not an error
+    return f"{math.prod([float(value)] + [unit] * power):.3e}"
 
 
 def _check_structure(st: _Stack) -> _Stack:
@@ -169,27 +188,30 @@ def _classes_text(smallest: tuple[int, ...], names: tuple[int, ...]) -> str:
 
 
 def stationary_distribution(st: _Stack) -> _Stack:
-    """Solve ``xi P = xi``, ``sum xi = 1`` for every chain; refuse failed or inexact solves."""
+    """``X = A^{-1}`` on one LU per chain, ``A = P^T - I`` with its last row set to ``1``.
+
+    Its last column ``A^{-1} e_n`` is the stationary law ``xi``, refused when the solve
+    fails or is inexact; ``X`` stays for the spectral pass, and ``cond = |A|_1 |X|_1``.
+    """
     n = st.P.shape[-1]
     A = st.P.swapaxes(-1, -2) - np.eye(n)
     A[..., -1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+    st.cond = np.abs(A).sum(axis=-2).max(axis=-1)
     try:
-        st.xi = np.linalg.solve(A, np.broadcast_to(b[:, None], A.shape[:-1] + (1,)))[..., 0]
+        st.X = np.linalg.solve(A, np.broadcast_to(np.eye(n), A.shape))
     except np.linalg.LinAlgError:  # one singular chain fails the stacked call
-        st.xi, failed = np.zeros(A.shape[:-1]), {}
+        st.X, failed = np.zeros(A.shape), {}
         for j, a in enumerate(A):
             try:
-                st.xi[j] = np.linalg.solve(a, b)
+                st.X[j] = np.linalg.solve(a, np.eye(n))
             except np.linalg.LinAlgError as exc:
                 failed[j] = exc
         st.refuse(np.array([j in failed for j in range(len(A))]),
                   lambda j: f"stationary solve failed: {failed[j]}")
-    st.xi = np.where(np.abs(st.xi) < 1e-15, 0.0, st.xi)
-    low = st.xi.min(axis=-1)
+    st.cond *= np.abs(st.X).sum(axis=-2).max(axis=-1)
+    low = st.X[..., -1].min(axis=-1)
     st.refuse(low < -1e-12, lambda j: f"stationary solve produced negative mass {low[j]:.3e}")
-    st.xi = np.clip(st.xi, 0.0, None)
+    st.xi = np.where(st.X[..., -1] < 1e-15, 0.0, st.X[..., -1])
     st.xi /= st.xi.sum(axis=-1, keepdims=True)
     residual = np.abs((st.xi[..., None, :] @ st.P)[..., 0, :] - st.xi).max(axis=-1)
     st.refuse(residual > _XI_TOL,
@@ -198,30 +220,25 @@ def stationary_distribution(st: _Stack) -> _Stack:
 
 
 def spectral_data(st: _Stack) -> _Stack:
-    """One spectral pass per chain: ``zeta``, ``cond``, ``Z``, ``rhat`` and ``sigma2``.
+    """One spectral pass per chain: ``zeta``, ``Z``, ``rhat`` and ``sigma2``.
 
     With the centered reward ``Rt = R - zeta`` and ``M_j = P o Rt^j / j!``,
     this is the second order of the Perron root ``lambda(theta) = 1 +
     lambda_2 theta^2 + lambda_3 theta^3 + ...`` of ``P o exp(theta Rt)``:
     centering (``xi . M_1 1 = 0``) removes the first order, so the second and
     third derivatives of ``log lambda`` at 0 are ``sigma^2 = 2 lambda_2`` and
-    ``kappa = 6 lambda_3``.
-    ``Z = (I - P - Xi)^{-1}`` is the fundamental kernel; a numerically
-    singular ``I - P - Xi`` (cond above 1e14) is refused.  ``rhat = Z M_1 1``
-    solves the Poisson equation ``P rhat = rhat - M_1 1`` in the
-    ``xi . rhat = 0`` gauge, with its residual checked against 1e-10.
+    ``kappa = 6 lambda_3``.  The fundamental kernel is ``Z = -X^T`` (module
+    docstring), refused when ``cond`` exceeds 1e14.  ``rhat = Z M_1 1`` solves
+    the Poisson equation ``P rhat = rhat - M_1 1``, in the ``xi . rhat = 0``
+    gauge, with its residual checked against 1e-10 of the reward scale.
     ``sigma^2`` is summed in its martingale form, ``sum xi(x) P(x, y) (Rt(x, y)
     + rhat(y) - rhat(x))^2``, which cannot be negative: ``2 xi . (M_1 rhat +
     M_2 1)``, equal to it, cancels terms of size ``Rt^2``.
     """
-    if st.R.ndim < st.P.ndim:  # a state reward: R[x, y] = r(x), broadcast over y
-        st.R = st.R[..., None]
     st.zeta = _dot(st.xi, (st.P * st.R).sum(axis=-1))
-    H = np.eye(st.P.shape[-1]) - st.P - st.xi[..., None, :]
-    st.cond = np.linalg.cond(H)
-    keep = st.refuse(~np.isfinite(st.cond) | (st.cond > 1e14), lambda j: (
+    st.refuse(~(st.cond <= 1e14), lambda j: (  # NaN too
         f"fundamental kernel is numerically singular (cond ~ {st.cond[j]:.3e})"))
-    st.Z = np.linalg.inv(H[keep])
+    st.Z = -st.X.swapaxes(-1, -2)
     st.Rt = st.R - st.zeta[..., None, None]
     st.M1 = st.P * st.Rt
     f = st.M1.sum(axis=-1)
@@ -229,10 +246,10 @@ def spectral_data(st: _Stack) -> _Stack:
     st.rhat = rhat - _dot(st.xi, rhat)[..., None]  # gauge: stationary mean zero
     residual = np.abs(_mv(st.P, st.rhat) - st.rhat + f).max(axis=-1)
     st.refuse(residual > _POISSON_TOL, lambda j: (
-        f"Poisson residual {residual[j]:.3e} exceeds {_POISSON_TOL} (cond ~ {st.cond[j]:.3e})"))
+        f"Poisson residual {_unscaled(residual[j], st.scale[j])} exceeds "
+        f"{_unscaled(_POISSON_TOL, st.scale[j])} (cond ~ {st.cond[j]:.3e})"))
     step = st.Rt + st.rhat[..., None, :] - st.rhat[..., :, None]  # a move's martingale increment
     st.sigma2 = _dot(st.xi, (st.P * step * step).sum(axis=-1))
-    st.lambda2 = st.sigma2 / 2.0
     st.M2 = st.M1 * st.Rt / 2.0
     st.second = _mv(st.M1, st.rhat) + st.M2.sum(axis=-1)  # its xi-mean is lambda_2
     return st
@@ -250,7 +267,7 @@ def third_moment_constant(st: _Stack) -> _Stack:
     ``lambda_1 = 0`` and ``xi . rhat = 0`` drop the other terms of the third
     order.  No sum is truncated.
     """
-    v2 = _mv(st.Z, st.second - st.lambda2[..., None])
+    v2 = _mv(st.Z, st.second - st.sigma2[..., None] / 2.0)
     v2 -= _dot(st.xi, v2)[..., None]
     M3 = st.M2 * st.Rt / 3.0
     st.kappa = 6.0 * _dot(st.xi, _mv(st.M1, v2) + _mv(st.M2, st.rhat) + M3.sum(axis=-1))
@@ -370,7 +387,8 @@ def _front_minimum(n_steps: int, params: np.ndarray, taus: np.ndarray):
     edges = taus[np.append(runs, count - 1)]  # y at the edges brackets each run's y
     zeta, sigma2, kappa, rhat_start = params.T[..., None]  # columns
     scale = np.sqrt(sigma2) * math.sqrt(n_steps)
-    shift = float(n_steps) * zeta
+    with np.errstate(over="ignore"):  # N zeta past the float range: y is +-inf, as meant
+        shift = float(n_steps) * zeta
     k, r = np.abs(kappa / (6.0 * sigma2)), np.abs(rhat_start)
     step = max(1, _EVAL_CELLS // len(edges))
     blocks = [slice(first, first + step) for first in range(0, len(params), step)]
@@ -421,7 +439,12 @@ def _front_minimum(n_steps: int, params: np.ndarray, taus: np.ndarray):
 
 @dataclass(frozen=True)
 class EdgeworthCdf:
-    """Normal-plus-correction estimate of the total-reward CDF after ``n_steps``."""
+    """Normal-plus-correction estimate of the total-reward CDF after ``n_steps``.
+
+    ``cond_h`` is ``|A|_1 |A^{-1}|_1``, the 1-norm condition number of the
+    stationary system ``A = P^T - I`` with its last row set to ``1``, whose
+    inverse gives the fundamental kernel; a chain above 1e14 is refused.
+    """
 
     n_steps: int
     zeta: float
@@ -475,9 +498,9 @@ def _check_n_steps(n_steps: int) -> None:
 
 
 def _degenerate(st: _Stack) -> _Stack:
-    """Refuse every chain whose asymptotic variance is numerically zero."""
+    """Refuse each chain whose asymptotic variance is at most 1e-12 of its reward scale squared."""
     st.refuse(st.sigma2 <= _DEGENERATE_SIGMA2, lambda j: (
-        f"asymptotic variance {st.sigma2[j]:.3e} is (numerically) zero; "
+        f"asymptotic variance {_unscaled(st.sigma2[j], st.scale[j], 2)} is (numerically) zero; "
         f"the normalized total reward is degenerate"), DegenerateVarianceError)
     return st
 
@@ -495,9 +518,7 @@ def _estimate_one(n_steps: int, *arrays: np.ndarray) -> EdgeworthCdf:
     """``_estimate_stack`` on a stack of one chain's arrays; the chain's error is raised."""
     _check_n_steps(n_steps)
     st = _estimate_stack(*(a[None] for a in arrays)).only()
-    return EdgeworthCdf(
-        n_steps=int(n_steps), zeta=float(st.zeta[0]), sigma2=float(st.sigma2[0]),
-        kappa=float(st.kappa[0]), rhat_start=float(st.rhat_start[0]), cond_h=float(st.cond[0]))
+    return EdgeworthCdf(int(n_steps), *st.numbers[0].tolist(), cond_h=float(st.cond[0]))
 
 
 def _estimate_stack(P: np.ndarray, R: np.ndarray, mu0: np.ndarray,
@@ -507,20 +528,32 @@ def _estimate_stack(P: np.ndarray, R: np.ndarray, mu0: np.ndarray,
     ``R[m, x, y]`` is the reward chain ``m`` pays on the move from ``x`` to
     ``y``, or ``R[m, x]`` a state reward, paid on every move from ``x``.
     ``states[m, x]``, if given, is the index by which a refusal names state
-    ``x`` of chain ``m``; by default its index in the chain.  The chains
-    left in the stack carry ``zeta``, ``sigma2``, ``kappa``, ``rhat_start``
-    (the four also as rows of ``numbers``) and ``cond``; each refused one
-    has its error under its index.  The stages are read from the module at
-    each call.
+    ``x`` of chain ``m``; by default its index in the chain.  The stages
+    see ``R`` divided by the chain's reward scale ``2**scale``, the power of
+    two with ``2**scale <= max |R| < 2**(scale + 1)``, so that their
+    tolerances are relative to the rewards' size; the division is exact.
+    The chains left in the stack carry ``numbers``, the rows ``(zeta,
+    sigma2, kappa, rhat_start)`` in the rewards' unit, and ``cond``; a chain
+    with a number that is not a finite float is refused, and each refused
+    one has its error under its index.  The stages are read from the module
+    at each call.
     """
-    st = _Stack(P=P, R=R, mu0=mu0)
+    if R.ndim < P.ndim:  # a state reward: R[x, y] = r(x), broadcast over y
+        R = R[..., None]
+    scale = np.frexp(np.abs(R).max(axis=(-2, -1)))[1] - 1
+    st = _Stack(P=P, R=np.ldexp(R, -scale[:, None, None]), mu0=mu0, scale=scale)
     if states is not None:
         st.states = states
     for stage in (_check_structure, stationary_distribution, spectral_data, _degenerate,
                   third_moment_constant):
         stage(st)
-    st.rhat_start = _dot(st.mu0, st.rhat)
-    st.numbers = np.stack([st.zeta, st.sigma2, st.kappa, st.rhat_start], axis=-1)
+    numbers = np.stack([st.zeta, st.sigma2, st.kappa, _dot(st.mu0, st.rhat)], axis=-1)
+    with np.errstate(over="ignore"):  # refused below
+        st.numbers = np.ldexp(numbers, st.scale[:, None] * np.array([1, 2, 3, 1]))
+    bad = ~np.isfinite(st.numbers)
+    st.refuse(bad.any(axis=-1), lambda j: (
+        f"{('zeta', 'sigma2', 'kappa', 'rhat_start')[bad[j].argmax()]} is "
+        f"{st.numbers[j, bad[j].argmax()]}: the rewards are too large for a float estimate"))
     return st
 
 
@@ -643,9 +676,12 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     routed = replace(mdp, horizon=2)  # chain arrays do not depend on the horizon
     for pid in sorted(set(witness.tolist()) - {-1}):
         st = _estimate_stack(*(a[None] for a in float_chain(policy_chain(routed, policies[pid]))))
-        close = np.abs(st.numbers - params[pid]) <= 1e-9 * np.maximum(1, np.abs(params[pid]))
-        if st.errors or not close.all():  # a refused exact chain has no row
-            raise RuntimeError(f"policy {pid}: base-chain estimate differs from its exact chain's")
+        if st.errors:
+            raise ErgodicityError(f"policy {pid}: its exact chain is refused: {st.errors[0]}")
+        gap = (np.abs(st.numbers[0] - params[pid]) / np.maximum(1, np.abs(params[pid]))).max()
+        if not gap <= 1e-9:
+            raise ErgodicityError(f"policy {pid}: base-chain estimate differs from its exact "
+                                  f"chain's by {gap:.3e} of max(1, |number|), beyond 1e-9")
         listings[pid] = "\n".join(
             f"{mdp.states[x]} -> {policies[pid].action(0, x)}" for x in range(mdp.n_states))
     return ParetoFront(kind="estimated", grid=tuple(taus.tolist()), value=tuple(best.tolist()),

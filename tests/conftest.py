@@ -140,12 +140,14 @@ CHAIN_STAGES = ("_check_structure", "stationary_distribution", "spectral_data",
 def chain_stages(P, r=None, last: str = CHAIN_STAGES[-1]) -> SimpleNamespace:
     """One chain's row after the estimate's stages up to ``last``, run on a stack of one.
 
-    ``r`` is a state reward, paid on every move from a state.  The stages
-    are read from ``edgeworth`` at each call; the chain's own error is
-    raised by the stage that refuses it.
+    ``r`` is a state reward, paid on every move from a state, passed to the
+    stages as ``R[x, y] = r[x]`` at their default reward scale 1.  The
+    stages are read from ``edgeworth`` at each call; the chain's own error
+    is raised by the stage that refuses it.
     """
-    st = edgeworth._Stack(**{k: np.asarray(v, dtype=float)[None]
-                             for k, v in (("P", P), ("R", r)) if v is not None})
+    arrays = (("P", P), ("R", None if r is None else np.asarray(r)[:, None]))
+    st = edgeworth._Stack(**{k: np.asarray(v, dtype=float)[None] for k, v in arrays
+                             if v is not None})
     for name in CHAIN_STAGES[:CHAIN_STAGES.index(last) + 1]:
         getattr(edgeworth, name)(st).only()
     return SimpleNamespace(**{k: v[0] for k, v in vars(st).items() if isinstance(v, np.ndarray)})
@@ -220,6 +222,12 @@ def base_chain(mdp: FiniteMdp, policy) -> tuple[np.ndarray, ...]:
         reach = reach | (P[reach] > 0).any(axis=0)
     keep = np.flatnonzero(reach)
     return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep], keep
+
+
+def scaled_rewards(mdp: FiniteMdp, factor: Fraction) -> FiniteMdp:
+    """``mdp`` with every transition's reward multiplied by ``factor``."""
+    return replace(mdp, kernel={key: tuple((y, p, r * factor) for y, p, r in rows)
+                                for key, rows in mdp.kernel.items()})
 
 
 def reference_front_long(mdp: FiniteMdp, n_steps: int, taus):

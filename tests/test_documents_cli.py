@@ -23,7 +23,7 @@ from varmdp.cli import main
 from varmdp.documents import (dump_document, load_document, mdp_from_document,
                               mdp_to_document, mrp_from_document, mrp_to_document)
 
-from conftest import random_mdp
+from conftest import random_mdp, scaled_rewards
 
 F = Fraction
 
@@ -750,6 +750,34 @@ def test_step_count_beyond_float_range_exits_3(tmp_path, capsys, short_sas, comm
         argv = ["--horizon", steps]
     assert run_cli(command, str(path), *argv, "--grid=0:10:3") == 3
     assert "n_steps must be at most" in capsys.readouterr().err
+
+
+def test_estimates_beyond_float_range_exit_5(tmp_path, capsys, caplog):
+    # rewards of 1e200 give a variance of the total per step near 1e400: each chain is
+    # refused by the number that is not a finite float, with no warning and no output
+    halves = [{"x": x, "y": y, "p": "1/2"} for x in "ab" for y in "ab"]
+    chain, out, side = tmp_path / "chain.json", tmp_path / "cdf.csv", tmp_path / "side.json"
+    chain.write_text(json.dumps({"horizon": 3, "states": ["a", "b"], "reward_on": "state",
+                                 "transitions": halves, "state_rewards": ["1e200", "-1e200"],
+                                 "mu0": ["1", "0"]}))
+    assert run_cli("estimate-cdf", str(chain), "--n-steps", "100", "--grid=-1e202:1e202:5",
+                   "-o", str(out), "--sidecar", str(side)) == 5
+    assert capsys.readouterr().err == (
+        "error: sigma2 is inf: the rewards are too large for a float estimate\n")
+    assert not out.exists() and not side.exists()
+    mdp = build_inventory(InventoryParams(horizon=500, capacity=2))
+    doc = tmp_path / "mdp.json"
+    doc.write_text(json.dumps(mdp_to_document(scaled_rewards(mdp, Fraction(10) ** 200))))
+    assert run_cli("pareto-long", str(doc), "--horizon", "500", "--grid=0:1e205:11",
+                   "-o", str(out)) == 5
+    assert capsys.readouterr().err == "error: no stationary policy induces an ergodic chain\n"
+    assert "policy 2 skipped: sigma2 is inf: the rewards are too large" in caplog.text
+    assert not out.exists()
+    # finite numbers whose mean total N zeta overflows: every y is -inf, every value 0
+    doc.write_text(json.dumps(mdp_to_document(scaled_rewards(mdp, Fraction(10) ** 10))))
+    assert run_cli("pareto-long", str(doc), "--horizon", "1" + "0" * 300, "--grid=0:1e300:5",
+                   "-o", str(out)) == 0
+    assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["0"] * 5
 
 
 HUGE = "1000000000000000"  # a float64 array of this length is 7.11 PiB

@@ -16,6 +16,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 
+import varmdp.cli as cli
 import varmdp.edgeworth as edgeworth
 from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityError,
                     FiniteMdp, InventoryParams, PreconditionError, build_inventory,
@@ -25,7 +26,7 @@ from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityErro
 from varmdp.documents import mdp_to_document
 
 from conftest import (CHAIN_STAGES, base_chain, chain_stages, empirical_cdf, normal_reference,
-                      random_ergodic_chain, random_mdp, reference_front_long)
+                      random_ergodic_chain, random_mdp, reference_front_long, scaled_rewards)
 
 F = Fraction
 
@@ -401,8 +402,21 @@ class TestEstimateCdf:
     def test_one_stationary_solve_per_estimate(self, printed_chain, monkeypatch):
         # each traced stage runs once per stack: once for a one-chain estimate, and
         # on the FULL capacity-5 front once per chain size (1 to 6 states) and once
-        # for the exact chain of its one witness
-        calls = []
+        # for the exact chain of its one witness; so does the one linear solve, whose
+        # inverse is the fundamental kernel
+        calls, solves = [], []
+        solve = np.linalg.solve
+
+        def counted_solve(*args):
+            solves.append(args[0].shape)
+            return solve(*args)
+
+        def second_factorization(*args, **kwargs):
+            raise AssertionError("the stationary solve already gives the fundamental kernel")
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        for name in ("cond", "inv"):
+            monkeypatch.setattr(np.linalg, name, second_factorization)
 
         def counted(name, stage):
             def run(st):
@@ -414,11 +428,12 @@ class TestEstimateCdf:
             monkeypatch.setattr(edgeworth, name, counted(name, getattr(edgeworth, name)))
         P, r, mu0, _ = printed_chain
         estimate_cdf_arrays(P, r, mu0, 500)
-        assert calls == list(CHAIN_STAGES[1:])
+        assert calls == list(CHAIN_STAGES[1:]) and solves == [(1, 3, 3)]
         calls.clear()
+        solves.clear()
         mdp = build_inventory(InventoryParams(horizon=500, capacity=5))
         pareto_front_long(mdp, 500, np.linspace(2000, 3000, 2501))
-        assert calls == list(CHAIN_STAGES[1:]) * 7
+        assert calls == list(CHAIN_STAGES[1:]) * 7 and len(solves) == 7
 
 
 def two_policy_mdp():
@@ -633,8 +648,10 @@ def test_stacked_chains_fail_alone(monkeypatch):
     """
     # off for every chain, so that the identity kernel reaches the solve and makes it singular
     monkeypatch.setattr(edgeworth, "_check_structure", lambda st: st)
-    eps = 1e-15
-    near_split = np.array([[1 - eps, eps, 0.0], [eps, 0.5 - eps, 0.5], [0.0, 0.5, 0.5]])
+
+    def near_split(eps):
+        return np.array([[1 - eps, eps, 0.0], [eps, 0.5 - eps, 0.5], [0.0, 0.5, 0.5]])
+
     two_cycles = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
     telescoping = np.array([1.0, -1.0, 0.0])  # cycle means zero: sigma^2 = 0 exactly
     chains = [random_ergodic_chain(seed, 3) for seed in range(4)]
@@ -642,8 +659,9 @@ def test_stacked_chains_fail_alone(monkeypatch):
         (*chains[0], None),
         (np.eye(3), np.ones(3), "stationary solve failed: "),
         (*chains[1], None),
-        (near_split, np.array([1.0, -2.0, 0.5]), "fundamental kernel is numerically singular"),
-        (chains[2][0], 1e6 * chains[2][1], "Poisson residual "),
+        (near_split(1e-15), np.array([1.0, -2.0, 0.5]),
+         "fundamental kernel is numerically singular"),
+        (near_split(2.0 ** -30), np.array([1.0, -2.0, 0.5]), "Poisson residual "),
         (two_cycles, 1e4 * telescoping, "asymptotic variance "),
         (chains[3][0], np.full(3, 3.25), "asymptotic variance 0.000e+00 is (numerically) zero"),
         (*chains[3], None),
@@ -666,24 +684,52 @@ def test_stacked_chains_fail_alone(monkeypatch):
             continue
         j, k = stack.ids.tolist().index(i), healthy.index(i)
         for st, m in ((stack, j), (alone, k)):
-            assert (st.zeta[m], st.sigma2[m], st.kappa[m], st.rhat_start[m]) \
-                == (want.zeta, want.sigma2, want.kappa, want.rhat_start)
+            assert st.numbers[m].tolist() == [want.zeta, want.sigma2, want.kappa, want.rhat_start]
     h = np.array([0.0, 1e4, 2e4])  # paid per move as h(x) - h(y), the total telescopes
     with pytest.raises(DegenerateVarianceError, match=r"is \(numerically\) zero"):
         estimate_cdf_arrays(two_cycles, h[:, None] - h[None, :], mu0[5], 100)
 
 
-def test_witness_chain_mismatch_is_refused(monkeypatch):
+def test_witness_chain_mismatch_is_refused(monkeypatch, tmp_path, capsys):
     mdp = two_policy_mdp()
+    doc = tmp_path / "mdp.json"
+    doc.write_text(json.dumps(mdp_to_document(mdp)))
     exact = edgeworth.float_chain
+    cases = [
+        # moves zeta by 1e-6, past the check's 1e-9 * max(1, |zeta|)
+        (lambda P, R: (P, R + 1e-6), "policy 0: base-chain estimate differs from its exact "
+                                     "chain's by 1.000e-06 of max(1, |number|), beyond 1e-9"),
+        (lambda P, R: (np.eye(len(P)), R), "policy 0: its exact chain is refused: chain is "
+                                           "reducible: 2 communicating classes [[0], [1]]"),
+    ]
+    for change, message in cases:
+        def changed(mrp, change=change):
+            P, R, mu0, states = exact(mrp)
+            return *change(P, R), mu0, states
 
-    def shifted(mrp):  # moves zeta by 1e-6, past the check's 1e-9 * max(1, |zeta|)
-        P, R, mu0, states = exact(mrp)
-        return P, R + 1e-6, mu0, states
+        monkeypatch.setattr(edgeworth, "float_chain", changed)
+        with pytest.raises(ErgodicityError) as refusal:
+            pareto_front_long(mdp, 400, np.linspace(0, 800, 41))
+        assert str(refusal.value) == message
+        assert cli.main(["pareto-long", str(doc), "--horizon", "400", "--grid=0:800:41"]) == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
 
-    monkeypatch.setattr(edgeworth, "float_chain", shifted)
-    with pytest.raises(RuntimeError, match="differs from its exact chain"):
-        pareto_front_long(mdp, 400, np.linspace(0, 800, 41))
+
+@pytest.mark.parametrize("factor", [F(2 ** 20), F(1, 2 ** 24)])
+def test_front_does_not_depend_on_the_reward_unit(caplog, factor):
+    # each chain is estimated in units of its largest |reward|, a power of two away, so
+    # that the checks' tolerances scale with the rewards and the numbers scale exactly
+    mdp = build_inventory(InventoryParams(horizon=500, capacity=3))
+    taus = np.linspace(900, 2100, 1001)
+    want, want_messages = run_front(caplog, mdp, 500, taus)
+    front, messages = run_front(caplog, scaled_rewards(mdp, factor), 500, taus * float(factor))
+    assert front.value == want.value and front.witness == want.witness
+    assert front.policies == want.policies
+
+    def skipped(lines):
+        return re.findall(r"^policy (\d+) skipped", "\n".join(lines), re.MULTILINE)
+
+    assert skipped(messages) == skipped(want_messages) and len(skipped(messages)) == 9
 
 
 @pytest.mark.parametrize("reward_kind", ["sas", "sa"])
