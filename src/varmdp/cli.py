@@ -9,7 +9,18 @@ mode; a FIFO or device is written in place.  ``build_parser`` declares
 each subcommand through one ``command`` helper, which gives it
 ``-o/--output`` and, when it reads one, the ``document`` positional
 (default stdin).  Commands return their ``(path, text)`` outputs, ``-o``
-first, then a side file; ``main`` alone writes them, in order, and exits.
+first, then a side file; ``main`` alone writes them, in order, and
+returns the exit code.
+
+``main`` is the library entry: the tests and the benchmark's traced
+replay call it in-process, and it returns.  ``run`` is the process entry,
+for ``python -m varmdp.cli`` and the ``varmdp`` script: it calls ``main``,
+flushes stdout and stderr, and ends the process with ``os._exit``, which
+skips the interpreter's teardown (clearing every module, the final
+garbage collection, atexit handlers) once every output file is closed.
+Under a tracer or a profiler (coverage, cProfile, a debugger) it exits
+through ``sys.exit`` instead, so that those tools still write their
+reports.
 
 The exact subcommands (``gen-inventory``, ``solve-expected``,
 ``dist-exact``, ``var-threshold``, ``pareto-short``) run on the rational
@@ -91,13 +102,16 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+    to_stdout = path is None or path == "-"
     try:
-        _replace_file(os.path.realpath(path), text)  # a symlink is written through
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            _replace_file(os.path.realpath(path), text)  # a symlink is written through
     except OSError as exc:
-        raise ValidationError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
+        name = "<stdout>" if to_stdout else path
+        raise ValidationError(f"output: cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def _replace_file(target: str, text: str) -> None:
@@ -475,5 +489,31 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def _observed() -> bool:
+    """Whether a tracer, profiler or monitoring tool is set, which may report at exit."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None and any(map(monitoring.get_tool, range(6)))))
+
+
+def run() -> None:
+    """``main`` as a process: flush its output, then exit without interpreter teardown."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    if _observed():
+        sys.exit(code)
+    try:
+        sys.stdout.flush()  # holds only argparse's help: main flushes what it writes
+    except OSError as exc:
+        if code == EXIT_OK:  # otherwise main has refused the failed write already
+            print(f"error: output: cannot write <stdout>: {exc.strerror or exc}",
+                  file=sys.stderr)
+            code = EXIT_PARSE
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -87,6 +87,9 @@ _DEGENERATE_SIGMA2 = 1e-12
 _STACK_CELLS = 1 << 15
 _EVAL_CELLS = 1 << 13
 _RUN = 32  # thresholds the front's minimum screens as one run
+# The degree in the rewards of each number (zeta, sigma2, kappa, rhat_start): a
+# chain of reward scale 2**k states it in units of 2**(k * degree).
+_DEGREES = np.array([1, 2, 3, 1])
 
 
 class _Stack:
@@ -142,14 +145,26 @@ def _unscaled(value, scale, power: int = 1) -> str:
     return f"{math.prod([float(value)] + [unit] * power):.3e}"
 
 
+def _closure(positive: np.ndarray) -> np.ndarray:
+    """``reach[..., x, y]``: whether a path (of length 0 or more) leads from ``x`` to ``y``.
+
+    ``positive`` is a stack of adjacency matrices.  ``I + A`` is squared
+    until its paths reach length ``n - 1``, in float matmuls clamped to 0/1
+    after each product, so ``log2 n`` products whatever the graph's depth.
+    """
+    n = positive.shape[-1]
+    reach = (positive | np.eye(n, dtype=bool)).astype(float)
+    for _ in range(max(n - 2, 0).bit_length()):  # paths of length 2**k >= n - 1
+        reach = np.minimum(reach @ reach, 1.0)  # counts up to n: exact in floats
+    return reach > 0
+
+
 def _check_structure(st: _Stack) -> _Stack:
     """Refuse every chain that is not one strongly connected, aperiodic class.
 
-    One reachability closure serves the connectivity test and the classes:
-    ``I + A`` (``A`` the support of ``P``) squared until its paths reach
-    length ``n - 1``, in float matmuls clamped to 0/1 after each product, is
-    positive exactly where a path leads.  A chain is strongly connected when
-    it is positive everywhere; otherwise its communicating classes are the
+    One reachability closure (``_closure``) serves the connectivity test and
+    the classes.  A chain is strongly connected when a path leads from
+    every state to every other; otherwise its communicating classes are the
     sets of mutually reachable states, named by ``st.states`` where the
     stack has it.  A strongly connected chain with a
     self-loop is aperiodic; any other has period ``gcd(d(u) + 1 - d(v))``
@@ -157,11 +172,9 @@ def _check_structure(st: _Stack) -> _Stack:
     """
     positive = st.P > 0
     n = positive.shape[-1]
-    reach = (positive | np.eye(n, dtype=bool)).astype(float)
-    for _ in range(max(n - 2, 0).bit_length()):  # paths of length 2**k >= n - 1
-        reach = np.minimum(reach @ reach, 1.0)  # counts up to n: exact in floats
-    reducible = reach.min(axis=(-2, -1)) == 0
-    mutual = reach[reducible] * reach[reducible].swapaxes(-1, -2) > 0
+    reach = _closure(positive)
+    reducible = ~reach.all(axis=(-2, -1))
+    mutual = reach[reducible] & reach[reducible].swapaxes(-1, -2)
     names = getattr(st, "states", np.broadcast_to(np.arange(n), positive.shape[:-1]))
     classes = dict(zip(np.flatnonzero(reducible).tolist(), map(
         _classes_text, map(tuple, mutual.argmax(axis=-1).tolist()),
@@ -468,9 +481,10 @@ def float_chain(mrp: MarkovRewardProcess):
 
     ``R[x, y]`` is paid on the move from ``x`` to ``y``.  The other states
     cannot change the total, and the pair-state transformation drops them too.
+    The reachable states are read off the chain's closure (``_closure``).
     """
     P, R, _, mu0 = mrp.arrays(float)
-    keep = np.flatnonzero(bfs_levels(P > 0, mu0 > 0) >= 0)
+    keep = np.flatnonzero(_closure(P > 0)[mu0 > 0].any(axis=0))
     return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep], keep
 
 
@@ -549,7 +563,7 @@ def _estimate_stack(P: np.ndarray, R: np.ndarray, mu0: np.ndarray,
         stage(st)
     numbers = np.stack([st.zeta, st.sigma2, st.kappa, _dot(st.mu0, st.rhat)], axis=-1)
     with np.errstate(over="ignore"):  # refused below
-        st.numbers = np.ldexp(numbers, st.scale[:, None] * np.array([1, 2, 3, 1]))
+        st.numbers = np.ldexp(numbers, st.scale[:, None] * _DEGREES)
     bad = ~np.isfinite(st.numbers)
     st.refuse(bad.any(axis=-1), lambda j: (
         f"{('zeta', 'sigma2', 'kappa', 'rhat_start')[bad[j].argmax()]} is "
@@ -636,8 +650,10 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
     normal CDF only where the minimum can be.  Every witness is estimated once more on its exact
     route, ``float_chain(policy_chain(mdp, policy))`` (the pair-state chain
     of an SAS instance), and its four numbers must match the base-chain
-    ones within 1e-9 of ``max(1, |value|)``: the pair-state
-    transformation's claim, checked at run time.  That route runs at
+    ones within 1e-9 of ``max(|number|, 2**(k * degree))``, for the chain's
+    reward scale ``2**k`` and the number's degree in the rewards
+    (``_DEGREES``), so the check does not depend on the reward unit: the
+    pair-state transformation's claim, checked at run time.  That route runs at
     horizon 2, the least the transformation accepts, whatever the
     document's horizon.  The number of reward terms is ``n_steps`` for
     both reward conventions (an SAS chain over ``n_steps`` epochs pays
@@ -678,10 +694,13 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
         st = _estimate_stack(*(a[None] for a in float_chain(policy_chain(routed, policies[pid]))))
         if st.errors:
             raise ErgodicityError(f"policy {pid}: its exact chain is refused: {st.errors[0]}")
-        gap = (np.abs(st.numbers[0] - params[pid]) / np.maximum(1, np.abs(params[pid]))).max()
+        shift = -st.scale[0] * _DEGREES  # exact: to units of the chain's reward scale
+        got, want = np.ldexp(st.numbers[0], shift), np.ldexp(params[pid], shift)
+        gap = (np.abs(got - want) / np.maximum(1, np.abs(want))).max()
         if not gap <= 1e-9:
             raise ErgodicityError(f"policy {pid}: base-chain estimate differs from its exact "
-                                  f"chain's by {gap:.3e} of max(1, |number|), beyond 1e-9")
+                                  f"chain's by {gap:.3e} of max(|number|, its reward unit), "
+                                  f"beyond 1e-9")
         listings[pid] = "\n".join(
             f"{mdp.states[x]} -> {policies[pid].action(0, x)}" for x in range(mdp.n_states))
     return ParetoFront(kind="estimated", grid=tuple(taus.tolist()), value=tuple(best.tolist()),

@@ -36,8 +36,9 @@ ZERO = Fraction(0)
 
 
 def _check_distribution(values: Sequence[Fraction], what: str) -> None:
-    total = sum(values, ZERO)
-    if any(v < 0 for v in values):
+    masses = [v for v in values if v]  # a dense kernel row is mostly zeros
+    total = sum(masses, ZERO)
+    if any(v < 0 for v in masses):
         raise ValidationError(f"{what}: negative probability")
     if total != 1:
         raise ValidationError(f"{what}: probabilities sum to {total}, expected 1")
@@ -200,9 +201,9 @@ class MarkovRewardProcess:
                         and all(i in range(n) for i in key)):
                     raise ValidationError(f"transition_reward: {key!r} is not a pair of "
                                           f"state indices 0..{n - 1}")
-            for x in range(n):
-                for y in range(n):
-                    if self.kernel[x][y] > 0 and (x, y) not in self.transition_reward:
+            for x, row in enumerate(self.kernel):
+                for y, p in enumerate(row):
+                    if p and (x, y) not in self.transition_reward:
                         raise ValidationError(
                             f"reward: missing r({self.states[x]}, {self.states[y]})")
 
@@ -219,16 +220,20 @@ class MarkovRewardProcess:
         """
         import numpy as np
         n = self.n_states
+        P = np.full((n, n), ZERO, dtype=dtype)  # filled from the nonzero masses only
+        for x, row in enumerate(self.kernel):
+            ys = [y for y, p in enumerate(row) if p]
+            P[x, ys] = [row[y] for y in ys]
         if self.reward_on == "state":
             R = np.repeat(np.array(self.state_reward, dtype=dtype)[:, None], n, axis=1)
         else:
-            R = np.array([[self.transition_reward.get((x, y), ZERO) for y in range(n)]
-                          for x in range(n)], dtype=dtype)
+            R = np.full((n, n), ZERO, dtype=dtype)
+            for (x, y), r in self.transition_reward.items():
+                R[x, y] = r
         final = [self.state_reward] if self.include_final_reward else []
         if self.salvage is not None:
             final.append(self.salvage)
-        return (np.array(self.kernel, dtype=dtype), R,
-                tuple(np.array(v, dtype=dtype) for v in final), np.array(self.mu0, dtype=dtype))
+        return P, R, tuple(np.array(v, dtype=dtype) for v in final), np.array(self.mu0, dtype=dtype)
 
 
 @dataclass(frozen=True)

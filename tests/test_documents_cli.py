@@ -112,14 +112,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "105/16" in out and "6.5625" in out
 
-    def test_shell_pipe(self):
-        # the documented stdin route through the installed entry point
+    def test_shell_pipe(self, tmp_path, capsys):
+        # the documented stdin route through the process entry writes what main writes
         result = subprocess.run(
             f"{sys.executable} -m varmdp.cli gen-inventory --preset paper-short"
             f" | {sys.executable} -m varmdp.cli solve-expected -",
             shell=True, capture_output=True, text=True)
         assert result.returncode == 0
         assert "6.5625" in result.stdout
+        doc = str(tmp_path / "mdp.json")
+        assert run_cli("gen-inventory", "--preset", "paper-short", "-o", doc) == 0
+        assert run_cli("solve-expected", doc) == 0
+        assert (result.stdout, result.stderr) == (capsys.readouterr().out, "")
 
     def test_var_threshold_output(self, short_doc, capsys):
         assert run_cli("var-threshold", "--tau", "9", short_doc) == 0
@@ -971,3 +975,78 @@ def test_long_estimates_leave_numpy_ma_unloaded(tmp_path):
         result = subprocess.run([sys.executable, "-c", script],
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split() == [str(code), "False"], (argv[0], result.stderr)
+
+
+# The same call through the process entry (``python -m varmdp.cli``, which ends in
+# ``os._exit``) and through ``main`` in a plain interpreter, which exits as usual.
+_ENTRIES = {"run": ["-m", "varmdp.cli"],
+            "main": ["-c", "import sys; from varmdp.cli import main; sys.exit(main(sys.argv[1:]))"]}
+
+
+def _chain_doc(path, kernel, mu0):
+    """A two-state, state-rewarded chain document; ``kernel[x][y]`` is the mass from x to y."""
+    path.write_text(json.dumps({
+        "horizon": 20, "states": ["a", "b"], "reward_on": "state",
+        "transitions": [{"x": x, "y": y, "p": p} for x, row in zip("ab", kernel)
+                        for y, p in zip("ab", row) if p != "0"],
+        "state_rewards": ["1", "3"], "mu0": mu0}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen-inventory", "--preset", "paper-short"], 0),
+    (["solve-expected", "{short}", "-o", "expected.txt"], 0),
+    (["pareto-long", "{cap3}", "--horizon", "500", "--grid=1700:2600:901", "-o", "front.csv",
+      "--policies-out", "policies.csv"], 0),
+    (["simulate", "{chain}", "--samples", "30000", "--seed", "7", "-o", "sim.csv"], 0),
+    (["solve-expected", "missing.json"], 2),
+    (["no-such-command"], 2),
+    (["estimate-cdf", "{chain}", "--n-steps", "0", "--grid=0:10:3"], 3),
+    (["dist-exact", "{short}", "--budget", "1"], 4),
+    (["estimate-cdf", "{reducible}", "--n-steps", "20", "--grid=20:60:9"], 5),
+], ids=["stdout", "file", "stderr-warning", "two-workers", "exit-2", "usage-2", "exit-3",
+        "exit-4", "exit-5"])
+def test_process_entry_writes_what_main_writes(tmp_path, short_doc, argv, code):
+    cap3 = tmp_path / "cap3.json"
+    cap3.write_text(dump_document(mdp_to_document(
+        build_inventory(InventoryParams(horizon=500, capacity=3)))))
+    docs = {"short": short_doc, "cap3": str(cap3),
+            "chain": _chain_doc(tmp_path / "chain.json", [["1/2", "1/2"]] * 2, ["1", "0"]),
+            "reducible": _chain_doc(tmp_path / "reducible.json", [["1", "0"], ["0", "1"]],
+                                    ["1/2", "1/2"])}
+    argv = [arg.format(**docs) for arg in argv]
+    seen = {}
+    for name, entry in _ENTRIES.items():
+        work = tmp_path / name
+        work.mkdir()
+        done = subprocess.run([sys.executable, *entry, *argv], cwd=work,
+                              capture_output=True, text=True)
+        seen[name] = (done.stdout, done.stderr, done.returncode,
+                      {path.name: path.read_bytes() for path in work.iterdir()})
+    assert seen["run"] == seen["main"]
+    out, err, got, files = seen["run"]
+    assert got == code and bool(err) == (code != 0 or argv[0] == "pareto-long")
+    assert ("skipped" in err) == (argv[0] == "pareto-long")
+    assert bool(out) == (argv[0] == "gen-inventory")
+    assert len(files) == argv.count("-o") + argv.count("--policies-out")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_failed_stdout_write_exits_2_naming_it(unbuffered):
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "varmdp.cli", "gen-inventory"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert (done.returncode, done.stderr) == (
+        2, "error: output: cannot write <stdout>: No space left on device\n")
+
+
+def test_process_entry_under_a_profiler_still_reports(tmp_path):
+    # run() leaves through sys.exit when a profiler is set, so cProfile prints its report
+    out = tmp_path / "mdp.json"
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "varmdp.cli",
+                           "gen-inventory", "--preset", "paper-short", "-o", str(out)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and "function calls" in done.stdout
+    assert load_document(out.read_text())["states"]

@@ -24,6 +24,7 @@ from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityErro
                     induced_mrp, paper_long, pareto_front_long, policy_chain, query_eta,
                     query_rho, simplify_reward, simulate)
 from varmdp.documents import mdp_to_document
+from varmdp.transformation import bfs_levels
 
 from conftest import (CHAIN_STAGES, base_chain, chain_stages, empirical_cdf, normal_reference,
                       random_ergodic_chain, random_mdp, reference_front_long, scaled_rewards)
@@ -640,6 +641,18 @@ def test_pair_chain_and_base_chain_give_the_same_estimate():
     assert counts["estimated"] >= 700 and counts["refused"] >= 950
 
 
+def test_closure_reaches_what_breadth_first_search_reaches():
+    # float_chain keeps the states the closure reaches from mu0's support: the ones a
+    # breadth-first search reaches, a path of n states (n - 1 levels deep) included
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5, 16, 33):
+        graphs = rng.random((30, n, n)) < rng.random((30, 1, 1)) * 0.3
+        graphs[0] = np.eye(n, k=1, dtype=bool)
+        reach = edgeworth._closure(graphs)
+        for source in range(n):
+            assert np.array_equal(reach[:, source], bfs_levels(graphs, np.arange(n) == source) >= 0)
+
+
 def test_stacked_chains_fail_alone(monkeypatch):
     """One stack holds a chain failing each numeric check and healthy chains around them.
 
@@ -696,9 +709,10 @@ def test_witness_chain_mismatch_is_refused(monkeypatch, tmp_path, capsys):
     doc.write_text(json.dumps(mdp_to_document(mdp)))
     exact = edgeworth.float_chain
     cases = [
-        # moves zeta by 1e-6, past the check's 1e-9 * max(1, |zeta|)
+        # moves zeta by 1e-6, past the check's 1e-9 * max(|zeta|, 1), 1 the reward scale
         (lambda P, R: (P, R + 1e-6), "policy 0: base-chain estimate differs from its exact "
-                                     "chain's by 1.000e-06 of max(1, |number|), beyond 1e-9"),
+                                     "chain's by 1.000e-06 of max(|number|, its reward unit), "
+                                     "beyond 1e-9"),
         (lambda P, R: (np.eye(len(P)), R), "policy 0: its exact chain is refused: chain is "
                                            "reducible: 2 communicating classes [[0], [1]]"),
     ]
@@ -713,6 +727,25 @@ def test_witness_chain_mismatch_is_refused(monkeypatch, tmp_path, capsys):
         assert str(refusal.value) == message
         assert cli.main(["pareto-long", str(doc), "--horizon", "400", "--grid=0:800:41"]) == 5
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("factor", [F(1), F(1, 2 ** 30)])
+def test_witness_recheck_does_not_depend_on_the_reward_unit(monkeypatch, factor):
+    # rewards 1 + 1e-6 times larger on the exact chain move every number by a relative
+    # 1e-6 or more, which is refused at any reward unit, the smallest included
+    exact = edgeworth.float_chain
+
+    def changed(mrp):
+        P, R, mu0, states = exact(mrp)
+        return P, R * (1 + 1e-6), mu0, states
+
+    mdp = scaled_rewards(two_policy_mdp(), factor)
+    taus = np.linspace(0, 800, 41) * float(factor)
+    pareto_front_long(mdp, 400, taus)
+    monkeypatch.setattr(edgeworth, "float_chain", changed)
+    with pytest.raises(ErgodicityError, match=r"^policy 0: base-chain estimate differs .* "
+                                              r"by [1-9]\.\d{3}e-06 of max"):
+        pareto_front_long(mdp, 400, taus)
 
 
 @pytest.mark.parametrize("factor", [F(2 ** 20), F(1, 2 ** 24)])
