@@ -11,53 +11,42 @@ and transition rewards alike, validated against a seeded Monte Carlo
 oracle.  The pair-state transformation preserves transition-reward
 distributions, and the estimated front re-checks its witnesses on it.
 
-``import varmdp`` loads the exact, rational layers only, and no numpy.
-The float layers (``edgeworth``, ``montecarlo`` and ``transformation``)
-load, with numpy, when one of their names is first read from this
-package (PEP 562).  No submodule shares a name with an export, so
-loading one never hides a function.
+A name loads its module on first read (PEP 562).  ``_EXPORTS`` names
+each export once, under its module, and ``__all__`` derives from it, so
+``import varmdp`` loads no submodule and no numpy; only the float layers
+(``edgeworth``, ``montecarlo``, ``transformation``) bring numpy.  No
+submodule shares a name with an export, so loading one hides no function.
 """
 
-import importlib
-
-from .augmented import (AugmentedMdp, VarSolution, augmented_policy_distribution,
-                        build_augmented, solve_threshold_var, solve_thresholds)
-from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
-                     PreconditionError, ValidationError, VarMdpError)
-from .inventory import (InventoryParams, build_inventory, paper_long, paper_short,
-                        paper_short_printed)
-from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, StepCdf,
-                  check_policy, evaluate_policy, exact_total_reward_distribution,
-                  expected_backward_induction, induced_mrp, simplify_reward)
-from .pareto import ParetoFront, pareto_front_exact, query_eta, query_rho
-from .rationals import format_rational, parse_rational
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AugmentedMdp", "BudgetExceededError", "DegenerateVarianceError", "DeterministicPolicy",
-    "EdgeworthCdf", "ErgodicityError", "FiniteMdp", "InventoryParams", "MarkovRewardProcess",
-    "ParetoFront", "PreconditionError", "StepCdf", "TransformedMrp", "ValidationError",
-    "VarMdpError", "VarSolution", "augmented_policy_distribution", "build_augmented",
-    "build_inventory", "check_policy", "enumerate_stationary_policies", "estimate_cdf",
-    "estimate_cdf_arrays", "evaluate_policy", "exact_total_reward_distribution",
-    "expected_backward_induction", "format_rational", "induced_mrp", "paper_long",
-    "paper_short", "paper_short_printed", "pareto_front_exact", "pareto_front_long",
-    "parse_rational", "policy_chain", "query_eta", "query_rho", "simplify_reward", "simulate",
-    "solve_threshold_var", "solve_thresholds", "transform",
-]
-
-_FLOAT_LAYERS = {
-    **dict.fromkeys(("EdgeworthCdf", "enumerate_stationary_policies", "estimate_cdf",
-                     "estimate_cdf_arrays", "pareto_front_long", "policy_chain"), ".edgeworth"),
-    "simulate": ".montecarlo", "TransformedMrp": ".transformation", "transform": ".transformation",
+_EXPORTS = {
+    "augmented": ("AugmentedMdp", "VarSolution", "augmented_policy_distribution",
+                  "build_augmented", "solve_threshold_var", "solve_thresholds"),
+    "edgeworth": ("EdgeworthCdf", "enumerate_stationary_policies", "estimate_cdf",
+                  "estimate_cdf_arrays", "pareto_front_long", "policy_chain"),
+    "errors": ("BudgetExceededError", "DegenerateVarianceError", "ErgodicityError",
+               "PreconditionError", "ValidationError", "VarMdpError"),
+    "inventory": ("InventoryParams", "build_inventory", "paper_long", "paper_short",
+                  "paper_short_printed"),
+    "mdp": ("DeterministicPolicy", "FiniteMdp", "MarkovRewardProcess", "ParetoFront", "StepCdf",
+            "check_policy", "evaluate_policy", "exact_total_reward_distribution",
+            "expected_backward_induction", "induced_mrp", "simplify_reward"),
+    "montecarlo": ("simulate",),
+    "pareto": ("pareto_front_exact", "query_eta", "query_rho"),
+    "rationals": ("format_rational", "parse_rational"),
+    "transformation": ("TransformedMrp", "transform"),
 }
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    """Import a float layer's name on first use and bind it in this package (PEP 562)."""
-    if name not in _FLOAT_LAYERS:
+    """Import the module of the export ``name`` and bind the name in this package (PEP 562)."""
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_FLOAT_LAYERS[name], __name__), name)
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
     return globals().setdefault(name, value)
-

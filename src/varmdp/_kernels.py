@@ -11,17 +11,18 @@ Every step draws ``u = k * 2**-53`` with ``k = z >> 11`` the top 53 bits
 of a splitmix64 output ``z``, and moves from ``x`` to the number of
 prefix sums ``cum[x, :-1]`` that ``u`` reaches.  The kernel makes this
 pick in integers: ``u >= p`` holds exactly when ``k >= ceil(p * 2**53)``,
-so each row gets integer thresholds.  The tests keep the float compare
-as the reference.  A guide table splits the draws of each row
-into ``2**B`` equal buckets by the top ``B`` bits of ``k``.  A bucket
-holds its pick when no threshold falls inside it; then one flat gather
-gives the next state and another the step reward.  A bucket that a
-threshold splits holds -1, and its draws fall back to the full integer
-compare.  Each row has at most ``S - 1`` thresholds, so at most
-``(S - 1) / 2**B`` of its draws fall back.  ``B`` is ``ceil(log2 S) + 7``,
-lowered until the table has at most ``_GUIDE_CELLS`` cells; any ``B``,
-down to 0, is exact.  The start state is picked from ``mu0`` through the
-same table, as an extra row.
+so each row gets integer thresholds; it keeps those where its prefix
+rises, so its tables are as wide as the largest out-degree.  The tests
+keep the float compare as the reference.  A guide table splits the
+draws of each row into ``2**B`` equal buckets by the top ``B`` bits of
+``k``.  A bucket holds its pick when no threshold falls inside it; then
+one flat gather gives the next state and another the step reward.  A
+bucket that a threshold splits holds -1, and its draws fall back to the
+full integer compare.  A row of out-degree ``d`` has at most ``d``
+thresholds, so at most ``d / 2**B`` of its draws fall back.  ``B`` is
+``ceil(log2 S) + 7``, lowered until the table has at most
+``_GUIDE_CELLS`` cells; any ``B``, down to 0, is exact.  The start state
+is picked from ``mu0`` through the same table, as an extra row.
 
 Layout.  The blocks run on one worker per CPU that the process may use
 (``os.sched_getaffinity``), capped so that each worker gets at least
@@ -66,6 +67,7 @@ from .errors import PreconditionError
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_TOP = 1 << 53  # every 53-bit draw k lies below it
 _GUIDE_CELLS = 1 << 20  # bound on the cells of one guide table; keeps B <= 20
 _BLOCK = 1 << 15  # most samples per vectorized pass; the totals do not depend on it
 _CHUNK = 4  # steps whose draws are mixed in one pass
@@ -97,40 +99,66 @@ def _mix(z):
 
 
 class _Guide(NamedTuple):
-    """Integer pick tables of the kernel rows plus one start row (index ``S``)."""
+    """Integer pick tables of the kernel rows plus one start row (index ``S``).
 
-    thresholds: np.ndarray   # (S + 1) x (S - 1) int64: ceil(prefix * 2**53)
+    A draw ``k`` from row ``x`` that reaches ``i`` kept thresholds moves to
+    ``successor[x, i]``: the count of the row's ``ceil(prefix * 2**53)`` at
+    or below ``k``.
+    """
+
+    thresholds: np.ndarray   # (S + 1) x W int64: the rises below 2**53, padded with 2**53
+    successor: np.ndarray    # (S + 1) x W: the next state y of each count of thresholds
+    slot_reward: np.ndarray  # (S + 1) x W: R[x, y] of each successor, start row 0
     bits: int                # B: one cell per top-B-bit bucket of a 53-bit draw
     offset: np.ndarray       # flat (S + 1) * 2**B: next state y as the offset y * 2**B,
                              # -1 where a threshold splits the bucket
     reward: np.ndarray       # flat (S + 1) * 2**B: R[x, y] of each cell, 0 where -1
-    step_reward: np.ndarray  # (S + 1) x S: R[x, y], start row 0
     split: bool              # whether any cell holds -1
+
+
+def _rises(cum):
+    """Row and column of each prefix of ``cum[:, :-1]`` (nondecreasing) rising, clipped at 1."""
+    prefix = cum[:, :-1]
+    up = np.empty(prefix.shape, dtype=bool)
+    np.greater(prefix[:, :1], 0.0, out=up[:, :1])
+    np.greater(prefix[:, 1:], prefix[:, :-1], out=up[:, 1:])
+    up[:, 1:] &= prefix[:, :-1] < 1.0
+    return np.nonzero(up)
 
 
 def _guide(cum, mu0_cum, step_reward) -> _Guide:
     """Thresholds and guide table of the rows of ``cum`` and the start row ``mu0_cum``."""
+    n = cum.shape[0]
+    xs, ys = _rises(cum)
+    _, start = _rises(mu0_cum[None])
     # u < 1 never reaches a prefix that rounded above 1: clip it to 2**53
-    prefix = np.vstack([cum[:, :-1], mu0_cum[:-1]])
-    np.clip(prefix, 0.0, 1.0, out=prefix)
-    np.ldexp(prefix, 53, out=prefix)
-    thresholds = np.ceil(prefix, out=prefix).astype(np.int64)
-    n_rows, n = thresholds.shape[0], cum.shape[0]
+    t = np.minimum(np.concatenate([cum[xs, ys], mu0_cum[start]]), 1.0)
+    t = np.ceil(np.ldexp(t, 53)).astype(np.int64)
+    xs, ys = np.concatenate([xs, np.full(len(start), n)]), np.concatenate([ys, start])
+    counts = np.bincount(xs, minlength=n + 1)
+    slot = np.arange(len(xs)) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = 1 + int(np.bincount(xs[t < _TOP], minlength=n + 1).max())  # no draw reaches 2**53
+    thresholds = np.full((n + 1, width), _TOP, dtype=np.int64)
+    successor = np.full((n + 1, width), n - 1, dtype=np.int64)
+    thresholds[xs, slot], successor[xs, slot] = t, ys
+    slot_reward = np.vstack([np.take_along_axis(step_reward, successor[:n], axis=1),
+                             np.zeros(width)])
     bits = max(0, min((n - 1).bit_length() + 7,
-                      max(_GUIDE_CELLS // n_rows, 1).bit_length() - 1))
-    width = 53 - bits
-    first = np.arange(1 << bits, dtype=np.int64) << width
-    last = first + ((1 << width) - 1)
-    pick = np.empty((n_rows, 1 << bits), dtype=np.int64)
-    for x in range(n_rows):
-        row = thresholds[x]  # prefix sums of nonnegative masses: already nondecreasing
-        lo = np.searchsorted(row, first, side="right")
-        pick[x] = np.where(lo == np.searchsorted(row, last, side="right"), lo, -1)
-    step_reward = np.vstack([step_reward, np.zeros(n)])
-    split = pick < 0
-    reward = np.take_along_axis(step_reward, np.where(split, 0, pick), axis=1)
-    return _Guide(thresholds, bits, np.where(split, -1, pick << bits).ravel(),
-                  np.where(split, 0.0, reward).ravel(), step_reward, bool(split.any()))
+                      max(_GUIDE_CELLS // (n + 1), 1).bit_length() - 1))
+    shift, cells = 53 - bits, 1 << bits
+    # a threshold counts from the first bucket whose first draw reaches it (2**53 from
+    # none), and splits the bucket that holds it unless it is that bucket's first draw
+    reached = np.bincount(xs * (cells + 1) + ((t + (1 << shift) - 1) >> shift),
+                          minlength=(n + 1) * (cells + 1))
+    count = np.cumsum(reached.reshape(n + 1, cells + 1), axis=1)[:, :cells]
+    split = np.zeros((n + 1, cells), dtype=bool)
+    inside = (t & ((1 << shift) - 1)) != 0
+    split[xs[inside], t[inside] >> shift] = True
+    pick = np.take_along_axis(successor, count, axis=1)
+    reward = np.take_along_axis(slot_reward, count, axis=1)
+    return _Guide(thresholds, successor, slot_reward, bits,
+                  np.where(split, -1, pick << bits).ravel(),
+                  np.where(split, 0.0, reward).ravel(), bool(split.any()))
 
 
 def _guide_pick(guide, row, word, nxt, w):
@@ -149,9 +177,9 @@ def _guide_pick(guide, row, word, nxt, w):
         z = word[miss]
         k = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).view(np.int64)
         x = row[miss] >> guide.bits
-        y = np.count_nonzero(k[:, None] >= guide.thresholds[x], axis=1)
-        nxt[miss] = y << guide.bits
-        w[miss] = guide.step_reward[x, y]
+        i = np.count_nonzero(k[:, None] >= guide.thresholds[x], axis=1)
+        nxt[miss] = guide.successor[x, i] << guide.bits
+        w[miss] = guide.slot_reward[x, i]
 
 
 def _cpus() -> int:
@@ -167,7 +195,7 @@ def _fill(guide, out, edges, n_steps, seed, final):
 
     The buffers are this call's own, so calls on disjoint edges can run side by side.
     """
-    n = guide.step_reward.shape[1]
+    n = len(guide.thresholds) - 1
     size = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     chunk = min(_CHUNK, n_steps + 1)
     words, scratch = (np.empty((chunk, size), dtype=np.uint64) for _ in range(2))

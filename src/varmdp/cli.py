@@ -13,22 +13,23 @@ first, then a side file; ``main`` alone writes them, in order, and
 returns the exit code.
 
 ``main`` is the library entry: the tests and the benchmark's traced
-replay call it in-process, and it returns.  ``run`` is the process entry,
-for ``python -m varmdp.cli`` and the ``varmdp`` script: it calls ``main``,
-flushes stdout and stderr, and ends the process with ``os._exit``, which
-skips the interpreter's teardown (clearing every module, the final
-garbage collection, atexit handlers) once every output file is closed.
-Under a tracer or a profiler (coverage, cProfile, a debugger) it exits
-through ``sys.exit`` instead, so that those tools still write their
-reports.
+replay call it in-process, and it returns, leaving the garbage collector
+as it found it.  ``run`` is the process entry, for ``python -m
+varmdp.cli`` and the ``varmdp`` script: it turns the cyclic collector
+off, calls ``main``, flushes stdout and stderr (if the process started
+with them open), and ends the process with ``os._exit``, which skips the
+interpreter's teardown (clearing every module, the final garbage
+collection, atexit handlers) once every output file is closed.  Under a
+tracer or a profiler (coverage, cProfile, a debugger) it exits through
+``sys.exit`` instead, so that those tools still write their reports.
 
-The exact subcommands (``gen-inventory``, ``solve-expected``,
-``dist-exact``, ``var-threshold``, ``pareto-short``) run on the rational
-layers and never load numpy.  The float layers' entry points
-(``transform``, ``estimate_cdf``, ``pareto_front_long``, ``simulate``) are
-imported when a float subcommand first asks ``_layer`` for one; ``_layer``
-is this module's ``__getattr__`` too.  numpy comes with them, and
-``compare`` loads it itself.
+A name loads its module on first read, as in the package.  This module
+imports what every subcommand shares; each solver entry point
+(``solve_threshold_var``, ``pareto_front_exact``, ``transform``,
+``estimate_cdf``, ``pareto_front_long``, ``simulate``) is a package
+export read through ``_layer``, this module's ``__getattr__``, when a
+subcommand first calls it.  So each subcommand loads only the layers it
+runs; numpy comes with the float layers, and ``compare`` loads it itself.
 
 Exit codes: 0 success, 2 parse/validation error (an unreadable or
 undecodable input too), 3 precondition violation, 4 budget refusal or an
@@ -40,6 +41,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
+import gc
 import io
 import json
 import math
@@ -51,7 +54,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import inventory
-from .augmented import listings, solve_threshold_var
 from .documents import (dump_document, load_document, mdp_from_document,
                         mdp_to_document, mrp_from_document, mrp_to_document,
                         state_index)
@@ -59,7 +61,6 @@ from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityErr
                      PreconditionError, ValidationError, VarMdpError)
 from .mdp import (DeterministicPolicy, exact_total_reward_distribution,
                   expected_backward_induction, simplify_reward)
-from .pareto import pareto_front_exact
 from .rationals import format_rational, parse_rational
 
 EXIT_OK = 0
@@ -74,18 +75,17 @@ _EXIT_CODES = {ValidationError: EXIT_PARSE, PreconditionError: EXIT_PRECONDITION
 
 _SCHEMA_NOTE = "Document schemas: mdp-v1 and mrp-v1 (JSON; numerics as exact strings)."
 
-_FLOAT_ENTRY_POINTS = ("transform", "estimate_cdf", "pareto_front_long", "simulate")
-
 
 def _layer(name: str):
-    """The float-layer entry point bound to ``name`` in this module, imported on first use.
+    """The package export ``name``, its module loaded on first read, bound in this module.
 
     It is also this module's ``__getattr__`` (PEP 562).  ``setdefault``
     returns a name already bound here (a timing wrapper, say) unchanged.
     """
-    if name not in _FLOAT_ENTRY_POINTS:
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, getattr(sys.modules[__package__], name))
+    return globals().setdefault(name, getattr(package, name))
 
 
 __getattr__ = _layer
@@ -105,6 +105,8 @@ def _write_text(path: str | None, text: str) -> None:
     to_stdout = path is None or path == "-"
     try:
         if to_stdout:
+            if sys.stdout is None:  # the process started with its standard output closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
@@ -249,10 +251,11 @@ def cmd_dist_exact(args) -> list:
 
 
 def cmd_var_threshold(args) -> list:
+    from .augmented import listings
     _require_positive(args.max_aug_states, "max-aug-states")
     mdp = _load_mdp(args.document)
     tau = parse_rational(args.tau, "tau")
-    solution = solve_threshold_var(mdp, tau, max_states=args.max_aug_states)
+    solution = _layer("solve_threshold_var")(mdp, tau, max_states=args.max_aug_states)
     return [(args.output, f"eta = {_exact_pair(solution.eta)}\n"
                           f"{listings((solution,), mdp.states)[0]}\n")]
 
@@ -260,7 +263,7 @@ def cmd_var_threshold(args) -> list:
 def cmd_pareto_short(args) -> list:
     _require_positive(args.max_aug_states, "max-aug-states")
     mdp = _load_mdp(args.document)
-    front = pareto_front_exact(mdp, max_states=args.max_aug_states)
+    front = _layer("pareto_front_exact")(mdp, max_states=args.max_aug_states)
     return _front_outputs(args, front, lambda q: [format_rational(q), _dec(q)],
                           ["tau", "tau_decimal", "pareto_value", "pareto_value_decimal"])
 
@@ -498,6 +501,7 @@ def _observed() -> bool:
 
 def run() -> None:
     """``main`` as a process: flush its output, then exit without interpreter teardown."""
+    gc.disable()
     try:
         code = main()
     except SystemExit as exc:  # argparse's --help and usage errors
@@ -505,13 +509,15 @@ def run() -> None:
     if _observed():
         sys.exit(code)
     try:
-        sys.stdout.flush()  # holds only argparse's help: main flushes what it writes
+        if sys.stdout is not None:  # None when the process started with it closed
+            sys.stdout.flush()  # holds only argparse's help: main flushes what it writes
     except OSError as exc:
         if code == EXIT_OK:  # otherwise main has refused the failed write already
             print(f"error: output: cannot write <stdout>: {exc.strerror or exc}",
                   file=sys.stderr)
             code = EXIT_PARSE
-    sys.stderr.flush()
+    if sys.stderr is not None:
+        sys.stderr.flush()
     os._exit(code)
 
 

@@ -73,8 +73,8 @@ import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError)
-from .mdp import DeterministicPolicy, FiniteMdp, MarkovRewardProcess, induced_mrp
-from .pareto import ParetoFront
+from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, ParetoFront,
+                  induced_mrp)
 from .transformation import bfs_levels, transform
 
 logger = logging.getLogger(__name__)

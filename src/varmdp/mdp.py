@@ -21,7 +21,8 @@ Only ``arrays`` loads numpy, when first called; the exact solvers never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
@@ -269,6 +270,31 @@ class StepCdf:
     def prob_geq(self, tau) -> Fraction:
         tau = Fraction(tau)
         return sum((p for s, p in zip(self.support, self.prob) if s >= tau), ZERO)
+
+
+@dataclass(frozen=True)
+class ParetoFront:
+    """Pointwise-infimum front over a threshold grid, with per-point witnesses (see ``pareto``)."""
+
+    kind: str                      # "exact" (rational grid) or "estimated" (float grid)
+    grid: tuple
+    value: tuple
+    witness: tuple[int, ...]
+    policies: Mapping[int, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("exact", "estimated"):
+            raise ValidationError(f"front kind: {self.kind!r}")
+        if not (len(self.grid) == len(self.value) == len(self.witness)) or not self.grid:
+            raise ValidationError("front: grid/value/witness lengths differ or empty")
+        if not all(-math.inf < t < math.inf for t in self.grid):
+            raise ValidationError("front: grid must be finite")
+        if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
+            raise ValidationError("front: grid must be strictly increasing")
+        if not all(0 <= v <= 1 for v in self.value):
+            raise ValidationError("front: values must lie in [0, 1]")
+        if any(self.value[i] > self.value[i + 1] for i in range(len(self.value) - 1)):
+            raise ValidationError("front: values must be nondecreasing")
 
 
 def simplify_reward(mdp: FiniteMdp) -> FiniteMdp:

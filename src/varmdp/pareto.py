@@ -19,44 +19,21 @@ Between grid points the front evaluates as a left-continuous step
 (constant on ``(grid[k-1], grid[k]]``), which keeps that identity
 literal for every real threshold.  Estimated fronts hold float values
 on a float grid and evaluate by linear interpolation.
+
+The front record, ``ParetoFront``, lives in ``mdp`` next to ``StepCdf``:
+``edgeworth`` builds the estimated front without loading this module or
+the augmented model behind it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Mapping
 
 from .augmented import build_augmented, listings, solve_thresholds
-from .errors import PreconditionError, ValidationError
-from .mdp import FiniteMdp, ZERO
+from .errors import PreconditionError
+from .mdp import FiniteMdp, ParetoFront, ZERO
 from .rationals import parse_rational
-
-
-@dataclass(frozen=True)
-class ParetoFront:
-    """Pointwise-infimum front over a threshold grid, with per-point witnesses."""
-
-    kind: str                      # "exact" (rational grid) or "estimated" (float grid)
-    grid: tuple
-    value: tuple
-    witness: tuple[int, ...]
-    policies: Mapping[int, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "estimated"):
-            raise ValidationError(f"front kind: {self.kind!r}")
-        if not (len(self.grid) == len(self.value) == len(self.witness)) or not self.grid:
-            raise ValidationError("front: grid/value/witness lengths differ or empty")
-        if not all(-math.inf < t < math.inf for t in self.grid):
-            raise ValidationError("front: grid must be finite")
-        if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
-            raise ValidationError("front: grid must be strictly increasing")
-        if not all(0 <= v <= 1 for v in self.value):
-            raise ValidationError("front: values must lie in [0, 1]")
-        if any(self.value[i] > self.value[i + 1] for i in range(len(self.value) - 1)):
-            raise ValidationError("front: values must be nondecreasing")
 
 
 def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront:

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import gc
 import io
 import json
 import os
@@ -901,32 +902,68 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_exact_subcommands_load_no_float_layer(tmp_path):
-    # the exact path is pure Python: numpy and the float layers load only when asked for,
-    # and loading the submodule varmdp.transformation leaves the name to the function;
-    # every lazy name is exported, and every export resolves
-    doc, out = str(tmp_path / "short.json"), str(tmp_path / "out")
-    runs = [["gen-inventory", "-o", doc], ["solve-expected", doc, "-o", out],
-            ["dist-exact", doc, "-o", out], ["var-threshold", doc, "--tau", "9", "-o", out],
-            ["pareto-short", doc, "-o", out, "--policies-out", out + "-pol"]]
-    float_layers = ["numpy", "varmdp._kernels", "varmdp.edgeworth", "varmdp.montecarlo",
-                    "varmdp.transformation"]
+_BASE_MODULES = ["cli", "documents", "errors", "inventory", "mdp", "rationals"]
+
+
+def test_each_subcommand_loads_only_its_layers(tmp_path):
+    # a name loads its module on first read: in a fresh interpreter each subcommand loads
+    # exactly the varmdp modules it runs, and numpy only where a float layer or compare runs
+    docs = {"short": str(tmp_path / "short.json"), "cap2": str(tmp_path / "cap2.json"),
+            "chain": _chain_doc(tmp_path / "chain.json", [["1/2", "1/2"]] * 2, ["1", "0"]),
+            "pairs": str(tmp_path / "pairs.json"), "csv": str(tmp_path / "cdf.csv"),
+            "out": str(tmp_path / "out")}
+    assert main(["gen-inventory", "-o", docs["short"]]) == 0
+    with open(docs["cap2"], "w", encoding="utf-8") as fh:
+        fh.write(dump_document(mdp_to_document(
+            build_inventory(InventoryParams(horizon=50, capacity=2)))))
+    with open(docs["pairs"], "w", encoding="utf-8") as fh:
+        json.dump(TRANS_MRP, fh)
+    with open(docs["csv"], "w", encoding="utf-8") as fh:
+        fh.write("tau,cdf\n0,0\n1,1\n")
+    rows = [  # (argv, modules beyond the base set, whether numpy loads)
+        (["gen-inventory", "-o", "{out}"], [], False),
+        (["solve-expected", "{short}", "-o", "{out}"], [], False),
+        (["dist-exact", "{short}", "-o", "{out}"], [], False),
+        (["compare", "{csv}", "{csv}", "-o", "{out}"], [], True),
+        (["var-threshold", "{short}", "--tau", "9", "-o", "{out}"], ["augmented"], False),
+        (["pareto-short", "{short}", "-o", "{out}", "--policies-out", "{out}"],
+         ["augmented", "pareto"], False),
+        (["estimate-cdf", "{chain}", "--n-steps", "20", "--grid=20:60:9", "-o", "{out}"],
+         ["edgeworth", "transformation"], True),
+        (["pareto-long", "{cap2}", "--horizon", "50", "--grid=0:400:41", "-o", "{out}"],
+         ["edgeworth", "transformation"], True),
+        (["transform", "{pairs}", "-o", "{out}"], ["transformation"], True),
+        (["simulate", "{chain}", "--samples", "100", "--seed", "1", "-o", "{out}"],
+         ["_kernels", "montecarlo"], True),
+    ]
+    report = ("print(sorted(m for m in sys.modules if m.startswith('varmdp')), "
+              "'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", f"import sys, varmdp; {report}"],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "['varmdp'] False\n"
+    for argv, extra, numpy in rows:
+        argv = [arg.format(**docs) for arg in argv]
+        script = f"import sys; from varmdp.cli import main; print(main({argv!r})); {report}"
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True)
+        modules = ["varmdp"] + [f"varmdp.{m}" for m in sorted(_BASE_MODULES + extra)]
+        assert done.stdout == f"0\n{modules} {numpy}\n", (argv[0], done.stderr)
+
+
+def test_every_export_resolves_to_its_module():
+    # loading the submodule varmdp.transformation leaves the package's name to the function
     script = (
         "import sys, varmdp\n"
-        "print('numpy' in sys.modules, set(varmdp._FLOAT_LAYERS) <= set(varmdp.__all__))\n"
-        "from varmdp.cli import main\n"
-        f"for argv in {runs!r}:\n"
-        "    assert main(argv) == 0, argv\n"
-        f"print(sorted(m for m in {float_layers!r} if m in sys.modules))\n"
         "import varmdp.transformation, varmdp.edgeworth\n"
         "from varmdp import transform, simulate, estimate_cdf, policy_chain\n"
         "print([callable(f) for f in (transform, simulate, estimate_cdf, policy_chain)],\n"
         "      transform is sys.modules['varmdp.transformation'].transform is varmdp.transform)\n"
-        "print([name for name in varmdp.__all__ if not hasattr(varmdp, name)])\n")
+        "print([name for name, module in varmdp._MODULE_OF.items()\n"
+        "       if getattr(varmdp, name) is not getattr(sys.modules[f'varmdp.{module}'], name)])\n"
+        "print(varmdp.__all__ == sorted(set(varmdp.__all__)))\n")
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines() == ["False True", "[]", "[True, True, True, True] True",
-                                          "[]"]
+    assert result.stdout.splitlines() == ["[True, True, True, True] True", "[]", "True"]
 
 
 def test_no_submodule_is_named_like_an_export():
@@ -1040,6 +1077,39 @@ def test_failed_stdout_write_exits_2_naming_it(unbuffered):
                               stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert (done.returncode, done.stderr) == (
         2, "error: output: cannot write <stdout>: No space left on device\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["gen-inventory"], 2, "error: output: cannot write <stdout>: Bad file descriptor\n"),
+    (["gen-inventory", "-o", "out.json"], 0, ""),
+], ids=["stdout", "file"])
+def test_closed_stdout_is_a_failed_write(tmp_path, argv, code, err):
+    # started with fd 1 closed, the interpreter sets sys.stdout to None
+    for name, entry in _ENTRIES.items():
+        work = tmp_path / name
+        work.mkdir()
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *entry, *argv],
+                              cwd=work, stderr=subprocess.PIPE, text=True)
+        assert (done.returncode, done.stderr) == (code, err), name
+        assert sorted(path.name for path in work.iterdir()) == argv[2:]
+        if argv[2:]:
+            assert load_document((work / "out.json").read_text())["states"]
+
+
+def test_process_entry_turns_off_the_collector_and_main_leaves_it(tmp_path):
+    script = ("import gc, varmdp.cli as cli\n"
+              "cli.main = lambda: print(gc.isenabled()) or 0\n"
+              "cli.run()\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(["gen-inventory", "-o", str(tmp_path / "mdp.json")]) == 0
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_process_entry_under_a_profiler_still_reports(tmp_path):

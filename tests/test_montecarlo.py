@@ -199,12 +199,14 @@ class TestIntegerPick:
 
     def test_exact_at_threshold_draws(self, monkeypatch):
         # draws next to ceil/floor(p * 2**53) decide between >= and >, ceil and floor;
-        # 1 - 2**-53 puts a threshold on the last draw of a bucket
+        # 1 - 2**-53 puts a threshold on the last draw of a bucket; two subnormal
+        # prefixes share one integer threshold
         rng = np.random.default_rng(5)
         for cells in (1, 64, 1 << 20):
             monkeypatch.setattr(_kernels, "_GUIDE_CELLS", cells)
             cum = float_rows(rng, 9)
             cum[0] = [5e-324, 0.25, 0.5, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.0, 1.0, 1.0]
+            cum[2] = [5e-324, 1e-323, 0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.0]
             R = rng.normal(size=(9, 9))
             guide = _kernels._guide(cum, cum[1], R)
             for x in range(9):
@@ -260,6 +262,11 @@ class TestIntegerPick:
         guide = _kernels._guide(cum, cum[0], np.zeros((n, n)))
         assert len(guide.offset) <= _kernels._GUIDE_CELLS
         assert len(guide.offset) == (n + 1) << guide.bits
+        # the pick tables are as wide as the largest out-degree of the float rows, where
+        # a row whose prefixes fall short of 1 also reaches the last state
+        degree = np.count_nonzero(np.diff(cum, axis=1, prepend=0.0) > 0, axis=1).max()
+        for table in (guide.thresholds, guide.successor, guide.slot_reward):
+            assert table.shape == (n + 1, degree)
         reward = rng.normal(size=n)
         got = kernel_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
         want = reference_totals(cum, cum[0], 40, 300, 17, state_reward=reward)
