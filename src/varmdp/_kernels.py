@@ -24,24 +24,39 @@ thresholds, so at most ``d / 2**B`` of its draws fall back.  ``B`` is
 ``_GUIDE_CELLS`` cells; any ``B``, down to 0, is exact.  The start state
 is picked from ``mu0`` through the same table, as an extra row.
 
-Layout.  The blocks run on one worker per CPU that the process may use
-(``os.sched_getaffinity``), capped so that each worker gets at least
+Layout.  The blocks run on one worker per CPU of the process's affinity
+mask (``os.sched_getaffinity``; ``os.cpu_count`` where the platform has
+no affinity call), capped so that each worker gets at least
 ``_MIN_SHARE`` samples: a smaller run stays on the caller and starts no
 thread.  The samples split evenly into a multiple of the worker count of
 blocks, each of at most ``_BLOCK``; worker ``k`` runs the ``k``-th run of
 consecutive blocks, and the caller is worker 0.  The other workers are
 plain threads, started and joined within the call; an exception in any
-of them is raised once all are joined.  Each worker owns its buffers
-(``words``, ``scratch``, ``rows``, ``picks``, ``rewards``), made once and
-written by every step (``out=``), and writes its own slice of ``out``;
-the guide table is shared and only read.  numpy lets go of the GIL
-inside each call, but every handoff between threads costs latency, so a
-worker runs one large block or a few.  In-process on the 8-state
-``mc-oracle`` witness chain (50,000 x 500, 2-core host, best of 7 runs),
-one thread took 0.13-0.16 s; two took 0.19-0.24 s on blocks of 6,250,
-0.11-0.16 s on 12,500 and 0.09-0.12 s on one 25,000 block each.  One
-thread on 25,000-sample blocks is within noise of 8,192.  Two threads
-lose to one below about 10,000 samples a worker.  The draws of
+of them is raised once all are joined.  With two workers or more, worker
+``k`` pins itself to the ``k``-th CPU of the mask before its blocks
+(``os.sched_setaffinity``, which on Linux sets the calling thread's
+mask), and the caller puts back the mask it had, also when a worker
+raises; where the platform has no affinity call or refuses the CPU, the
+worker runs unpinned.  Unpinned, the scheduler can keep a new thread on
+its creator's CPU for the whole kernel in a fresh process, and the
+workers take turns on one CPU: with one BLAS thread, one kernel call per
+fresh process on the ``mc-oracle`` witness chain below took 0.210 s of
+wall time and 0.209 s of CPU time unpinned, 0.121 and 0.224 s pinned
+(medians of 12).  Each worker owns its buffers (``words``,
+``scratch``, ``rows``, ``picks``, ``rewards``), made once and written by
+every step (``out=``), and writes its own slice of ``out``; the guide
+table is shared and only read.  numpy lets go of the GIL inside each
+call, but every handoff between threads costs latency, so a worker runs
+one large block or a few.  On the 8-state ``mc-oracle`` witness chain
+(50,000 x 500, 2-core host, one timed call per fresh process, median of
+12), one worker took 0.215 s; two pinned workers took 0.200 s on blocks
+of 6,250, 0.147 s on 12,500 and 0.134 s on one 25,000 block each.  One
+thread on 25,000-sample blocks is within noise of 8,192.  Against one
+worker on the same samples (medians of 16 processes), two pinned workers
+lose at 5,000 samples a worker (0.052 against 0.043 s, slower in 15 of
+16) and at 6,000 (slower in 13), break even at 7,000 and win from 8,000
+(10,000 a worker: 0.070 against 0.087 s, faster in 14 of 16), so
+``_MIN_SHARE`` keeps a margin above the crossover.  The draws of
 ``_CHUNK`` steps are mixed together, in one ``_CHUNK x block`` pass per
 splitmix operation.
 
@@ -71,7 +86,7 @@ _TOP = 1 << 53  # every 53-bit draw k lies below it
 _GUIDE_CELLS = 1 << 20  # bound on the cells of one guide table; keeps B <= 20
 _BLOCK = 1 << 15  # most samples per vectorized pass; the totals do not depend on it
 _CHUNK = 4  # steps whose draws are mixed in one pass
-_MIN_SHARE = 10_000  # fewest samples per worker; fewer lose more to GIL handoffs than they gain
+_MIN_SHARE = 10_000  # fewest samples per worker; below about 7,000 two workers lose to one
 
 
 def numba_enabled() -> bool:
@@ -182,12 +197,25 @@ def _guide_pick(guide, row, word, nxt, w):
         w[miss] = guide.slot_reward[x, i]
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: the most workers ``simulate_totals`` starts."""
+def _cpus() -> tuple[int, ...]:
+    """Ids of the CPUs this process may run on: worker ``k`` runs on the ``k``-th."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        return tuple(sorted(os.sched_getaffinity(0)))
+    except AttributeError:  # no affinity call on this platform: count the CPUs
+        return tuple(range(os.cpu_count() or 1))
+
+
+def _pin(cpus):
+    """Run the calling thread on ``cpus`` only; return the mask it had, None if it cannot.
+
+    On Linux ``sched_setaffinity(0, ...)`` acts on the calling thread alone.
+    """
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no affinity call here, or a CPU outside the mask
+        return None
+    return mask
 
 
 def _fill(guide, out, edges, n_steps, seed, final):
@@ -237,16 +265,21 @@ def simulate_totals(cum, mu0_cum, n_steps, n_samples, seed, *, step_reward,
     seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     guide = _guide(cum, mu0_cum, step_reward)
     out = np.empty(n_samples)
-    workers = max(1, min(_cpus(), n_samples // _MIN_SHARE))
+    cpus = _cpus()
+    workers = max(1, min(len(cpus), n_samples // _MIN_SHARE))
     per = -(-n_samples // (workers * _BLOCK))  # blocks per worker
     edges = [n_samples * i // (workers * per) for i in range(workers * per + 1)]  # even blocks
     errors = []
 
     def work(k):
+        mask = _pin({cpus[k]}) if workers > 1 else None
         try:
             _fill(guide, out, edges[k * per:(k + 1) * per + 1], n_steps, seed, final)
         except BaseException as exc:  # the caller re-raises it once every worker is joined
             errors.append(exc)
+        finally:
+            if mask is not None:  # the caller gets its own mask back
+                _pin(mask)
 
     threads = []
     try:

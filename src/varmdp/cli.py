@@ -33,7 +33,9 @@ runs; numpy comes with the float layers, and ``compare`` loads it itself.
 
 Exit codes: 0 success, 2 parse/validation error (an unreadable or
 undecodable input too), 3 precondition violation, 4 budget refusal or an
-array too large to allocate, 5 ergodicity/degeneracy error.
+array too large to allocate, 5 ergodicity/degeneracy error.  A refusal
+keeps its code when stderr is closed or cannot be written; only its
+message is lost.
 """
 
 from __future__ import annotations
@@ -477,6 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(message: str) -> None:
+    """Print ``message`` on stderr, if it can be written: a refusal keeps its exit code."""
+    try:
+        if sys.stderr is not None:  # None when the process started with it closed
+            print(message, file=sys.stderr)
+    except OSError:  # a descriptor 2 that cannot be written
+        pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -484,10 +495,10 @@ def main(argv=None) -> int:
         for path, text in args.func(args):
             _write_text(path, text)
     except VarMdpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return _EXIT_CODES[type(exc)]
     except MemoryError as exc:  # numpy refuses an oversized array before allocating it
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        _report(f"error: out of memory: {exc}")
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -513,11 +524,13 @@ def run() -> None:
             sys.stdout.flush()  # holds only argparse's help: main flushes what it writes
     except OSError as exc:
         if code == EXIT_OK:  # otherwise main has refused the failed write already
-            print(f"error: output: cannot write <stdout>: {exc.strerror or exc}",
-                  file=sys.stderr)
+            _report(f"error: output: cannot write <stdout>: {exc.strerror or exc}")
             code = EXIT_PARSE
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:  # what stderr could not take is lost; the exit code stands
+        pass
     os._exit(code)
 
 

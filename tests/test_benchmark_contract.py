@@ -99,7 +99,7 @@ def test_full_simulate_goldens_replay_in_process(tmp_path, monkeypatch, thread_s
     workloads, checks = load_by_path("workloads"), load_by_path("checks")
     goldens = json.loads((VARBENCH / "goldens.json").read_text(encoding="utf-8"))["full"]
     for cpus, variants in ((2, range(workloads.POOL)), (1, range(4))):
-        monkeypatch.setattr(_kernels, "_cpus", lambda: cpus)
+        monkeypatch.setattr(_kernels, "_cpus", lambda: tuple(range(cpus)))
         for variant in variants:
             workload = workloads.build("mc-oracle", variant,
                                        str(tmp_path / f"cpus{cpus}-v{variant}"), workloads.FULL)

@@ -1096,6 +1096,38 @@ def test_closed_stdout_is_a_failed_write(tmp_path, argv, code, err):
             assert load_document((work / "out.json").read_text())["states"]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["solve-expected", "missing.json"], 2),
+    (["estimate-cdf", "{chain}", "--n-steps", "0", "--grid=0:10:3"], 3),
+    (["gen-inventory", "-o", "out.json"], 0),
+], ids=["exit-2", "exit-3", "exit-0"])
+@pytest.mark.parametrize("stderr", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code, stderr):
+    # fd 2 closed: the interpreter sets sys.stderr to None; opened for reading only: the
+    # refusal's print fails with EBADF.  Either way the message is lost, not the exit code.
+    chain = _chain_doc(tmp_path / "chain.json", [["1/2", "1/2"]] * 2, ["1", "0"])
+    argv = [arg.format(chain=chain) for arg in argv]
+    for name, entry in _ENTRIES.items():
+        work = tmp_path / name
+        work.mkdir()
+        done = subprocess.run(["sh", "-c", f'exec "$@" {stderr}', "sh", sys.executable,
+                               *entry, *argv], cwd=work, stdout=subprocess.PIPE, text=True)
+        assert (done.returncode, done.stdout) == (code, ""), name
+        assert [path.name for path in work.iterdir()] == (["out.json"] if code == 0 else [])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_process_entry_keeps_the_exit_code_when_stderr_cannot_be_flushed():
+    # the interpreter's stderr writes through; a buffered stream put in its place
+    # holds a message until run() flushes it
+    script = ("import sys, varmdp.cli as cli\n"
+              "sys.stderr = open('/dev/full', 'w')\n"
+              "cli.main = lambda: print('error: refused', file=sys.stderr) or 3\n"
+              "cli.run()\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", "")
+
+
 def test_process_entry_turns_off_the_collector_and_main_leaves_it(tmp_path):
     script = ("import gc, varmdp.cli as cli\n"
               "cli.main = lambda: print(gc.isenabled()) or 0\n"

@@ -1,6 +1,8 @@
 """Simulation oracle: reproducibility, exact integer pick, CDF distances."""
 
+import errno
 import math
+import os
 import sys
 import threading
 from fractions import Fraction
@@ -18,6 +20,12 @@ from conftest import empirical_cdf, ks_distance
 
 F = Fraction
 _INV53 = 2.0 ** -53
+_AFFINITY = hasattr(os, "sched_getaffinity")
+
+
+def caller_mask():
+    """The calling thread's affinity mask, None where the platform has no affinity call."""
+    return os.sched_getaffinity(0) if _AFFINITY else None
 
 
 def deterministic_chain():
@@ -274,7 +282,8 @@ class TestIntegerPick:
 
 
 class TestWorkers:
-    """Sample blocks on worker threads: the totals do not depend on how many run."""
+    """Sample blocks on worker threads, each pinned to its own CPU: the totals do not
+    depend on how many run, and the caller keeps its affinity mask."""
 
     @pytest.fixture
     def small_shares(self, monkeypatch):
@@ -285,8 +294,10 @@ class TestWorkers:
     def test_totals_do_not_depend_on_the_worker_count(self, monkeypatch, small_shares,
                                                       thread_starts, cpus):
         # 64 CPUs: the workers are capped by the 100-sample shares, and there are
-        # more of them than cores and than one worker would run blocks
-        monkeypatch.setattr(_kernels, "_cpus", lambda: cpus)
+        # more of them than cores and than one worker would run blocks; a worker
+        # whose CPU id is not in the mask runs unpinned
+        monkeypatch.setattr(_kernels, "_cpus", lambda: tuple(range(cpus)))
+        before = caller_mask()
         cases = TestIntegerPick()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
@@ -298,11 +309,60 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         assert bool(thread_starts) == (cpus > 1)
         assert not any(thread.is_alive() for thread in thread_starts)
+        assert caller_mask() == before
+
+    @pytest.mark.skipif(not _AFFINITY or len(caller_mask() or ()) < 2,
+                        reason="needs an affinity mask of two CPUs or more")
+    def test_each_worker_runs_on_its_own_cpu(self, monkeypatch, small_shares, thread_starts):
+        fill, masks = _kernels._fill, []
+
+        def recording_fill(*args):
+            masks.append(os.sched_getaffinity(0))
+            fill(*args)
+
+        monkeypatch.setattr(_kernels, "_fill", recording_fill)
+        before = caller_mask()
+        cum = float_rows(np.random.default_rng(12), 5)
+        got = kernel_totals(cum, cum[0], 15, 200, 4, state_reward=np.arange(5.0))
+        assert len(thread_starts) == 1  # two workers of 100 samples
+        assert sorted(masks, key=min) == [{cpu} for cpu in sorted(before)[:2]]
+        assert caller_mask() == before
+        assert np.array_equal(got, reference_totals(cum, cum[0], 15, 200, 4,
+                                                    state_reward=np.arange(5.0)))
+
+    @pytest.mark.skipif(not _AFFINITY, reason="no affinity call on this platform")
+    def test_a_mask_of_one_cpu_starts_no_thread(self, printed_chain_mrp, thread_starts):
+        before = caller_mask()
+        os.sched_setaffinity(0, {min(before)})
+        try:
+            simulate(printed_chain_mrp, samples=4 * _kernels._MIN_SHARE, seed=1)
+            assert caller_mask() == {min(before)}
+        finally:
+            os.sched_setaffinity(0, before)
+        assert thread_starts == []
+
+    @pytest.mark.parametrize("refusal", ["raises", "missing"])
+    def test_workers_run_unpinned_where_pinning_fails(self, monkeypatch, small_shares,
+                                                      thread_starts, refusal):
+        def refuse(pid, cpus):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+        if refusal == "raises":
+            monkeypatch.setattr(_kernels.os, "sched_setaffinity", refuse, raising=False)
+        else:
+            monkeypatch.delattr(_kernels.os, "sched_setaffinity", raising=False)
+        monkeypatch.setattr(_kernels, "_cpus", lambda: (0, 1))
+        before = caller_mask()
+        rng = np.random.default_rng(13)
+        cum = float_rows(rng, 7)
+        TestIntegerPick().assert_kernel_matches(cum, cum[2], rng, 9, 650, 21)
+        assert len(thread_starts) == len(TestIntegerPick.CASES)
+        assert caller_mask() == before
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_failure_is_raised_once_every_worker_is_joined(self, monkeypatch, small_shares,
                                                            thread_starts, failing):
-        monkeypatch.setattr(_kernels, "_cpus", lambda: 3)
+        monkeypatch.setattr(_kernels, "_cpus", lambda: (0, 1, 2))
         pick, chosen = _kernels._guide_pick, {}
 
         def failing_pick(guide, row, word, nxt, w):
@@ -314,15 +374,16 @@ class TestWorkers:
 
         monkeypatch.setattr(_kernels, "_guide_pick", failing_pick)
         cum = float_rows(np.random.default_rng(6), 6)
-        running = threading.active_count()
+        running, before = threading.active_count(), caller_mask()
         with pytest.raises(MemoryError, match=f"{failing} block"):
             kernel_totals(cum, cum[0], 20, 900, 3, state_reward=np.arange(6.0))
         assert threading.active_count() == running
+        assert caller_mask() == before
         assert len(thread_starts) == 2 and not any(t.is_alive() for t in thread_starts)
 
     def test_small_runs_start_no_thread(self, monkeypatch, printed_chain_mrp, thread_starts):
         # each worker gets at least _MIN_SHARE samples: the TINY warm-up's 2,000 run alone
-        monkeypatch.setattr(_kernels, "_cpus", lambda: 8)
+        monkeypatch.setattr(_kernels, "_cpus", lambda: tuple(range(8)))
         simulate(printed_chain_mrp, samples=2_000, seed=1)
         simulate(printed_chain_mrp, samples=2 * _kernels._MIN_SHARE - 1, seed=1)
         assert thread_starts == []
@@ -340,7 +401,7 @@ def test_kernel_refuses_zero_samples():
 def test_cpus_without_an_affinity_call(monkeypatch, count, want):
     monkeypatch.delattr(_kernels.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(_kernels.os, "cpu_count", lambda: count)
-    assert _kernels._cpus() == want
+    assert _kernels._cpus() == tuple(range(want))
 
 
 class TestKsDistance:
