@@ -8,40 +8,52 @@ give every in-horizon transition reward zero and pay a terminal 0/1
 salvage ``1[c + v(x) >= tau]``; the optimal expected value of the
 augmented model is exactly the optimal exceedance probability.
 
-Only ``build_augmented`` adds rewards, as integers over their least
-common denominator.  ``solve_thresholds`` answers every threshold at
-once by one backward pass over remaining targets, in plain Python ints:
-a pair's value at a threshold depends only on what is left to collect.
-Nothing here loads numpy.
+Units.  Every total is an integer ``n`` in units of ``1 / scale``, where
+``scale`` is the least common denominator of the rewards and salvage:
+``build_augmented`` converts each reward once, its layers hold ``(x, n)``,
+and ``solve_thresholds`` reads them as they are.  ``Fraction``s appear
+only at the edge: a threshold's cut, ``VarSolution.policy`` keys, and
+``listings``, which formats each distinct total once.
+
+Backward pass.  ``solve_thresholds`` answers every threshold at once by
+one pass over remaining targets, in plain Python ints: a pair's value at
+a threshold depends only on what is left to collect.  Cells that are
+surely won (the state can guarantee the target) or surely lost (no path
+reaches it) take their value and witness in closed form; only the cells
+in between maximize over actions.  Nothing here loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, groupby
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import BudgetExceededError
 from .mdp import Action, FiniteMdp, StepCdf, propagate_masses
 
 AugState = tuple[int, Fraction]  # (state index, accumulated reward)
+Pair = tuple[int, int]  # (state index, accumulated reward in units of 1 / scale)
 
 
 @dataclass(frozen=True)
 class AugmentedMdp:
     """Augmented model: base MDP and its reachable slices.
 
-    ``layers[t]`` lists the reachable (state, accumulated reward) pairs at
-    epoch ``t``, sorted; ``layers[0]`` pairs every mu0-positive state with
-    0.  From ``(x, c)`` under ``a``, the successor ``(y, c + r(x, a, y))``
-    has probability ``p(y | x, a)`` and lies in ``layers[t + 1]``.
-    ``scale`` is the least common denominator of the rewards and salvage.
+    ``layers[t]`` lists the reachable pairs ``(x, n)`` at epoch ``t``,
+    sorted, where the reward accumulated so far is ``n / scale``;
+    ``layers[0]`` pairs every mu0-positive state with 0.  From ``(x, n)``
+    under ``a``, the successor ``(y, n + r(x, a, y) * scale)`` has
+    probability ``p(y | x, a)`` and lies in ``layers[t + 1]``.  ``scale``
+    is the least common denominator of the rewards and salvage.
     """
 
     base: FiniteMdp
-    layers: tuple[tuple[AugState, ...], ...]
+    layers: tuple[tuple[Pair, ...], ...]
     scale: int
 
     @property
@@ -58,29 +70,42 @@ class VarSolution:
     """Optimal exceedance probability at a threshold, with one witness policy.
 
     ``actions[t][i]`` is the earliest optimal action, in the state's action
-    list, at ``layers[t][i]``; ``policy[t]`` maps each reachable (state,
-    accumulated reward) pair to that action.
+    list, at ``layers[t][i]``, whose totals count units of ``1 / scale``;
+    ``policy[t]`` maps each reachable (state, accumulated reward) pair, the
+    reward a ``Fraction``, to that action.
     """
 
     tau: Fraction
     eta: Fraction
-    layers: tuple[tuple[AugState, ...], ...]
+    layers: tuple[tuple[Pair, ...], ...]
     actions: tuple[tuple[Action, ...], ...]
+    scale: int
 
     @property
     def policy(self) -> tuple[dict[AugState, Action], ...]:
-        return tuple(dict(zip(layer, acts)) for layer, acts in zip(self.layers, self.actions))
+        return tuple({(x, Fraction(n, self.scale)): a for (x, n), a in zip(layer, acts)}
+                     for layer, acts in zip(self.layers, self.actions))
 
 
 def listings(solutions: tuple[VarSolution, ...], states: tuple[str, ...]) -> list[str]:
     """Stable text form of each solution: one "t=... (state, cum_reward) -> action" line per pair.
 
-    The solutions share their layers, so each pair's label is formatted once.
+    The solutions share their layers, so each pair's label is formatted
+    once, and each distinct total once.
     """
-    layers = solutions[0].layers[:len(solutions[0].actions)]  # the last epoch decides nothing
-    labels = [f"t={t} ({states[x]}, {c}) -> " for t, layer in enumerate(layers) for x, c in layer]
+    first = solutions[0]
+    layers = first.layers[:len(first.actions)]  # the last epoch decides nothing
+    totals = {n: str(Fraction(n, first.scale))
+              for n in {n for layer in layers for _, n in layer}}
+    labels = [f"t={t} ({states[x]}, {totals[n]}) -> "
+              for t, layer in enumerate(layers) for x, n in layer]
     return ["\n".join(map(str.__add__, labels, map(str, chain.from_iterable(sol.actions))))
             for sol in solutions]
+
+
+def _units(q: Fraction, scale: int) -> int:
+    """``q * scale`` for a ``scale`` that ``q``'s denominator divides."""
+    return q.numerator * (scale // q.denominator)
 
 
 def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
@@ -93,9 +118,9 @@ def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
              for x, acts in enumerate(mdp.actions)]
     scale = math.lcm(*(r.denominator for row in moves for _, r in row),
                      *(v.denominator for v in mdp.salvage))
-    moves = [sorted({(y, int(r * scale)) for y, r in row}) for row in moves]
+    moves = [sorted({(y, _units(r, scale)) for y, r in row}) for row in moves]
     sums = [{0} if p > 0 else set() for p in mdp.mu0]
-    layers = [[(x, sorted(ns)) for x, ns in enumerate(sums) if ns]]
+    layers = [tuple((x, 0) for x, ns in enumerate(sums) if ns)]
     count = len(layers[0])
     for _ in range(mdp.horizon):
         nxt = [set() for _ in mdp.states]
@@ -108,13 +133,8 @@ def build_augmented(mdp: FiniteMdp, max_states: int = 200_000) -> AugmentedMdp:
                 f"augmented model refused: more than {max_states} reachable "
                 f"(state, reward) pairs")
         sums = nxt
-        layers.append([(y, sorted(ns)) for y, ns in enumerate(sums) if ns])
-    fraction = {n: Fraction(n, scale)
-                for n in set().union(*(ns for layer in layers for _, ns in layer))}
-    return AugmentedMdp(
-        base=mdp, layers=tuple(tuple((x, fraction[n]) for x, ns in layer for n in ns)
-                               for layer in layers),
-        scale=scale)
+        layers.append(tuple((y, n) for y, ns in enumerate(sums) for n in sorted(ns)))
+    return AugmentedMdp(base=mdp, layers=tuple(layers), scale=scale)
 
 
 def solve_thresholds(aug: AugmentedMdp,
@@ -133,29 +153,52 @@ def solve_thresholds(aug: AugmentedMdp,
     comparisons and ties are exact.  A strict ``>`` over the state's action
     list keeps the earliest optimal action, the witness of every pair whose
     cell it is.  At one threshold the cells are exactly the reachable pairs.
+
+    Sure cells.  Let ``L_t(x)`` be the total state ``x`` can guarantee
+    (``max_a min_y r + L_{t+1}(y)``, the inner minimum being action ``a``'s
+    guarantee) and ``H_t(x)`` the largest total of any path, both ``v(x)``
+    at the horizon.  Masses are positive, so a cell is worth ``D**(H - t)``
+    exactly when ``s <= L_t(x)``, its witness the earliest action whose
+    guarantee reaches ``s``; and 0 exactly when ``s > H_t(x)``, its witness
+    the first action, which the strict ``>`` keeps among all-zero values.
+    Only cells in ``(L_t(x), H_t(x)]`` run the maximization.
     """
     mdp, unit = aug.base, aug.scale
     scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p, _ in rows))
-    moves = [[(a, [(y, int(p * scale), int(r * unit)) for y, p, r in mdp.kernel[x, a]])
+    moves = [[(a, [(y, _units(p, scale), _units(r, unit)) for y, p, r in mdp.kernel[x, a]])
               for a in acts] for x, acts in enumerate(mdp.actions)]
     cuts = [math.ceil(tau * unit) for tau in taus]
-    pairs = [[(x, c.numerator * (unit // c.denominator)) for x, c in layer]
-             for layer in aug.layers]
-    cells = []  # cells[t][x]: the remaining targets needed at state x in epoch t
-    for layer in pairs:
-        need = [set() for _ in mdp.states]
-        for x, n in layer:
-            need[x].update([cut - n for cut in cuts])
+    cells = []  # cells[t][x]: the sorted remaining targets needed at state x in epoch t
+    for layer in aug.layers:
+        need = [[] for _ in mdp.states]
+        for x, group in groupby(layer, itemgetter(0)):
+            need[x] = sorted({cut - n for _, n in group for cut in cuts})
         cells.append(need)
-    value = [{s: int(v >= s) for s in need}
-             for v, need in zip((int(v * unit) for v in mdp.salvage), cells[-1])]
+    low = high = [_units(v, unit) for v in mdp.salvage]
+    value = [{s: int(v >= s) for s in need} for v, need in zip(low, cells[-1])]
     picks = []  # picks[t][x][s]: the witness action at cell (t, x, s)
     for t in reversed(range(aug.horizon)):
+        full = scale ** (aug.horizon - t)
+        guarantees = [[min([r + low[y] for y, _, r in rows]) for _, rows in options]
+                      for options in moves]
+        low = list(map(max, guarantees))
+        high = [max([r + high[y] for _, rows in options for y, _, r in rows])
+                for options in moves]
         nxt, value, pick = value, [], []
         for x, need in enumerate(cells[t]):
+            won, lost = bisect_right(need, low[x]), bisect_right(need, high[x])
+            best = dict.fromkeys(need[:won], full)
+            best.update(dict.fromkeys(need[lost:], 0))
+            chosen = dict.fromkeys(need[lost:], moves[x][0][0])
+            done = 0  # a won cell's witness: the earliest action whose guarantee reaches s
+            for reach, (a, _) in zip(accumulate(guarantees[x], max), moves[x]):
+                stop = bisect_right(need, reach, done, won)
+                chosen.update(dict.fromkeys(need[done:stop], a))
+                if stop == won:
+                    break
+                done = stop
             options = [(a, [(nxt[y], w, r) for y, w, r in rows]) for a, rows in moves[x]]
-            best, chosen = {}, {}
-            for s in need:
+            for s in need[won:lost]:
                 top = -1
                 for a, rows in options:
                     q = 0
@@ -168,15 +211,16 @@ def solve_thresholds(aug: AugmentedMdp,
             pick.append(chosen)
         picks.insert(0, pick)
     mass_scale = math.lcm(*(p.denominator for p in mdp.mu0))
-    start = [(int(mdp.mu0[x] * mass_scale), value[x]) for x, _ in pairs[0]]
-    witnesses = [[(pick[x], n) for x, n in layer] for pick, layer in zip(picks, pairs)]
+    start = [(int(mdp.mu0[x] * mass_scale), value[x]) for x, _ in aug.layers[0]]
+    witnesses = [[(pick[x], n) for x, n in layer] for pick, layer in zip(picks, aug.layers)]
     return tuple(
         VarSolution(tau=tau,
                     eta=Fraction(sum(m * v[cut] for m, v in start),
                                  mass_scale * scale ** aug.horizon),
                     layers=aug.layers,
                     actions=tuple(tuple([chosen[cut - n] for chosen, n in cells_t])
-                                  for cells_t in witnesses))
+                                  for cells_t in witnesses),
+                    scale=unit)
         for tau, cut in zip(taus, cuts))
 
 

@@ -62,7 +62,6 @@ is ``0.5 * erfc(-y / sqrt(2))`` from ``math``, so no command loads scipy.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -76,8 +75,6 @@ from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityErr
 from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, ParetoFront,
                   induced_mrp)
 from .transformation import bfs_levels, transform
-
-logger = logging.getLogger(__name__)
 
 _XI_TOL = 1e-12
 _POISSON_TOL = 1e-10
@@ -680,8 +677,9 @@ def pareto_front_long(mdp: FiniteMdp, n_steps: int, tau_grid: Sequence[float],
         params[pids[st.ids]] = st.numbers
         skipped.update((int(pids[j]), exc) for j, exc in st.errors.items())
     if skipped:
-        logger.warning("\n".join(f"policy {pid} skipped: {skipped[pid]}"
-                                  for pid in sorted(skipped)))
+        import logging  # here, not at the top: an estimate-cdf process never logs
+        logging.getLogger(__name__).warning("\n".join(f"policy {pid} skipped: {skipped[pid]}"
+                                                       for pid in sorted(skipped)))
     used = np.flatnonzero(estimated)
     if len(used) == 0:
         raise ErgodicityError("no stationary policy induces an ergodic chain")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 from .augmented import build_augmented, listings, solve_thresholds
 from .errors import PreconditionError
@@ -40,15 +41,18 @@ def pareto_front_exact(mdp: FiniteMdp, max_states: int = 200_000) -> ParetoFront
     """Exact front by one threshold-vector backward pass over the augmented slices.
 
     The grid is the set of reachable totals ``c + v(x)`` over the final
-    slice.  At each grid point the stored value is ``1 - eta(tau)``, the
-    complement of the best exceedance probability; the witness there is
+    slice, collected in the slices' integer units and then converted to
+    ``Fraction``s.  At each grid point the stored value is ``1 - eta(tau)``,
+    the complement of the best exceedance probability; the witness there is
     the tie-broken optimal threshold policy, whose left limit
     ``P(total < tau)`` attains the value.  Witnesses are deduplicated by
     their tie-broken actions and numbered in order of first appearance
     along the grid; each distinct witness is listed once.
     """
     aug = build_augmented(mdp, max_states=max_states)
-    grid = tuple(sorted({c + mdp.salvage[x] for x, c in aug.layers[-1]}))
+    salvage = [int(v * aug.scale) for v in mdp.salvage]  # the slices' units, 1 / aug.scale
+    grid = tuple(Fraction(n, aug.scale)
+                 for n in sorted({n + salvage[x] for x, n in aug.layers[-1]}))
     solutions = solve_thresholds(aug, grid)
     ids: dict[tuple, int] = {}
     witness = tuple(ids.setdefault(sol.actions, len(ids)) for sol in solutions)

@@ -104,6 +104,11 @@ def random_mdp(rng: random.Random, n_states: int = 3, horizon: int = 2,
         reward_kind=reward_kind, mu0=mu0, salvage=salvage)
 
 
+def fraction_layers(aug) -> tuple:
+    """An augmented model's slices with each total as a reward: ``(x, Fraction(n, scale))``."""
+    return tuple(tuple((x, Fraction(n, aug.scale)) for x, n in layer) for layer in aug.layers)
+
+
 def random_transition_mrp(rng: random.Random, n_states: int, horizon: int,
                           with_salvage: bool = False,
                           max_support: int | None = None) -> MarkovRewardProcess:

@@ -10,9 +10,9 @@ import pytest
 
 from varmdp import (BudgetExceededError, InventoryParams, build_augmented,
                     augmented_policy_distribution, build_inventory, pareto_front_exact,
-                    solve_threshold_var, solve_thresholds)
+                    simplify_reward, solve_threshold_var, solve_thresholds)
 
-from conftest import random_mdp
+from conftest import fraction_layers, random_mdp, scaled_rewards
 
 F = Fraction
 
@@ -28,15 +28,16 @@ def reference_thresholds(aug, taus):
     scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p, _ in rows))
     weighted = {key: tuple((y, int(p * scale), r) for y, p, r in rows)
                 for key, rows in mdp.kernel.items()}
+    layers = fraction_layers(aug)
     u = {(x, c): tuple(int(c + mdp.salvage[x] >= tau) for tau in taus)
-         for x, c in aug.layers[-1]}
+         for x, c in layers[-1]}
     policy = [[] for _ in taus]
     argmax = [[] for _ in taus]
     for t in reversed(range(aug.horizon)):
         nu = {}
         rules = [{} for _ in taus]
         sets = [{} for _ in taus]
-        for pair in aug.layers[t]:
+        for pair in layers[t]:
             x, c = pair
             acts = mdp.actions[x]
             qs = []
@@ -56,7 +57,7 @@ def reference_thresholds(aug, taus):
             policy[k].insert(0, rules[k])
             argmax[k].insert(0, sets[k])
     denominator = scale ** aug.horizon
-    return [(sum((mdp.mu0[x] * F(u[(x, c)][k], denominator) for x, c in aug.layers[0]),
+    return [(sum((mdp.mu0[x] * F(u[(x, c)][k], denominator) for x, c in layers[0]),
                  F(0)), tuple(policy[k]), tuple(argmax[k]))
             for k in range(len(taus))]
 
@@ -69,9 +70,9 @@ def numpy_thresholds(aug, taus):
     is one numpy step over its ``(pairs, moves, thresholds)`` successor
     values, exact Python ints in ``object`` arrays.
     """
-    mdp, k = aug.base, len(taus)
+    mdp, k, layers = aug.base, len(taus), fraction_layers(aug)
     successors = []
-    for layer, nxt in zip(aug.layers, aug.layers[1:]):
+    for layer, nxt in zip(layers, layers[1:]):
         index = {pair: i for i, pair in enumerate(nxt)}
         successors.append(np.array([index[y, c + r] for x, c in layer for a in mdp.actions[x]
                                     for y, _, r in mdp.kernel[x, a]], dtype=np.intp))
@@ -84,12 +85,12 @@ def numpy_thresholds(aug, taus):
         slots.append(np.cumsum([0] + [len(row) for row in rows[:-1]]))
         choices.append(np.fromiter(acts, dtype=object, count=len(acts)))  # tuples stay whole
     cuts = np.array([math.ceil(tau * aug.scale) for tau in taus], dtype=object)
-    totals = [int((c + mdp.salvage[x]) * aug.scale) for x, c in aug.layers[-1]]
+    totals = [int((c + mdp.salvage[x]) * aug.scale) for x, c in layers[-1]]
     u = np.where(np.array(totals, dtype=object)[:, None] >= cuts, 1, 0).astype(object)
     found = []  # found[t][i]: the witness actions over layers[t] at taus[i]
     for t in reversed(range(aug.horizon)):
         blocks, picks, move = [], [], 0
-        for x, block in groupby(x for x, _ in aug.layers[t]):
+        for x, block in groupby(x for x, _ in layers[t]):
             n, m = sum(1 for _ in block), len(weights[x])
             values = u[successors[t][move:move + n * m]].reshape(n, m, k) * weights[x]
             q = np.add.reduceat(values, slots[x], axis=1)
@@ -122,6 +123,20 @@ def reference_sets(mdp, tau):
 def assert_first_of_sets(rule, sets):
     """The tie-broken rule picks the first action of every reference argmax set."""
     assert rule == {pair: ties[0] for pair, ties in sets.items()}
+
+
+def sure_bounds(mdp):
+    """Per epoch and state, by direct recursion: the total the state can guarantee
+    (``L``) and the largest total any path collects (``H``), both ``v(x)`` at the end."""
+    low = [list(mdp.salvage)]
+    high = [list(mdp.salvage)]
+    for _ in range(mdp.horizon):
+        rows = [[mdp.kernel[x, a] for a in acts] for x, acts in enumerate(mdp.actions)]
+        low.insert(0, [max(min(r + low[0][y] for y, _, r in row) for row in by_action)
+                       for by_action in rows])
+        high.insert(0, [max(r + high[0][y] for row in by_action for y, _, r in row)
+                        for by_action in rows])
+    return low, high
 
 
 def path_sums_oracle(mdp):
@@ -174,13 +189,18 @@ class TestBuildAugmented:
             assert all(c == 0 for _, c in layer)
 
     def test_reachable_sums_match_bruteforce(self):
+        # the integer totals over scale are the path sums, whatever the rewards' sign,
+        # denominators or size, SAS and SA
         for seed in range(8):
             rng = random.Random(40 + seed)
             mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=2)
-            aug = build_augmented(mdp)
-            oracle = path_sums_oracle(mdp)
-            for t, layer in enumerate(aug.layers):
-                assert set(layer) == oracle[t]
+            for variant in (mdp, simplify_reward(mdp), scaled_rewards(mdp, F(10) ** 4),
+                            scaled_rewards(mdp, F(-7, 3))):
+                aug = build_augmented(variant)
+                oracle = path_sums_oracle(variant)
+                for t, layer in enumerate(fraction_layers(aug)):
+                    assert set(layer) == oracle[t]
+                    assert list(aug.layers[t]) == sorted(aug.layers[t])
 
     def test_budget_guard(self, short_sas):
         with pytest.raises(BudgetExceededError, match="pairs"):
@@ -255,8 +275,8 @@ class TestPolicyValueConsistency:
             rng = random.Random(900 + seed)
             mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=2)
             tau = F(rng.randint(-6, 6))
-            aug = build_augmented(mdp)
-            rules = tuple({pair: rng.choice(mdp.actions[pair[0]]) for pair in aug.layers[t]}
+            layers = fraction_layers(build_augmented(mdp))
+            rules = tuple({pair: rng.choice(mdp.actions[pair[0]]) for pair in layers[t]}
                           for t in range(mdp.horizon))
             dist = augmented_policy_distribution(mdp, rules)
             assert dist.prob_geq(tau) == exceedance_oracle(mdp, rules, tau)
@@ -274,7 +294,7 @@ class TestIndexInduction:
             mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 4),
                              reward_kind="sas" if seed % 2 else "sa", max_actions=3)
             aug = build_augmented(mdp)
-            on_grid = sorted({c + mdp.salvage[x] for x, c in aug.layers[-1]})
+            on_grid = sorted({c + mdp.salvage[x] for x, c in fraction_layers(aug)[-1]})
             taus = tuple(rng.sample(on_grid, min(3, len(on_grid)))) + (
                 F(rng.randint(-40, 40), 8), F(rng.randint(-40, 40), 3),
                 on_grid[0] - 1, on_grid[-1] + F(1, 4))
@@ -287,7 +307,7 @@ class TestIndexInduction:
         aug = build_augmented(mdp)
         assert aug.scale % 4 == 0
         assert all(((c + mdp.salvage[x]) * aug.scale).denominator == 1
-                   for x, c in aug.layers[-1])
+                   for x, c in fraction_layers(aug)[-1])
         assert_matches_reference(aug, (F(1, 4), F(-3, 2), F(5, 3)))
 
     def test_values_beyond_int64(self):
@@ -314,11 +334,26 @@ class TestIndexInduction:
         for seed in range(10):
             rng = random.Random(23 + seed)
             mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=3)
-            aug = build_augmented(mdp)
+            layers = fraction_layers(build_augmented(mdp))
             for t in range(mdp.horizon):
-                landed = {(y, c + r) for x, c in aug.layers[t]
+                landed = {(y, c + r) for x, c in layers[t]
                           for a in mdp.actions[x] for y, _, r in mdp.kernel[x, a]}
-                assert landed == set(aug.layers[t + 1])
+                assert landed == set(layers[t + 1])
+
+    def test_thresholds_at_the_sure_bounds_match_references(self):
+        # every pair's cell sits on a boundary at one of these thresholds: guaranteed at
+        # L, not at L + 1 unit, reachable at H and lost at H + 1 unit
+        for seed in range(30):
+            rng = random.Random(4100 + seed)
+            mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 3),
+                             reward_kind="sas" if seed % 2 else "sa", max_actions=3)
+            aug = build_augmented(mdp)
+            unit = F(1, aug.scale)
+            low, high = sure_bounds(mdp)
+            taus = sorted({c + bound[t][x] + extra for t, layer in enumerate(fraction_layers(aug))
+                           for x, c in layer
+                           for bound, extra in ((low, 0), (low, unit), (high, 0), (high, unit))})
+            assert_matches_reference(aug, tuple(taus))
 
     def test_off_grid_and_negative_taus_match_references(self, short_sas, short_sa):
         for mdp in (short_sas, short_sa):

@@ -907,7 +907,8 @@ _BASE_MODULES = ["cli", "documents", "errors", "inventory", "mdp", "rationals"]
 
 def test_each_subcommand_loads_only_its_layers(tmp_path):
     # a name loads its module on first read: in a fresh interpreter each subcommand loads
-    # exactly the varmdp modules it runs, and numpy only where a float layer or compare runs
+    # exactly the varmdp modules it runs, numpy only where a float layer or compare runs,
+    # and logging only where a long front logs the policies it skips
     docs = {"short": str(tmp_path / "short.json"), "cap2": str(tmp_path / "cap2.json"),
             "chain": _chain_doc(tmp_path / "chain.json", [["1/2", "1/2"]] * 2, ["1", "0"]),
             "pairs": str(tmp_path / "pairs.json"), "csv": str(tmp_path / "cdf.csv"),
@@ -920,34 +921,34 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         json.dump(TRANS_MRP, fh)
     with open(docs["csv"], "w", encoding="utf-8") as fh:
         fh.write("tau,cdf\n0,0\n1,1\n")
-    rows = [  # (argv, modules beyond the base set, whether numpy loads)
-        (["gen-inventory", "-o", "{out}"], [], False),
-        (["solve-expected", "{short}", "-o", "{out}"], [], False),
-        (["dist-exact", "{short}", "-o", "{out}"], [], False),
-        (["compare", "{csv}", "{csv}", "-o", "{out}"], [], True),
-        (["var-threshold", "{short}", "--tau", "9", "-o", "{out}"], ["augmented"], False),
+    rows = [  # (argv, modules beyond the base set, whether numpy loads, whether logging loads)
+        (["gen-inventory", "-o", "{out}"], [], False, False),
+        (["solve-expected", "{short}", "-o", "{out}"], [], False, False),
+        (["dist-exact", "{short}", "-o", "{out}"], [], False, False),
+        (["compare", "{csv}", "{csv}", "-o", "{out}"], [], True, False),
+        (["var-threshold", "{short}", "--tau", "9", "-o", "{out}"], ["augmented"], False, False),
         (["pareto-short", "{short}", "-o", "{out}", "--policies-out", "{out}"],
-         ["augmented", "pareto"], False),
+         ["augmented", "pareto"], False, False),
         (["estimate-cdf", "{chain}", "--n-steps", "20", "--grid=20:60:9", "-o", "{out}"],
-         ["edgeworth", "transformation"], True),
+         ["edgeworth", "transformation"], True, False),
         (["pareto-long", "{cap2}", "--horizon", "50", "--grid=0:400:41", "-o", "{out}"],
-         ["edgeworth", "transformation"], True),
-        (["transform", "{pairs}", "-o", "{out}"], ["transformation"], True),
+         ["edgeworth", "transformation"], True, True),  # it logs the policies it skips
+        (["transform", "{pairs}", "-o", "{out}"], ["transformation"], True, False),
         (["simulate", "{chain}", "--samples", "100", "--seed", "1", "-o", "{out}"],
-         ["_kernels", "montecarlo"], True),
+         ["_kernels", "montecarlo"], True, False),
     ]
     report = ("print(sorted(m for m in sys.modules if m.startswith('varmdp')), "
-              "'numpy' in sys.modules)")
+              "'numpy' in sys.modules, 'logging' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", f"import sys, varmdp; {report}"],
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "['varmdp'] False\n"
-    for argv, extra, numpy in rows:
+    assert done.stdout == "['varmdp'] False False\n"
+    for argv, extra, numpy, logging in rows:
         argv = [arg.format(**docs) for arg in argv]
         script = f"import sys; from varmdp.cli import main; print(main({argv!r})); {report}"
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, check=True)
         modules = ["varmdp"] + [f"varmdp.{m}" for m in sorted(_BASE_MODULES + extra)]
-        assert done.stdout == f"0\n{modules} {numpy}\n", (argv[0], done.stderr)
+        assert done.stdout == f"0\n{modules} {numpy} {logging}\n", (argv[0], done.stderr)
 
 
 def test_every_export_resolves_to_its_module():

@@ -14,7 +14,7 @@ from varmdp import (BudgetExceededError, DeterministicPolicy, FiniteMdp,
                     exact_total_reward_distribution, expected_backward_induction,
                     evaluate_policy, induced_mrp, simplify_reward)
 
-from conftest import random_mdp, random_transition_mrp, step_mean
+from conftest import fraction_layers, random_mdp, random_transition_mrp, step_mean
 
 F = Fraction
 
@@ -355,8 +355,8 @@ class TestForwardPropagation:
             mdp = random_mdp(rng, n_states=3, horizon=rng.randint(1, 4),
                              reward_kind="sas" if seed % 2 else "sa", max_actions=3)
             policy = random_markov_policy(rng, mdp)
-            aug = build_augmented(mdp)
-            rules = tuple({pair: policy.action(t, pair[0]) for pair in aug.layers[t]}
+            layers = fraction_layers(build_augmented(mdp))
+            rules = tuple({pair: policy.action(t, pair[0]) for pair in layers[t]}
                           for t in range(mdp.horizon))
             assert augmented_policy_distribution(mdp, rules) == \
                 exact_total_reward_distribution(mdp, policy)

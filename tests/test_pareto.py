@@ -13,7 +13,7 @@ from varmdp import (BudgetExceededError, ParetoFront, PreconditionError, Validat
                     pareto_front_exact, query_eta, query_rho, simplify_reward,
                     solve_threshold_var)
 
-from conftest import random_mdp
+from conftest import fraction_layers, random_mdp
 
 F = Fraction
 
@@ -45,8 +45,8 @@ def enumerated_front(mdp):
     Returns the union of all supports and, at each of its points, the
     least left limit ``P(total < tau)`` over all policies.
     """
-    aug = build_augmented(mdp)
-    slots = [(t, pair) for t in range(mdp.horizon) for pair in aug.layers[t]]
+    layers = fraction_layers(build_augmented(mdp))
+    slots = [(t, pair) for t in range(mdp.horizon) for pair in layers[t]]
     dists = []
     for choices in product(*(mdp.actions[pair[0]] for _, pair in slots)):
         rules = [dict() for _ in range(mdp.horizon)]
@@ -102,8 +102,7 @@ class TestExactFront:
                 assert 1 - query_eta(front, tau) == 1 - solve_threshold_var(mdp, tau).eta
 
     def test_dominance_and_witness_tightness(self, short_sa, front_sa):
-        aug = build_augmented(short_sa)
-        slots = [(t, pair) for t in range(short_sa.horizon) for pair in aug.layers[t]]
+        layers = fraction_layers(build_augmented(short_sa))
         rng = random.Random(5)
         dists = {pid: augmented_policy_distribution(
                      short_sa, listing_rules(short_sa, front_sa.policies[pid]))
@@ -112,7 +111,7 @@ class TestExactFront:
         random_dists = []
         for _ in range(20):
             rules = tuple({pair: rng.choice(short_sa.actions[pair[0]])
-                           for pair in aug.layers[t]} for t in range(short_sa.horizon))
+                           for pair in layers[t]} for t in range(short_sa.horizon))
             random_dists.append(augmented_policy_distribution(short_sa, rules))
         for tau, value, wit in zip(front_sa.grid, front_sa.value, front_sa.witness):
             below_witness = 1 - dists[wit].prob_geq(tau)
