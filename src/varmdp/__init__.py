@@ -8,13 +8,13 @@ carries every threshold of the grid at once.
 Long horizons are estimated: per-policy CDFs come from a
 normal-plus-correction expansion on the policy's own states, for state
 and transition rewards alike, validated against a seeded Monte Carlo
-oracle.  The pair-state transformation preserves transition-reward
+oracle.  The exact pair-state transformation preserves transition-reward
 distributions, and the estimated front re-checks its witnesses on it.
 
 A name loads its module on first read (PEP 562).  ``_EXPORTS`` names
 each export once, under its module, and ``__all__`` derives from it, so
 ``import varmdp`` loads no submodule and no numpy; only the float layers
-(``edgeworth``, ``montecarlo``, ``transformation``) bring numpy.  No
+(``edgeworth``, ``montecarlo``, ``_kernels``) bring numpy.  No
 submodule shares a name with an export, so loading one hides no function.
 """
 
@@ -37,7 +37,7 @@ _EXPORTS = {
     "montecarlo": ("simulate",),
     "pareto": ("pareto_front_exact", "query_eta", "query_rho"),
     "rationals": ("format_rational", "parse_rational"),
-    "transformation": ("TransformedMrp", "transform"),
+    "transformation": ("transform",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

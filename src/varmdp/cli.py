@@ -29,7 +29,9 @@ imports what every subcommand shares; each solver entry point
 ``estimate_cdf``, ``pareto_front_long``, ``simulate``) is a package
 export read through ``_layer``, this module's ``__getattr__``, when a
 subcommand first calls it.  So each subcommand loads only the layers it
-runs; numpy comes with the float layers, and ``compare`` loads it itself.
+runs; numpy comes with the float layers (``transform`` is exact), and
+``compare`` loads it itself.  An exact value that no normal float holds
+prints its decimal columns through an exact decimal (``_dec``).
 
 Exit codes: 0 success, 2 parse/validation error (an unreadable or
 undecodable input too), 3 precondition violation, 4 budget refusal or an
@@ -52,6 +54,7 @@ import os
 import stat
 import sys
 import tempfile
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
 
@@ -74,6 +77,8 @@ EXIT_ERGODICITY = 5
 _EXIT_CODES = {ValidationError: EXIT_PARSE, PreconditionError: EXIT_PRECONDITION,
                BudgetExceededError: EXIT_BUDGET, ErgodicityError: EXIT_ERGODICITY,
                DegenerateVarianceError: EXIT_ERGODICITY}
+
+_DECIMAL_12 = Context(prec=12)  # division rounds to 12 significant digits, half to even
 
 _SCHEMA_NOTE = "Document schemas: mdp-v1 and mrp-v1 (JSON; numerics as exact strings)."
 
@@ -147,7 +152,16 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _dec(value) -> str:
-    return f"{float(value):.12g}"
+    """``value`` to 12 significant digits; an exact value that no normal float holds (past
+    the float range, or nonzero below ``sys.float_info.min``) through an exact decimal."""
+    try:
+        approx = float(value)
+        if not (isinstance(value, Fraction) and value and abs(approx) < sys.float_info.min):
+            return f"{approx:.12g}"
+    except OverflowError:
+        pass
+    exact = _DECIMAL_12.divide(Decimal(value.numerator), value.denominator)
+    return f"{exact.normalize(_DECIMAL_12):g}"  # trailing zeros dropped, as .12g drops them
 
 
 def _exact_pair(q: Fraction) -> str:
@@ -308,9 +322,17 @@ def cmd_simulate(args) -> list:
     return [(args.output, _csv_text(["quantile", "value"], rows))]
 
 
+def _float(q: Fraction) -> float:
+    """``float(q)``, or an infinity of its sign past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def _cell(text: str) -> float:
     """A CSV number: an exact ratio such as ``1/16`` (from ``pareto-short``) or a float."""
-    return float(Fraction(text)) if "/" in text else float(text)
+    return _float(Fraction(text)) if "/" in text else float(text)
 
 
 def _read_cdf_csv(path: str):
@@ -342,7 +364,7 @@ def _read_cdf_csv(path: str):
             ti, vi = header.index("value"), header.index("quantile")
         taus = np.array([_cell(r[ti]) for r in rows[1:]])
         if shape == "right":  # summed exactly, so the last value is 1, not 1 + ulp
-            vals = np.array([float(c) for c in accumulate(Fraction(r[vi]) for r in rows[1:])])
+            vals = np.array([_float(c) for c in accumulate(Fraction(r[vi]) for r in rows[1:])])
         else:
             vals = np.array([_cell(r[vi]) for r in rows[1:]])
     except (ValueError, IndexError, ZeroDivisionError) as exc:

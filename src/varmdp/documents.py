@@ -189,13 +189,13 @@ def mrp_from_document(doc: dict) -> MarkovRewardProcess:
 
 
 def mrp_to_document(mrp: MarkovRewardProcess) -> dict:
-    P, R, _, _ = mrp.arrays(object)
     transitions = []
-    for x, y in zip(*P.nonzero()):
-        row = {"x": mrp.states[x], "y": mrp.states[y], "p": format_rational(P[x, y])}
-        if mrp.reward_on == "transition":
-            row["r"] = format_rational(R[x, y])
-        transitions.append(row)
+    for x, moves in enumerate(mrp.rows()):
+        for y, p, r in moves:
+            row = {"x": mrp.states[x], "y": mrp.states[y], "p": format_rational(p)}
+            if mrp.reward_on == "transition":
+                row["r"] = format_rational(r)
+            transitions.append(row)
     doc = {
         "schema": MRP_SCHEMA,
         "horizon": mrp.horizon,

@@ -73,8 +73,8 @@ import numpy as np
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError)
 from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, ParetoFront,
-                  induced_mrp)
-from .transformation import bfs_levels, transform
+                  induced_mrp, to_floats)
+from .transformation import transform
 
 _XI_TOL = 1e-12
 _POISSON_TOL = 1e-10
@@ -87,6 +87,7 @@ _RUN = 32  # thresholds the front's minimum screens as one run
 # The degree in the rewards of each number (zeta, sigma2, kappa, rhat_start): a
 # chain of reward scale 2**k states it in units of 2**(k * degree).
 _DEGREES = np.array([1, 2, 3, 1])
+_NAMES = ("zeta", "sigma2", "kappa", "rhat_start")
 
 
 class _Stack:
@@ -140,6 +141,23 @@ def _unscaled(value, scale, power: int = 1) -> str:
     """``value * (2**scale)**power`` as ``%.3e``: a number of the stages' unit in the rewards'."""
     unit = 2.0 ** int(scale)  # a product of Python floats that overflows is inf, not an error
     return f"{math.prod([float(value)] + [unit] * power):.3e}"
+
+
+def bfs_levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Breadth-first levels over a boolean adjacency matrix; -1 where unreached.
+
+    ``sources`` is a boolean mask of the level-0 states; each pass moves
+    the whole frontier one edge forward.  A leading axis on ``adjacency``
+    searches a stack of graphs at once; ``sources`` broadcasts against it.
+    """
+    frontier = np.broadcast_to(np.asarray(sources, dtype=bool), adjacency.shape[:-1])
+    level = np.where(frontier, 0, -1)
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = (frontier[..., :, None] & adjacency).any(axis=-2) & (level < 0)
+        level[frontier] = depth
+    return level
 
 
 def _closure(positive: np.ndarray) -> np.ndarray:
@@ -480,7 +498,7 @@ def float_chain(mrp: MarkovRewardProcess):
     cannot change the total, and the pair-state transformation drops them too.
     The reachable states are read off the chain's closure (``_closure``).
     """
-    P, R, _, mu0 = mrp.arrays(float)
+    P, R, _, mu0 = mrp.arrays()
     keep = np.flatnonzero(_closure(P > 0)[mu0 > 0].any(axis=0))
     return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep], keep
 
@@ -544,10 +562,11 @@ def _estimate_stack(P: np.ndarray, R: np.ndarray, mu0: np.ndarray,
     two with ``2**scale <= max |R| < 2**(scale + 1)``, so that their
     tolerances are relative to the rewards' size; the division is exact.
     The chains left in the stack carry ``numbers``, the rows ``(zeta,
-    sigma2, kappa, rhat_start)`` in the rewards' unit, and ``cond``; a chain
-    with a number that is not a finite float is refused, and each refused
-    one has its error under its index.  The stages are read from the module
-    at each call.
+    sigma2, kappa, rhat_start)`` in the rewards' unit, and ``cond``.  A
+    chain is refused when a number is not a finite float in the rewards'
+    unit, or is zero or subnormal there but not in the chain's own; each
+    refused one has its error under its index.  The stages are read from
+    the module at each call.
     """
     if R.ndim < P.ndim:  # a state reward: R[x, y] = r(x), broadcast over y
         R = R[..., None]
@@ -558,13 +577,19 @@ def _estimate_stack(P: np.ndarray, R: np.ndarray, mu0: np.ndarray,
     for stage in (_check_structure, stationary_distribution, spectral_data, _degenerate,
                   third_moment_constant):
         stage(st)
-    numbers = np.stack([st.zeta, st.sigma2, st.kappa, _dot(st.mu0, st.rhat)], axis=-1)
+    st.units = np.stack([st.zeta, st.sigma2, st.kappa, _dot(st.mu0, st.rhat)], axis=-1)
     with np.errstate(over="ignore"):  # refused below
-        st.numbers = np.ldexp(numbers, st.scale[:, None] * _DEGREES)
+        st.numbers = np.ldexp(st.units, st.scale[:, None] * _DEGREES)
     bad = ~np.isfinite(st.numbers)
     st.refuse(bad.any(axis=-1), lambda j: (
-        f"{('zeta', 'sigma2', 'kappa', 'rhat_start')[bad[j].argmax()]} is "
-        f"{st.numbers[j, bad[j].argmax()]}: the rewards are too large for a float estimate"))
+        f"{_NAMES[bad[j].argmax()]} is {st.numbers[j, bad[j].argmax()]}: "
+        f"the rewards are too large for a float estimate"))
+    lost = (np.abs(st.numbers) < sys.float_info.min) & (st.units != 0)
+    st.refuse(lost.any(axis=-1), lambda j: (
+        f"{_NAMES[lost[j].argmax()]} is {st.units[j, lost[j].argmax()]:.3e} "
+        f"times 2**{st.scale[j] * _DEGREES[lost[j].argmax()]}, "
+        f"{st.numbers[j, lost[j].argmax()]:.3e} as a float: "
+        f"the rewards are too small for a float estimate"))
     return st
 
 
@@ -610,14 +635,19 @@ def policy_stacks(mdp: FiniteMdp):
     entries together, and ``states[m]`` the base states chain ``m`` keeps,
     in state order.  The arrays equal ``float_chain(induced_mrp(mdp,
     policy))``'s, entry for entry, and only one stack's are built at a time.
+    A reward past the float range is refused, naming its move.
     """
     n, width = mdp.n_states, max(len(acts) for acts in mdp.actions)
     P, R = np.zeros((n, width, n)), np.zeros((n, width, n))
+    names = mdp.states
     for x, acts in enumerate(mdp.actions):
         for k, a in enumerate(acts):
-            for y, p, r in mdp.kernel[x, a]:
+            rows = mdp.kernel[x, a]
+            pays = to_floats([r for _, _, r in rows],
+                             lambda i: f"reward of move ({names[x]}, {a!r}, {names[rows[i][0]]})")
+            for (y, p, _), r in zip(rows, pays):
                 P[x, k, y] = float(p)
-                R[x, k, y if mdp.is_sas else slice(None)] = float(r)
+                R[x, k, y if mdp.is_sas else slice(None)] = r
     mu0 = np.array([float(p) for p in mdp.mu0])
     slots = policy_slots(mdp)
     reach = bfs_levels((P > 0)[np.arange(n), slots], mu0 > 0) >= 0

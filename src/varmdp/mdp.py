@@ -14,14 +14,15 @@ Averaging preserves expectations but not distributions, which is the
 reason both conventions are first-class citizens throughout the package.
 Exact total-reward distributions come from one forward propagation of
 mass over (state, accumulated reward) pairs, ``propagate_masses``.
-What a Markov reward process pays on each move and at its last state is
-decided in one place, ``MarkovRewardProcess.arrays``, for every reader.
-Only ``arrays`` loads numpy, when first called; the exact solvers never do.
+What a Markov reward process pays on each move is decided in one place for
+every reader, ``MarkovRewardProcess.rows``.  Only ``arrays``, its float view,
+loads numpy, when first called; the exact solvers never do.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
@@ -43,6 +44,18 @@ def _check_distribution(values: Sequence[Fraction], what: str) -> None:
         raise ValidationError(f"{what}: negative probability")
     if total != 1:
         raise ValidationError(f"{what}: probabilities sum to {total}, expected 1")
+
+
+def to_floats(values: Sequence[Fraction], name) -> list[float]:
+    """The floats of exact ``values``; one past the float range is refused, ``name(i)`` naming it."""
+    floats = []
+    for i, value in enumerate(values):
+        try:
+            floats.append(float(value))
+        except OverflowError:
+            raise PreconditionError(f"{name(i)} is too large for a float "
+                                    f"(beyond {sys.float_info.max:.6g})") from None
+    return floats
 
 
 @dataclass(frozen=True)
@@ -162,7 +175,7 @@ class MarkovRewardProcess:
     * ``reward_on == "transition"``: sum of ``transition_reward[(X_t, X_{t+1})]``
       for ``t = 0..horizon-1``, plus salvage if present.
 
-    ``arrays`` is the one place that decides from these fields what a move pays.
+    ``rows`` decides from these fields what a move pays; ``arrays`` is its float view.
     """
 
     horizon: int
@@ -212,29 +225,43 @@ class MarkovRewardProcess:
     def n_states(self) -> int:
         return len(self.states)
 
-    def arrays(self, dtype) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-        """Dense ``(P, R, final, mu0)``: ``object`` keeps the ``Fraction``s, ``float`` converts.
+    def rows(self) -> tuple[tuple[tuple[int, Fraction, Fraction], ...], ...]:
+        """Per state ``x``, the ``(y, p, r)`` of each move of positive mass ``p``, by ``y``.
 
-        A move from ``x`` to ``y`` pays ``R[x, y]``: the transition reward, or
-        ``state_reward[x]``.  ``final`` holds the vectors added at the last state,
-        in order: the state reward if ``include_final_reward``, then the salvage.
+        ``r`` is what the move pays, ``transition_reward[(x, y)]`` or ``state_reward[x]``:
+        this is the one place that decides it, so a reward on a zero-mass pair is never paid.
+        """
+        r = self.state_reward
+        return tuple(tuple((y, p, self.transition_reward[x, y] if r is None else r[x])
+                           for y, p in enumerate(row) if p) for x, row in enumerate(self.kernel))
+
+    def final_rewards(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vectors added at the last state: the state reward if ``include_final_reward``,
+        then the salvage."""
+        return ((self.state_reward,) if self.include_final_reward else ()) + \
+            (() if self.salvage is None else (self.salvage,))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+        """The float view ``(P, R, final, mu0)`` of ``rows`` and ``final_rewards``.
+
+        A move from ``x`` to ``y`` pays ``R[x, y]``; a zero-mass cell pays 0, or the
+        state reward of its row.  A number past the float range is refused, named.
         """
         import numpy as np
-        n = self.n_states
-        P = np.full((n, n), ZERO, dtype=dtype)  # filled from the nonzero masses only
-        for x, row in enumerate(self.kernel):
-            ys = [y for y, p in enumerate(row) if p]
-            P[x, ys] = [row[y] for y in ys]
-        if self.reward_on == "state":
-            R = np.repeat(np.array(self.state_reward, dtype=dtype)[:, None], n, axis=1)
-        else:
-            R = np.full((n, n), ZERO, dtype=dtype)
-            for (x, y), r in self.transition_reward.items():
-                R[x, y] = r
-        final = [self.state_reward] if self.include_final_reward else []
-        if self.salvage is not None:
-            final.append(self.salvage)
-        return P, R, tuple(np.array(v, dtype=dtype) for v in final), np.array(self.mu0, dtype=dtype)
+        n, names = self.n_states, self.states
+        P, R = np.zeros((n, n)), np.zeros((n, n))
+        for x, moves in enumerate(self.rows()):
+            ys = [y for y, _, _ in moves]
+            P[x, ys] = [float(p) for _, p, _ in moves]
+            if self.reward_on == "state":
+                R[x] = to_floats([moves[0][2]], lambda _: f"reward of state {names[x]}")
+            else:
+                R[x, ys] = to_floats([r for _, _, r in moves],
+                                     lambda i: f"reward of move ({names[x]}, {names[ys[i]]})")
+        # every state reward passed through R above, so only a salvage entry can overflow here
+        final = tuple(np.array(to_floats(v, lambda i: f"salvage of state {names[i]}"))
+                      for v in self.final_rewards())
+        return P, R, final, np.array([float(p) for p in self.mu0])
 
 
 @dataclass(frozen=True)
@@ -430,9 +457,8 @@ def exact_total_reward_distribution(process, policy: DeterministicPolicy | None 
         if policy is not None:
             raise PreconditionError(
                 "exact_total_reward_distribution: a Markov reward process takes no policy")
-        P, R, final, mu0 = process.arrays(object)
-        rows = [[(y, p, R[x, y]) for y, p in enumerate(P[x]) if p > 0] for x in range(len(P))]
-        return propagate_masses(mu0, process.horizon, lambda t, x, c: rows[x],
+        rows, final = process.rows(), process.final_rewards()
+        return propagate_masses(process.mu0, process.horizon, lambda t, x, c: rows[x],
                                 lambda x: sum((v[x] for v in final), ZERO), max_states)
 
     raise PreconditionError(

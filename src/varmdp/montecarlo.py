@@ -6,7 +6,7 @@ kernel of ``_kernels`` on every CPU the process may use, and is
 reproducible from the seed (counter-based streams), bit-exact whatever
 the number of CPUs, so results are stable in CI.  What each move
 pays and what the last state adds come from
-``MarkovRewardProcess.arrays``.
+``MarkovRewardProcess.arrays``, the float view of its ``rows``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def simulate(mrp: MarkovRewardProcess, samples: int, seed: int,
     steps = mrp.horizon if n_steps is None else int(n_steps)
     if steps < 1:
         raise PreconditionError("simulate: n_steps must be >= 1")
-    P, R, final, mu0 = mrp.arrays(float)
+    P, R, final, mu0 = mrp.arrays()
     totals = simulate_totals(np.cumsum(P, axis=1), np.cumsum(mu0), steps, samples, seed,
                              step_reward=R, final=final)
     totals.sort()

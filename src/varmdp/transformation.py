@@ -19,81 +19,52 @@ two total-reward distributions identical, exactly.  Salvage carries
 over as ``v((x, y)) = v(y)``: the pair chain ends in ``(X_{N-1}, X_N)``,
 so it pays exactly the original ``v(X_N)``.
 
-The numpy graph helper ``bfs_levels`` serves ``transform`` and
-``edgeworth``.  The module's name differs from the package export
-``transform``, so importing it hides no function.
+It is exact: it reads ``MarkovRewardProcess.rows`` and loads no numpy.  The
+module's name differs from the package export ``transform``, so importing it
+hides no function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .errors import PreconditionError
-from .mdp import MarkovRewardProcess
+from .mdp import ZERO, MarkovRewardProcess
 
 
-def bfs_levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Breadth-first levels over a boolean adjacency matrix; -1 where unreached.
-
-    ``sources`` is a boolean mask of the level-0 states; each pass moves
-    the whole frontier one edge forward.  A leading axis on ``adjacency``
-    searches a stack of graphs at once; ``sources`` broadcasts against it.
-    """
-    frontier = np.broadcast_to(np.asarray(sources, dtype=bool), adjacency.shape[:-1])
-    level = np.where(frontier, 0, -1)
-    depth = 0
-    while frontier.any():
-        depth += 1
-        frontier = (frontier[..., :, None] & adjacency).any(axis=-2) & (level < 0)
-        level[frontier] = depth
-    return level
-
-
-@dataclass(frozen=True)
-class TransformedMrp(MarkovRewardProcess):
-    """State-rewarded pair chain; ``pairs[i]`` is the (x, y) behind state i."""
-
-    pairs: tuple[tuple[int, int], ...] = ()
-
-
-def transform(mrp: MarkovRewardProcess) -> TransformedMrp:
+def transform(mrp: MarkovRewardProcess) -> MarkovRewardProcess:
     """Build the pair chain with the same total-reward distribution.
 
-    Requires a transition-rewarded process with horizon >= 2.  Pairs
-    that are neither initially charged nor reachable from the support
-    of ``mu0`` are pruned, which keeps the chain on one communicating
-    class whenever the original visits one.  A salvage function carries
-    over as ``v((x, y)) = v(y)``.
+    Requires a transition-rewarded process with horizon >= 2.  The pair
+    chain's states are the moves out of the states reachable from the
+    support of ``mu0``, by ``x`` then ``y``, named ``"x->y"``; the other
+    pairs are pruned, which keeps the chain on one communicating class
+    whenever the original visits one.  A salvage function carries over as
+    ``v((x, y)) = v(y)``.
     """
     if mrp.reward_on == "state":
         raise PreconditionError("transform: process is already state-rewarded")
     if mrp.horizon < 2:
         raise PreconditionError("transform: horizon must be at least 2")
 
-    P, R, _, mu0 = mrp.arrays(object)
-    # the pairs are the positive transitions out of the states reachable from the support
-    # of mu0, by x then y; pair (x, y) moves to (y, z) with probability p(z | y)
-    positive = P != 0
-    reach = bfs_levels(positive, mu0 != 0) >= 0
-    xs, ys = np.nonzero(positive & reach[:, None])
-    kernel = np.where(xs[None, :] == ys[:, None], P[ys[:, None], ys[None, :]], P.flat[0] * 0)
-    pairs = list(zip(xs.tolist(), ys.tolist()))
-    salvage = None
-    if mrp.salvage is not None:
-        salvage = tuple(mrp.salvage[y] for (_, y) in pairs)
+    rows = mrp.rows()
+    seen = frontier = {x for x, p in enumerate(mrp.mu0) if p}
+    while frontier:  # breadth-first, one level a pass
+        frontier = {y for x in frontier for y, _, _ in rows[x]} - seen
+        seen = seen | frontier
+    pairs = [(x, y, p, r) for x in sorted(seen) for y, p, r in rows[x]]
+    index = {(x, y): i for i, (x, y, _, _) in enumerate(pairs)}
+    kernel = [[ZERO] * len(pairs) for _ in pairs]
+    for row, (_, y, _, _) in zip(kernel, pairs):  # (x, y) moves to (y, z) with p(z | y)
+        for z, p, _ in rows[y]:
+            row[index[y, z]] = p
 
-    return TransformedMrp(
+    return MarkovRewardProcess(
         horizon=mrp.horizon - 1,
-        states=tuple(f"{mrp.states[x]}->{mrp.states[y]}" for (x, y) in pairs),
-        kernel=tuple(tuple(row) for row in kernel),
+        states=tuple(f"{mrp.states[x]}->{mrp.states[y]}" for x, y, _, _ in pairs),
+        kernel=tuple(map(tuple, kernel)),
         reward_on="state",
-        state_reward=tuple(R[xs, ys]),
+        state_reward=tuple(r for _, _, _, r in pairs),
         transition_reward=None,
-        mu0=tuple(mu0[xs] * P[xs, ys]),  # the law of the first transition
-        salvage=salvage,
+        mu0=tuple(mrp.mu0[x] * p for x, _, p, _ in pairs),  # the law of the first transition
+        salvage=None if mrp.salvage is None else tuple(mrp.salvage[y] for _, y, _, _ in pairs),
         include_final_reward=True,
-        pairs=tuple(pairs),
     )
-

@@ -221,7 +221,7 @@ def base_chain(mdp: FiniteMdp, policy) -> tuple[np.ndarray, ...]:
     The reachable set is closed here by plain iteration, not by the
     library's breadth-first search.
     """
-    P, R, _, mu0 = induced_mrp(mdp, policy).arrays(float)
+    P, R, _, mu0 = induced_mrp(mdp, policy).arrays()
     reach = mu0 > 0
     for _ in range(len(P)):  # a reachable state is at most n - 1 moves away
         reach = reach | (P[reach] > 0).any(axis=0)

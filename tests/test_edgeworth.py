@@ -24,7 +24,7 @@ from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityErro
                     induced_mrp, paper_long, pareto_front_long, policy_chain, query_eta,
                     query_rho, simplify_reward, simulate)
 from varmdp.documents import mdp_to_document
-from varmdp.transformation import bfs_levels
+from varmdp.edgeworth import bfs_levels
 
 from conftest import (CHAIN_STAGES, base_chain, chain_stages, empirical_cdf, normal_reference,
                       random_ergodic_chain, random_mdp, reference_front_long, scaled_rewards)

@@ -378,32 +378,47 @@ ARRAY_CHAINS = {
         horizon=4, states=("a", "b"), kernel=((F(0), F(1)), (F(2, 3), F(1, 3))),
         reward_on="state", state_reward=(F(5, 2), F(0)), transition_reward=None,
         mu0=(F(0), F(1))),
+    "reward on a zero-mass pair": MarkovRewardProcess(
+        horizon=3, states=("a", "b"), kernel=((F(0), F(1)), (F(1, 2), F(1, 2))),
+        reward_on="transition", state_reward=None,
+        transition_reward={(0, 0): F(10**8), (0, 1): F(1), (1, 0): F(2), (1, 1): F(3)},
+        mu0=(F(1), F(0))),
 }
 
 
-@pytest.mark.parametrize("dtype", [object, float])
+@pytest.mark.parametrize("view", ["object", "float"])
 @pytest.mark.parametrize("name", list(ARRAY_CHAINS))
-def test_mrp_arrays_match_fields(name, dtype):
-    """``arrays`` equals the arrays read entry by entry from the record's fields."""
+def test_mrp_arrays_match_fields(name, view):
+    """Each view of a process's moves equals the one read entry by entry from its fields.
+
+    ``object`` is the exact view, ``rows`` and ``final_rewards``, whose
+    entries are ``Fraction`` objects; ``float`` is ``arrays``, its dense float
+    view.  A reward listed on a zero-mass pair is paid by neither.
+    """
     mrp = ARRAY_CHAINS[name]
     n = mrp.n_states
     if mrp.reward_on == "state":
         pays = [[mrp.state_reward[x]] * n for x in range(n)]
     else:
-        pays = [[mrp.transition_reward.get((x, y), F(0)) for y in range(n)] for x in range(n)]
+        pays = [[mrp.transition_reward[x, y] if mrp.kernel[x][y] else F(0) for y in range(n)]
+                for x in range(n)]
     final = {"transition with salvage": [mrp.salvage],
              "state with final reward and salvage": [mrp.state_reward, mrp.salvage],
-             "neither": []}[name]
+             "neither": [], "reward on a zero-mass pair": []}[name]
+    if view == "object":
+        want = tuple(tuple((y, p, pays[x][y]) for y, p in enumerate(row) if p)
+                     for x, row in enumerate(mrp.kernel))
+        got = mrp.rows()
+        assert got == want and mrp.final_rewards() == tuple(final)
+        assert all(type(v) is F for row in got for _, *pr in row for v in pr)
+        return
     want = [mrp.kernel, pays, *final, mrp.mu0]
-    P, R, got_final, mu0 = mrp.arrays(dtype)
+    P, R, got_final, mu0 = mrp.arrays()
     assert len(got_final) == len(final)
     for got, exact in zip([P, R, *got_final, mu0], want):
         exact = np.array(exact, dtype=object)
-        assert got.dtype == np.dtype(dtype) and got.shape == exact.shape
-        if dtype is object:
-            assert all(type(v) is F for v in got.flat) and got.tolist() == exact.tolist()
-        else:
-            assert got.ravel().tolist() == [float(v) for v in exact.flat]
+        assert got.dtype == np.dtype(float) and got.shape == exact.shape
+        assert got.ravel().tolist() == [float(v) for v in exact.flat]
 
 
 TRANSITION = dict(reward_on="transition", state_reward=None,
