@@ -27,21 +27,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, groupby
 from operator import itemgetter
 from typing import Mapping
 
 from .errors import BudgetExceededError
-from .mdp import Action, FiniteMdp, StepCdf, propagate_masses
+from .mdp import Action, FiniteMdp, StepCdf, _Record, propagate_masses
 
 AugState = tuple[int, Fraction]  # (state index, accumulated reward)
 Pair = tuple[int, int]  # (state index, accumulated reward in units of 1 / scale)
 
 
-@dataclass(frozen=True)
-class AugmentedMdp:
+class AugmentedMdp(_Record):
     """Augmented model: base MDP and its reachable slices.
 
     ``layers[t]`` lists the reachable pairs ``(x, n)`` at epoch ``t``,
@@ -52,9 +50,10 @@ class AugmentedMdp:
     is the least common denominator of the rewards and salvage.
     """
 
-    base: FiniteMdp
-    layers: tuple[tuple[Pair, ...], ...]
-    scale: int
+    _fields = ("base", "layers", "scale")
+
+    def __init__(self, base: FiniteMdp, layers: tuple[tuple[Pair, ...], ...], scale: int) -> None:
+        self.__dict__.update(base=base, layers=layers, scale=scale)
 
     @property
     def horizon(self) -> int:
@@ -65,8 +64,7 @@ class AugmentedMdp:
         return sum(len(layer) for layer in self.layers)
 
 
-@dataclass(frozen=True)
-class VarSolution:
+class VarSolution(_Record):
     """Optimal exceedance probability at a threshold, with one witness policy.
 
     ``actions[t][i]`` is the earliest optimal action, in the state's action
@@ -75,11 +73,11 @@ class VarSolution:
     reward a ``Fraction``, to that action.
     """
 
-    tau: Fraction
-    eta: Fraction
-    layers: tuple[tuple[Pair, ...], ...]
-    actions: tuple[tuple[Action, ...], ...]
-    scale: int
+    _fields = ("tau", "eta", "layers", "actions", "scale")
+
+    def __init__(self, tau: Fraction, eta: Fraction, layers: tuple[tuple[Pair, ...], ...],
+                 actions: tuple[tuple[Action, ...], ...], scale: int) -> None:
+        self.__dict__.update(tau=tau, eta=eta, layers=layers, actions=actions, scale=scale)
 
     @property
     def policy(self) -> tuple[dict[AugState, Action], ...]:

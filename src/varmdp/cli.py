@@ -30,8 +30,10 @@ imports what every subcommand shares; each solver entry point
 export read through ``_layer``, this module's ``__getattr__``, when a
 subcommand first calls it.  So each subcommand loads only the layers it
 runs; numpy comes with the float layers (``transform`` is exact), and
-``compare`` loads it itself.  An exact value that no normal float holds
-prints its decimal columns through an exact decimal (``_dec``).
+``compare`` loads it itself.  No subcommand loads ``dataclasses``: the
+records are plain classes (see ``mdp``), so ``inspect`` comes only with
+numpy.  An exact value that no normal float holds prints its decimal
+columns through an exact decimal (``_dec``).
 
 Exit codes: 0 success, 2 parse/validation error (an unreadable or
 undecodable input too), 3 precondition violation, 4 budget refusal or an
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import errno
 import gc
 import io
@@ -297,7 +298,7 @@ def cmd_estimate_cdf(args) -> list:
     rows = [[_dec(t), _dec(v)] for t, v in zip(taus, values)]
     outputs = [(args.output, _csv_text(["tau", "cdf"], rows))]
     if args.sidecar:
-        outputs.append((args.sidecar, json.dumps(dataclasses.asdict(cdf), indent=2) + "\n"))
+        outputs.append((args.sidecar, json.dumps(cdf._asdict(), indent=2) + "\n"))
     return outputs
 
 
@@ -371,7 +372,12 @@ def _read_cdf_csv(path: str):
         raise ValidationError(f"{path}: cannot parse CDF columns ({exc})") from exc
     bad = np.flatnonzero(~(np.isfinite(taus) & np.isfinite(vals)))
     if bad.size:
-        raise ValidationError(f"{path}: line {bad[0] + 2}: tau and value must be finite")
+        i = bad[0]  # a number past the float range reads as an infinity too
+        column, name = (ti, "tau") if not np.isfinite(taus[i]) else (vi, "value")
+        if rows[i + 1][column].strip().lstrip("+-").lower() in ("inf", "infinity", "nan"):
+            raise ValidationError(f"{path}: line {i + 2}: tau and value must be finite")
+        raise ValidationError(f"{path}: line {i + 2}: {name} lies past the float range "
+                              f"(beyond {sys.float_info.max:.6g})")
     bad = np.flatnonzero((vals < 0) | (vals > 1))
     if bad.size:
         raise ValidationError(f"{path}: line {bad[0] + 2}: CDF value must lie in [0, 1]")

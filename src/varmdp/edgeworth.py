@@ -64,7 +64,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
 
@@ -72,8 +71,8 @@ import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError)
-from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, ParetoFront,
-                  induced_mrp, to_floats)
+from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, ParetoFront, _Record,
+                  induced_mrp, replace, to_floats)
 from .transformation import transform
 
 _XI_TOL = 1e-12
@@ -465,8 +464,7 @@ def _front_minimum(n_steps: int, params: np.ndarray, taus: np.ndarray):
     return best, witness
 
 
-@dataclass(frozen=True)
-class EdgeworthCdf:
+class EdgeworthCdf(_Record):
     """Normal-plus-correction estimate of the total-reward CDF after ``n_steps``.
 
     ``cond_h`` is ``|A|_1 |A^{-1}|_1``, the 1-norm condition number of the
@@ -474,12 +472,12 @@ class EdgeworthCdf:
     inverse gives the fundamental kernel; a chain above 1e14 is refused.
     """
 
-    n_steps: int
-    zeta: float
-    sigma2: float
-    kappa: float
-    rhat_start: float
-    cond_h: float
+    _fields = ("n_steps", "zeta", "sigma2", "kappa", "rhat_start", "cond_h")
+
+    def __init__(self, n_steps: int, zeta: float, sigma2: float, kappa: float,
+                 rhat_start: float, cond_h: float) -> None:
+        self.__dict__.update(n_steps=n_steps, zeta=zeta, sigma2=sigma2, kappa=kappa,
+                             rhat_start=rhat_start, cond_h=cond_h)
 
     @property
     def sigma(self) -> float:

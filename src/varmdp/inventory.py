@@ -26,11 +26,10 @@ sets it prints only allow orders up to ``x + a <= 2``, i.e. capacity 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .mdp import FiniteMdp, ZERO
+from .mdp import FiniteMdp, ZERO, _Record
 
 _FIXED_COST = Fraction(4)
 _UNIT_COST = Fraction(2)
@@ -38,17 +37,16 @@ _UNIT_PRICE = Fraction(8)
 _DEMAND = {0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)}
 
 
-@dataclass(frozen=True)
-class InventoryParams:
+class InventoryParams(_Record):
     """The settable size of the inventory instance: epochs and storage capacity."""
 
-    horizon: int
-    capacity: int
+    _fields = ("horizon", "capacity")
 
-    def __post_init__(self) -> None:
-        if self.capacity < 0:
+    def __init__(self, horizon: int, capacity: int) -> None:
+        self.__dict__.update(horizon=horizon, capacity=capacity)
+        if capacity < 0:
             raise ValidationError("capacity: must be nonnegative")
-        if self.horizon < 1:
+        if horizon < 1:
             raise ValidationError("horizon: must be positive")
 
 

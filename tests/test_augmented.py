@@ -181,7 +181,7 @@ class TestBuildAugmented:
         rng = random.Random(3)
         mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas")
         flat = {k: tuple((y, p, F(0)) for y, p, _ in rows) for k, rows in mdp.kernel.items()}
-        from dataclasses import replace
+        from varmdp.mdp import replace
         mdp = replace(mdp, kernel=flat)
         aug = build_augmented(mdp)
         assert {c for layer in aug.layers for _, c in layer} == {F(0)}
@@ -318,7 +318,7 @@ class TestIndexInduction:
         assert_matches_reference(aug, (F(60), F(100), F(241, 2)))
 
     def test_tuple_actions_stay_whole(self):
-        from dataclasses import replace
+        from varmdp.mdp import replace
         rng = random.Random(31)
         mdp = random_mdp(rng, n_states=3, horizon=3, reward_kind="sas", max_actions=3)
         pair = {a: (a, "order") for acts in mdp.actions for a in acts}

@@ -12,7 +12,6 @@ import stat
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +22,7 @@ from varmdp import (DeterministicPolicy, InventoryParams, ValidationError,
 from varmdp.cli import main
 from varmdp.documents import (dump_document, load_document, mdp_from_document,
                               mdp_to_document, mrp_from_document, mrp_to_document)
+from varmdp.mdp import replace
 
 from conftest import random_mdp, scaled_rewards
 
@@ -484,12 +484,16 @@ def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, where):
 
 
 NOT_FINITE, OUTSIDE = "tau and value must be finite", "CDF value must lie in [0, 1]"
+PAST_RANGE = "lies past the float range (beyond 1.79769e+308)"
 
 
 @pytest.mark.parametrize("row, message", [
     ("1,nan", NOT_FINITE), ("nan,0.5", NOT_FINITE), ("1,inf", NOT_FINITE),
     ("-inf,0.5", NOT_FINITE), ("1,7", OUTSIDE), ("1,-0.5", OUTSIDE),
-], ids=["1,nan", "nan,0.5", "1,inf", "-inf,0.5", "1,7", "1,-0.5"])
+    ("-1e400,0.5", f"tau {PAST_RANGE}"), ("1,1e400", f"value {PAST_RANGE}"),
+    ("1e400,nan", f"tau {PAST_RANGE}"),
+], ids=["1,nan", "nan,0.5", "1,inf", "-inf,0.5", "1,7", "1,-0.5", "-1e400,0.5", "1,1e400",
+        "1e400,nan"])
 def test_compare_refuses_non_finite_values(tmp_path, capsys, row, message):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     good.write_text("tau,cdf\n0,0.0\n1,0.5\n2,1.0\n")
@@ -909,7 +913,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     # a name loads its module on first read: in a fresh interpreter each subcommand loads
     # exactly the varmdp modules it runs, numpy only where a float layer or compare runs
     # (the pair-state transform is exact), and logging only where a long front logs the
-    # policies it skips
+    # policies it skips; dataclasses never loads, and inspect only where numpy loads it
     docs = {"short": str(tmp_path / "short.json"), "cap2": str(tmp_path / "cap2.json"),
             "chain": _chain_doc(tmp_path / "chain.json", [["1/2", "1/2"]] * 2, ["1", "0"]),
             "pairs": str(tmp_path / "pairs.json"), "csv": str(tmp_path / "cdf.csv"),
@@ -939,17 +943,18 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
          ["_kernels", "montecarlo"], True, False),
     ]
     report = ("print(sorted(m for m in sys.modules if m.startswith('varmdp')), "
-              "'numpy' in sys.modules, 'logging' in sys.modules)")
+              "*(name in sys.modules for name in ('numpy', 'logging', 'dataclasses', 'inspect')))")
     done = subprocess.run([sys.executable, "-c", f"import sys, varmdp; {report}"],
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "['varmdp'] False False\n"
+    assert done.stdout == "['varmdp'] False False False False\n"
     for argv, extra, numpy, logging in rows:
         argv = [arg.format(**docs) for arg in argv]
         script = f"import sys; from varmdp.cli import main; print(main({argv!r})); {report}"
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, check=True)
         modules = ["varmdp"] + [f"varmdp.{m}" for m in sorted(_BASE_MODULES + extra)]
-        assert done.stdout == f"0\n{modules} {numpy} {logging}\n", (argv[0], done.stderr)
+        expected = f"0\n{modules} {numpy} {logging} False {numpy}\n"  # inspect comes with numpy
+        assert done.stdout == expected, (argv[0], done.stderr)
 
 
 def test_every_export_resolves_to_its_module():

@@ -8,7 +8,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +24,7 @@ from varmdp import (DegenerateVarianceError, DeterministicPolicy, ErgodicityErro
                     query_rho, simplify_reward, simulate)
 from varmdp.documents import mdp_to_document
 from varmdp.edgeworth import bfs_levels
+from varmdp.mdp import replace
 
 from conftest import (CHAIN_STAGES, base_chain, chain_stages, empirical_cdf, normal_reference,
                       random_ergodic_chain, random_mdp, reference_front_long, scaled_rewards)

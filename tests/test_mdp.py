@@ -1,18 +1,24 @@
 """Core model operations: simplification, induction, induced chains, exact CDFs."""
 
+import inspect
+import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from varmdp import (BudgetExceededError, DeterministicPolicy, FiniteMdp,
-                    MarkovRewardProcess, PreconditionError, StepCdf, ValidationError,
-                    augmented_policy_distribution, build_augmented,
+from varmdp import (AugmentedMdp, BudgetExceededError, DeterministicPolicy, EdgeworthCdf,
+                    FiniteMdp, InventoryParams, MarkovRewardProcess, ParetoFront,
+                    PreconditionError, StepCdf, ValidationError, VarSolution,
+                    augmented_policy_distribution, build_augmented, estimate_cdf,
                     exact_total_reward_distribution, expected_backward_induction,
-                    evaluate_policy, induced_mrp, simplify_reward)
+                    evaluate_policy, induced_mrp, paper_long, paper_short_printed,
+                    policy_chain, simplify_reward, solve_threshold_var)
+from varmdp.cli import main
+from varmdp.documents import dump_document, mrp_to_document
+from varmdp.mdp import replace
 
 from conftest import fraction_layers, random_mdp, random_transition_mrp, step_mean
 
@@ -563,3 +569,98 @@ class TestValidation:
         with pytest.raises(ValidationError) as info:
             StepCdf(support=support, prob=prob)
         assert str(info.value) == message
+
+
+def _record_specs() -> dict:
+    """Per record: (class, required values by position, defaults, one valid change, hashable)."""
+    mdp = paper_short_printed()
+    aug = build_augmented(mdp)
+    solution = solve_threshold_var(mdp, 9)
+    chain = (2, ("a", "b"), ((F(1, 2), F(1, 2)), (F(1), F(0))), "state", (F(1), F(2)), None,
+             (F(1), F(0)))
+    return {
+        "FiniteMdp": (FiniteMdp, [getattr(mdp, name) for name in FiniteMdp._fields], {},
+                      {"horizon": 3}, False),
+        "DeterministicPolicy": (DeterministicPolicy, [({0: 0},)], {"stationary": False},
+                                {"stationary": True}, False),
+        "MarkovRewardProcess": (MarkovRewardProcess, list(chain),
+                                {"salvage": None, "include_final_reward": False},
+                                {"include_final_reward": True}, True),
+        "StepCdf": (StepCdf, [(F(0), F(1)), (F(1, 2), F(1, 2))], {},
+                    {"prob": (F(1, 4), F(3, 4))}, True),
+        "ParetoFront": (ParetoFront, ["exact", (F(0),), (F(1),), (0,)], {"policies": {}},
+                        {"policies": {0: "t=0 0 -> 0"}}, False),
+        "InventoryParams": (InventoryParams, [2, 3], {}, {"capacity": 4}, True),
+        "AugmentedMdp": (AugmentedMdp, [aug.base, aug.layers, aug.scale], {},
+                         {"scale": 2 * aug.scale}, False),
+        "VarSolution": (VarSolution, [getattr(solution, name) for name in VarSolution._fields],
+                        {}, {"eta": F(1, 3)}, True),
+        "EdgeworthCdf": (EdgeworthCdf, [10, 1.5, 2.0, 0.25, -0.5, 3.0], {}, {"zeta": 2.5}, True),
+    }
+
+
+RECORDS = sorted(_record_specs())
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    cls, required, defaults, change, hashable = _record_specs()[name]
+    fields = cls._fields
+    assert fields == tuple(inspect.signature(cls).parameters)
+    record = cls(*required)
+    assert record == cls(**dict(zip(fields, required)))
+    assert record._asdict() == {**dict(zip(fields, required)), **defaults}
+    assert list(record._asdict()) == list(fields)
+    if name == "ParetoFront":  # its mutable default is made anew for each record
+        assert record.policies is not cls(*required).policies
+    assert repr(record) == f"{name}({', '.join(f'{k}={v!r}' for k, v in record._asdict().items())})"
+
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], required[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(record, fields[-1])
+    assert list(record._asdict()) == list(fields)
+
+    changed = replace(record, **change)
+    assert changed != record and not changed == record
+    assert changed._asdict() == {**record._asdict(), **change}
+    assert replace(changed, **{k: getattr(record, k) for k in change}) == record
+    subclass = type("Sub", (cls,), {})
+    assert subclass(*required) != record  # equal fields of another type
+    assert record != tuple(record._asdict().values())
+    with pytest.raises(TypeError):
+        replace(record, no_such_field=0)
+
+    if hashable:
+        assert hash(record) == hash(cls(*required)) == hash(tuple(record._asdict().values()))
+        assert len({record, cls(*required), changed}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_replace_checks_the_record_again():
+    mdp = paper_short_printed()
+    with pytest.raises(ValidationError, match="^horizon: must be a positive integer$"):
+        replace(mdp, horizon=0)
+    with pytest.raises(ValidationError, match="^capacity: must be nonnegative$"):
+        replace(InventoryParams(2, 3), capacity=-1)
+    assert replace(mdp, horizon=5).horizon == 5 and mdp.horizon == 2
+
+
+def test_sidecar_lists_the_estimate_fields_in_order(tmp_path, capsys):
+    # the mc-oracle witness: paper-long under the stationary rule 0 -> 2, else 0
+    chain = policy_chain(paper_long(500), DeterministicPolicy.from_stationary({0: 2, 1: 0, 2: 0,
+                                                                                3: 0}))
+    doc, side = tmp_path / "witness.json", tmp_path / "side.json"
+    doc.write_text(dump_document(mrp_to_document(chain)), encoding="utf-8")
+    assert main(["estimate-cdf", str(doc), "--n-steps", "500", "--grid=1500:2500:5",
+                 "--sidecar", str(side)]) == 0
+    capsys.readouterr()
+    cdf = estimate_cdf(chain, 500)
+    names = ["n_steps", "zeta", "sigma2", "kappa", "rhat_start", "cond_h"]
+    expected = json.dumps({name: getattr(cdf, name) for name in names}, indent=2) + "\n"
+    assert side.read_text(encoding="utf-8") == expected
+    assert json.loads(expected)["n_steps"] == 500

@@ -1,4 +1,4 @@
-"""Numeric edges: exact values past the float range or too small for a float estimate.
+"""Numeric edges: exact values past the float range, below it, or too small for a float estimate.
 
 A corpus of documents runs through every subcommand that reads one, in
 process through ``main`` and once per subcommand as ``python -m
@@ -49,6 +49,9 @@ def _documents() -> dict:
                          "mu0": ["1"], "salvage": ["0"]},
         "mrp-state-1e400": CHAIN,
         "mrp-state-1e-170": {**CHAIN, "state_rewards": ["1e-170", "3e-170"]},
+        "mrp-state-1e-400": {**CHAIN, "state_rewards": ["1e-400", "3"]},
+        "mrp-move-1e-400": {**PAIRS, "transitions": [{**PAIRS["transitions"][0], "r": "1e-400"},
+                                                     *PAIRS["transitions"][1:]]},
         "mrp-salvage-1e400": {**PAIRS, "salvage": ["1e400", "0"]},
         "mrp-zero-mass-reward": ZERO_MASS,
     }
@@ -59,6 +62,7 @@ MDP_RUNS = {"solve-expected": [], "dist-exact": [], "var-threshold": ["--tau", "
 MRP_RUNS = {"transform": [], "estimate-cdf": ["--n-steps", "100", "--grid=0:10:3"],
             "simulate": ["--samples", "100", "--seed", "1", "--quantiles", "3"]}
 TOO_LARGE = "is too large for a float (beyond 1.79769e+308)"
+TOO_SMALL = "is too small for a float (nonzero, read as 0.0)"
 SKIPPED = ("policy 0 skipped: asymptotic variance 0.000e+00 is (numerically) zero; "
            "the normalized total reward is degenerate")
 STATE_REWARDED = "error: transform: process is already state-rewarded"
@@ -71,7 +75,7 @@ CORPUS = [
     *[("mdp-r-1e-300", command, 0, "") for command in MDP_RUNS if command != "pareto-long"],
     ("mdp-r-1e-300", "pareto-long", 5, SKIPPED),
     *[("mdp-r-1e-400", command, 0, "") for command in MDP_RUNS if command != "pareto-long"],
-    ("mdp-r-1e-400", "pareto-long", 5, SKIPPED),  # the reward reads 0.0 as a float
+    ("mdp-r-1e-400", "pareto-long", 3, f"error: reward of move (s, 0, s) {TOO_SMALL}"),
     ("mrp-state-1e400", "transform", 3, STATE_REWARDED),
     ("mrp-state-1e400", "estimate-cdf", 3, f"error: reward of state a {TOO_LARGE}"),
     ("mrp-state-1e400", "simulate", 3, f"error: reward of state a {TOO_LARGE}"),
@@ -80,12 +84,18 @@ CORPUS = [
      "error: sigma2 is 4.900e-01 times 2**-1128, 0.000e+00 as a float: "
      "the rewards are too small for a float estimate"),
     ("mrp-state-1e-170", "simulate", 0, ""),
+    ("mrp-state-1e-400", "transform", 3, STATE_REWARDED),
+    ("mrp-state-1e-400", "estimate-cdf", 3, f"error: reward of state a {TOO_SMALL}"),
+    ("mrp-state-1e-400", "simulate", 3, f"error: reward of state a {TOO_SMALL}"),
+    ("mrp-move-1e-400", "transform", 0, ""),
+    ("mrp-move-1e-400", "estimate-cdf", 3, f"error: reward of move (a, b) {TOO_SMALL}"),
+    ("mrp-move-1e-400", "simulate", 3, f"error: reward of move (a, b) {TOO_SMALL}"),
     ("mrp-salvage-1e400", "transform", 0, ""),
     ("mrp-salvage-1e400", "estimate-cdf", 3, f"error: salvage of state a {TOO_LARGE}"),
     ("mrp-salvage-1e400", "simulate", 3, f"error: salvage of state a {TOO_LARGE}"),
     *[("mrp-zero-mass-reward", command, 0, "") for command in MRP_RUNS],
     ("front-tau-1e400", "compare", 2, "error: {front-tau-1e400}: line 3: "
-                                      "tau and value must be finite"),
+                                      "tau lies past the float range (beyond 1.79769e+308)"),
 ]
 
 

@@ -1,7 +1,6 @@
 """Pair-state transformation: exact distribution preservation and structure."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +10,7 @@ from varmdp import (DeterministicPolicy, MarkovRewardProcess, PreconditionError,
                     exact_total_reward_distribution, induced_mrp, transform)
 from varmdp.documents import dump_document, mrp_to_document
 from varmdp.edgeworth import bfs_levels
+from varmdp.mdp import replace
 
 from conftest import (chain_stages, random_distribution, random_rational,
                       random_transition_mrp, reward_term_count, transformed_salvage)
