@@ -21,7 +21,9 @@ schema, so an ``mrp-v1`` document is not read as an MDP or vice versa.
 Both loaders share one header check, ``_state_names`` (a JSON object,
 the right ``schema``, a ``states`` list), and one row reader,
 ``_transition_rows`` (a nonempty ``transitions`` list of objects whose
-``x`` and ``y`` name states).  Each loader reads only its own fields.
+``x`` and ``y`` name states).  Each loader reads only its own fields, and
+parses each distinct number string once (``_Numbers``): the capacity-10
+inventory document has 410 number fields but 27 distinct strings.
 """
 
 from __future__ import annotations
@@ -86,11 +88,21 @@ def _horizon(doc: dict) -> int:
     raise ValidationError(f"horizon: expected an integer, got {raw!r}")
 
 
-def _aligned_rationals(doc: dict, field: str, n: int) -> tuple[Fraction, ...]:
-    raw = _require(doc, field)
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ValidationError(f"{field}: expected a list aligned with states")
-    return tuple(parse_rational(v, f"{field}[{i}]") for i, v in enumerate(raw))
+class _Numbers(dict):
+    """One document's number strings, each parsed once; only strings are kept, as ``True == 1``."""
+
+    def __call__(self, value, field: str) -> Fraction:
+        if type(value) is not str:
+            return parse_rational(value, field)
+        if value not in self:
+            self[value] = parse_rational(value, field)
+        return self[value]
+
+    def aligned(self, doc: dict, field: str, n: int) -> tuple[Fraction, ...]:
+        raw = _require(doc, field)
+        if not isinstance(raw, list) or len(raw) != n:
+            raise ValidationError(f"{field}: expected a list aligned with states")
+        return tuple(self(v, f"{field}[{i}]") for i, v in enumerate(raw))
 
 
 def mdp_from_document(doc: dict) -> FiniteMdp:
@@ -105,12 +117,13 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
     actions = tuple(tuple(acts) for acts in raw_actions)
     reward_kind = _require(doc, "reward_kind")
     kernel: dict = {}
+    number = _Numbers()
     for where, row, x, y in _transition_rows(doc, states):
         a = _require(row, "a", where)
         if a not in actions[x]:
             raise ValidationError(f"{where}.a: action {a!r} not declared at state {states[x]}")
-        p = parse_rational(_require(row, "p", where), f"{where}.p")
-        r = parse_rational(_require(row, "r", where), f"{where}.r")
+        p = number(_require(row, "p", where), f"{where}.p")
+        r = number(_require(row, "r", where), f"{where}.r")
         group = kernel.setdefault((x, a), [])
         if any(z == y for z, _, _ in group):
             raise ValidationError(f"{where}: duplicate (x, a, y) entry")
@@ -125,8 +138,8 @@ def mdp_from_document(doc: dict) -> FiniteMdp:
         actions=actions,
         kernel={key: tuple(sorted(group)) for key, group in kernel.items()},
         reward_kind=reward_kind,
-        mu0=_aligned_rationals(doc, "mu0", n),
-        salvage=_aligned_rationals(doc, "salvage", n),
+        mu0=number.aligned(doc, "mu0", n),
+        salvage=number.aligned(doc, "salvage", n),
     )
 
 
@@ -158,23 +171,24 @@ def mrp_from_document(doc: dict) -> MarkovRewardProcess:
     kernel = [[ZERO] * n for _ in range(n)]
     trans_reward: dict = {}
     seen: set = set()
+    number = _Numbers()
     for where, row, x, y in _transition_rows(doc, states):
         if (x, y) in seen:
             raise ValidationError(f"{where}: duplicate (x, y) entry")
         seen.add((x, y))
-        kernel[x][y] = parse_rational(_require(row, "p", where), f"{where}.p")
+        kernel[x][y] = number(_require(row, "p", where), f"{where}.p")
         if reward_on == "transition":
-            trans_reward[(x, y)] = parse_rational(_require(row, "r", where), f"{where}.r")
+            trans_reward[(x, y)] = number(_require(row, "r", where), f"{where}.r")
     state_reward = None
     if reward_on == "state":
-        state_reward = _aligned_rationals(doc, "state_rewards", n)
+        state_reward = number.aligned(doc, "state_rewards", n)
     include_final = doc.get("include_final_reward", False)
     if not isinstance(include_final, bool):
         raise ValidationError(
             f"include_final_reward: expected true or false, got {include_final!r}")
     salvage = None
     if doc.get("salvage") is not None:
-        salvage = _aligned_rationals(doc, "salvage", n)
+        salvage = number.aligned(doc, "salvage", n)
     return MarkovRewardProcess(
         horizon=_horizon(doc),
         states=states,
@@ -182,7 +196,7 @@ def mrp_from_document(doc: dict) -> MarkovRewardProcess:
         reward_on=reward_on,
         state_reward=state_reward,
         transition_reward=trans_reward if reward_on == "transition" else None,
-        mu0=_aligned_rationals(doc, "mu0", n),
+        mu0=number.aligned(doc, "mu0", n),
         salvage=salvage,
         include_final_reward=include_final,
     )

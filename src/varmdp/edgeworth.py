@@ -633,7 +633,8 @@ def policy_stacks(mdp: FiniteMdp):
     entries together, and ``states[m]`` the base states chain ``m`` keeps,
     in state order.  The arrays equal ``float_chain(induced_mrp(mdp,
     policy))``'s, entry for entry, and only one stack's are built at a time.
-    A reward past the float range is refused, naming its move.
+    A reward or probability no float holds (past the float range, or nonzero
+    below it) is refused, naming its move.
     """
     n, width = mdp.n_states, max(len(acts) for acts in mdp.actions)
     P, R = np.zeros((n, width, n)), np.zeros((n, width, n))
@@ -641,12 +642,15 @@ def policy_stacks(mdp: FiniteMdp):
     for x, acts in enumerate(mdp.actions):
         for k, a in enumerate(acts):
             rows = mdp.kernel[x, a]
+            move = f"move ({names[x]}, {a!r}, "
+            probs = to_floats([p for _, p, _ in rows],
+                              lambda i: f"probability of {move}{names[rows[i][0]]})")
             pays = to_floats([r for _, _, r in rows],
-                             lambda i: f"reward of move ({names[x]}, {a!r}, {names[rows[i][0]]})")
-            for (y, p, _), r in zip(rows, pays):
-                P[x, k, y] = float(p)
+                             lambda i: f"reward of {move}{names[rows[i][0]]})")
+            for (y, _, _), p, r in zip(rows, probs, pays):
+                P[x, k, y] = p
                 R[x, k, y if mdp.is_sas else slice(None)] = r
-    mu0 = np.array([float(p) for p in mdp.mu0])
+    mu0 = np.array(to_floats(mdp.mu0, lambda i: f"mu0 of state {names[i]}"))
     slots = policy_slots(mdp)
     reach = bfs_levels((P > 0)[np.arange(n), slots], mu0 > 0) >= 0
     sizes = reach.sum(axis=-1)

@@ -282,14 +282,15 @@ class MarkovRewardProcess(_Record):
         """The float view ``(P, R, final, mu0)`` of ``rows`` and ``final_rewards``.
 
         A move from ``x`` to ``y`` pays ``R[x, y]``; a zero-mass cell pays 0, or the
-        state reward of its row.  A number past the float range is refused, named.
+        state reward of its row.  A number no float holds is refused, named (``to_floats``).
         """
         import numpy as np
         n, names = self.n_states, self.states
         P, R = np.zeros((n, n)), np.zeros((n, n))
         for x, moves in enumerate(self.rows()):
             ys = [y for y, _, _ in moves]
-            P[x, ys] = [float(p) for _, p, _ in moves]
+            P[x, ys] = to_floats([p for _, p, _ in moves],
+                                 lambda i: f"probability of move ({names[x]}, {names[ys[i]]})")
             if self.reward_on == "state":
                 R[x] = to_floats([moves[0][2]], lambda _: f"reward of state {names[x]}")
             else:
@@ -298,7 +299,7 @@ class MarkovRewardProcess(_Record):
         # every state reward passed through R above, so only a salvage entry can be refused here
         final = tuple(np.array(to_floats(v, lambda i: f"salvage of state {names[i]}"))
                       for v in self.final_rewards())
-        return P, R, final, np.array([float(p) for p in self.mu0])
+        return P, R, final, np.array(to_floats(self.mu0, lambda i: f"mu0 of state {names[i]}"))
 
 
 class StepCdf(_Record):

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 import pytest
@@ -213,6 +213,81 @@ class TestBuildAugmented:
             with pytest.raises(BudgetExceededError) as info:
                 solve()
             assert str(info.value) == message
+
+
+def inventory_corpus():
+    """SAS and SA inventories: capacities 0-11 x horizons {1, 2, 4, 6, 12}, and 14 / 20."""
+    sizes = [(cap, h) for cap in range(12) for h in (1, 2, 4, 6, 12)] + [(14, 20)]
+    for cap, h in sizes:
+        mdp = build_inventory(InventoryParams(horizon=h, capacity=cap))
+        yield mdp
+        yield simplify_reward(mdp)
+
+
+def with_rewards(mdp, reward):
+    """``mdp`` paying ``reward(y, r)`` in place of ``r`` on each move to ``y``."""
+    from varmdp.mdp import replace
+    return replace(mdp, kernel={key: tuple((y, p, reward(y, r)) for y, p, r in rows)
+                                for key, rows in mdp.kernel.items()})
+
+
+class TestEncodings:
+    def test_bitsets_and_sets_give_the_same_layers(self):
+        from varmdp.augmented import _bit_layers, _integer_moves, _lowest_totals, _set_layers
+        for mdp in inventory_corpus():
+            moves, _, step = _integer_moves(mdp)
+            lows = _lowest_totals(mdp, moves, step, math.inf)
+            layers = _set_layers(mdp, moves, math.inf)
+            assert _bit_layers(mdp, moves, step, lows) == layers
+            assert build_augmented(mdp).layers == layers
+
+    def test_budget_refusals_come_from_the_set_pass_alone(self):
+        # a pair is a lattice point: where the lattices fit the budget the pairs do too,
+        # and a budget the pairs overrun is refused by the set pass, as before
+        from varmdp.augmented import _integer_moves, _lowest_totals, _set_layers
+        message = "augmented model refused: more than {} reachable (state, reward) pairs"
+        for mdp in inventory_corpus():
+            moves, _, step = _integer_moves(mdp)
+            counts = list(accumulate(map(len, _set_layers(mdp, moves, math.inf))))
+            for budget in {counts[0], counts[1] - 1, counts[-1] - 1, counts[-1]}:
+                if _lowest_totals(mdp, moves, step, budget) is not None:
+                    assert counts[-1] <= budget
+                if counts[-1] <= budget:
+                    assert build_augmented(mdp, max_states=budget).n_augmented_states == \
+                        counts[-1]
+                    continue
+                with pytest.raises(BudgetExceededError) as built:
+                    build_augmented(mdp, max_states=budget)
+                with pytest.raises(BudgetExceededError) as by_sets:
+                    _set_layers(mdp, moves, budget)
+                assert str(built.value) == str(by_sets.value) == message.format(budget)
+
+    def test_wide_lattices_take_the_set_pass(self, monkeypatch):
+        import varmdp.augmented as augmented
+        from varmdp.augmented import _integer_moves, _set_layers
+        dense = build_inventory(InventoryParams(horizon=12, capacity=10))
+        wide = [with_rewards(dense, lambda y, r: r * 10 ** 4 + 1),
+                with_rewards(dense, lambda y, r: F(10) ** 12 if y == 0 else F(1))]
+        passes = []
+
+        def recording(name):
+            original = getattr(augmented, name)
+
+            def run(*args):
+                passes.append(name)
+                return original(*args)
+            return run
+
+        for name in ("_bit_layers", "_set_layers"):
+            monkeypatch.setattr(augmented, name, recording(name))
+        for mdp, taken in ((dense, "_bit_layers"), *((mdp, "_set_layers") for mdp in wide)):
+            passes.clear()
+            layers = build_augmented(mdp).layers
+            assert passes == [taken]
+            assert layers == _set_layers(mdp, _integer_moves(mdp)[0], math.inf)
+        # rewards times 10**4 plus 1 keep the pairs and widen each state's lattice
+        assert build_augmented(wide[0]).n_augmented_states == \
+            build_augmented(dense).n_augmented_states == 5352
 
 
 class TestSolveThreshold:

@@ -427,6 +427,23 @@ def test_malformed_document_structure_exits_2(tmp_path, capsys, short_sas,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, field", [
+    ("solve-expected", {"horizon": 1, "states": ["s"], "actions": [[0]], "reward_kind": "sas",
+                        "transitions": [{"x": "s", "a": 0, "y": "s", "p": 1, "r": 1}],
+                        "mu0": [1], "salvage": [True]}, "salvage[0]"),
+    ("transform", {"horizon": 1, "states": ["s"], "reward_on": "state",
+                   "transitions": [{"x": "s", "y": "s", "p": 1}],
+                   "state_rewards": [True], "mu0": ["1"]}, "state_rewards[0]"),
+])
+def test_a_boolean_is_refused_after_the_number_one(tmp_path, capsys, command, doc, field):
+    # each distinct number string is parsed once per document, but True == 1 and hashes
+    # alike, so a boolean must not be answered from an earlier 1
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, str(path)) == 2
+    assert capsys.readouterr().err == f"error: {field}: booleans are not numbers\n"
+
+
 @pytest.mark.parametrize("kind, argv, schema", [
     ("mdp", ["solve-expected"], "mrp-v1"),
     ("mrp", ["simulate", "--samples", "3", "--seed", "1"], "mdp-v1")])
@@ -906,12 +923,13 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-_BASE_MODULES = ["cli", "documents", "errors", "inventory", "mdp", "rationals"]
+_BASE_MODULES = ["cli", "documents", "errors", "mdp", "rationals"]
 
 
 def test_each_subcommand_loads_only_its_layers(tmp_path):
     # a name loads its module on first read: in a fresh interpreter each subcommand loads
-    # exactly the varmdp modules it runs, numpy only where a float layer or compare runs
+    # exactly the varmdp modules it runs (inventory only for gen-inventory, whose presets
+    # its parser lists), numpy only where a float layer or compare runs
     # (the pair-state transform is exact), and logging only where a long front logs the
     # policies it skips; dataclasses never loads, and inspect only where numpy loads it
     docs = {"short": str(tmp_path / "short.json"), "cap2": str(tmp_path / "cap2.json"),
@@ -927,7 +945,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     with open(docs["csv"], "w", encoding="utf-8") as fh:
         fh.write("tau,cdf\n0,0\n1,1\n")
     rows = [  # (argv, modules beyond the base set, whether numpy loads, whether logging loads)
-        (["gen-inventory", "-o", "{out}"], [], False, False),
+        (["gen-inventory", "-o", "{out}"], ["inventory"], False, False),
         (["solve-expected", "{short}", "-o", "{out}"], [], False, False),
         (["dist-exact", "{short}", "-o", "{out}"], [], False, False),
         (["compare", "{csv}", "{csv}", "-o", "{out}"], [], True, False),
@@ -955,6 +973,53 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         modules = ["varmdp"] + [f"varmdp.{m}" for m in sorted(_BASE_MODULES + extra)]
         expected = f"0\n{modules} {numpy} {logging} False {numpy}\n"  # inspect comes with numpy
         assert done.stdout == expected, (argv[0], done.stderr)
+
+
+# one usage error per subcommand, and an argument each takes, for the parser parity test
+_USAGE_ERRORS = {"gen-inventory": ["--preset", "nope"], "solve-expected": ["a", "b"],
+                 "dist-exact": ["--budget", "x"], "var-threshold": ["doc"],
+                 "pareto-short": ["--max-aug-states", "x"], "transform": ["-o"],
+                 "estimate-cdf": ["--grid", "0:1:3"], "pareto-long": ["--horizon", "x"],
+                 "simulate": ["--seed", "1"], "compare": ["a"]}
+_VALID = {"gen-inventory": ["--preset", "paper-long", "--simplify"], "solve-expected": ["d"],
+          "dist-exact": ["d", "--budget", "7", "--policy", "p"],
+          "var-threshold": ["d", "--tau", "3/2", "--max-aug", "9"],
+          "pareto-short": ["d", "--policies-out", "p", "-o", "o"], "transform": [],
+          "estimate-cdf": ["--n-steps", "4", "--grid=0:1:3", "--sidecar", "s"],
+          "pareto-long": ["d", "--horizon", "5", "--grid=0:1:3", "--max-policies", "2"],
+          "simulate": ["--samples", "3", "--seed", "1", "--n", "2", "--quantiles", "5"],
+          "compare": ["a", "b", "-o", "o"]}
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+def test_one_subcommand_parser_answers_as_the_full_parser(capsys):
+    # main parses with the named subcommand's parser alone; help, usage and refusal texts,
+    # exit codes and parsed arguments must be those of the parser of every subcommand
+    from varmdp.cli import _COMMANDS, _parse_args, build_parser
+    assert sorted(_USAGE_ERRORS) == sorted(_VALID) == sorted(_COMMANDS)
+    assert f"{{{','.join(_COMMANDS)}}}" in build_parser().format_usage()
+    exits = [[], ["-h"], ["--help"], ["nope"], ["--bogus"], ["-o", "x", "var-threshold"]]
+    for name in _COMMANDS:
+        exits += [[name, "--help"], [name, *_USAGE_ERRORS[name]], [name, "--bogus"]]
+    for argv in exits:
+        full = _parsed(build_parser().parse_args, argv, capsys)
+        assert full[0] == (0 if "--help" in argv or "-h" in argv else 2)
+        assert _parsed(_parse_args, argv, capsys) == full, argv
+    for name in _COMMANDS:
+        argv = [name, *_VALID[name]]
+        full = _parsed(build_parser().parse_args, argv, capsys)
+        assert full[0]["command"] == name
+        assert _parsed(_parse_args, argv, capsys) == full
+        assert _parsed(build_parser(name).parse_args, argv, capsys) == full
+    # the single parser declares its subcommand alone
+    assert _parsed(build_parser("compare").parse_args, ["transform"], capsys)[0] == 2
 
 
 def test_every_export_resolves_to_its_module():

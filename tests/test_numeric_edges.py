@@ -31,6 +31,11 @@ PAIRS = {"horizon": 20, "states": ["a", "b"], "reward_on": "transition",
                          {"x": "b", "y": "a", "p": "1/2", "r": "2"},
                          {"x": "b", "y": "b", "p": "1/2", "r": "3"}],
          "mu0": ["1", "0"]}
+# a chain whose only move from b back to a has probability 1e-400: still irreducible
+ALMOST = f"{10 ** 400 - 1}/{10 ** 400}"
+RARE_RETURN = {**CHAIN, "state_rewards": ["1", "3"],
+               "transitions": [{"x": "a", "y": "b", "p": "1"}, {"x": "b", "y": "a", "p": "1e-400"},
+                               {"x": "b", "y": "b", "p": ALMOST}]}
 # a reward listed on a move that cannot happen: it is never paid
 ZERO_MASS = {**PAIRS, "transitions": PAIRS["transitions"] + [
     {"x": "a", "y": "a", "p": "0", "r": "1e8"}]}
@@ -54,6 +59,14 @@ def _documents() -> dict:
                                                      *PAIRS["transitions"][1:]]},
         "mrp-salvage-1e400": {**PAIRS, "salvage": ["1e400", "0"]},
         "mrp-zero-mass-reward": ZERO_MASS,
+        "mrp-p-1e-400": RARE_RETURN,
+        "mrp-mu0-1e-400": {**CHAIN, "state_rewards": ["1", "3"], "mu0": ["1e-400", ALMOST]},
+        "mdp-p-1e-400": {"horizon": 2, "states": ["s", "t"], "actions": [[0], [0]],
+                         "reward_kind": "sas",
+                         "transitions": [{"x": "s", "a": 0, "y": "s", "p": ALMOST, "r": "0"},
+                                         {"x": "s", "a": 0, "y": "t", "p": "1e-400", "r": "1"},
+                                         {"x": "t", "a": 0, "y": "s", "p": "1", "r": "0"}],
+                         "mu0": ["1", "0"], "salvage": ["0", "0"]},
     }
 
 
@@ -94,6 +107,12 @@ CORPUS = [
     ("mrp-salvage-1e400", "estimate-cdf", 3, f"error: salvage of state a {TOO_LARGE}"),
     ("mrp-salvage-1e400", "simulate", 3, f"error: salvage of state a {TOO_LARGE}"),
     *[("mrp-zero-mass-reward", command, 0, "") for command in MRP_RUNS],
+    ("mrp-p-1e-400", "estimate-cdf", 3, f"error: probability of move (b, a) {TOO_SMALL}"),
+    ("mrp-p-1e-400", "simulate", 3, f"error: probability of move (b, a) {TOO_SMALL}"),
+    ("mrp-mu0-1e-400", "estimate-cdf", 3, f"error: mu0 of state a {TOO_SMALL}"),
+    ("mrp-mu0-1e-400", "simulate", 3, f"error: mu0 of state a {TOO_SMALL}"),
+    *[("mdp-p-1e-400", command, 0, "") for command in MDP_RUNS if command != "pareto-long"],
+    ("mdp-p-1e-400", "pareto-long", 3, f"error: probability of move (s, 0, t) {TOO_SMALL}"),
     ("front-tau-1e400", "compare", 2, "error: {front-tau-1e400}: line 3: "
                                       "tau lies past the float range (beyond 1.79769e+308)"),
 ]
