@@ -8,12 +8,13 @@ give every in-horizon transition reward zero and pay a terminal 0/1
 salvage ``1[c + v(x) >= tau]``; the optimal expected value of the
 augmented model is exactly the optimal exceedance probability.
 
-Units.  Every total is an integer ``n`` in units of ``1 / scale``, where
-``scale`` is the least common denominator of the rewards and salvage:
-``build_augmented`` converts each reward once, its layers hold ``(x, n)``,
-and ``solve_thresholds`` reads them as they are.  ``Fraction``s appear
-only at the edge: a threshold's cut, ``VarSolution.policy`` keys, and
-``listings``, which formats each distinct total once.
+Units.  Both passes read the kernel and salvage as ints from
+``mdp.integer_units``: every total is an integer ``n`` in units of
+``1 / scale``, ``scale`` the least common denominator of the rewards and
+salvage, and every mass an integer over the kernel's.  The layers hold
+``(x, n)``.  ``Fraction``s appear only at the edge: a threshold's cut, eta,
+``VarSolution.policy`` keys (``augmented_policy_distribution``'s rules are
+keyed the same way), and ``listings``, which formats each distinct total once.
 
 Forward pass.  ``build_augmented`` keeps each state's reachable totals in
 one of two encodings, chosen once per build from the model alone.  A
@@ -48,7 +49,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .errors import BudgetExceededError
-from .mdp import Action, FiniteMdp, StepCdf, _Record, propagate_masses
+from .mdp import Action, FiniteMdp, StepCdf, _Record, integer_units, propagate_masses
 
 AugState = tuple[int, Fraction]  # (state index, accumulated reward)
 Pair = tuple[int, int]  # (state index, accumulated reward in units of 1 / scale)
@@ -116,21 +117,14 @@ def listings(solutions: tuple[VarSolution, ...], states: tuple[str, ...]) -> lis
             for sol in solutions]
 
 
-def _units(q: Fraction, scale: int) -> int:
-    """``q * scale`` for a ``scale`` that ``q``'s denominator divides."""
-    return q.numerator * (scale // q.denominator)
-
-
 def _integer_moves(mdp: FiniteMdp) -> tuple[list[list[Pair]], int, int]:
-    """Each state's distinct moves ``(y, r)``, sorted, ``r`` in units of ``1 / scale``;
-    ``scale``, the least common denominator of the rewards and salvage; and ``step``, the
-    gcd of those ``r`` (1 if all are 0), which every total is a multiple of."""
-    moves = [{(y, r) for a in acts for y, _, r in mdp.kernel[x, a]}
+    """Each state's distinct moves ``(y, r)``, sorted, ``r`` in units of ``1 / unit``;
+    ``unit``, the least common denominator of the rewards and salvage (``integer_units``);
+    and ``step``, the gcd of those ``r`` (1 if all are 0), which every total is a multiple of."""
+    rows, _, _, (_, _, unit) = integer_units(mdp.kernel, mdp.mu0, mdp.salvage)
+    moves = [sorted({(y, r) for a in acts for y, _, r in rows[x, a]})
              for x, acts in enumerate(mdp.actions)]
-    scale = math.lcm(*(r.denominator for row in moves for _, r in row),
-                     *(v.denominator for v in mdp.salvage))
-    moves = [sorted({(y, _units(r, scale)) for y, r in row}) for row in moves]
-    return moves, scale, math.gcd(*(r for row in moves for _, r in row)) or 1
+    return moves, unit, math.gcd(*(r for row in moves for _, r in row)) or 1
 
 
 def _lowest_totals(mdp: FiniteMdp, moves: list[list[Pair]], step: int, budget) -> list | None:
@@ -224,7 +218,7 @@ def solve_thresholds(aug: AugmentedMdp,
     ``(x, s)`` lands on the needed cell ``(y, s - r)`` of the next epoch.  A
     final cell is worth ``1[v(x) >= s]``; an interior cell maximizes the
     expected value of its successors.  Values are integers over
-    ``D**(H - t)``, ``D`` the kernel's least common denominator, so all
+    ``mass**(H - t)``, ``mass`` the kernel's least common denominator, so all
     comparisons and ties are exact.  A strict ``>`` over the state's action
     list keeps the earliest optimal action, the witness of every pair whose
     cell it is.  At one threshold the cells are exactly the reachable pairs.
@@ -232,16 +226,15 @@ def solve_thresholds(aug: AugmentedMdp,
     Sure cells.  Let ``L_t(x)`` be the total state ``x`` can guarantee
     (``max_a min_y r + L_{t+1}(y)``, the inner minimum being action ``a``'s
     guarantee) and ``H_t(x)`` the largest total of any path, both ``v(x)``
-    at the horizon.  Masses are positive, so a cell is worth ``D**(H - t)``
+    at the horizon.  Masses are positive, so a cell is worth ``mass**(H - t)``
     exactly when ``s <= L_t(x)``, its witness the earliest action whose
     guarantee reaches ``s``; and 0 exactly when ``s > H_t(x)``, its witness
     the first action, which the strict ``>`` keeps among all-zero values.
     Only cells in ``(L_t(x), H_t(x)]`` run the maximization.
     """
-    mdp, unit = aug.base, aug.scale
-    scale = math.lcm(*(p.denominator for rows in mdp.kernel.values() for _, p, _ in rows))
-    moves = [[(a, [(y, _units(p, scale), _units(r, unit)) for y, p, r in mdp.kernel[x, a]])
-              for a in acts] for x, acts in enumerate(mdp.actions)]
+    mdp, unit = aug.base, aug.scale  # integer_units gave the build this unit, and the rows too
+    rows, mu0, low, (M, mass, _) = integer_units(mdp.kernel, mdp.mu0, mdp.salvage)
+    moves = [[(a, rows[x, a]) for a in acts] for x, acts in enumerate(mdp.actions)]
     cuts = [math.ceil(tau * unit) for tau in taus]
     cells = []  # cells[t][x]: the sorted remaining targets needed at state x in epoch t
     for layer in aug.layers:
@@ -249,11 +242,11 @@ def solve_thresholds(aug: AugmentedMdp,
         for x, group in groupby(layer, itemgetter(0)):
             need[x] = sorted({cut - n for _, n in group for cut in cuts})
         cells.append(need)
-    low = high = [_units(v, unit) for v in mdp.salvage]
+    high = low
     value = [{s: int(v >= s) for s in need} for v, need in zip(low, cells[-1])]
     picks = []  # picks[t][x][s]: the witness action at cell (t, x, s)
     for t in reversed(range(aug.horizon)):
-        full = scale ** (aug.horizon - t)
+        full = mass ** (aug.horizon - t)
         guarantees = [[min([r + low[y] for y, _, r in rows]) for _, rows in options]
                       for options in moves]
         low = list(map(max, guarantees))
@@ -285,13 +278,12 @@ def solve_thresholds(aug: AugmentedMdp,
             value.append(best)
             pick.append(chosen)
         picks.insert(0, pick)
-    mass_scale = math.lcm(*(p.denominator for p in mdp.mu0))
-    start = [(int(mdp.mu0[x] * mass_scale), value[x]) for x, _ in aug.layers[0]]
+    start = [(mu0[x], value[x]) for x, _ in aug.layers[0]]
     witnesses = [[(pick[x], n) for x, n in layer] for pick, layer in zip(picks, aug.layers)]
     return tuple(
         VarSolution(tau=tau,
                     eta=Fraction(sum(m * v[cut] for m, v in start),
-                                 mass_scale * scale ** aug.horizon),
+                                 M * mass ** aug.horizon),
                     layers=aug.layers,
                     actions=tuple(tuple([chosen[cut - n] for chosen, n in cells_t])
                                   for cells_t in witnesses),
@@ -315,7 +307,7 @@ def augmented_policy_distribution(mdp: FiniteMdp,
     salvage at the final state.  The rules already list every reachable
     pair, so no budget applies.
     """
-    def step(t: int, x: int, c: Fraction):
-        return mdp.kernel[x, rules[t][(x, c)]]
-
-    return propagate_masses(mdp.mu0, mdp.horizon, step, mdp.salvage.__getitem__, math.inf)
+    units = integer_units(mdp.kernel, mdp.mu0, mdp.salvage)
+    _, _, _, (_, _, unit) = units
+    return propagate_masses(units, mdp.horizon,
+                            lambda t, x, n: (x, rules[t][x, Fraction(n, unit)]), math.inf)

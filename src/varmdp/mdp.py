@@ -1,6 +1,6 @@
 """Core finite-horizon MDP model with exact rational arithmetic.
 
-Everything here is exact: probabilities, rewards and salvage values are
+Models are exact: probabilities, rewards and salvage values are
 ``fractions.Fraction``.  Each kernel row ``(y, p, r)`` carries the reward
 of its transition, as a row of an ``mdp-v1`` document does.  Rewards come
 in two conventions that are tagged on the instance:
@@ -13,7 +13,10 @@ in two conventions that are tagged on the instance:
 Averaging preserves expectations but not distributions, which is the
 reason both conventions are first-class citizens throughout the package.
 Exact total-reward distributions come from one forward propagation of
-mass over (state, accumulated reward) pairs, ``propagate_masses``.
+mass over (state, accumulated reward) pairs, ``propagate_masses``.  It and
+the expected-value induction count in ints, as the augmented model does:
+``integer_units`` alone picks the least common denominators of a pass, and
+``Fraction``s come back only at the edge (a ``StepCdf``, an expected value).
 What a Markov reward process pays on each move is decided in one place for
 every reader, ``MarkovRewardProcess.rows``.  Only ``arrays``, its float view,
 loads numpy, when first called; the exact solvers never do.
@@ -322,11 +325,6 @@ class StepCdf(_Record):
         if sum(prob, ZERO) != 1:
             raise ValidationError("StepCdf: masses must sum to 1 exactly")
 
-    @classmethod
-    def from_masses(cls, masses: Mapping[Fraction, Fraction]) -> "StepCdf":
-        support = tuple(sorted(k for k, v in masses.items() if v != 0))
-        return cls(support=support, prob=tuple(masses[s] for s in support))
-
     def cdf(self, tau) -> Fraction:
         tau = Fraction(tau)
         return sum((p for s, p in zip(self.support, self.prob) if s <= tau), ZERO)
@@ -405,21 +403,43 @@ def induced_mrp(mdp: FiniteMdp, policy: DeterministicPolicy) -> MarkovRewardProc
     )
 
 
+def integer_units(kernel: Mapping, mu0: Sequence[Fraction], *vectors: Sequence[Fraction]):
+    """An exact pass's numbers as ints, ``(rows, start, final, (M, mass, unit))``: each row
+    ``(y, p * mass, r * unit)`` under its key, ``mu0[x] * M`` and the sum of ``vectors`` at ``x``
+    times ``unit``, where ``mass``, ``M`` and ``unit`` are the least common denominators of the
+    probabilities, of ``mu0`` and of the rewards with ``vectors``."""
+    def units(q: Fraction, d: int) -> int:
+        return q.numerator * (d // q.denominator)
+
+    mass = math.lcm(*(p.denominator for rows in kernel.values() for _, p, _ in rows))
+    unit = math.lcm(*(r.denominator for rows in kernel.values() for _, _, r in rows),
+                    *(v.denominator for vector in vectors for v in vector))
+    M = math.lcm(*(p.denominator for p in mu0))
+    rows = {key: [(y, units(p, mass), units(r, unit)) for y, p, r in rows]
+            for key, rows in kernel.items()}
+    final = [sum(units(v[x], unit) for v in vectors) for x in range(len(mu0))]
+    return rows, [units(p, M) for p in mu0], final, (M, mass, unit)
+
+
 def _backward_induction(mdp: FiniteMdp, candidates) -> tuple[Fraction, tuple[dict, ...]]:
     """Value under mu0 and per-epoch rules of the best of ``candidates(t, x)``, earliest on ties.
 
     One formula serves both reward conventions: an SA instance pays
-    ``r'(x, a)`` on every row, and each kernel row sums to 1.
+    ``r'(x, a)`` on every row, and each kernel row sums to 1.  Values at
+    epoch ``t`` are ints over ``unit * mass**(H - t)`` (``integer_units``), so
+    comparisons and ties are exact.
     """
-    u = list(mdp.salvage)
+    rows, start, u, (M, mass, unit) = integer_units(mdp.kernel, mdp.mu0, mdp.salvage)
     rules: list[dict[int, Action]] = []
     for t in reversed(range(mdp.horizon)):
+        w = mass ** (mdp.horizon - 1 - t)  # a reward in the units of the values at t + 1
         acts = [candidates(t, x) for x in range(mdp.n_states)]
-        qs = [[sum((p * (r + u[y]) for y, p, r in mdp.kernel[x, a]), ZERO) for a in row]
+        qs = [[sum([p * (r * w + u[y]) for y, p, r in rows[x, a]]) for a in row]
               for x, row in enumerate(acts)]
         u = [max(q) for q in qs]
         rules.insert(0, {x: row[q.index(v)] for x, (row, q, v) in enumerate(zip(acts, qs, u))})
-    return sum((p * u[x] for x, p in enumerate(mdp.mu0)), ZERO), tuple(rules)
+    value = sum(m * v for m, v in zip(start, u))
+    return Fraction(value, M * unit * mass ** mdp.horizon), tuple(rules)
 
 
 def expected_backward_induction(mdp: FiniteMdp) -> tuple[Fraction, DeterministicPolicy]:
@@ -438,35 +458,38 @@ def evaluate_policy(mdp: FiniteMdp, policy: DeterministicPolicy) -> Fraction:
     return _backward_induction(mdp, lambda t, x: (policy.action(t, x),))[0]
 
 
-def propagate_masses(mu0: Sequence[Fraction], horizon: int, step, final,
-                     max_states: float) -> StepCdf:
-    """Exact total-reward distribution by forward propagation over (state, reward) pairs.
+def propagate_masses(units, horizon: int, step, max_states: float) -> StepCdf:
+    """Exact total-reward distribution by forward propagation over (state, total) pairs.
 
-    Mass starts on ``(x, 0)`` for every mu0-positive ``x``.  At epoch ``t``
-    the pair ``(x, c)`` sends mass ``p`` to ``(y, c + r)`` for every
-    ``(y, p, r)`` in ``step(t, x, c)``; equal pairs merge at every epoch.
-    The total of a final pair ``(x, c)`` is ``c + final(x)``.  Refuses
-    once more than ``max_states`` pairs are reachable, summed over epochs.
+    ``units`` is ``integer_units``' output; totals count ``1 / unit`` and
+    masses at epoch ``t`` are ints over ``M * mass**t``.  Mass starts on
+    ``(x, 0)`` for every mu0-positive ``x``.  At epoch ``t`` the pair ``(x, n)``
+    sends mass ``p`` to ``(y, n + r)`` for every ``(y, p, r)`` in
+    ``rows[step(t, x, n)]``; equal pairs merge at every epoch.  The total of
+    a final pair ``(x, n)`` is ``n + final[x]``.  Refuses once more than
+    ``max_states`` pairs are reachable, summed over epochs.
     """
-    dist = {(x, ZERO): p for x, p in enumerate(mu0) if p > 0}
+    rows, start, final, (M, mass, unit) = units
+    dist = {(x, 0): m for x, m in enumerate(start) if m}
     count = len(dist)
     for t in range(horizon):
-        nxt: dict[tuple[int, Fraction], Fraction] = {}
-        for (x, c), mass in dist.items():
-            for y, p, r in step(t, x, c):
-                key = (y, c + r)
-                nxt[key] = nxt.get(key, ZERO) + mass * p
+        nxt: dict[tuple[int, int], int] = {}
+        for (x, n), m in dist.items():
+            for y, p, r in rows[step(t, x, n)]:
+                key = (y, n + r)
+                nxt[key] = nxt.get(key, 0) + m * p
         dist = nxt
         count += len(dist)
         if count > max_states:
             raise BudgetExceededError(
                 f"exact distribution refused: more than {max_states} reachable "
                 f"(state, reward) pairs; use the long-horizon CDF estimator instead")
-    masses: dict[Fraction, Fraction] = {}
-    for (x, c), mass in dist.items():
-        total = c + final(x)
-        masses[total] = masses.get(total, ZERO) + mass
-    return StepCdf.from_masses(masses)
+    masses: dict[int, int] = {}
+    for (x, n), m in dist.items():
+        masses[n + final[x]] = masses.get(n + final[x], 0) + m
+    support, whole = sorted(masses), M * mass ** horizon
+    return StepCdf(support=tuple(Fraction(n, unit) for n in support),
+                   prob=tuple(Fraction(masses[n], whole) for n in support))
 
 
 def exact_total_reward_distribution(process, policy: DeterministicPolicy | None = None,
@@ -483,20 +506,17 @@ def exact_total_reward_distribution(process, policy: DeterministicPolicy | None 
             raise PreconditionError("exact_total_reward_distribution: an MDP needs a policy")
         mdp = process
         check_policy(mdp, policy)
-
-        def step(t: int, x: int, c: Fraction):
-            return mdp.kernel[x, policy.action(t, x)]
-
-        return propagate_masses(mdp.mu0, mdp.horizon, step, mdp.salvage.__getitem__,
+        units = integer_units(mdp.kernel, mdp.mu0, mdp.salvage)
+        return propagate_masses(units, mdp.horizon, lambda t, x, n: (x, policy.action(t, x)),
                                 max_states)
 
     if isinstance(process, MarkovRewardProcess):
         if policy is not None:
             raise PreconditionError(
                 "exact_total_reward_distribution: a Markov reward process takes no policy")
-        rows, final = process.rows(), process.final_rewards()
-        return propagate_masses(process.mu0, process.horizon, lambda t, x, c: rows[x],
-                                lambda x: sum((v[x] for v in final), ZERO), max_states)
+        units = integer_units(dict(enumerate(process.rows())), process.mu0,
+                              *process.final_rewards())
+        return propagate_masses(units, process.horizon, lambda t, x, n: x, max_states)
 
     raise PreconditionError(
         f"exact_total_reward_distribution: unsupported input {type(process).__name__}")

@@ -12,12 +12,12 @@ import pytest
 from varmdp import (AugmentedMdp, BudgetExceededError, DeterministicPolicy, EdgeworthCdf,
                     FiniteMdp, InventoryParams, MarkovRewardProcess, ParetoFront,
                     PreconditionError, StepCdf, ValidationError, VarSolution,
-                    augmented_policy_distribution, build_augmented, estimate_cdf,
-                    exact_total_reward_distribution, expected_backward_induction,
+                    augmented_policy_distribution, build_augmented, build_inventory,
+                    estimate_cdf, exact_total_reward_distribution, expected_backward_induction,
                     evaluate_policy, induced_mrp, paper_long, paper_short_printed,
                     policy_chain, simplify_reward, solve_threshold_var)
 from varmdp.cli import main
-from varmdp.documents import dump_document, mrp_to_document
+from varmdp.documents import dump_document, mdp_to_document, mrp_to_document
 from varmdp.mdp import replace
 
 from conftest import fraction_layers, random_mdp, random_transition_mrp, step_mean
@@ -63,7 +63,8 @@ def reference_distribution(process, policy=None):
     for x, p in enumerate(process.mu0):
         if p > 0:
             walk(0, x, p, F(0))
-    return StepCdf.from_masses(masses)
+    support = tuple(sorted(masses))
+    return StepCdf(support=support, prob=tuple(masses[s] for s in support))
 
 
 def random_markov_policy(rng, mdp):
@@ -91,6 +92,48 @@ def enumerate_paths_oracle(mdp: FiniteMdp, policy: DeterministicPolicy):
 def transition_law(mdp: FiniteMdp):
     """The kernel without its rewards: (state, action) -> (successor, probability) rows."""
     return {key: tuple((y, p) for y, p, _ in rows) for key, rows in mdp.kernel.items()}
+
+
+def brute_force_induction(mdp: FiniteMdp):
+    """Optimal expected value and earliest-argmax rules by plain recursion in ``Fraction``s.
+
+    No table is kept: each value to go is recomputed from its successors, and
+    ``max`` returns the first of equal actions in the state's action list.
+    """
+    def to_go(t, x):
+        if t == mdp.horizon:
+            return mdp.salvage[x]
+        return max(action_value(t, x, a) for a in mdp.actions[x])
+
+    def action_value(t, x, a):
+        return sum((p * (r + to_go(t + 1, y)) for y, p, r in mdp.kernel[x, a]), F(0))
+
+    rules = tuple({x: max(acts, key=lambda a: action_value(t, x, a))
+                   for x, acts in enumerate(mdp.actions)} for t in range(mdp.horizon))
+    return sum((p * to_go(0, x) for x, p in enumerate(mdp.mu0) if p), F(0)), rules, action_value
+
+
+def with_copied_actions(rng, mdp: FiniteMdp) -> FiniteMdp:
+    """``mdp`` with, at every state, a copy of one of its actions listed at a random place,
+    so that every optimal action it copies ties."""
+    kernel, actions = dict(mdp.kernel), []
+    for x, acts in enumerate(mdp.actions):
+        copy = max(acts) + 1
+        kernel[x, copy] = mdp.kernel[x, rng.choice(acts)]
+        acts = list(acts)
+        acts.insert(rng.randint(0, len(acts)), copy)
+        actions.append(tuple(acts))
+    return replace(mdp, actions=tuple(actions), kernel=kernel)
+
+
+def reachable_pair_count(mdp: FiniteMdp, policy) -> int:
+    """Distinct (state, reward so far) pairs reachable at each epoch, summed over epochs."""
+    pairs = {(x, F(0)) for x, p in enumerate(mdp.mu0) if p}
+    count = len(pairs)
+    for t in range(mdp.horizon):
+        pairs = {(y, c + r) for x, c in pairs for y, _, r in mdp.kernel[x, policy.action(t, x)]}
+        count += len(pairs)
+    return count
 
 
 class TestSimplifyReward:
@@ -214,6 +257,35 @@ class TestBackwardInduction:
             assert vs == va
             assert ps == pa
 
+    def test_against_brute_force_recursion_with_ties(self):
+        ties = 0
+        for seed in range(40):
+            rng = random.Random(1900 + seed)
+            mdp = random_mdp(rng, n_states=rng.randint(1, 3), horizon=rng.randint(1, 3),
+                             reward_kind="sas" if seed % 2 else "sa", max_actions=2)
+            if seed % 4 < 2:
+                mdp = with_copied_actions(rng, mdp)
+            value, rules, action_value = brute_force_induction(mdp)
+            got, policy = expected_backward_induction(mdp)
+            assert got == value and policy.rules == rules
+            for t, rule in enumerate(rules):
+                for x, a in rule.items():
+                    best = action_value(t, x, a)
+                    ties += sum(action_value(t, x, b) == best for b in mdp.actions[x]) > 1
+            markov = random_markov_policy(rng, mdp)
+            assert evaluate_policy(mdp, markov) == step_mean(reference_distribution(mdp, markov))
+        assert ties >= 20
+
+    def test_value_is_the_best_of_every_markov_policy(self):
+        for seed in range(12):
+            rng = random.Random(2000 + seed)
+            mdp = random_mdp(rng, n_states=rng.randint(1, 3), horizon=2,
+                             reward_kind="sas" if seed % 2 else "sa", max_actions=2)
+            rules = [dict(enumerate(c)) for c in product(*mdp.actions)]
+            best = max(step_mean(reference_distribution(mdp, DeterministicPolicy(rules=pair)))
+                       for pair in product(rules, repeat=2))
+            assert expected_backward_induction(mdp)[0] == best
+
 
 class TestExactDistribution:
     def test_mean_matches_optimal_value(self, short_sas):
@@ -292,6 +364,36 @@ class TestExactDistribution:
             exact_total_reward_distribution(big, policy, max_states=100)
         assert sum(exact_total_reward_distribution(big, policy, max_states=200).prob) == 1
 
+    @pytest.mark.parametrize("capacity, horizon", [(2, 2), (4, 5)])
+    def test_cli_budget_boundary_is_the_pair_count(self, tmp_path, capsys, capacity, horizon):
+        mdp = build_inventory(InventoryParams(horizon=horizon, capacity=capacity))
+        doc = tmp_path / "mdp.json"
+        doc.write_text(dump_document(mdp_to_document(mdp)), encoding="utf-8")
+        budget = reachable_pair_count(mdp, expected_backward_induction(mdp)[1])
+        assert main(["dist-exact", str(doc), "--budget", str(budget)]) == 0
+        assert capsys.readouterr().out.startswith("value,value_decimal,prob,prob_decimal\n")
+        assert main(["dist-exact", str(doc), "--budget", str(budget - 1)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: exact distribution refused: more than {budget - 1} reachable "
+            f"(state, reward) pairs; use the long-horizon CDF estimator instead\n")
+
+    def test_mrp_budget_boundary_is_the_pair_count(self):
+        for mrp in seeded_state_mrps()[::7] + seeded_transition_mrps()[::7]:
+            mdp = FiniteMdp(horizon=mrp.horizon, states=mrp.states,
+                            actions=((0,),) * mrp.n_states,
+                            kernel={(x, 0): rows for x, rows in enumerate(mrp.rows())},
+                            reward_kind="sas", mu0=mrp.mu0,
+                            salvage=(F(0),) * mrp.n_states)
+            budget = reachable_pair_count(mdp, DeterministicPolicy.from_stationary(
+                {x: 0 for x in range(mrp.n_states)}))
+            assert exact_total_reward_distribution(mrp, max_states=budget) == \
+                reference_distribution(mrp)
+            with pytest.raises(BudgetExceededError) as info:
+                exact_total_reward_distribution(mrp, max_states=budget - 1)
+            assert str(info.value) == (
+                f"exact distribution refused: more than {budget - 1} reachable "
+                f"(state, reward) pairs; use the long-horizon CDF estimator instead")
+
     @pytest.mark.parametrize("case, message", [
         ("mdp", "exact_total_reward_distribution: an MDP needs a policy"),
         ("mrp", "exact_total_reward_distribution: a Markov reward process takes no policy"),
@@ -319,15 +421,47 @@ class TestExactDistribution:
         assert dist2.support == (F(12),)                   # plus the final state's 1
 
 
+def seeded_mdps() -> list:
+    """Seeded MDPs, SAS and SA, each with a random Markov policy."""
+    cases = []
+    for seed in range(60):
+        rng = random.Random(1100 + seed)
+        mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 4),
+                         reward_kind="sas" if seed % 2 else "sa", max_actions=3)
+        cases.append((mdp, random_markov_policy(rng, mdp)))
+    return cases
+
+
+def seeded_state_mrps() -> list:
+    """Seeded state-rewarded chains, half with salvage, each with and without the final reward."""
+    cases = []
+    for seed in range(40):
+        rng = random.Random(1300 + seed)
+        mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 4),
+                         reward_kind="sa", max_actions=2)
+        rule = {x: rng.choice(mdp.actions[x]) for x in range(mdp.n_states)}
+        mrp = induced_mrp(mdp, DeterministicPolicy.from_stationary(rule))
+        if not seed % 2:
+            mrp = replace(mrp, salvage=None)
+        cases += [replace(mrp, include_final_reward=final) for final in (False, True)]
+    return cases
+
+
+def seeded_transition_mrps() -> list:
+    """Seeded transition-rewarded chains with salvage."""
+    cases = []
+    for seed in range(40):
+        rng = random.Random(1500 + seed)
+        cases.append(random_transition_mrp(rng, rng.randint(1, 4), rng.randint(1, 4),
+                                           with_salvage=True))
+    return cases
+
+
 class TestForwardPropagation:
     """The forward mass propagation equals the trajectory enumeration exactly."""
 
     def test_mdp_markov_policies_match_reference(self):
-        for seed in range(60):
-            rng = random.Random(1100 + seed)
-            mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 4),
-                             reward_kind="sas" if seed % 2 else "sa", max_actions=3)
-            policy = random_markov_policy(rng, mdp)
+        for mdp, policy in seeded_mdps():
             assert exact_total_reward_distribution(mdp, policy) == \
                 reference_distribution(mdp, policy)
             stationary = DeterministicPolicy.from_stationary(policy.rules[0])
@@ -335,25 +469,30 @@ class TestForwardPropagation:
                 reference_distribution(mdp, stationary)
 
     def test_state_rewarded_mrps_match_reference(self):
-        for seed in range(40):
-            rng = random.Random(1300 + seed)
-            mdp = random_mdp(rng, n_states=rng.randint(1, 4), horizon=rng.randint(1, 4),
-                             reward_kind="sa", max_actions=2)
-            rule = {x: rng.choice(mdp.actions[x]) for x in range(mdp.n_states)}
-            mrp = induced_mrp(mdp, DeterministicPolicy.from_stationary(rule))
-            if not seed % 2:
-                mrp = replace(mrp, salvage=None)
-            for final in (False, True):
-                variant = replace(mrp, include_final_reward=final)
-                assert exact_total_reward_distribution(variant) == \
-                    reference_distribution(variant)
+        for mrp in seeded_state_mrps():
+            assert exact_total_reward_distribution(mrp) == reference_distribution(mrp)
 
     def test_transition_rewarded_mrps_with_salvage_match_reference(self):
-        for seed in range(40):
-            rng = random.Random(1500 + seed)
-            mrp = random_transition_mrp(rng, rng.randint(1, 4), rng.randint(1, 4),
-                                        with_salvage=True)
+        for mrp in seeded_transition_mrps():
             assert exact_total_reward_distribution(mrp) == reference_distribution(mrp)
+
+    def test_seeded_processes_span_the_integer_units(self):
+        # the pass counts in least common denominators: the seeded cases must make them
+        # nontrivial, with thirds and sevenths among the masses and rewards of every sign
+        mdps, mrps = seeded_mdps(), seeded_state_mrps() + seeded_transition_mrps()
+        assert len(mdps) >= 50 and len(mrps) >= 50
+        masses = {p for mdp, _ in mdps for rows in mdp.kernel.values() for _, p, _ in rows}
+        masses |= {p for mrp in mrps for row in mrp.kernel for p in row}
+        assert {F(1, 3), F(1, 7)} <= masses
+        rewards = {r for mdp, _ in mdps for rows in mdp.kernel.values() for _, _, r in rows}
+        rewards |= {r for mrp in mrps for rows in mrp.rows() for _, _, r in rows}
+        assert min(rewards) < 0 < max(rewards)
+        assert any(r.denominator > 1 for r in rewards)
+        salvage = [v for mdp, _ in mdps for v in mdp.salvage]
+        salvage += [v for mrp in mrps if mrp.salvage for v in mrp.salvage]
+        assert any(v.denominator > 1 for v in salvage) and min(salvage) < 0
+        assert {mrp.reward_on for mrp in mrps} == {"state", "transition"}
+        assert any(mrp.include_final_reward and mrp.salvage for mrp in mrps)
 
     def test_lifted_markov_policy_matches_augmented_propagation(self):
         for seed in range(30):
@@ -366,6 +505,36 @@ class TestForwardPropagation:
                           for t in range(mdp.horizon))
             assert augmented_policy_distribution(mdp, rules) == \
                 exact_total_reward_distribution(mdp, policy)
+
+
+def test_exact_passes_add_no_fractions(monkeypatch):
+    # every exact pass counts in integer units; a Fraction is added only by StepCdf's own
+    # check that a distribution's masses sum to 1, one addition per support point
+    mdp = build_inventory(InventoryParams(horizon=12, capacity=10))
+    _, policy = expected_backward_induction(mdp)
+    mrp = induced_mrp(mdp, DeterministicPolicy.from_stationary(policy.rules[0]))
+    rules = solve_threshold_var(mdp, 48).policy
+    passes = {
+        "distribution": lambda: exact_total_reward_distribution(mdp, policy),
+        "mrp distribution": lambda: exact_total_reward_distribution(mrp),
+        "augmented distribution": lambda: augmented_policy_distribution(mdp, rules),
+        "expected value": lambda: expected_backward_induction(mdp),
+        "policy value": lambda: evaluate_policy(mdp, policy),
+        "threshold": lambda: solve_threshold_var(mdp, 48),
+    }
+    adds = []
+    for name in ("__add__", "__radd__"):
+        def counted(a, b, add=getattr(F, name)):
+            adds.append((a, b))
+            return add(a, b)
+        monkeypatch.setattr(F, name, counted)
+    counts = {}  # per pass: (additions made, additions allowed)
+    for name, run in passes.items():
+        adds.clear()
+        result = run()
+        counts[name] = len(adds), len(result.prob) if isinstance(result, StepCdf) else 0
+    assert all(made == allowed for made, allowed in counts.values()), counts
+    assert counts["distribution"] == (80, 80)  # the sum check ran under the count
 
 
 ARRAY_CHAINS = {
