@@ -14,7 +14,8 @@ distributions, and the estimated front re-checks its witnesses on it.
 A name loads its module on first read (PEP 562).  ``_EXPORTS`` names
 each export once, under its module, and ``__all__`` derives from it, so
 ``import varmdp`` loads no submodule and no numpy; only the float layers
-(``edgeworth``, ``montecarlo``, ``_kernels``) bring numpy.  No
+(``edgeworth``, ``montecarlo``, ``_kernels``) bring numpy.  ``chain``
+estimates one small chain in Python floats, without them.  No
 submodule shares a name with an export, so loading one hides no function.
 """
 
@@ -25,8 +26,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "augmented": ("AugmentedMdp", "VarSolution", "augmented_policy_distribution",
                   "build_augmented", "solve_threshold_var", "solve_thresholds"),
-    "edgeworth": ("EdgeworthCdf", "enumerate_stationary_policies", "estimate_cdf",
-                  "estimate_cdf_arrays", "pareto_front_long", "policy_chain"),
+    "chain": ("EdgeworthCdf", "estimate_cdf"),
+    "edgeworth": ("enumerate_stationary_policies", "estimate_cdf_arrays", "pareto_front_long",
+                  "policy_chain"),
     "errors": ("BudgetExceededError", "DegenerateVarianceError", "ErgodicityError",
                "PreconditionError", "ValidationError", "VarMdpError"),
     "inventory": ("InventoryParams", "build_inventory", "paper_long", "paper_short",

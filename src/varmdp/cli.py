@@ -32,8 +32,10 @@ imports what every subcommand shares; each solver entry point
 ``estimate_cdf``, ``pareto_front_long``, ``simulate``) is a package
 export read through ``_layer``, this module's ``__getattr__``, when a
 subcommand first calls it.  So each subcommand loads only the layers it
-runs; numpy comes with the float layers (``transform`` is exact), and
-``compare`` loads it itself; ``inventory`` loads only for
+runs; numpy comes with the float layers, and ``compare`` loads it itself.
+``transform`` is exact, and ``estimate-cdf`` estimates a chain of at most
+``chain.PLAIN_STATES`` reachable states in Python floats (``chain``) on a
+grid of Python floats, so neither loads numpy; ``inventory`` loads only for
 ``gen-inventory``, whose parser lists its presets.  No subcommand loads
 ``dataclasses``: the records are plain classes (see ``mdp``), so
 ``inspect`` comes only with numpy.  ``_dec`` prints a float column's
@@ -83,6 +85,7 @@ _EXIT_CODES = {ValidationError: EXIT_PARSE, PreconditionError: EXIT_PRECONDITION
                BudgetExceededError: EXIT_BUDGET, ErgodicityError: EXIT_ERGODICITY,
                DegenerateVarianceError: EXIT_ERGODICITY}
 
+_FLOAT_IN_LIST = 8 + sys.getsizeof(0.0)  # bytes: a list slot and a float object
 _DECIMAL_12 = Context(prec=12)  # division rounds to 12 significant digits, half to even
 
 _SCHEMA_NOTE = "Document schemas: mdp-v1 and mrp-v1 (JSON; numerics as exact strings)."
@@ -201,8 +204,14 @@ def _require_array_size(count: int, flag: str) -> None:
                           f"({sys.maxsize // 8} float64 values)")
 
 
-def _parse_grid(spec: str):
-    import numpy as np
+def _parse_grid(spec: str) -> list[float]:
+    """The grid ``lo:hi:steps`` as a list of floats, equal to ``np.linspace(lo, hi, steps)``.
+
+    Each point is ``i * step + lo`` with ``step = (hi - lo) / (steps - 1)``, or
+    ``i / (steps - 1) * (hi - lo) + lo`` where that step is 0 (subnormal), and the
+    last is ``hi``: numpy's operations, in the same order.  A grid whose floats
+    alone would not fit in this machine's memory is refused before any is made.
+    """
     try:
         lo, hi, steps = spec.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
@@ -212,10 +221,22 @@ def _parse_grid(spec: str):
         raise ValidationError("grid: need hi > lo and steps >= 2")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"grid: bounds must be finite, got {spec!r}")
-    if not math.isfinite(hi - lo):  # np.linspace would overflow forming it
+    if not math.isfinite(hi - lo):  # the step would overflow forming it
         raise ValidationError(f"grid: span hi - lo must be finite, got {spec!r}")
     _require_array_size(steps, "grid")
-    return np.linspace(lo, hi, steps)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if steps * _FLOAT_IN_LIST > memory:
+        raise MemoryError(f"Unable to allocate a grid of {steps} points: "
+                          f"{steps * _FLOAT_IN_LIST} bytes as floats exceed this machine's "
+                          f"{memory} bytes of memory")
+    div, delta = steps - 1, hi - lo
+    step = delta / div
+    if step == 0.0:
+        grid = [i / div * delta + lo for i in range(steps)]
+    else:
+        grid = [i * step + lo for i in range(steps)]
+    grid[-1] = hi
+    return grid
 
 
 def _load_policy(path: str, mdp) -> DeterministicPolicy:
@@ -301,8 +322,7 @@ def cmd_estimate_cdf(args) -> list:
     mrp = _load_mrp(args.document)
     taus = _parse_grid(args.grid)
     cdf = _layer("estimate_cdf")(mrp, args.n_steps)
-    values = cdf.evaluate(taus)
-    rows = [[_dec(t), _dec(v)] for t, v in zip(taus.tolist(), values.tolist())]
+    rows = [[_dec(t), _dec(v)] for t, v in zip(taus, cdf.evaluate(taus))]
     outputs = [(args.output, _csv_text(["tau", "cdf"], rows))]
     if args.sidecar:
         outputs.append((args.sidecar, json.dumps(cdf._asdict(), indent=2) + "\n"))

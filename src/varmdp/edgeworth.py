@@ -37,11 +37,16 @@ closure per stack: a finite chain that is one strongly connected
 aperiodic class qualifies; anything else is rejected with an ergodicity
 error.
 
-Every estimate is a stack of equal-size chains (``_Stack``) run through
-``_estimate_stack``; ``estimate_cdf_arrays`` runs a stack of one.  Each
-stage (structural check, stationary solve, spectral pass, ``kappa``) is one
-stacked numpy call sequence, and a chain that fails a check leaves the
-stack with its own error.  Three stages keep public names
+Every estimate here is a stack of equal-size chains (``_Stack``) run
+through ``_estimate_stack``; ``estimate_cdf_arrays`` runs a stack of one.
+One chain of a process, ``estimate_cdf``, is estimated in ``chain``: in
+Python floats with the same algebra, refusals and reward unit when it has
+at most ``chain.PLAIN_STATES`` reachable states, and otherwise here, as a
+stack of one on ``float_chain``.  ``EdgeworthCdf`` and ``estimate_cdf`` live
+in ``chain`` and are read from it on first use, so that a front never loads
+it.  Each stage (structural check, stationary solve, spectral pass,
+``kappa``) is one stacked numpy call sequence, and a chain that fails a
+check leaves the stack with its own error.  Three stages keep public names
 (``stationary_distribution``, ``spectral_data``, ``third_moment_constant``)
 and are looked up at each call, so a timing wrapper bound over one of them
 sees every estimate, the front's stacks included.  The long-horizon front
@@ -71,8 +76,8 @@ import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateVarianceError, ErgodicityError,
                      PreconditionError)
-from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, ParetoFront, _Record,
-                  induced_mrp, replace, to_floats)
+from .mdp import (DeterministicPolicy, FiniteMdp, MarkovRewardProcess, ParetoFront,
+                  communicating_classes, induced_mrp, replace, to_floats)
 from .transformation import transform
 
 _XI_TOL = 1e-12
@@ -87,6 +92,17 @@ _RUN = 32  # thresholds the front's minimum screens as one run
 # chain of reward scale 2**k states it in units of 2**(k * degree).
 _DEGREES = np.array([1, 2, 3, 1])
 _NAMES = ("zeta", "sigma2", "kappa", "rhat_start")
+
+
+def __getattr__(name: str):
+    """``EdgeworthCdf`` and ``estimate_cdf``, read from ``chain`` on first use (PEP 562).
+
+    They live in ``chain``, which a long-horizon front never loads.
+    """
+    if name not in ("EdgeworthCdf", "estimate_cdf"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import chain
+    return getattr(chain, name)
 
 
 class _Stack:
@@ -464,55 +480,18 @@ def _front_minimum(n_steps: int, params: np.ndarray, taus: np.ndarray):
     return best, witness
 
 
-class EdgeworthCdf(_Record):
-    """Normal-plus-correction estimate of the total-reward CDF after ``n_steps``.
-
-    ``cond_h`` is ``|A|_1 |A^{-1}|_1``, the 1-norm condition number of the
-    stationary system ``A = P^T - I`` with its last row set to ``1``, whose
-    inverse gives the fundamental kernel; a chain above 1e14 is refused.
-    """
-
-    _fields = ("n_steps", "zeta", "sigma2", "kappa", "rhat_start", "cond_h")
-
-    def __init__(self, n_steps: int, zeta: float, sigma2: float, kappa: float,
-                 rhat_start: float, cond_h: float) -> None:
-        self.__dict__.update(n_steps=n_steps, zeta=zeta, sigma2=sigma2, kappa=kappa,
-                             rhat_start=rhat_start, cond_h=cond_h)
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
-
-    def evaluate(self, tau):
-        out = _edgeworth_values(self.n_steps, self.zeta, self.sigma2, self.kappa,
-                                self.rhat_start, np.asarray(tau, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
-
-def float_chain(mrp: MarkovRewardProcess):
+def float_chain(mrp: MarkovRewardProcess, floats=None):
     """Float (P, R, mu0) of a process on the states reachable from its start, and their indices.
 
     ``R[x, y]`` is paid on the move from ``x`` to ``y``.  The other states
     cannot change the total, and the pair-state transformation drops them too.
-    The reachable states are read off the chain's closure (``_closure``).
+    The reachable states come from one search over the rows
+    (``communicating_classes``); ``floats`` is ``mrp.float_rows()``, if read already.
     """
-    P, R, _, mu0 = mrp.arrays()
-    keep = np.flatnonzero(_closure(P > 0)[mu0 > 0].any(axis=0))
+    floats = mrp.float_rows() if floats is None else floats
+    P, R, _, mu0 = mrp.arrays(floats)
+    keep = np.array(communicating_classes(floats[0], floats[2])[0], dtype=np.intp)
     return P[np.ix_(keep, keep)], R[np.ix_(keep, keep)], mu0[keep], keep
-
-
-def estimate_cdf(mrp: MarkovRewardProcess, n_steps: int) -> EdgeworthCdf:
-    """Estimate the CDF of the ``n_steps``-term total reward of an ergodic chain.
-
-    ``n_steps`` is the number of reward summands.  The chain is taken on
-    the states reachable from its start (``float_chain``), whether it pays
-    state or transition rewards.  The start distribution enters through
-    ``rhat_start = E_mu0[rhat]``; the third-moment constant is the
-    stationary one (the asymptotic constant does not depend on the start).
-    Degenerate variance is refused, and a reducible chain's classes are
-    named by the process's state indices.
-    """
-    return _estimate_one(n_steps, *float_chain(mrp))
 
 
 def _check_n_steps(n_steps: int) -> None:
@@ -543,6 +522,7 @@ def estimate_cdf_arrays(P, R, mu0, n_steps: int) -> EdgeworthCdf:
 
 def _estimate_one(n_steps: int, *arrays: np.ndarray) -> EdgeworthCdf:
     """``_estimate_stack`` on a stack of one chain's arrays; the chain's error is raised."""
+    from .chain import EdgeworthCdf
     _check_n_steps(n_steps)
     st = _estimate_stack(*(a[None] for a in arrays)).only()
     return EdgeworthCdf(int(n_steps), *st.numbers[0].tolist(), cond_h=float(st.cond[0]))

@@ -18,8 +18,10 @@ the expected-value induction count in ints, as the augmented model does:
 ``integer_units`` alone picks the least common denominators of a pass, and
 ``Fraction``s come back only at the edge (a ``StepCdf``, an expected value).
 What a Markov reward process pays on each move is decided in one place for
-every reader, ``MarkovRewardProcess.rows``.  Only ``arrays``, its float view,
-loads numpy, when first called; the exact solvers never do.
+every reader, ``MarkovRewardProcess.rows``.  ``float_rows`` is its float view,
+in lists, and ``arrays`` that view in numpy: only ``arrays`` loads numpy, when
+first called; the exact solvers never do.  ``communicating_classes`` reads a
+chain's structure off the float rows in one search.
 
 The package's records are frozen plain classes on ``_Record``; ``replace``
 rebuilds one through its constructor, which checks it again.  ``dataclasses``
@@ -216,7 +218,7 @@ class MarkovRewardProcess(_Record):
     * ``reward_on == "transition"``: sum of ``transition_reward[(X_t, X_{t+1})]``
       for ``t = 0..horizon-1``, plus salvage if present.
 
-    ``rows`` decides from these fields what a move pays; ``arrays`` is its float view.
+    ``rows`` decides from these fields what a move pays; ``float_rows`` is its float view.
     """
 
     _fields = ("horizon", "states", "kernel", "reward_on", "state_reward", "transition_reward",
@@ -281,28 +283,104 @@ class MarkovRewardProcess(_Record):
         return ((self.state_reward,) if self.include_final_reward else ()) + \
             (() if self.salvage is None else (self.salvage,))
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-        """The float view ``(P, R, final, mu0)`` of ``rows`` and ``final_rewards``.
+    def float_rows(self) -> tuple[list, tuple[list[float], ...], list[float]]:
+        """The float lists ``(moves, final, mu0)`` of ``rows``, ``final_rewards`` and ``mu0``.
+
+        ``moves[x]`` is ``(ys, ps, rs)``: the successors of ``x`` with positive mass,
+        the masses and what each move pays.  A number no float holds is refused, named
+        (``to_floats``): each row's masses, then its rewards (a state reward once), then
+        the final vectors, then ``mu0``.
+        """
+        names, moves = self.states, []
+        for x, row in enumerate(self.rows()):
+            ys = [y for y, _, _ in row]
+            ps = to_floats([p for _, p, _ in row],
+                           lambda i: f"probability of move ({names[x]}, {names[ys[i]]})")
+            if self.reward_on == "state":
+                rs = to_floats([row[0][2]], lambda _: f"reward of state {names[x]}") * len(row)
+            else:
+                rs = to_floats([r for _, _, r in row],
+                               lambda i: f"reward of move ({names[x]}, {names[ys[i]]})")
+            moves.append((ys, ps, rs))
+        # every state reward passed through a row above, so only a salvage entry is refused here
+        final = tuple(to_floats(v, lambda i: f"salvage of state {names[i]}")
+                      for v in self.final_rewards())
+        return moves, final, to_floats(self.mu0, lambda i: f"mu0 of state {names[i]}")
+
+    def arrays(self, floats=None) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...],
+                                           np.ndarray]:
+        """The numpy view ``(P, R, final, mu0)`` of ``float_rows`` (``floats``, if read already).
 
         A move from ``x`` to ``y`` pays ``R[x, y]``; a zero-mass cell pays 0, or the
-        state reward of its row.  A number no float holds is refused, named (``to_floats``).
+        state reward of its row.
         """
         import numpy as np
-        n, names = self.n_states, self.states
+        moves, final, mu0 = self.float_rows() if floats is None else floats
+        n = self.n_states
         P, R = np.zeros((n, n)), np.zeros((n, n))
-        for x, moves in enumerate(self.rows()):
-            ys = [y for y, _, _ in moves]
-            P[x, ys] = to_floats([p for _, p, _ in moves],
-                                 lambda i: f"probability of move ({names[x]}, {names[ys[i]]})")
+        for x, (ys, ps, rs) in enumerate(moves):
+            P[x, ys] = ps
             if self.reward_on == "state":
-                R[x] = to_floats([moves[0][2]], lambda _: f"reward of state {names[x]}")
+                R[x] = rs[0]
             else:
-                R[x, ys] = to_floats([r for _, _, r in moves],
-                                     lambda i: f"reward of move ({names[x]}, {names[ys[i]]})")
-        # every state reward passed through R above, so only a salvage entry can be refused here
-        final = tuple(np.array(to_floats(v, lambda i: f"salvage of state {names[i]}"))
-                      for v in self.final_rewards())
-        return P, R, final, np.array(to_floats(self.mu0, lambda i: f"mu0 of state {names[i]}"))
+                R[x, ys] = rs
+        return P, R, tuple(map(np.array, final)), np.array(mu0)
+
+
+def communicating_classes(moves, mu0) -> tuple[list[int], list[list[int]], int | None]:
+    """The states reachable from ``mu0``'s support, their classes and period, in one search.
+
+    ``moves`` and ``mu0`` are as ``MarkovRewardProcess.float_rows`` gives them.
+    An iterative Tarjan search (Tarjan 1972) from each start state, in
+    order, visits every move out of a reachable state once.  It returns the
+    reachable states in increasing order; their communicating (strongly
+    connected) classes, each in increasing order, listed by smallest member;
+    and, when they form one class, its period (Kemeny & Snell 1960): the gcd
+    of ``d(x) + 1 - d(y)`` over the moves ``(x, y)``, ``d`` the search depth.
+    A move along the search tree adds 0, so the gcd is that of the cycle
+    lengths.  With more than one class the period is None.
+    """
+    n = len(moves)
+    order, low, depth, owner = [-1] * n, [0] * n, [0] * n, [-1] * n  # owner: the class index
+    stack, count, found = [], 0, 0
+    for root in (x for x, mass in enumerate(mu0) if mass):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        path = [(root, iter(moves[root][0]))]
+        while path:
+            x, successors = path[-1]
+            for y in successors:
+                if order[y] < 0:  # a tree move: search from y first
+                    order[y] = low[y] = count
+                    count += 1
+                    depth[y] = depth[x] + 1
+                    stack.append(y)
+                    path.append((y, iter(moves[y][0])))
+                    break
+                if owner[y] < 0:  # y is on the stack: in x's class
+                    low[x] = min(low[x], order[y])
+            else:
+                path.pop()
+                if path:
+                    low[path[-1][0]] = min(low[path[-1][0]], low[x])
+                if low[x] == order[x]:  # x is the first state of its class reached
+                    while owner[x] < 0:
+                        owner[stack.pop()] = found
+                    found += 1
+    reach = [x for x in range(n) if order[x] >= 0]
+    classes: dict[int, list[int]] = {}
+    for x in reach:
+        classes.setdefault(owner[x], []).append(x)
+    period = None
+    if found == 1:
+        period = 0
+        for x in reach:
+            for y in moves[x][0]:
+                period = math.gcd(period, depth[x] + 1 - depth[y])
+    return reach, list(classes.values()), period
 
 
 class StepCdf(_Record):
